@@ -10,7 +10,9 @@ import argparse
 import json
 import sys
 
-from .divide_map import DivideError, DivideMap, compute_faces
+from .divide_map import (
+    DivideError, DivideMap, compute_faces, map_from_document,
+)
 from .dynkin import build_gamma, gamma_to_dot
 from .generators import (
     chords_document, chords_from_document, coil, from_chords, gen_chords,
@@ -38,7 +40,6 @@ def _load_map(path: str) -> DivideMap:
     doc = _load_json(path)
     fmt = doc.get("format")
     if fmt == "divide-map/1":
-        from .divide_map import map_from_document
         return map_from_document(doc)
     if fmt == "divide-chords/1":
         return from_chords(chords_from_document(doc))

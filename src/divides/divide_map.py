@@ -227,8 +227,9 @@ def map_from_document(doc) -> DivideMap:
         ends = []
         for key in ("a", "b"):
             pair = e[key]
+            # type() rather than isinstance(): JSON true is not slot 1
             if (not isinstance(pair, list) or len(pair) != 2
-                    or pair[0] not in index or not isinstance(pair[1], int)):
+                    or pair[0] not in index or type(pair[1]) is not int):
                 raise DivideError(f"malformed document: bad attachment {pair!r}")
             ends.append((index[pair[0]], pair[1]))
         resolved.append(tuple(ends))
@@ -269,7 +270,8 @@ def trace_branches(m: DivideMap) -> list[tuple[int, ...]]:
         branches.append(tuple(walk))
     if len(used_edges) != m.n_divide_edges:
         raise DivideError("closed branch detected (circular component)")
-    assert len(branches) == m.r
+    if len(branches) != m.r:
+        raise DivideError(f"{len(branches)} branches traced, expected {m.r}")
     return branches
 
 
@@ -373,9 +375,9 @@ def compute_faces(m: DivideMap, flip: bool = False) -> Faces:
             kinds.append(OUTER)
         else:
             kinds.append(REGION)
-            for d in w:
-                # region walks stay clear of the boundary circle
-                assert not m.is_endpoint_vertex(m.dart_vertex[d])
+            # region walks stay clear of the boundary circle
+            if any(m.is_endpoint_vertex(m.dart_vertex[d]) for d in w):
+                raise DivideError("a region walk touches an endpoint")
 
     dart_face = [-1] * m.n_darts
     corner_face: dict = {}
@@ -457,6 +459,7 @@ class DivideStats:
     connected: bool
     cellular: bool
     simple: bool
+    regions_vertex_simple: bool     # no region walk visits a vertex twice
 
 
 class _UnionFind:
@@ -478,8 +481,9 @@ def classify(m: DivideMap, faces: Faces) -> DivideStats:
 
     * connected: the graph on endpoints and crossings spanned by the
       divide edges is connected;
-    * cellular: connected, and no region walk visits a vertex twice (a
-      repeat pinches the region closure, making it non-contractible);
+    * cellular: connected and ``regions_vertex_simple``, i.e. no region
+      walk visits a vertex twice (a repeat pinches the region closure,
+      making it non-contractible);
     * simple: connected with at least one double point, and no segment
       admits an embedded arc through its interior splitting the double
       points into two non-empty sets.  Such an arc must run to the
@@ -492,13 +496,9 @@ def classify(m: DivideMap, faces: Faces) -> DivideStats:
         uf.union(a, b)
     connected = len({uf.find(v) for v in range(n_vertices)}) == 1
 
-    cellular = connected
-    if cellular:
-        for fi in faces.regions:
-            visited = walk_vertices(m, faces.faces[fi])
-            if len(set(visited)) != len(visited):
-                cellular = False
-                break
+    walks = (walk_vertices(m, faces.faces[fi]) for fi in faces.regions)
+    vertex_simple = all(len(set(w)) == len(w) for w in walks)
+    cellular = connected and vertex_simple
 
     simple = connected and m.delta >= 1
     if simple:
@@ -529,4 +529,5 @@ def classify(m: DivideMap, faces: Faces) -> DivideStats:
         connected=connected,
         cellular=cellular,
         simple=simple,
+        regions_vertex_simple=vertex_simple,
     )

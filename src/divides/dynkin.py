@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .divide_map import (
-    MINUS, PLUS, REGION, DivideMap, Faces, segment_faces,
+    MINUS, PLUS, REGION, DivideError, DivideMap, Faces, segment_faces,
 )
 
 SECTOR = "sector"
@@ -112,7 +112,9 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
         a, b = faces.faces[f1], faces.faces[f2]
         if a.kind != REGION or b.kind != REGION:
             continue
-        assert a.sign != b.sign   # checkerboard alternation
+        if a.sign == b.sign:
+            raise DivideError("2-coloring inconsistency: a segment joins "
+                              "two regions of one sign")
         mreg, preg = (f1, f2) if a.sign == MINUS else (f2, f1)
         i, j = sorted((base_index[mreg], base_index[preg]))
         edges.append(GammaEdge(SEGMENT, i, j, edge_id=k))

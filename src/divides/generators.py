@@ -236,7 +236,7 @@ def _param_from_json(v) -> Param:
     if v == "inf":
         return None
     if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, int) for x in v) and v[1] != 0):
+            and all(type(x) is int for x in v) and v[1] != 0):
         return Fraction(v[0], v[1])
     raise DivideError(f"malformed document: bad circle parameter {v!r}")
 

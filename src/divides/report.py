@@ -6,12 +6,10 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .divide_map import DivideMap, classify, compute_faces
-from .dynkin import body_euler, build_gamma, counts
+from .divide_map import DivideMap
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
 from .seifert import (
-    char_poly, is_zero, lefschetz_number, mat_mul, mat_trace, matrix_N,
-    monodromy_matrix, signature, trace_powers, verify_theorem,
+    mat_mul, mat_trace, signature, trace_powers, verify_theorem,
 )
 from .walks import K_CAP, K_DEFAULT, adjacency
 
@@ -56,18 +54,14 @@ def report_from_json_dict(d: dict) -> DivideReport:
 
 def build_report(m: DivideMap, source: str = "",
                  k: int = K_DEFAULT) -> DivideReport:
+    """``verify_theorem`` plus the signature, with traces k = 1..K."""
     k = max(1, min(k, K_CAP))
-    faces = compute_faces(m)
-    stats = classify(m, faces)
-    gamma = build_gamma(m, faces)
-    cnt = counts(gamma)
-    n = matrix_N(gamma)
-    t = monodromy_matrix(n)
-    lam = lefschetz_number(n)
-    traces = trace_powers(t, k)
-    thm = verify_theorem(m, faces)
+    thm = verify_theorem(m)
+    traces = (thm.traces[:k] if k <= len(thm.traces)
+              else trace_powers(thm.t, k))
 
-    genus = Fraction(cnt.mu - m.r + 1, 2)
+    stats = thm.stats
+    genus = Fraction(thm.mu - m.r + 1, 2)
     return DivideReport(
         source=source,
         r=stats.r,
@@ -76,15 +70,15 @@ def build_report(m: DivideMap, source: str = "",
         connected=stats.connected,
         cellular=stats.cellular,
         simple=stats.simple,
-        mu=cnt.mu,
-        e=cnt.e,
-        f=cnt.f,
-        chi_body=body_euler(m, faces),
-        slalom=is_zero(mat_mul(n, n)),
-        lambda_formula=lam,
-        lambda_trace=1 - mat_trace(t),
-        char_poly=char_poly(t),
-        signature=signature(n),
+        mu=thm.mu,
+        e=thm.e,
+        f=thm.f,
+        chi_body=thm.chi_body,
+        slalom=thm.n_square_zero,
+        lambda_formula=thm.lam,
+        lambda_trace=1 - mat_trace(thm.t),
+        char_poly=thm.char_poly,
+        signature=signature(thm.n),
         lattice_genus=[genus.numerator, genus.denominator],
         traces=list(traces),
         lefschetz_iterates=[1 - x for x in traces],
@@ -180,14 +174,11 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
         inst_seed = seed + i
         cs = gen_chords(n, inst_seed)
         m = from_chords(cs)
-        faces = compute_faces(m)
-        thm = verify_theorem(m, faces)
-        gamma = build_gamma(m, faces)
-        cnt = counts(gamma)
+        thm = verify_theorem(m)
 
         failed = thm.failed()
         failed += _chord_instance_checks(cs, thm, m)
-        failed += _walk_sanity(gamma, cnt)
+        failed += _walk_sanity(thm.gamma, thm.e)
 
         # theorem checks graded applicable, plus 4 corpus-level hard checks
         n_applicable = sum(1 for v in thm.checks.values() if v != "n/a") + 4
@@ -207,7 +198,7 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
         if csv_out is not None:
             row = [inst_seed, n, st.r, st.delta, st.region_count,
                    int(st.connected), int(st.cellular), int(st.simple),
-                   int(thm.n_square_zero), cnt.mu, cnt.e, cnt.f,
+                   int(thm.n_square_zero), thm.mu, thm.e, thm.f,
                    thm.chi_body, thm.lam,
                    n_applicable - len(failed), len(thm.findings)]
             csv_out.write(",".join(str(x) for x in row) + "\n")
@@ -216,14 +207,14 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
     return summary
 
 
-def _walk_sanity(gamma, cnt) -> list[str]:
+def _walk_sanity(gamma, e: int) -> list[str]:
     # chord diagrams never carry multi-edges, so Tr(M^2) = 2e holds here;
     # with a multi-edge it would be 2 * sum of squared multiplicities
     m = adjacency(gamma)
     failed = []
     if mat_trace(m) != 0:
         failed.append("walk_trace_M_zero")
-    if mat_trace(mat_mul(m, m)) != 2 * cnt.e:
+    if mat_trace(mat_mul(m, m)) != 2 * e:
         failed.append("walk_handshake_2e")
     return failed
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .divide_map import DivideMap, classify, compute_faces, walk_vertices
+from .divide_map import DivideMap, classify, compute_faces
 from .dynkin import (
     Gamma, body_euler, build_gamma, check_flag_edges, counts,
     has_multi_edge,
@@ -115,13 +115,18 @@ def lefschetz_number(n: Matrix) -> int:
     The same value must come out as 1 - Tr(T); both routes are computed
     and compared on every call.
     """
-    mu = len(n)
     nt = transpose(n)
-    lam = 1 - mu + mat_trace(mat_mul(nt, n)) \
-        - mat_trace(mat_mul(mat_mul(nt, nt), n))
-    lam_trace = 1 - mat_trace(monodromy_matrix(n))
+    return _lefschetz(len(n), mat_trace(mat_mul(nt, n)),
+                      mat_trace(mat_mul(mat_mul(nt, nt), n)),
+                      monodromy_matrix(n))
+
+
+def _lefschetz(mu: int, tr_ntn: int, tr_nt2n: int, t: Matrix) -> int:
+    """The formula route from its traces, checked against 1 - Tr(T)."""
+    lam = 1 - mu + tr_ntn - tr_nt2n
+    lam_trace = 1 - mat_trace(t)
     if lam != lam_trace:
-        raise AssertionError(
+        raise ArithmeticError(
             f"lefschetz routes disagree: formula {lam}, trace {lam_trace}")
     return lam
 
@@ -144,7 +149,7 @@ def trace_powers(t: Matrix, k_max: int) -> list[int]:
 def char_poly(t: Matrix) -> list[int]:
     """Monic characteristic polynomial of T, constant term first.
 
-    Faddeev-LeVerrier with exactness asserted at each division: the
+    Faddeev-LeVerrier with exactness checked at each division: the
     intermediate matrices stay integral for an integer input, so every
     division by k is exact.  No floating point anywhere.
     """
@@ -154,9 +159,9 @@ def char_poly(t: Matrix) -> list[int]:
     for k in range(1, mu + 1):
         m = mat_mul(t, m)
         tr = mat_trace(m)
-        q, r = divmod(-tr, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
-        a_k = q
+        a_k, r = divmod(-tr, k)
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier division is not exact")
         coeffs_desc.append(a_k)
         for i in range(mu):
             m[i][i] += a_k
@@ -193,7 +198,8 @@ def newton_power_sums(coeffs: list[int], k_max: int) -> list[int]:
         s_k = -sum_{i<=mu} a_i s_{k-i}              (k > mu)
     """
     mu = len(coeffs) - 1
-    assert coeffs[-1] == 1, "polynomial must be monic"
+    if coeffs[-1] != 1:
+        raise ValueError("polynomial must be monic")
     a = [0] + [coeffs[mu - j] for j in range(1, mu + 1)]   # a[1..mu]
     s: list[int] = []
     for k in range(1, k_max + 1):
@@ -287,7 +293,9 @@ class TheoremReport:
 
     ``checks`` maps check names to pass/fail/n/a.  The multi-edge versus
     cellularity comparison is a finding, not a check: it is recorded in
-    ``findings`` when the two disagree and never fails a run.
+    ``findings`` when the two disagree and never fails a run.  The chain's
+    artifacts (diagram, N, T, characteristic polynomial and the traces
+    Tr(T^k) for k = 1..min(12, mu + 2)) ride along for reports to reuse.
     """
     stats: object
     mu: int
@@ -296,6 +304,11 @@ class TheoremReport:
     chi_body: int
     lam: int
     n_square_zero: bool
+    gamma: Gamma
+    n: Matrix
+    t: Matrix
+    char_poly: list[int]
+    traces: list[int]
     checks: dict = field(default_factory=dict)
     findings: list = field(default_factory=list)
 
@@ -329,13 +342,12 @@ def verify_theorem(m: DivideMap, faces=None) -> TheoremReport:
     nt = transpose(n)
     n2 = mat_mul(n, n)
     t = monodromy_matrix(n)
-    lam = lefschetz_number(n)
+    tr_ntn = mat_trace(mat_mul(nt, n))
+    tr_nt2n = mat_trace(mat_mul(mat_mul(nt, nt), n))
+    lam = _lefschetz(cnt.mu, tr_ntn, tr_nt2n, t)
     cp = char_poly(t)
     k_cmp = min(12, max(1, cnt.mu + 2))
     traces = trace_powers(t, k_cmp)
-
-    tr_ntn = mat_trace(mat_mul(nt, n))
-    tr_nt2n = mat_trace(mat_mul(mat_mul(nt, nt), n))
     n_square_zero = is_zero(n2)
 
     checks: dict[str, str] = {}
@@ -373,23 +385,16 @@ def verify_theorem(m: DivideMap, faces=None) -> TheoremReport:
 
     report = TheoremReport(
         stats=stats, mu=cnt.mu, e=cnt.e, f=cnt.f, chi_body=chi,
-        lam=lam, n_square_zero=n_square_zero, checks=checks,
+        lam=lam, n_square_zero=n_square_zero, gamma=gamma, n=n, t=t,
+        char_poly=cp, traces=traces, checks=checks,
     )
 
     # findings channel: the multi-edge criterion against the walk test,
     # compared without the connectivity conjunct on either side
-    vertex_simple = _regions_vertex_simple(m, faces)
+    vertex_simple = stats.regions_vertex_simple
     multi = has_multi_edge(gamma)
     if vertex_simple == multi:
         report.findings.append(
             f"{FINDING_NAME}: regions vertex-simple={vertex_simple} but "
             f"multi-edge={multi}")
     return report
-
-
-def _regions_vertex_simple(m: DivideMap, faces) -> bool:
-    for fi in faces.regions:
-        visited = walk_vertices(m, faces.faces[fi])
-        if len(set(visited)) != len(visited):
-            return False
-    return True

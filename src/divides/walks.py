@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynkin import Gamma
-from .seifert import Matrix, mat_add, mat_mul, mat_trace, matrix_N, \
-    monodromy_matrix, transpose
+from .seifert import Matrix, mat_add, matrix_N, monodromy_matrix, \
+    trace_powers, transpose
 
 K_DEFAULT = 12
 K_CAP = 64      # bounds arbitrary-precision growth in reports
@@ -41,13 +41,6 @@ def walk_table(gamma: Gamma, k: int = K_DEFAULT) -> WalkTable:
     n = matrix_N(gamma)
     t = monodromy_matrix(n)
     m = mat_add(n, transpose(n))
-    rows = []
-    tp = t
-    mp = m
-    for i in range(1, k + 1):
-        if i > 1:
-            tp = mat_mul(tp, t)
-            mp = mat_mul(mp, m)
-        tr_t = mat_trace(tp)
-        rows.append((i, tr_t, 1 - tr_t, mat_trace(mp)))
-    return WalkTable(rows=tuple(rows))
+    pairs = zip(trace_powers(t, k), trace_powers(m, k))
+    return WalkTable(rows=tuple((i, tr_t, 1 - tr_t, tr_m)
+                                for i, (tr_t, tr_m) in enumerate(pairs, 1)))

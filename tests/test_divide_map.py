@@ -79,6 +79,14 @@ class TestParse:
         with pytest.raises(DivideError, match="bad attachment"):
             parse_divide(bad)
 
+    def test_boolean_slot_rejected(self):
+        # JSON true is a Python int subclass; it must not pass as slot 1
+        lens = fixture("LENS").to_document()
+        edge = next(e for e in lens["edges"] if e["b"][1] == 1)
+        edge["b"][1] = True
+        with pytest.raises(DivideError, match="bad attachment"):
+            parse_divide(json.dumps(lens))
+
     def test_bad_format_field(self):
         with pytest.raises(DivideError, match="format"):
             parse_divide(json.dumps({"format": "nope", "endpoints": [],
@@ -231,6 +239,7 @@ class TestClassify:
         faces = compute_faces(m)
         st = classify(m, faces)
         assert st.connected and not st.cellular
+        assert not st.regions_vertex_simple
         pinched = [fi for fi in faces.regions
                    if len(set(walk_vertices(m, faces.faces[fi])))
                    != len(faces.faces[fi].darts)]
@@ -246,6 +255,8 @@ class TestClassify:
         assert m.delta == 0
         assert not st.connected
         assert not st.simple
+        # the walk test holds on its own; cellularity also needs connectivity
+        assert st.regions_vertex_simple and not st.cellular
 
     def test_simple_iff_no_splitting_cut(self):
         # coil(2): the spine between the curls has outer faces on both

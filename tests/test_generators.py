@@ -99,6 +99,13 @@ class TestChords:
         with pytest.raises(DivideError, match="parameter"):
             chords_from_document(doc)
 
+    def test_boolean_parameter_rejected(self):
+        # [true, 2] would otherwise read as the parameter 1/2
+        doc = {"format": "divide-chords/1",
+               "chords": [{"s": [True, 2], "t": [-2, 1]}]}
+        with pytest.raises(DivideError, match="parameter"):
+            chords_from_document(doc)
+
     def test_connected_chord_divides_are_cellular(self):
         seen_connected = 0
         for seed in range(40):

@@ -1,0 +1,65 @@
+"""Each artifact of the chain is computed once per divide.
+
+Calls are counted by rebinding every ``divides.*`` module attribute that
+holds a function, so calls through any ``from .x import f`` binding are
+seen.
+"""
+
+import sys
+
+import pytest
+
+import divides
+from divides import build_report, from_chords, gen_chords, run_corpus, zigzag
+
+CHAIN = ("compute_faces", "classify", "build_gamma", "counts", "matrix_N",
+         "monodromy_matrix", "char_poly", "signature", "trace_powers")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Install call counters for CHAIN; returns name -> count so far."""
+    counted = dict.fromkeys(CHAIN, 0)
+
+    def counter(name, real):
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    modules = [mod for key, mod in list(sys.modules.items())
+               if key == "divides" or key.startswith("divides.")]
+    for name in CHAIN:
+        real = getattr(divides, name)
+        wrapper = counter(name, real)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counted
+
+
+@pytest.mark.parametrize("make", [lambda: zigzag(6),
+                                  lambda: from_chords(gen_chords(8, 101))],
+                         ids=["zigzag6", "chords8"])
+def test_build_report_runs_the_chain_once(calls, make):
+    m = make()
+    rep = build_report(m)
+    assert rep.mu >= 10     # so verify_theorem's 12 traces cover K_DEFAULT
+    assert calls == dict.fromkeys(CHAIN, 1)
+
+
+def test_build_report_extends_short_traces(calls):
+    # mu = 1: verify_theorem keeps 3 traces, the report asks for 12
+    rep = build_report(zigzag(1))
+    assert len(rep.traces) == 12
+    assert calls["trace_powers"] == 2
+    assert calls["char_poly"] == calls["monodromy_matrix"] == 1
+
+
+def test_run_corpus_runs_the_chain_once_per_instance(calls):
+    count = 20
+    assert run_corpus(count, 5, 7).ok()
+    for name in ("compute_faces", "build_gamma", "monodromy_matrix",
+                 "char_poly"):
+        assert calls[name] == count, name

@@ -1,15 +1,20 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import divides
 from divides import (
     build_gamma, char_poly, coil, compute_faces, fixture, from_chords,
     gen_chords, is_reciprocal, lefschetz_number, matrix_N, monodromy_matrix,
     newton_power_sums, signature, trace_powers, verify_theorem,
 )
 from divides.seifert import (
-    det_from_char_poly, identity, is_zero, mat_mul, signature_symmetric,
-    transpose,
+    _lefschetz, det_from_char_poly, identity, is_zero, mat_mul,
+    signature_symmetric, transpose,
 )
 
 
@@ -91,6 +96,11 @@ class TestLefschetz:
     def test_fig1(self):
         assert lefschetz_number(n_of("FIG1")) == 0
 
+    def test_routes_disagree_raises(self):
+        # formula 1 - 1 + 0 - 0 = 0 against trace route 1 - Tr([[5]]) = -4
+        with pytest.raises(ArithmeticError, match="disagree"):
+            _lefschetz(1, 0, 0, [[5]])
+
 
 class TestTracePowers:
     def test_x1(self):
@@ -118,6 +128,11 @@ class TestCharPoly:
 
     def test_lens(self):
         assert char_poly(monodromy_matrix(n_of("LENS"))) == [-1, 1, -1, 1]
+
+    def test_inexact_division_raises(self):
+        # a rational input makes the first division by k = 1 inexact
+        with pytest.raises(ArithmeticError, match="not exact"):
+            char_poly([[Fraction(1, 2)]])
 
     def test_det_one_and_reciprocal(self, zoo):
         for name, m in zoo:
@@ -156,6 +171,25 @@ class TestNewton:
             t = monodromy_matrix(n_of(m))
             cp = char_poly(t)
             assert newton_power_sums(cp, 12) == trace_powers(t, 12), name
+
+    def test_non_monic_rejected(self):
+        # constant term first: [1, 2] is 1 + 2x, while [2, 1] is monic
+        assert newton_power_sums([2, 1], 3) == [-2, 4, -8]
+        with pytest.raises(ValueError, match="monic"):
+            newton_power_sums([1, 2], 3)
+
+    def test_non_monic_rejected_under_optimize(self):
+        # python -O strips assert statements; the guard must survive it
+        code = ("from divides.seifert import newton_power_sums\n"
+                "try:\n"
+                "    newton_power_sums([1, 2], 3)\n"
+                "except ValueError:\n"
+                "    print('raised')\n")
+        src = str(Path(divides.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "raised\n"
 
 
 class TestSignature:
@@ -264,3 +298,13 @@ class TestVerifyTheorem:
         m = from_chords(gen_chords(5, 7))
         rep = verify_theorem(m)
         assert rep.all_pass()
+
+    def test_carries_chain_artifacts(self, zoo):
+        for name, m in zoo:
+            rep = verify_theorem(m)
+            assert rep.gamma == build_gamma(m, compute_faces(m)), name
+            assert rep.n == matrix_N(rep.gamma), name
+            assert rep.t == monodromy_matrix(rep.n), name
+            assert rep.char_poly == char_poly(rep.t), name
+            k = min(12, rep.mu + 2)
+            assert rep.traces == trace_powers(rep.t, k), name
