@@ -11,7 +11,7 @@ import json
 import sys
 
 from .divide_map import (
-    DivideError, DivideMap, compute_faces, map_from_document,
+    DivideError, DivideMap, compute_faces, map_from_document, parse_json,
 )
 from .dynkin import build_gamma, gamma_to_dot
 from .generators import (
@@ -24,12 +24,8 @@ from .walks import K_DEFAULT, walk_table
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DivideError(f"malformed document: {exc}") from None
+    with open(path, "rb") as fh:
+        doc = parse_json(fh.read())
     if not isinstance(doc, dict):
         raise DivideError("malformed document: expected a JSON object")
     return doc

@@ -167,10 +167,11 @@ def _build_map(endpoints, crossings, edges) -> DivideMap:
             dart_vertex[d] = v
             dart_pos[d] = i
 
+    # tuple(list), not tuple(generator): resizing fills CPython's free lists
     m = DivideMap(
         endpoints=tuple(endpoints),
         crossings=tuple(crossings),
-        edges=tuple((tuple(a), tuple(b)) for a, b in edges),
+        edges=tuple([(tuple(a), tuple(b)) for a, b in edges]),
         rotations=tuple(rotations),
         dart_vertex=tuple(dart_vertex),
         dart_pos=tuple(dart_pos),
@@ -181,13 +182,22 @@ def _build_map(endpoints, crossings, edges) -> DivideMap:
     return m
 
 
+def parse_json(data: str | bytes):
+    """Decode JSON text, or UTF-8 bytes; any failure is a DivideError.
+
+    That covers bytes that are not UTF-8, integers past Python's digit
+    limit and nesting past the recursion limit.
+    """
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DivideError(f"malformed document: {exc}") from None
+
+
 def parse_divide(text: str) -> DivideMap:
     """Parse and fully validate a divide-map/1 document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DivideError(f"malformed document: {exc}") from None
-    return map_from_document(doc)
+    return map_from_document(parse_json(text))
 
 
 def map_from_document(doc) -> DivideMap:
@@ -429,10 +439,10 @@ def compute_faces(m: DivideMap, flip: bool = False) -> Faces:
     if flip:
         signs = [-s for s in signs]
 
-    faces = tuple(
+    faces = tuple([
         Face(index=fi, darts=tuple(w), kind=kinds[fi], sign=signs[fi])
         for fi, w in enumerate(inside)
-    )
+    ])
     return Faces(faces=faces, dart_face=tuple(dart_face),
                  corner_face=corner_face, regions=tuple(regions))
 

@@ -126,9 +126,9 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
         n_minus=n_minus,
         n_double=n_double,
         n_plus=n_plus,
-        A=tuple(tuple(row) for row in A),
-        B=tuple(tuple(row) for row in B),
-        C=tuple(tuple(row) for row in C),
+        A=tuple([tuple(row) for row in A]),
+        B=tuple([tuple(row) for row in B]),
+        C=tuple([tuple(row) for row in C]),
     )
 
 

@@ -1,34 +1,33 @@
 """Divide generators: random chord arrangements, families, fixtures.
 
-Chords live on the rational unit circle via the tangent half-angle
-parameterization t -> ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)); the point
-(-1, 0) gets the parameter infinity.  Keeping every coordinate a Fraction
-makes all incidence predicates exact, with no epsilon anywhere: a single
-wrong sign would silently corrupt every downstream integer identity.
+A circle parameter t = a/b stands for the point of the unit circle with
+homogeneous integer coordinates (b^2 - a^2, 2ab, a^2 + b^2), the tangent
+half-angle parameterization; t = infinity is (-1, 0, 1).  Sorting the
+parameters gives each endpoint an integer rank around the circle.  A
+chord's line is the cross product of its endpoints and a crossing the
+cross product of two lines, so every predicate (interleaving, crossing
+order along a chord, the orientation at a crossing, concurrency) is a
+comparison of integer ranks or the sign of an integer determinant, with
+no Fraction and no epsilon anywhere: a single wrong sign would silently
+corrupt every downstream integer identity.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from importlib import resources
 
-from .divide_map import DivideError, DivideMap, map_from_document
+from .divide_map import DivideError, DivideMap, map_from_document, \
+    parse_divide, parse_json
 
 # circle parameter: a Fraction, or None for the point (-1, 0)
 Param = Fraction | None
 
 _GRID = 10_000                 # parameter grid: u/(GRID - |u|), u in (-GRID, GRID]
 _RESAMPLE_BUDGET = 100_000
-
-
-def circle_point(t: Param) -> tuple[Fraction, Fraction]:
-    if t is None:
-        return Fraction(-1), Fraction(0)
-    den = 1 + t * t
-    return (1 - t * t) / den, 2 * t / den
 
 
 def _circular_key(t: Param):
@@ -66,48 +65,99 @@ def crossing_count(cs: ChordSet) -> int:
                if interleaved(cs.chords[i], cs.chords[j]))
 
 
-def _intersection(a: Chord, b: Chord) -> tuple[Fraction, Fraction, Fraction]:
-    """Intersection point of the two chord lines plus the parameter along a.
+# ---------------------------------------------------------------------------
+# the chord-arrangement kernel
+# ---------------------------------------------------------------------------
 
-    Returns (x, y, u) with the point = P1 + u (P2 - P1) on chord a.
-    Assumes the chords are not parallel (distinct circle chords that
-    interleave never are).
+def _point(t: Param) -> tuple[int, int, int]:
+    if t is None:
+        return (-1, 0, 1)
+    a, b = t.numerator, t.denominator
+    return (b * b - a * a, 2 * a * b, a * a + b * b)
+
+
+def _cross(p, q) -> tuple[int, int, int]:
+    return (p[1] * q[2] - p[2] * q[1],
+            p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0])
+
+
+def _cmp_place(a, b) -> int:
+    # places num / den on one chord, den > 0, compared without dividing
+    return a[0] * b[1] - b[0] * a[1]
+
+
+@dataclass(frozen=True)
+class _Arrangement:
+    """A generic chord set's crossings, each computed once.
+
+    Chord i has endpoints ``ends[i]`` (homogeneous points of s and t) at
+    places ``rank[2i]``, ``rank[2i + 1]`` of the ccw circular order.
+    ``pairs`` lists the crossing chord pairs (i, j), i < j, in
+    lexicographic order, with the crossing point ``points[k]`` (w > 0) and
+    ``signs[k]``, the sign of the determinant of the two chord directions:
+    +1 when chord j crosses chord i from right to left.  ``along[i]``
+    lists chord i's crossings (indices into ``pairs``) from s to t.
     """
-    p1 = circle_point(a.s)
-    p2 = circle_point(a.t)
-    q1 = circle_point(b.s)
-    q2 = circle_point(b.t)
-    da = (p2[0] - p1[0], p2[1] - p1[1])
-    db = (q2[0] - q1[0], q2[1] - q1[1])
-    denom = da[0] * db[1] - da[1] * db[0]
-    if denom == 0:
-        raise DivideError("general-position violation: parallel chords meet")
-    rx, ry = q1[0] - p1[0], q1[1] - p1[1]
-    u = (rx * db[1] - ry * db[0]) / denom
-    return p1[0] + u * da[0], p1[1] + u * da[1], u
+    ends: list
+    rank: list
+    pairs: list
+    points: list
+    signs: list
+    along: list
 
 
-def _check_general_position(chords: list[Chord]) -> str | None:
-    """None if the set is generic, else a description of the violation."""
-    params = [t for c in chords for t in c.params()]
-    keys = [_circular_key(t) for t in params]
-    if len(set(keys)) != len(keys):
-        return "duplicate circle parameter"
-    pts = {}
+def _arrangement(chords) -> _Arrangement:
+    """The exact geometry of a chord set, or DivideError if not generic.
+
+    Generic means that no two endpoints coincide and no three chords pass
+    through one point, i.e. no chord carries two crossings at one place.
+    """
     n = len(chords)
+    keys = [_circular_key(t) for c in chords for t in c.params()]
+    order = sorted(range(2 * n), key=keys.__getitem__)
+    if any(keys[a] == keys[b] for a, b in zip(order, order[1:])):
+        raise DivideError("general-position violation: duplicate circle "
+                          "parameter")
+    rank = [0] * (2 * n)
+    for r, e in enumerate(order):
+        rank[e] = r
+    ends = [(_point(c.s), _point(c.t)) for c in chords]
+    lines = [_cross(p, q) for p, q in ends]
+
+    pairs, points, signs = [], [], []
+    along: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
+        lo, hi = sorted(rank[2 * i:2 * i + 2])
         for j in range(i + 1, n):
-            if interleaved(chords[i], chords[j]):
-                x, y, _ = _intersection(chords[i], chords[j])
-                pts[(i, j)] = (x, y)
-    pairs = sorted(pts)
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            i1, j1 = pairs[a]
-            i2, j2 = pairs[b]
-            if {i1, j1} & {i2, j2} and pts[pairs[a]] == pts[pairs[b]]:
-                return "three chords concurrent"
-    return None
+            if (lo < rank[2 * j] < hi) == (lo < rank[2 * j + 1] < hi):
+                continue
+            # w of line i x line j is the determinant of the directions
+            x, y, w = _cross(lines[i], lines[j])
+            if w == 0:
+                raise DivideError(
+                    "general-position violation: parallel chords meet")
+            along[i].append(len(pairs))
+            along[j].append(len(pairs))
+            pairs.append((i, j))
+            signs.append(1 if w > 0 else -1)
+            points.append((x, y, w) if w > 0 else (-x, -y, -w))
+
+    by_place = cmp_to_key(_cmp_place)
+    for c, (l1, l2, _) in enumerate(lines):
+        # chord c runs along (l2, -l1): its crossing (x, y, w) sits at
+        # (x l2 - y l1) / w, increasing from s to t
+        place = {}
+        for k in along[c]:
+            x, y, w = points[k]
+            place[k] = (x * l2 - y * l1, w)
+        along[c].sort(key=lambda k: by_place(place[k]))
+        if any(_cmp_place(place[a], place[b]) == 0
+               for a, b in zip(along[c], along[c][1:])):
+            raise DivideError(
+                "general-position violation: three chords concurrent")
+    return _Arrangement(ends=ends, rank=rank, pairs=pairs, points=points,
+                        signs=signs, along=along)
 
 
 def _grid_param(u: int) -> Param:
@@ -133,93 +183,50 @@ def gen_chords(n: int, seed: int) -> ChordSet:
         params = [_grid_param(rng.randint(-_GRID + 1, _GRID))
                   for _ in range(2 * n)]
         chords = [Chord(params[2 * i], params[2 * i + 1]) for i in range(n)]
-        if _check_general_position(chords) is None:
-            return ChordSet(chords=tuple(chords), rejections=attempt)
+        try:
+            _arrangement(chords)
+        except DivideError:
+            continue
+        return ChordSet(chords=tuple(chords), rejections=attempt)
     raise DivideError("resample budget exhausted while seeking general position")
 
 
 def from_chords(cs: ChordSet) -> DivideMap:
     """Build the combinatorial map of a chord arrangement, exactly.
 
-    Crossings are the pairwise intersections; each chord's crossings are
-    ordered by the exact parameter along the chord, and the rotation at a
-    crossing comes from the sign of the cross product of the two chord
-    directions.  The result goes through full map validation.
+    The kernel orders the crossings along each chord and orients each
+    crossing; the result goes through full map validation.
     """
-    violation = _check_general_position(list(cs.chords))
-    if violation:
-        raise DivideError(f"general-position violation: {violation}")
     return map_from_document(chords_to_map_document(cs))
 
 
 def chords_to_map_document(cs: ChordSet) -> dict:
-    chords = cs.chords
-    n = len(chords)
+    return _map_document(_arrangement(cs.chords))
 
-    # endpoints in ccw circular order
-    ends = []       # (key, chord index, which param)
-    for i, c in enumerate(chords):
-        ends.append((_circular_key(c.s), i, 0))
-        ends.append((_circular_key(c.t), i, 1))
-    ends.sort()
-    endpoint_labels = [f"e{k + 1}" for k in range(2 * n)]
-    endpoint_of = {(i, which): endpoint_labels[k]
-                   for k, (_, i, which) in enumerate(ends)}
 
-    # crossings, labeled by lexicographic chord pair
-    crossings = []                      # (i, j) sorted
-    crossing_label = {}
-    along: dict[int, list] = {i: [] for i in range(n)}   # (u, pair) per chord
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not interleaved(chords[i], chords[j]):
-                continue
-            pair = (i, j)
-            crossing_label[pair] = f"c{len(crossings) + 1}"
-            crossings.append(pair)
-            _, _, ui = _intersection(chords[i], chords[j])
-            _, _, uj = _intersection(chords[j], chords[i])
-            along[i].append((ui, pair))
-            along[j].append((uj, pair))
+def _map_document(arr: _Arrangement) -> dict:
+    """Endpoints labeled in ccw order, crossings by lexicographic pair.
 
-    # slot layout at each crossing: ccw from the forward direction of the
-    # lower-indexed chord
-    slot_of: dict[tuple, dict] = {}
-    for (i, j) in crossings:
-        pi = circle_point(chords[i].s)
-        qi = circle_point(chords[i].t)
-        pj = circle_point(chords[j].s)
-        qj = circle_point(chords[j].t)
-        di = (qi[0] - pi[0], qi[1] - pi[1])
-        dj = (qj[0] - pj[0], qj[1] - pj[1])
-        cross = di[0] * dj[1] - di[1] * dj[0]
-        if cross > 0:
-            order = [(i, +1), (j, +1), (i, -1), (j, -1)]
-        else:
-            order = [(i, +1), (j, -1), (i, -1), (j, +1)]
-        slot_of[(i, j)] = {key: s for s, key in enumerate(order)}
+    Slots at a crossing run ccw from the forward direction of the
+    lower-indexed chord.
+    """
+    def slot(k, c, forward):
+        if c == arr.pairs[k][0]:
+            return 0 if forward else 2
+        return 1 if (arr.signs[k] > 0) == forward else 3
 
     edges = []
-    for i in range(n):
-        stations: list = [("end", (i, 0))]
-        for u, pair in sorted(along[i], key=lambda t: t[0]):
-            stations.append(("cross", pair))
-        stations.append(("end", (i, 1)))
-        for a, b in zip(stations, stations[1:]):
-            att = []
-            for station, direction in ((a, +1), (b, -1)):
-                kind, ref = station
-                if kind == "end":
-                    att.append([endpoint_of[ref], 0])
-                else:
-                    att.append([crossing_label[ref],
-                                slot_of[ref][(i, direction)]])
-            edges.append({"a": att[0], "b": att[1]})
+    for c, ks in enumerate(arr.along):
+        start = [f"e{arr.rank[2 * c] + 1}", 0]
+        for k in ks:
+            edges.append({"a": start, "b": [f"c{k + 1}", slot(k, c, False)]})
+            start = [f"c{k + 1}", slot(k, c, True)]
+        edges.append({"a": start, "b": [f"e{arr.rank[2 * c + 1] + 1}", 0]})
 
     return {
         "format": "divide-map/1",
-        "endpoints": endpoint_labels,
-        "crossings": [crossing_label[p] for p in crossings],
+        "endpoints": [f"e{r + 1}" for r in range(len(arr.rank))],
+        "crossings": [f"c{k + 1}" for k in range(len(arr.pairs))],
         "edges": edges,
     }
 
@@ -251,11 +258,7 @@ def chords_document(cs: ChordSet) -> dict:
 
 def parse_chords(text: str) -> ChordSet:
     """Parse a divide-chords/1 document and re-check general position."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DivideError(f"malformed document: {exc}") from None
-    return chords_from_document(doc)
+    return chords_from_document(parse_json(text))
 
 
 def chords_from_document(doc) -> ChordSet:
@@ -269,9 +272,7 @@ def chords_from_document(doc) -> ChordSet:
         if not isinstance(c, dict) or "s" not in c or "t" not in c:
             raise DivideError(f"malformed document: bad chord {c!r}")
         chords.append(Chord(_param_from_json(c["s"]), _param_from_json(c["t"])))
-    violation = _check_general_position(chords)
-    if violation:
-        raise DivideError(f"general-position violation: {violation}")
+    _arrangement(chords)
     return ChordSet(chords=tuple(chords))
 
 
@@ -401,7 +402,7 @@ def fixture(name: str) -> DivideMap:
         except (FileNotFoundError, ModuleNotFoundError) as exc:
             raise DivideError(
                 f"missing transcription file for {name}: {exc}") from None
-        return map_from_document(json.loads(text))
+        return parse_divide(text)
     raise DivideError(f"unknown fixture {name!r}")
 
 

@@ -9,8 +9,7 @@ face walks of the map give the polygons directly.
 from __future__ import annotations
 
 from .divide_map import compute_faces, map_from_document
-from .generators import ChordSet, _intersection, chords_to_map_document, \
-    circle_point, interleaved
+from .generators import ChordSet, _arrangement, _map_document
 
 _SIZE = 500
 _R = 230
@@ -19,24 +18,15 @@ _FILL = {-1: "#9ecae1", 1: "#fdae6b"}      # minus: blue, plus: orange
 
 
 def _xy(p) -> tuple[float, float]:
-    return (_CENTER + _R * float(p[0]), _CENTER - _R * float(p[1]))
+    # x / w is the correctly rounded float of the exact coordinate
+    return (_CENTER + _R * (p[0] / p[2]), _CENTER - _R * (p[1] / p[2]))
 
 
 def render_chords_svg(cs: ChordSet) -> str:
-    doc = chords_to_map_document(cs)
-    m = map_from_document(doc)
+    arr = _arrangement(cs.chords)
+    m = map_from_document(_map_document(arr))
     faces = compute_faces(m)
-
-    # crossing coordinates, in the label order used by the map document
-    coords = {}
-    k = 0
-    n = len(cs.chords)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if interleaved(cs.chords[i], cs.chords[j]):
-                x, y, _ = _intersection(cs.chords[i], cs.chords[j])
-                coords[len(m.endpoints) + k] = (x, y)
-                k += 1
+    first = len(m.endpoints)        # crossing k is map vertex first + k
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
@@ -49,21 +39,20 @@ def render_chords_svg(cs: ChordSet) -> str:
         face = faces.faces[fi]
         pts = []
         for d in face.darts:
-            v = m.dart_vertex[d]
-            x, y = _xy(coords[v])
+            x, y = _xy(arr.points[m.dart_vertex[d] - first])
             pts.append(f"{x:.2f},{y:.2f}")
         out.append(f'  <polygon points="{" ".join(pts)}" '
                    f'fill="{_FILL[face.sign]}" fill-opacity="0.6" '
                    'stroke="none"/>')
 
-    for c in cs.chords:
-        x1, y1 = _xy(circle_point(c.s))
-        x2, y2 = _xy(circle_point(c.t))
+    for p, q in arr.ends:
+        x1, y1 = _xy(p)
+        x2, y2 = _xy(q)
         out.append(f'  <line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
                    f'y2="{y2:.2f}" stroke="#222222" stroke-width="2"/>')
 
-    for v in sorted(coords):
-        x, y = _xy(coords[v])
+    for p in arr.points:
+        x, y = _xy(p)
         out.append(f'  <circle cx="{x:.2f}" cy="{y:.2f}" r="4" '
                    'fill="#d62728"/>')
 

@@ -115,10 +115,14 @@ def lefschetz_number(n: Matrix) -> int:
     The same value must come out as 1 - Tr(T); both routes are computed
     and compared on every call.
     """
-    nt = transpose(n)
-    return _lefschetz(len(n), mat_trace(mat_mul(nt, n)),
-                      mat_trace(mat_mul(mat_mul(nt, nt), n)),
+    return _lefschetz(len(n), *_flag_traces(n, mat_mul(n, n)),
                       monodromy_matrix(n))
+
+
+def _flag_traces(n: Matrix, n2: Matrix) -> tuple[int, int]:
+    """Tr(tN N) and Tr((tN)^2 N) = Tr(t(N^2) N) as entrywise sums."""
+    return (sum(x * x for row in n for x in row),
+            sum(x * y for r, r2 in zip(n, n2) for x, y in zip(r, r2)))
 
 
 def _lefschetz(mu: int, tr_ntn: int, tr_nt2n: int, t: Matrix) -> int:
@@ -339,11 +343,9 @@ def verify_theorem(m: DivideMap, faces=None) -> TheoremReport:
     chi = body_euler(m, faces)
 
     n = matrix_N(gamma)
-    nt = transpose(n)
     n2 = mat_mul(n, n)
     t = monodromy_matrix(n)
-    tr_ntn = mat_trace(mat_mul(nt, n))
-    tr_nt2n = mat_trace(mat_mul(mat_mul(nt, nt), n))
+    tr_ntn, tr_nt2n = _flag_traces(n, n2)
     lam = _lefschetz(cnt.mu, tr_ntn, tr_nt2n, t)
     cp = char_poly(t)
     k_cmp = min(12, max(1, cnt.mu + 2))

@@ -4,7 +4,7 @@ import pytest
 
 from divides import (
     MINUS, OUTER, REGION, DivideError, classify, compute_faces, fixture,
-    from_chords, parse_divide, trace_branches,
+    from_chords, parse_chords, parse_divide, trace_branches,
 )
 from divides.divide_map import segment_faces, walk_vertices
 
@@ -95,6 +95,17 @@ class TestParse:
     def test_not_json(self):
         with pytest.raises(DivideError, match="malformed"):
             parse_divide("{")
+
+    @pytest.mark.parametrize("data", [
+        b'{"format": "divide-map/1", "note": "\xff"}',
+        '{"format": "divide-map/1", "n": ' + "9" * 5000 + "}",
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["not_utf8", "huge_int", "deep_nesting"])
+    def test_undecodable_json(self, data):
+        with pytest.raises(DivideError, match="malformed document"):
+            parse_divide(data)
+        with pytest.raises(DivideError, match="malformed document"):
+            parse_chords(data)
 
     def test_closed_branch(self):
         # a chord plus a free-floating figure-eight component

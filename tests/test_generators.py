@@ -9,7 +9,7 @@ from divides import (
     fixtures, from_chords, gen_chords, interleaved, parse_chords,
     verify_theorem, zigzag,
 )
-from divides.generators import chords_to_map_document, circle_point
+from divides.generators import _arrangement, chords_to_map_document
 
 
 class TestChords:
@@ -75,8 +75,8 @@ class TestChords:
 
     def test_infinity_parameter(self):
         # the horizontal diameter through (-1, 0), crossed by another chord
-        assert circle_point(None) == (F(-1), F(0))
         cs = ChordSet(chords=(Chord(None, F(0)), Chord(F(1), F(-2))))
+        assert _arrangement(cs.chords).ends[0][0] == (-1, 0, 1)
         m = from_chords(cs)
         assert m.delta == 1
 

@@ -2,8 +2,10 @@
 
 ``goldens/outputs.json`` holds sha256 digests of the outputs below, and the
 full CSV of ``run_corpus(50, 5, 7)``, recorded before the chain was folded
-into one ``verify_theorem`` pass.  A change that means to alter an output
-must say why and re-record the file with ``record()``.
+into one ``verify_theorem`` pass.  The ``render_svg`` digests of chord
+pictures were recorded before the integer chord geometry replaced the
+``Fraction`` one.  A change that means to alter an output must say why and
+re-record the file with ``record()``.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from divides import (
     build_gamma, build_report, coil, compute_faces, fixtures, from_chords,
     gen_chords, render_text, run_corpus, walk_table, zigzag,
 )
+from divides.render import render_chords_svg
 
 GOLDENS = Path(__file__).resolve().parent / "goldens" / "outputs.json"
 
@@ -49,6 +52,15 @@ OUTPUTS = {
 }
 
 
+# the chord sets of instances(), plus the picture the demos draw
+SVG_CHORDS = [(n, s) for n in range(5, 9) for s in range(100, 105)] + [(6, 12)]
+
+
+def svg_digests() -> dict:
+    return {f"chords({n},{s})": sha(render_chords_svg(gen_chords(n, s)))
+            for n, s in SVG_CHORDS}
+
+
 def corpus_csv() -> str:
     buf = io.StringIO()
     run_corpus(50, 5, 7, csv_out=buf)
@@ -58,6 +70,7 @@ def corpus_csv() -> str:
 def record() -> dict:
     out = {kind: {name: sha(fn(m, name)) for name, m in instances()}
            for kind, fn in OUTPUTS.items()}
+    out["render_svg"] = svg_digests()
     out["corpus_50_5_7_csv"] = corpus_csv()
     return out
 
@@ -71,6 +84,10 @@ def goldens():
 def test_outputs_byte_identical(goldens, kind):
     got = {name: sha(OUTPUTS[kind](m, name)) for name, m in instances()}
     assert got == goldens[kind]
+
+
+def test_svg_byte_identical(goldens):
+    assert svg_digests() == goldens["render_svg"]
 
 
 def test_corpus_csv_byte_identical(goldens):

@@ -10,7 +10,10 @@ import sys
 import pytest
 
 import divides
-from divides import build_report, from_chords, gen_chords, run_corpus, zigzag
+from divides import (
+    build_report, from_chords, gen_chords, run_corpus, seifert,
+    verify_theorem, zigzag,
+)
 
 CHAIN = ("compute_faces", "classify", "build_gamma", "counts", "matrix_N",
          "monodromy_matrix", "char_poly", "signature", "trace_powers")
@@ -60,6 +63,23 @@ def test_build_report_extends_short_traces(calls):
 def test_run_corpus_runs_the_chain_once_per_instance(calls):
     count = 20
     assert run_corpus(count, 5, 7).ok()
-    for name in ("compute_faces", "build_gamma", "monodromy_matrix",
-                 "char_poly"):
+    for name in ("compute_faces", "build_gamma", "matrix_N",
+                 "monodromy_matrix", "char_poly"):
         assert calls[name] == count, name
+
+
+def test_verify_theorem_fixed_products(monkeypatch):
+    # 3 in monodromy_matrix, N^2 and N^3, plus mu in char_poly and
+    # min(12, mu + 2) - 1 in trace_powers
+    made = 0
+    real = seifert.mat_mul
+
+    def counted(a, b):
+        nonlocal made
+        made += 1
+        return real(a, b)
+
+    monkeypatch.setattr(seifert, "mat_mul", counted)
+    rep = verify_theorem(zigzag(6))
+    assert rep.mu == 11
+    assert made == 5 + rep.mu + 11

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from divides import (
     build_report, fixture, render_text, report_from_json_dict, run_corpus,
     zigzag,
@@ -117,6 +119,19 @@ class TestCli:
         path = self.write(tmp_path, "bad.json", doc)
         assert main(["validate", path]) == 1
         assert "general-position" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        b'{"format": "divide-map/1", "note": "\xff"}',
+        b'{"format": "divide-map/1", "n": ' + b"9" * 5000 + b"}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not_utf8", "huge_int", "deep_nesting"])
+    def test_validate_undecodable(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed document")
+        assert "Traceback" not in err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/file.json"]) == 1

@@ -13,8 +13,8 @@ from divides import (
     newton_power_sums, signature, trace_powers, verify_theorem,
 )
 from divides.seifert import (
-    _lefschetz, det_from_char_poly, identity, is_zero, mat_mul,
-    signature_symmetric, transpose,
+    _flag_traces, _lefschetz, det_from_char_poly, identity, is_zero,
+    mat_mul, mat_trace, signature_symmetric, transpose,
 )
 
 
@@ -100,6 +100,18 @@ class TestLefschetz:
         # formula 1 - 1 + 0 - 0 = 0 against trace route 1 - Tr([[5]]) = -4
         with pytest.raises(ArithmeticError, match="disagree"):
             _lefschetz(1, 0, 0, [[5]])
+
+    def test_entrywise_sums_equal_product_traces(self):
+        maps = [fixture(name) for name in
+                ("X1", "LOOP", "LENS", "FIG1", "FIG2A", "FIG2B")]
+        maps += [from_chords(gen_chords(n, s))
+                 for n in range(5, 9) for s in range(100, 105)]
+        for m in maps:
+            n = n_of(m)
+            nt = transpose(n)
+            assert _flag_traces(n, mat_mul(n, n)) == (
+                mat_trace(mat_mul(nt, n)),
+                mat_trace(mat_mul(mat_mul(nt, nt), n)))
 
 
 class TestTracePowers:
