@@ -361,14 +361,14 @@ class Faces:
         return len(self.regions)
 
 
-def compute_faces(m: DivideMap, flip: bool = False) -> Faces:
+def compute_faces(m: DivideMap) -> Faces:
     """Trace, classify and 2-color the inside-disk faces.
 
     Signs come from breadth-first 2-coloring of face adjacency across
     divide segments, normalized so that the face holding the lowest
     numbered dart of any region (or, with no regions, the inside face of
-    the first boundary arc) is Minus.  ``flip`` requests the opposite
-    normalization.
+    the first boundary arc) is Minus.  ``Faces.flipped`` gives the
+    opposite normalization.
     """
     walks = _trace_all_faces(m)
 
@@ -436,9 +436,6 @@ def compute_faces(m: DivideMap, flip: bool = False) -> Faces:
                 elif signs[fj] != -signs[fi]:
                     raise DivideError("2-coloring inconsistency across a "
                                       "divide segment")
-    if flip:
-        signs = [-s for s in signs]
-
     faces = tuple([
         Face(index=fi, darts=tuple(w), kind=kinds[fi], sign=signs[fi])
         for fi, w in enumerate(inside)
@@ -472,25 +469,16 @@ class DivideStats:
     regions_vertex_simple: bool     # no region walk visits a vertex twice
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
-
-
 def classify(m: DivideMap, faces: Faces) -> DivideStats:
     """Connectedness, cellularity and simplicity of a divide.
 
-    * connected: the graph on endpoints and crossings spanned by the
-      divide edges is connected;
+    Without the boundary arcs every Outer face joins the unbounded face,
+    so the divide graph (2r + delta vertices, r + 2 delta edges) has
+    regions + 1 faces and, by Euler's formula, r - delta + regions
+    components:
+
+    * connected: one component, i.e. ``mu = delta + regions`` equals
+      ``2 delta - r + 1``;
     * cellular: connected and ``regions_vertex_simple``, i.e. no region
       walk visits a vertex twice (a repeat pinches the region closure,
       making it non-contractible);
@@ -498,39 +486,26 @@ def classify(m: DivideMap, faces: Faces) -> DivideStats:
       admits an embedded arc through its interior splitting the double
       points into two non-empty sets.  Such an arc must run to the
       boundary on both sides, so only segments with two Outer sides
-      qualify; cutting there and counting crossings decides the split.
+      qualify.  Such a segment has the unbounded face on both sides, so
+      cutting it leaves each end on its own side, and an endpoint's side
+      holds no double point: the split is non-trivial exactly when both
+      ends are double points.
     """
-    n_vertices = len(m.endpoints) + len(m.crossings)
-    uf = _UnionFind(n_vertices)
-    for (a, _), (b, _) in m.edges:
-        uf.union(a, b)
-    connected = len({uf.find(v) for v in range(n_vertices)}) == 1
+    connected = faces.region_count() == m.delta - m.r + 1
 
     walks = (walk_vertices(m, faces.faces[fi]) for fi in faces.regions)
     vertex_simple = all(len(set(w)) == len(w) for w in walks)
     cellular = connected and vertex_simple
 
-    simple = connected and m.delta >= 1
-    if simple:
-        n_end = len(m.endpoints)
-        for k in range(m.n_divide_edges):
-            f1, f2 = segment_faces(m, faces, k)
-            if faces.faces[f1].kind != OUTER or faces.faces[f2].kind != OUTER:
-                continue
-            cut = _UnionFind(n_vertices)
-            for j, ((a, _), (b, _)) in enumerate(m.edges):
-                if j != k:
-                    cut.union(a, b)
-            (a, _), (b, _) = m.edges[k]
-            if cut.find(a) == cut.find(b):
-                continue    # the segment lies on a cycle; no split
-            side_a = cut.find(a)
-            count_a = sum(1 for c in range(len(m.crossings))
-                          if cut.find(n_end + c) == side_a)
-            count_b = m.delta - count_a
-            if count_a > 0 and count_b > 0:
-                simple = False
-                break
+    def splits(k):
+        f1, f2 = segment_faces(m, faces, k)
+        (a, _), (b, _) = m.edges[k]
+        return (faces.faces[f1].kind == faces.faces[f2].kind == OUTER
+                and not m.is_endpoint_vertex(a)
+                and not m.is_endpoint_vertex(b))
+
+    simple = (connected and m.delta >= 1
+              and not any(splits(k) for k in range(m.n_divide_edges)))
 
     return DivideStats(
         r=m.r,

@@ -133,7 +133,7 @@ def trace_powers(t: Matrix, k_max: int) -> list[int]:
     p = [row[:] for row in t]
     for k in range(1, k_max + 1):
         if k > 1:
-            p = mat_mul(p, t)
+            p = mat_mul(t, p)    # mat_mul skips zeros of its left operand
         out.append(mat_trace(p))
     return out
 

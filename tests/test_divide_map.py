@@ -3,10 +3,13 @@ import json
 import pytest
 
 from divides import (
-    MINUS, OUTER, REGION, DivideError, classify, compute_faces, fixture,
-    from_chords, parse_chords, parse_divide, trace_branches,
+    MINUS, OUTER, REGION, DivideError, build_gamma, classify, coil,
+    compute_faces, counts, fixture, from_chords, gen_chords, parse_chords,
+    parse_divide, trace_branches, verify_theorem, zigzag,
 )
 from divides.divide_map import segment_faces, walk_vertices
+
+import classify_oracle
 
 
 def doc(endpoints, crossings, edges):
@@ -21,6 +24,11 @@ def doc(endpoints, crossings, edges):
 X1_DOC = doc(["e1", "e2", "e3", "e4"], ["c1"],
              [(("e1", 0), ("c1", 0)), (("e2", 0), ("c1", 1)),
               (("e3", 0), ("c1", 2)), (("e4", 0), ("c1", 3))])
+
+# two X1 crossings on disjoint arcs of the circle: delta = 2, no regions
+TWO_X1_DOC = doc([f"e{i}" for i in range(1, 9)], ["c1", "c2"],
+                 [((f"e{i}", 0), ("c1", i - 1)) for i in range(1, 5)]
+                 + [((f"e{i}", 0), ("c2", i - 5)) for i in range(5, 9)])
 
 LOOP_DOC = doc(["e1", "e2"], ["c1"],
                [(("e1", 0), ("c1", 0)), (("c1", 1), ("c1", 2)),
@@ -222,7 +230,7 @@ class TestFaces:
     def test_flip_changes_only_signs(self, zoo):
         for name, m in zoo:
             a = compute_faces(m)
-            b = compute_faces(m, flip=True)
+            b = compute_faces(m).flipped()
             assert a.regions == b.regions, name
             for fa, fb in zip(a.faces, b.faces):
                 assert fa.darts == fb.darts and fa.kind == fb.kind, name
@@ -269,6 +277,13 @@ class TestClassify:
         # the walk test holds on its own; cellularity also needs connectivity
         assert st.regions_vertex_simple and not st.cellular
 
+    def test_disconnected_with_double_points(self):
+        m = parse_divide(TWO_X1_DOC)
+        st = classify(m, compute_faces(m))
+        assert (m.r, m.delta, st.region_count) == (4, 2, 0)
+        assert not st.connected and not st.simple and not st.cellular
+        assert classify_oracle.component_count(m) == 2
+
     def test_simple_iff_no_splitting_cut(self):
         # coil(2): the spine between the curls has outer faces on both
         # sides and splits the double points 1|1
@@ -279,3 +294,45 @@ class TestClassify:
         m = coil(1)
         st = classify(m, compute_faces(m))
         assert st.simple
+
+
+@pytest.fixture(scope="module")
+def classify_cases(zoo):
+    """The zoo, zigzag/coil(1..30) and gen_chords(1..13, seeds 0..59)."""
+    cases = list(zoo) + [("TWO_X1", parse_divide(TWO_X1_DOC))]
+    cases += [(f"zigzag({n})", zigzag(n)) for n in range(1, 31)]
+    cases += [(f"coil({k})", coil(k)) for k in range(1, 31)]
+    cases += [(f"chords({n},{s})", from_chords(gen_chords(n, s)))
+              for n in range(1, 14) for s in range(60)]
+    return cases
+
+
+def test_classify_matches_union_find_oracle(classify_cases):
+    seen = set()
+    for name, m in classify_cases:
+        faces = compute_faces(m)
+        for signed in (faces, faces.flipped()):
+            st = classify(m, signed)
+            assert st == classify_oracle.classify(m, signed), name
+        seen.add((st.connected, st.cellular, st.simple))
+    # every (connected, cellular, simple) combination that can occur
+    assert seen == {(False, False, False), (True, False, False),
+                    (True, False, True), (True, True, False),
+                    (True, True, True)}
+
+
+def test_milnor_number_counts_components(zoo, classify_cases):
+    # Euler's formula on the divide graph: mu = 2 delta - r + C
+    for name, m in zoo + [("TWO_X1", parse_divide(TWO_X1_DOC))]:
+        thm = verify_theorem(m)
+        c = classify_oracle.component_count(m)
+        assert thm.mu == 2 * m.delta - m.r + c, name
+        assert thm.stats.connected == (c == 1), name
+    n_disconnected = 0
+    for name, m in classify_cases:
+        faces = compute_faces(m)
+        c = classify_oracle.component_count(m)
+        assert counts(build_gamma(m, faces)).mu == 2 * m.delta - m.r + c, name
+        assert classify(m, faces).connected == (c == 1), name
+        n_disconnected += c > 1
+    assert n_disconnected > 0

@@ -186,7 +186,9 @@ def oracle_cases(zoo):
 @pytest.mark.parametrize("flip", [False, True])
 def test_edge_list_matches_block_oracle(zoo, flip):
     for name, m in oracle_cases(zoo):
-        faces = compute_faces(m, flip=flip)
+        faces = compute_faces(m)
+        if flip:
+            faces = faces.flipped()
         assert gamma_oracle.library_readings(m, faces) \
             == gamma_oracle.readings(m, faces), name
 
