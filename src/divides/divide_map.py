@@ -23,7 +23,7 @@ Dart conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 MINUS = -1
 PLUS = 1
@@ -56,6 +56,9 @@ class DivideMap:
     rotations: tuple[tuple[int, ...], ...]   # per vertex, darts ccw
     dart_vertex: tuple[int, ...]             # dart -> vertex id
     dart_pos: tuple[int, ...]                # dart -> index in its rotation
+    # every face of the augmented map as its dart walk, traced once while
+    # validating and read by compute_faces; determined by the rotations
+    face_walks: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -166,6 +169,7 @@ def _build_map(endpoints, crossings, edges) -> DivideMap:
         for i, d in enumerate(rot):
             dart_vertex[d] = v
             dart_pos[d] = i
+    walks = _trace_all_faces(rotations, dart_vertex, dart_pos)
 
     # tuple(list), not tuple(generator): resizing fills CPython's free lists
     m = DivideMap(
@@ -175,6 +179,7 @@ def _build_map(endpoints, crossings, edges) -> DivideMap:
         rotations=tuple(rotations),
         dart_vertex=tuple(dart_vertex),
         dart_pos=tuple(dart_pos),
+        face_walks=walks,
     )
 
     trace_branches(m)          # rejects closed components
@@ -289,11 +294,11 @@ def trace_branches(m: DivideMap) -> list[tuple[int, ...]]:
 # faces
 # ---------------------------------------------------------------------------
 
-def _trace_all_faces(m: DivideMap) -> list[list[int]]:
+def _trace_all_faces(rotations, dart_vertex, dart_pos) -> tuple:
     """All faces of the augmented map, each as its boundary dart walk."""
-    seen = [False] * m.n_darts
+    seen = [False] * len(dart_vertex)
     walks = []
-    for d0 in range(m.n_darts):
+    for d0 in range(len(dart_vertex)):
         if seen[d0]:
             continue
         walk = []
@@ -302,23 +307,22 @@ def _trace_all_faces(m: DivideMap) -> list[list[int]]:
             seen[d] = True
             walk.append(d)
             t = twin(d)
-            v = m.dart_vertex[t]
-            rot = m.rotations[v]
-            d = rot[(m.dart_pos[t] - 1) % len(rot)]
-        walks.append(walk)
-    return walks
+            rot = rotations[dart_vertex[t]]
+            d = rot[(dart_pos[t] - 1) % len(rot)]
+        walks.append(tuple(walk))
+    return tuple(walks)
 
 
 def _check_planarity(m: DivideMap) -> None:
-    walks = _trace_all_faces(m)
     n_vertices = len(m.endpoints) + len(m.crossings)
     n_edges = m.n_divide_edges + len(m.endpoints)   # divide edges + arcs
-    euler = n_vertices - n_edges + len(walks)
+    euler = n_vertices - n_edges + len(m.face_walks)
     if euler != 2:
         raise DivideError(
             f"planarity failure (Euler check {euler} != 2): the rotation "
             "system does not embed in the disk")
-    all_arc = [w for w in walks if all(m.is_boundary_dart(d) for d in w)]
+    all_arc = [w for w in m.face_walks
+               if all(m.is_boundary_dart(d) for d in w)]
     if len(all_arc) != 1:
         raise DivideError(
             f"expected exactly one all-boundary-arc face, found {len(all_arc)}")
@@ -362,7 +366,7 @@ class Faces:
 
 
 def compute_faces(m: DivideMap) -> Faces:
-    """Trace, classify and 2-color the inside-disk faces.
+    """Classify and 2-color the inside-disk faces, from ``m.face_walks``.
 
     Signs come from breadth-first 2-coloring of face adjacency across
     divide segments, normalized so that the face holding the lowest
@@ -370,11 +374,9 @@ def compute_faces(m: DivideMap) -> Faces:
     the first boundary arc) is Minus.  ``Faces.flipped`` gives the
     opposite normalization.
     """
-    walks = _trace_all_faces(m)
-
     # drop the unique all-boundary-arc face: the outside of the disk
     inside = []
-    for w in walks:
+    for w in m.face_walks:
         if all(m.is_boundary_dart(d) for d in w):
             continue
         inside.append(w)
@@ -437,7 +439,7 @@ def compute_faces(m: DivideMap) -> Faces:
                     raise DivideError("2-coloring inconsistency across a "
                                       "divide segment")
     faces = tuple([
-        Face(index=fi, darts=tuple(w), kind=kinds[fi], sign=signs[fi])
+        Face(index=fi, darts=w, kind=kinds[fi], sign=signs[fi])
         for fi, w in enumerate(inside)
     ])
     return Faces(faces=faces, dart_face=tuple(dart_face),

@@ -6,7 +6,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .divide_map import DivideMap
+from .divide_map import DivideError, DivideMap
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
 from .seifert import (
     mat_add, mat_mul, mat_trace, signature, trace_powers, transpose,
@@ -165,8 +165,10 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
     Per-instance seeds are seed + i.  The multi-edge versus cellularity
     comparison lands in the findings channel and never fails the run; all
     other checks are hard.  Rows go to `csv_out` (a writable text stream)
-    when given, in instance order.
+    when given, in instance order.  A negative count is a DivideError.
     """
+    if count < 0:
+        raise DivideError(f"corpus count must be at least 0, got {count}")
     t0 = time.perf_counter()
     summary = CorpusSummary(count=count, n=n, seed=seed)
     if csv_out is not None:

@@ -4,13 +4,20 @@ Everything here runs over arbitrary-precision integers (rationals only
 inside the signature elimination); every quantity of interest is an exact
 integer identity and floating point would make the checks meaningless.
 Matrices are plain lists of lists of ints; the dimension mu may be 0, in
-which case every trace is 0 and the Lefschetz number is 1.
+which case every trace is 0 and the Lefschetz number is 1.  The
+signature form 2 Id + N + tN has the diagram's sparsity and is eliminated
+on sparse rows in a minimum-degree order: by Sylvester's law of inertia
+each pivot adds its sign, and a 2x2 pivot [[0, b], [b, 0]], taken when
+the remaining diagonal is zero, adds +1 - 1.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import add, mul, neg, sub
 
 from .divide_map import DivideMap, classify, compute_faces
 from .dynkin import (
@@ -29,27 +36,29 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(n: int) -> Matrix:
-    return [[0] * n for _ in range(n)]
-
-
 def transpose(a: Matrix) -> Matrix:
     n = len(a)
     return [[a[j][i] for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(n):
-                    oi[j] += x * bk[j]
+    """a b, each row a sum of whole rows of b: b[k] itself is added or
+    subtracted for an entry a[i][k] of 1 or -1, scaled for any other
+    nonzero entry, and skipped for a zero."""
+    out = []
+    for ai in a:
+        row = None
+        for k in compress(range(len(ai)), ai):
+            x, bk = ai[k], b[k]
+            if row is None:
+                row = bk[:] if x == 1 else [x * v for v in bk]
+            elif x == 1:
+                row = list(map(add, row, bk))
+            elif x == -1:
+                row = list(map(sub, row, bk))
+            else:
+                row = [u + x * v for u, v in zip(row, bk)]
+        out.append([0] * len(ai) if row is None else row)
     return out
 
 
@@ -80,7 +89,7 @@ def matrix_N(gamma: Gamma) -> Matrix:
     minus/double/plus numbering the edges join minus to double, double to
     plus and minus to plus vertices; the tricoloring forces N^3 = 0.
     """
-    n = zeros(gamma.mu)
+    n = [[0] * gamma.mu for _ in range(gamma.mu)]
     for e in gamma.edges:
         n[e.i - 1][e.j - 1] += 1
     return n
@@ -216,62 +225,78 @@ def newton_power_sums(coeffs: list[int], k_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def signature(n: Matrix) -> int:
-    """Signature of S + tS = 2 Id + N + tN, exactly over the rationals."""
-    mu = len(n)
-    q = [[Fraction(2 if i == j else 0) + n[i][j] + n[j][i]
-          for j in range(mu)] for i in range(mu)]
-    return signature_symmetric(q)
+    """Signature of S + tS = 2 Id + N + tN: ``sparse_signature`` on the
+    form's sparse rows, built from the nonzeros of N."""
+    rows = [{i: 2} for i in range(len(n))]
+    for i, row in enumerate(n):
+        for j in compress(range(len(row)), row):
+            rows[i][j] = rows[i].get(j, 0) + row[j]
+            rows[j][i] = rows[j].get(i, 0) + row[j]
+    return sparse_signature(rows)
 
 
-def signature_symmetric(q: list[list[Fraction]]) -> int:
-    """Signature of a symmetric rational matrix by congruence elimination.
+def sparse_signature(rows: list[dict]) -> int:
+    """Signature of a symmetric rational form given as rows {j: value}.
 
-    A nonzero diagonal pivot contributes its sign; if the remaining
-    diagonal is all zero but some off-diagonal entry b is not, the 2x2
-    block [[0, b], [b, 0]] contributes +1 - 1 and both indices are
-    eliminated through the block inverse.  A fully zero remainder
-    contributes nothing.
+    Symmetric elimination in a minimum-degree order, skipping stale
+    queue entries: by Sylvester's law of inertia each nonzero diagonal
+    pivot adds its sign.  When every remaining diagonal entry is zero,
+    the 2x2 block [[0, b], [b, 0]] through a nonzero b adds +1 - 1
+    (Bunch and Kaufman, 1977); an all-zero row adds nothing.
     """
-    q = [[Fraction(x) for x in row] for row in q]
-    active = list(range(len(q)))
+    diag = [Fraction(r.get(i, 0)) for i, r in enumerate(rows)]
+    adj = [{j: Fraction(v) for j, v in r.items() if v and j != i}
+           for i, r in enumerate(rows)]
+    # sorted (-degree, -index) pairs: pop() takes the least degree first
+    queue = sorted((-len(r), -i) for i, r in enumerate(adj))
+    parked: list[tuple[int, int]] = []     # popped with a zero diagonal
     sig = 0
-    while active:
-        pivot = next((i for i in active if q[i][i] != 0), None)
-        if pivot is not None:
-            d = q[pivot][pivot]
-            sig += 1 if d > 0 else -1
-            active.remove(pivot)
-            col = {j: q[j][pivot] for j in active}
-            for j in active:
-                if col[j] == 0:
-                    continue
-                factor = col[j] / d
-                for k in active:
-                    q[j][k] -= factor * q[pivot][k]
+    while queue or parked:
+        deg, p = map(neg, (queue or parked).pop())
+        if adj[p] is None or deg != len(adj[p]):
+            continue                        # stale entry
+        if diag[p]:
+            sig += 1 if diag[p] > 0 else -1
+            pivots, s = [p], diag[p]
+        elif queue:
+            insort(parked, (-deg, -p))
             continue
-        block = None
-        for i in active:
-            for j in active:
-                if i < j and q[i][j] != 0:
-                    block = (i, j)
-                    break
-            if block:
-                break
-        if block is None:
-            break       # remaining form is zero
-        i, j = block
-        b = q[i][j]
-        active.remove(i)
-        active.remove(j)
-        # inverse of [[0, b], [b, 0]] is [[0, 1/b], [1/b, 0]]
-        for u in active:
-            qui, quj = q[u][i], q[u][j]
-            if qui == 0 and quj == 0:
-                continue
-            for v in active:
-                q[u][v] -= (qui * q[j][v] + quj * q[i][v]) / b
-        # the block's eigenvalues are +|b| and -|b|: net 0
+        elif not deg:
+            adj[p] = None                   # zero row
+            continue
+        else:
+            q = min(adj[p], key=lambda j: (len(adj[j]), j))
+            pivots, s = [p, q], adj[p][q]
+        for u in _eliminate(adj, diag, pivots, s):
+            insort(queue, (-len(adj[u]), -u))
     return sig
+
+
+def _eliminate(adj, diag, pivots, s) -> list[int]:
+    """Replace the form by its Schur complement on the pivot block P.
+
+    P is [[s]] or [[0, s], [s, 0]]; either way P^-1 reverses a vector
+    and divides it by s, and Q_uv -= Q_uP P^-1 Q_Pv.  Returns the
+    indices whose rows changed; the pivots' rows become None.
+    """
+    cols = [adj[p] for p in pivots]
+    for p in pivots:
+        for u in adj[p]:
+            del adj[u][p]
+        adj[p] = None
+    touched = sorted(set().union(*cols).difference(pivots))
+    w = {u: [col.get(u, 0) for col in cols] for u in touched}
+    y = {u: [x / s for x in reversed(wu)] for u, wu in w.items()}
+    for k, u in enumerate(touched):
+        diag[u] -= sum(map(mul, w[u], y[u]))
+        for v in touched[k + 1:]:
+            x = adj[u].get(v, 0) - sum(map(mul, w[v], y[u]))
+            if x:
+                adj[u][v] = adj[v][u] = x
+            else:
+                adj[u].pop(v, None)
+                adj[v].pop(u, None)
+    return touched
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,103 @@
+"""The dense exact routines, kept as oracles for the library's kernels.
+
+``mat_mul`` is the scalar triple loop the whole-row product replaced, and
+``signature_symmetric`` the dense congruence elimination the sparse
+minimum-degree signature replaced.  Both are cubic in mu, so the tests run
+them on small matrices only.
+"""
+
+from fractions import Fraction
+
+from divides import seifert
+
+
+def mat_mul(a, b):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for k in range(n):
+            x = ai[k]
+            if x:
+                bk = b[k]
+                for j in range(n):
+                    oi[j] += x * bk[j]
+    return out
+
+
+def signature(n):
+    """Signature of 2 Id + N + tN, densely over the rationals."""
+    mu = len(n)
+    return signature_symmetric([[(2 if i == j else 0) + n[i][j] + n[j][i]
+                                 for j in range(mu)] for i in range(mu)])
+
+
+def signature_symmetric(q):
+    """Signature of a symmetric rational matrix by congruence elimination.
+
+    A nonzero diagonal pivot contributes its sign; if the remaining
+    diagonal is all zero but some off-diagonal entry b is not, the 2x2
+    block [[0, b], [b, 0]] contributes +1 - 1 and both indices are
+    eliminated through the block inverse.  A fully zero remainder
+    contributes nothing.
+    """
+    q = [[Fraction(x) for x in row] for row in q]
+    active = list(range(len(q)))
+    sig = 0
+    while active:
+        pivot = next((i for i in active if q[i][i] != 0), None)
+        if pivot is not None:
+            d = q[pivot][pivot]
+            sig += 1 if d > 0 else -1
+            active.remove(pivot)
+            col = {j: q[j][pivot] for j in active}
+            for j in active:
+                if col[j] == 0:
+                    continue
+                factor = col[j] / d
+                for k in active:
+                    q[j][k] -= factor * q[pivot][k]
+            continue
+        block = None
+        for i in active:
+            for j in active:
+                if i < j and q[i][j] != 0:
+                    block = (i, j)
+                    break
+            if block:
+                break
+        if block is None:
+            break       # remaining form is zero
+        i, j = block
+        b = q[i][j]
+        active.remove(i)
+        active.remove(j)
+        # inverse of [[0, b], [b, 0]] is [[0, 1/b], [1/b, 0]]
+        for u in active:
+            qui, quj = q[u][i], q[u][j]
+            if qui == 0 and quj == 0:
+                continue
+            for v in active:
+                q[u][v] -= (qui * q[j][v] + quj * q[i][v]) / b
+        # the block's eigenvalues are +|b| and -|b|: net 0
+    return sig
+
+
+def rows_of(q):
+    """The sparse-row form {j: value} of a dense symmetric matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in q]
+
+
+class BlockPivots:
+    """Counts the 2x2 pivots the library's sparse signature takes."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        real = seifert._eliminate
+
+        def eliminate(adj, diag, pivots, s):
+            self.count += len(pivots) == 2
+            return real(adj, diag, pivots, s)
+
+        monkeypatch.setattr(seifert, "_eliminate", eliminate)

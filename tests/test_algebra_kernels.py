@@ -1,0 +1,172 @@
+"""The sparse signature and the whole-row product against dense oracles.
+
+Random symmetric integer forms (sparse, with an all-zero diagonal, or of
+low rank) go through ``sparse_signature`` and the dense congruence
+elimination; random integer matrices (negative entries, big integers,
+zero rows, mu = 0) through ``mat_mul`` and the scalar triple loop.  Known
+answers pin the signature and the characteristic polynomial on the
+zigzag and coil families, the signature at mu of about 2000, where the
+dense elimination cannot go.
+"""
+
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from divides import (
+    build_gamma, char_poly, coil, compute_faces, from_chords, gen_chords,
+    matrix_N, monodromy_matrix, signature, zigzag,
+)
+from divides.seifert import mat_mul, sparse_signature
+
+import algebra_oracle
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+
+small = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+def n_of(m):
+    return matrix_N(build_gamma(m, compute_faces(m)))
+
+
+@st.composite
+def symmetric_forms(draw):
+    mu = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(("sparse", "zero diagonal", "low rank")))
+    if kind == "low rank":
+        # sum of k < mu signed squares of integer linear forms
+        k = draw(st.integers(0, max(0, mu - 1)))
+        vecs = [[draw(small) for _ in range(mu)] for _ in range(k)]
+        signs = [draw(st.sampled_from((-2, -1, 1, 3))) for _ in range(k)]
+        q = [[sum(s * v[i] * v[j] for s, v in zip(signs, vecs))
+              for j in range(mu)] for i in range(mu)]
+    else:
+        q = [[0] * mu for _ in range(mu)]
+        for i in range(mu):
+            for j in range(i, mu):
+                q[i][j] = q[j][i] = draw(small)
+        if kind == "zero diagonal":
+            for i in range(mu):
+                q[i][i] = 0
+    return kind, q
+
+
+def test_sparse_signature_matches_dense_oracle(monkeypatch):
+    # the draws must reach the 2x2 block pivot and rank-deficient forms
+    seen = set()
+    blocks = algebra_oracle.BlockPivots(monkeypatch)
+
+    @PROPERTY
+    @given(symmetric_forms())
+    def check(drawn):
+        kind, q = drawn
+        seen.add(kind)
+        sig = sparse_signature(algebra_oracle.rows_of(q))
+        assert sig == algebra_oracle.signature_symmetric(q), q
+        rank = _rank(q)
+        assert abs(sig) <= rank and (rank - sig) % 2 == 0, q
+        if rank < len(q):
+            seen.add("rank-deficient")
+        if blocks.count:
+            seen.add("2x2 block")
+
+    check()
+    assert seen == {"sparse", "zero diagonal", "low rank", "2x2 block",
+                    "rank-deficient"}
+
+
+def _rank(q):
+    """Rank over the rationals, by fraction-free Gauss-Jordan elimination."""
+    a = [row[:] for row in q]
+    rank = 0
+    cols = len(a[0]) if a else 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for r in range(len(a)):
+            if r != rank and a[r][c]:
+                f, g = a[r][c], a[rank][c]
+                a[r] = [g * x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    mu = draw(st.integers(0, 7))
+    entries = st.one_of(small, st.integers(-2 ** 80, 2 ** 80))
+    a, b = ([[draw(entries) for _ in range(mu)] for _ in range(mu)]
+            for _ in range(2))
+    for i in draw(st.sets(st.integers(0, max(0, mu - 1)), max_size=mu)):
+        a[i] = [0] * mu
+    return a, b
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_mat_mul_matches_scalar_oracle(ab):
+    a, b = ab
+    before = [row[:] for row in b]
+    out = mat_mul(a, b)
+    assert out == algebra_oracle.mat_mul(a, b)
+    assert b == before
+    # no row of the product is a row of b: callers mutate the product
+    assert all(r is not s for r in out for s in b)
+
+
+def test_mat_mul_dimension_zero():
+    assert mat_mul([], []) == []
+
+
+def _zigzag_poly(k):
+    # (lambda^{2k} - 1)/(lambda + 1), constant first
+    return [(-1) ** (i + 1) for i in range(2 * k)]
+
+
+def _coil_poly(k):
+    # (lambda^2 - lambda + 1)^k, constant first
+    p = [1]
+    for _ in range(k):
+        p = [sum(c * p[i - j] for j, c in enumerate((1, -1, 1))
+                 if 0 <= i - j < len(p)) for i in range(len(p) + 2)]
+    return p
+
+
+def test_char_poly_known_answers():
+    for k in range(1, 21):
+        assert char_poly(monodromy_matrix(n_of(zigzag(k)))) \
+            == _zigzag_poly(k), k
+        assert char_poly(monodromy_matrix(n_of(coil(k)))) \
+            == _coil_poly(k), k
+
+
+def test_signature_at_scale():
+    # mu about 2000: the form is positive definite on both families
+    for m in (zigzag(1000), coil(1000)):
+        n = n_of(m)
+        t0 = time.perf_counter()
+        assert signature(n) == len(n)
+        # the dense elimination needs hours here; the sparse one, well
+        # under a second on a 2-vCPU host
+        assert time.perf_counter() - t0 < 10
+
+
+def test_signature_matches_dense_oracle(zoo, monkeypatch):
+    blocks = algebra_oracle.BlockPivots(monkeypatch)
+    maps = list(zoo)
+    maps += [(f"zigzag({k})", zigzag(k)) for k in range(1, 21)]
+    maps += [(f"coil({k})", coil(k)) for k in range(1, 21)]
+    maps += [(f"chords({n}, {s})", from_chords(gen_chords(n, s)))
+             for n in range(3, 16) for s in range(40)]
+    for name, m in maps:
+        n = n_of(m)
+        assert signature(n) == algebra_oracle.signature(n), name
+    for k in range(1, 21):
+        assert signature(n_of(zigzag(k))) == 2 * k - 1
+        assert signature(n_of(coil(k))) == 2 * k
+    # 37 of the chord sets end with an all-zero remaining diagonal
+    assert blocks.count > 0

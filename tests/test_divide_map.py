@@ -7,6 +7,7 @@ from divides import (
     compute_faces, counts, fixture, from_chords, gen_chords, parse_chords,
     parse_divide, trace_branches, verify_theorem, zigzag,
 )
+from divides import divide_map
 from divides.divide_map import segment_faces, walk_vertices
 
 import classify_oracle
@@ -235,6 +236,23 @@ class TestFaces:
             for fa, fb in zip(a.faces, b.faces):
                 assert fa.darts == fb.darts and fa.kind == fb.kind, name
                 assert fa.sign == -fb.sign, name
+
+    def test_faces_traced_once_per_map(self, monkeypatch):
+        # validation traces every face; compute_faces reuses those walks
+        calls = 0
+        real = divide_map._trace_all_faces
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(divide_map, "_trace_all_faces", counted)
+        for m in (zigzag(50), coil(50), fixture("FIG2A")):
+            doc = m.to_document()
+            calls = 0
+            compute_faces(divide_map.map_from_document(doc))
+            assert calls == 1, doc["crossings"][:3]
 
 
 class TestClassify:

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from divides import (
-    build_report, fixture, render_text, report_from_json_dict, run_corpus,
-    zigzag,
+    DivideError, build_report, fixture, render_text, report_from_json_dict,
+    run_corpus, zigzag,
 )
 from divides.cli import main
 from divides.report import CSV_HEADER
@@ -79,6 +79,11 @@ class TestCorpus:
         assert summary.ok()
         assert summary.simple == 0
         assert summary.slalom == 10
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(DivideError, match="count"):
+            run_corpus(-1, 5, 1)
+        assert run_corpus(0, 5, 1).count == 0
 
 
 class TestCli:
@@ -196,6 +201,14 @@ class TestCli:
                      "--csv", out]) == 0
         assert "discrepancies: none" in capsys.readouterr().out
         assert open(out).read().startswith(CSV_HEADER)
+
+    def test_corpus_negative_count(self, capsys):
+        assert main(["corpus", "--count", "-1", "--n", "5",
+                     "--seed", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "count" in err
+        assert "Traceback" not in err
 
     def test_traces_cli(self, tmp_path, capsys):
         path = self.write(tmp_path, "x1.json", self.x1_doc())

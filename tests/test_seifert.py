@@ -14,8 +14,10 @@ from divides import (
 )
 from divides.seifert import (
     _flag_traces, _lefschetz, det_from_char_poly, identity, is_zero,
-    mat_mul, mat_trace, signature_symmetric, transpose,
+    mat_mul, mat_trace, sparse_signature, transpose,
 )
+
+import algebra_oracle
 
 # a length-4 chain is strictly upper triangular but not cube-zero, so it
 # cannot be the matrix of any divide diagram
@@ -219,15 +221,24 @@ class TestSignature:
 
     def test_degenerate(self):
         assert signature([[0, 2], [0, 0]]) == 1     # form [[2,2],[2,2]]
+        assert signature([[0, 1], [-1, 0]]) == 2    # form [[2,0],[0,2]]
 
     def test_symmetric_core_block_pivot(self):
-        f = Fraction
-        assert signature_symmetric([[f(0), f(1)], [f(1), f(0)]]) == 0
-        assert signature_symmetric([[f(0), f(0), f(1)],
-                                    [f(0), f(2), f(0)],
-                                    [f(1), f(0), f(0)]]) == 1
-        assert signature_symmetric([[f(0)]]) == 0
-        assert signature_symmetric([[f(-3)]]) == -1
+        # (dense form, its sparse rows {j: value}, signature)
+        forms = [
+            ([[0, 1], [1, 0]], [{1: 1}, {0: 1}], 0),
+            ([[0, 0, 1], [0, 2, 0], [1, 0, 0]],
+             [{2: 1}, {1: 2}, {0: 1}], 1),
+            ([[0]], [{}], 0),
+            ([[-3]], [{0: -3}], -1),
+        ]
+        for q, rows, sig in forms:
+            assert sparse_signature(rows) == sig, q
+            assert algebra_oracle.signature_symmetric(q) == sig, q
+            assert algebra_oracle.rows_of(q) == rows, q
+        assert sparse_signature([{0: Fraction(-1, 2)}]) == -1
+        # a stored zero is no entry, so never the b of a 2x2 block
+        assert sparse_signature([{1: 0, 2: 1}, {0: 0}, {0: 1}]) == 0
 
     def test_jacobi_minor_oracle(self, zoo):
         # when every leading principal minor is nonzero, the signature is

@@ -6,22 +6,53 @@ matching all of its slots at random.  Most such documents are not divides
 or the chain must then raise DivideError.  Every document it accepts must
 pass every hard check of the theorem, and its edge-list diagram and its
 classification must read the same as the dense block and union-find
-oracles under both sign normalizations.  Unlike chord arrangements,
-these maps include multi-edge and non-cellular diagrams.
+oracles under both sign normalizations, and its signature the dense
+elimination's.  Unlike chord arrangements, these maps include multi-edge
+and non-cellular diagrams; one explicit example adds a form whose
+elimination needs a 2x2 block.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divides import (
     DivideError, classify, compute_faces, has_multi_edge, map_from_document,
-    verify_theorem,
+    signature, verify_theorem,
 )
 
+import algebra_oracle
 import classify_oracle
 import gamma_oracle
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
+
+
+# One immersed arc with 7 self-crossings (mu = 14), found by drawing
+# matchings of that size: its signature elimination ends on a 2x2 block.
+# Matchings within the drawn sizes never need one (none in 20000 draws
+# with 4 crossings), so it rides along as an explicit example.
+BLOCK_DOC = {
+    "format": "divide-map/1",
+    "endpoints": ["e1", "e2"],
+    "crossings": ["c1", "c2", "c3", "c4", "c5", "c6", "c7"],
+    "edges": [
+        {"a": ["c6", 2], "b": ["c2", 2]},
+        {"a": ["c1", 0], "b": ["c1", 1]},
+        {"a": ["c6", 3], "b": ["c2", 1]},
+        {"a": ["c7", 1], "b": ["c3", 1]},
+        {"a": ["e1", 0], "b": ["c3", 3]},
+        {"a": ["c7", 2], "b": ["c2", 0]},
+        {"a": ["c3", 2], "b": ["c1", 2]},
+        {"a": ["c5", 3], "b": ["c6", 1]},
+        {"a": ["c4", 3], "b": ["c4", 0]},
+        {"a": ["c5", 1], "b": ["c1", 3]},
+        {"a": ["c7", 0], "b": ["c5", 2]},
+        {"a": ["c2", 3], "b": ["c7", 3]},
+        {"a": ["c6", 0], "b": ["c3", 0]},
+        {"a": ["c4", 2], "b": ["e2", 0]},
+        {"a": ["c5", 0], "b": ["c4", 1]},
+    ],
+}
 
 
 @st.composite
@@ -41,11 +72,13 @@ def slot_matchings(draw):
     }
 
 
-def test_slot_matchings_are_rejected_or_pass_every_check():
+def test_slot_matchings_are_rejected_or_pass_every_check(monkeypatch):
     # the draws must reach the diagrams chord arrangements never give
     seen = set()
+    blocks = algebra_oracle.BlockPivots(monkeypatch)
 
     @PROPERTY
+    @example(BLOCK_DOC)
     @given(slot_matchings())
     def check(doc):
         try:
@@ -60,6 +93,10 @@ def test_slot_matchings_are_rejected_or_pass_every_check():
             assert gamma_oracle.library_readings(m, signed) \
                 == gamma_oracle.readings(m, signed), doc
             assert classify(m, signed) == classify_oracle.classify(m, signed), doc
+        before = blocks.count
+        assert signature(thm.n) == algebra_oracle.signature(thm.n), doc
+        if blocks.count > before:
+            seen.add("2x2 block")
         seen.add("valid")
         if has_multi_edge(thm.gamma):
             seen.add("multi-edge")
@@ -72,4 +109,4 @@ def test_slot_matchings_are_rejected_or_pass_every_check():
 
     check()
     assert seen == {"rejected", "valid", "multi-edge", "non-cellular",
-                    "disconnected", "connected but not simple"}
+                    "disconnected", "connected but not simple", "2x2 block"}
