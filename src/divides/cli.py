@@ -19,7 +19,8 @@ from .generators import (
     zigzag,
 )
 from .render import render_chords_svg
-from .report import build_report, render_text, run_corpus, summary_text
+from .report import (build_report, check_corpus_args, render_text,
+                     run_corpus, summary_text)
 from .walks import K_DEFAULT, walk_table
 
 
@@ -102,6 +103,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    check_corpus_args(args.count, args.n)   # before --csv is truncated
     csv_fh = open(args.csv, "w", encoding="utf-8") if args.csv else None
     try:
         summary = run_corpus(args.count, args.n, args.seed, csv_out=csv_fh)

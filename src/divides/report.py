@@ -159,16 +159,22 @@ def _chord_instance_checks(cs: ChordSet, thm, m) -> list[str]:
     return failed
 
 
+def check_corpus_args(count: int, n: int) -> None:
+    if count < 0 or n < 1:
+        raise DivideError(f"corpus needs count >= 0 and n >= 1, got count "
+                          f"{count} and n {n}")
+
+
 def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
     """Generate `count` chord divides and verify every identity on each.
 
     Per-instance seeds are seed + i.  The multi-edge versus cellularity
     comparison lands in the findings channel and never fails the run; all
     other checks are hard.  Rows go to `csv_out` (a writable text stream)
-    when given, in instance order.  A negative count is a DivideError.
+    when given, in instance order.  Arguments that ``check_corpus_args``
+    rejects raise DivideError before anything is written.
     """
-    if count < 0:
-        raise DivideError(f"corpus count must be at least 0, got {count}")
+    check_corpus_args(count, n)
     t0 = time.perf_counter()
     summary = CorpusSummary(count=count, n=n, seed=seed)
     if csv_out is not None:

@@ -5,7 +5,10 @@ inside the signature elimination); every quantity of interest is an exact
 integer identity and floating point would make the checks meaningless.
 Matrices are plain lists of lists of ints; the dimension mu may be 0, in
 which case every trace is 0 and the Lefschetz number is 1.  The
-signature form 2 Id + N + tN has the diagram's sparsity and is eliminated
+characteristic polynomial and the traces Tr(T^k) hold row i as the int
+sum_j v_j 2^(w j), so a row operation is one big-integer add; the slot
+width w comes from a bound certified by T alone, so every value decodes.
+The signature form 2 Id + N + tN has the diagram's sparsity and is eliminated
 on sparse rows in a minimum-degree order: by Sylvester's law of inertia
 each pivot adds its sign, and a 2x2 pivot [[0, b], [b, 0]], taken when
 the remaining diagonal is zero, adds +1 - 1.
@@ -17,6 +20,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from math import isqrt, prod
 from operator import add, mul, neg, sub
 
 from .divide_map import DivideMap, classify, compute_faces
@@ -137,14 +141,45 @@ def _lefschetz(mu: int, tr_ntn: int, tr_nt2n: int, t: Matrix) -> int:
 
 
 def trace_powers(t: Matrix, k_max: int) -> list[int]:
-    """Exact traces Tr(T^k) for k = 1..k_max."""
-    out = []
-    p = [row[:] for row in t]
-    for k in range(1, k_max + 1):
-        if k > 1:
-            p = mat_mul(t, p)    # mat_mul skips zeros of its left operand
-        out.append(mat_trace(p))
+    """Exact traces Tr(T^k) for k = 1..k_max, on packed rows: every entry
+    of T^k is at most |T|^k, |T| the largest absolute row sum."""
+    terms = _row_terms(t)
+    norm = max((sum(map(abs, row)) for row in t), default=0)
+    w = (norm ** max(k_max, 0)).bit_length() + 1
+    rows, out = [1 << (w * i) for i in range(len(t))], []
+    for _ in range(k_max):
+        rows, trace = _step(terms, rows, w)
+        out.append(trace)
     return out
+
+
+def _row_terms(t: Matrix) -> list:
+    """Per row of t: the columns of its 1s and of its -1s, and its other
+    nonzeros as (column, entry).  Only int entries pack exactly."""
+    if not all(isinstance(x, int) for row in t for x in row):
+        raise ArithmeticError("packed rows are not exact for a non-integer")
+    return [([j for j, x in enumerate(row) if x == 1],
+             [j for j, x in enumerate(row) if x == -1],
+             [(j, x) for j, x in enumerate(row) if x not in (0, 1, -1)])
+            for row in t]
+
+
+def _step(terms, rows: list[int], w: int) -> tuple[list[int], int]:
+    """The packed rows of T M from those of M, over the nonzeros of T, and
+    the trace of T M: digit i of row i, signed in base 2^w, summed."""
+    get, out, trace = rows.__getitem__, [], 0
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    for i, (plus, minus, other) in enumerate(terms):
+        x = sum(map(get, plus))
+        if minus:
+            x -= sum(map(get, minus))
+        if other:
+            x += sum([c * rows[j] for j, c in other])
+        out.append(x)
+        if i:
+            x = ((x >> (w * i - 1)) + 1) >> 1      # round the lower digits
+        trace += ((x + half) & mask) - half
+    return out, trace
 
 
 # ---------------------------------------------------------------------------
@@ -154,23 +189,35 @@ def trace_powers(t: Matrix, k_max: int) -> list[int]:
 def char_poly(t: Matrix) -> list[int]:
     """Monic characteristic polynomial of T, constant term first.
 
-    Faddeev-LeVerrier with exactness checked at each division: the
-    intermediate matrices stay integral for an integer input, so every
-    division by k is exact.  No floating point anywhere.
+    Faddeev-LeVerrier on packed rows: M_k = T M_(k-1) + a_k Id from M_0 = Id
+    with a_k = -Tr(T M_(k-1))/k, checked for exact division and for M_mu = 0
+    (Cayley-Hamilton).  The M_k and a_k are the coefficients of adj(lambda Id
+    - T) and det(lambda Id - T); on |lambda| = 1 Hadamard's inequality bounds
+    those minors by H = isqrt(prod_j c_j^2) + 1 (``_faddeev_width``), and by
+    Cauchy's estimate so their coefficients: each T M_(k-1) is within 2H.
     """
-    mu = len(t)
-    coeffs_desc = [1]               # leading first while building
-    m = identity(mu)
-    for k in range(1, mu + 1):
-        m = mat_mul(t, m)
-        tr = mat_trace(m)
-        a_k, r = divmod(-tr, k)
+    terms, w = _row_terms(t), _faddeev_width(t)
+    units = [1 << (w * i) for i in range(len(t))]
+    rows, coeffs_desc = units, [1]      # leading first while building
+    for k in range(1, len(t) + 1):
+        rows, trace = _step(terms, rows, w)
+        a_k, r = divmod(-trace, k)
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division is not exact")
         coeffs_desc.append(a_k)
-        for i in range(mu):
-            m[i][i] += a_k
+        rows = [x + a_k * u for x, u in zip(rows, units)]
+    if any(rows):
+        raise ArithmeticError("Cayley-Hamilton: T M_(mu-1) + a_mu Id != 0")
     return list(reversed(coeffs_desc))
+
+
+def _faddeev_width(t: Matrix) -> int:
+    """Slots for 2H, with c_j the norm of column j of |Id| + |T|."""
+    col_sq = [1] * len(t)
+    for i, row in enumerate(t):
+        for j in compress(range(len(row)), row):
+            col_sq[j] += row[j] ** 2 + 2 * abs(row[j]) * (i == j)
+    return (2 * isqrt(prod(col_sq)) + 2).bit_length() + 1
 
 
 def poly_eval(coeffs: list[int], x: int) -> int:

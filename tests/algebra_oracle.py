@@ -1,9 +1,11 @@
 """The dense exact routines, kept as oracles for the library's kernels.
 
-``mat_mul`` is the scalar triple loop the whole-row product replaced, and
+``mat_mul`` is the scalar triple loop the whole-row product replaced,
 ``signature_symmetric`` the dense congruence elimination the sparse
-minimum-degree signature replaced.  Both are cubic in mu, so the tests run
-them on small matrices only.
+minimum-degree signature replaced, and ``char_poly``/``trace_powers`` the
+dense Faddeev-LeVerrier and matrix powers the packed-row kernel replaced.
+All of them are cubic or worse in mu, so the tests run them on small
+matrices only.
 """
 
 from fractions import Fraction
@@ -24,6 +26,40 @@ def mat_mul(a, b):
                 for j in range(n):
                     oi[j] += x * bk[j]
     return out
+
+
+def faddeev_products(t):
+    """The matrices T M_(k-1), k = 1..mu, of Faddeev-LeVerrier, with the
+    coefficients a_k; M_0 = Id and M_k = T M_(k-1) + a_k Id."""
+    mu = len(t)
+    m = [[int(i == j) for j in range(mu)] for i in range(mu)]
+    out = []
+    for k in range(1, mu + 1):
+        m = mat_mul(t, m)
+        a_k, r = divmod(-sum(m[i][i] for i in range(mu)), k)
+        assert r == 0
+        out.append((m, a_k))
+        m = [[x + a_k * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(m)]
+    assert all(x == 0 for row in m for x in row)    # Cayley-Hamilton
+    return out
+
+
+def char_poly(t):
+    """Monic characteristic polynomial, constant term first."""
+    return [a_k for _, a_k in reversed(faddeev_products(t))] + [1]
+
+
+def powers(t, k_max):
+    """T^k for k = 1..k_max."""
+    out = [t] if k_max > 0 else []
+    while len(out) < k_max:
+        out.append(mat_mul(t, out[-1]))
+    return out
+
+
+def trace_powers(t, k_max):
+    return [sum(p[i][i] for i in range(len(p))) for p in powers(t, k_max)]
 
 
 def signature(n):

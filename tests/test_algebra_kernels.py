@@ -1,23 +1,29 @@
-"""The sparse signature and the whole-row product against dense oracles.
+"""The sparse signature and the row kernels against dense oracles.
 
 Random symmetric integer forms (sparse, with an all-zero diagonal, or of
 low rank) go through ``sparse_signature`` and the dense congruence
 elimination; random integer matrices (negative entries, big integers,
-zero rows, mu = 0) through ``mat_mul`` and the scalar triple loop.  Known
-answers pin the signature and the characteristic polynomial on the
-zigzag and coil families, the signature at mu of about 2000, where the
-dense elimination cannot go.
+zero rows, mu = 0) through ``mat_mul`` and the scalar triple loop, and
+through the packed-row ``char_poly`` and ``trace_powers`` and their dense
+versions, whose intermediate matrices must also respect the certified
+slot bounds.  Known answers pin the signature and the characteristic
+polynomial on the zigzag and coil families, the signature at mu of about
+2000, where the dense elimination cannot go.
 """
 
 import time
+from math import isqrt, prod
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from divides import (
-    build_gamma, char_poly, coil, compute_faces, from_chords, gen_chords,
-    matrix_N, monodromy_matrix, signature, zigzag,
+    build_gamma, char_poly, coil, compute_faces, fixture, from_chords,
+    gen_chords, matrix_N, monodromy_matrix, seifert, signature,
+    trace_powers, zigzag,
 )
 from divides.seifert import mat_mul, sparse_signature
+from divides.walks import K_CAP
 
 import algebra_oracle
 
@@ -122,6 +128,56 @@ def test_mat_mul_dimension_zero():
     assert mat_mul([], []) == []
 
 
+@st.composite
+def square_matrices(draw):
+    mu = draw(st.integers(0, 6))
+    entries = draw(st.sampled_from((small, st.integers(-2 ** 80, 2 ** 80))))
+    t = [[draw(entries) for _ in range(mu)] for _ in range(mu)]
+    return t, draw(st.one_of(st.integers(0, 12), st.just(K_CAP)))
+
+
+def hadamard_bound(t):
+    """H with every minor of lambda Id - T at most H for |lambda| = 1."""
+    col_sq = [sum((int(i == j) + abs(t[i][j])) ** 2 for i in range(len(t)))
+              for j in range(len(t))]
+    return isqrt(prod(col_sq)) + 1
+
+
+@PROPERTY
+@given(square_matrices())
+@example(([], 3))
+@example(([], 0))
+@example(([[0] * 4 for _ in range(4)], K_CAP))
+@example(([[2 ** 80, -2 ** 80], [-(2 ** 80), 3]], K_CAP))
+def test_packed_kernels_match_dense_oracles(drawn):
+    t, k_max = drawn
+    assert char_poly(t) == algebra_oracle.char_poly(t)
+    assert trace_powers(t, k_max) == algebra_oracle.trace_powers(t, k_max)
+    # the certificates themselves: every decoded Faddeev entry within 2H,
+    # the library's width derived from that 2H, every entry of T^k within
+    # |T|^k
+    h = hadamard_bound(t)
+    for m, _ in algebra_oracle.faddeev_products(t):
+        assert all(abs(x) <= 2 * h for row in m for x in row)
+    assert seifert._faddeev_width(t) == (2 * h).bit_length() + 1
+    norm = max((sum(map(abs, row)) for row in t), default=0)
+    for k, p in enumerate(algebra_oracle.powers(t, k_max), 1):
+        assert all(abs(x) <= norm ** k for row in p for x in row)
+
+
+@pytest.mark.parametrize("m, width, guard", [
+    (fixture("FIG1"), 3, "not exact"),
+    (coil(5), 2, "Cayley-Hamilton"),
+], ids=["FIG1", "coil5"])
+def test_narrow_slots_are_caught(monkeypatch, m, width, guard):
+    # slots too narrow for the Faddeev matrices must raise, not mislead
+    t = monodromy_matrix(n_of(m))
+    assert width < seifert._faddeev_width(t)
+    monkeypatch.setattr(seifert, "_faddeev_width", lambda t: width)
+    with pytest.raises(ArithmeticError, match=guard):
+        char_poly(t)
+
+
 def _zigzag_poly(k):
     # (lambda^{2k} - 1)/(lambda + 1), constant first
     return [(-1) ** (i + 1) for i in range(2 * k)]
@@ -137,11 +193,17 @@ def _coil_poly(k):
 
 
 def test_char_poly_known_answers():
-    for k in range(1, 21):
+    for k in list(range(1, 21)) + [50, 100]:
         assert char_poly(monodromy_matrix(n_of(zigzag(k)))) \
             == _zigzag_poly(k), k
         assert char_poly(monodromy_matrix(n_of(coil(k)))) \
             == _coil_poly(k), k
+
+
+def test_trace_powers_at_mu_200():
+    for m in (zigzag(100), coil(100)):
+        t = monodromy_matrix(n_of(m))
+        assert trace_powers(t, 12) == algebra_oracle.trace_powers(t, 12)
 
 
 def test_signature_at_scale():

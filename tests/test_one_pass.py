@@ -69,8 +69,8 @@ def test_run_corpus_runs_the_chain_once_per_instance(calls):
 
 
 def test_verify_theorem_fixed_products(monkeypatch):
-    # 3 in monodromy_matrix and N^2, plus mu in char_poly and
-    # min(12, mu + 2) - 1 in trace_powers
+    # 3 in monodromy_matrix and 1 for N^2; char_poly and trace_powers
+    # work on packed rows and make none
     made = 0
     real = seifert.mat_mul
 
@@ -82,4 +82,8 @@ def test_verify_theorem_fixed_products(monkeypatch):
     monkeypatch.setattr(seifert, "mat_mul", counted)
     rep = verify_theorem(zigzag(6))
     assert rep.mu == 11
-    assert made == 4 + rep.mu + 11
+    assert made == 4
+    made = 0
+    seifert.char_poly(rep.t)
+    seifert.trace_powers(rep.t, 64)
+    assert made == 0

@@ -84,6 +84,8 @@ class TestCorpus:
         with pytest.raises(DivideError, match="count"):
             run_corpus(-1, 5, 1)
         assert run_corpus(0, 5, 1).count == 0
+        with pytest.raises(DivideError, match="n >= 1"):
+            run_corpus(0, 0, 1)
 
 
 class TestCli:
@@ -209,6 +211,16 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: ") and "count" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("count, n", [("-1", "5"), ("3", "0")])
+    def test_rejected_corpus_keeps_csv(self, tmp_path, capsys, count, n):
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"kept,row\n")
+        assert main(["corpus", "--count", count, "--n", n, "--seed", "1",
+                     "--csv", str(keep)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert keep.read_bytes() == b"kept,row\n"
 
     def test_traces_cli(self, tmp_path, capsys):
         path = self.write(tmp_path, "x1.json", self.x1_doc())
