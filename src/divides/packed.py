@@ -1,0 +1,118 @@
+"""Matrix rows packed into single Python ints (Kronecker substitution).
+
+Row i of an integer matrix M is held as the int sum_j M_ij 2^(w j): slot
+j of width w holds entry j as a signed base-2^w digit, so adding or
+scaling whole rows is one big-integer operation (Harvey, *Faster
+polynomial multiplication via multipoint Kronecker substitution*,
+J. Symb. Comput. 2009).  A slot decodes exactly while its entry lies in
+the signed window [-2^(w-1), 2^(w-1)); callers choose w so that it does.
+Every function here is exact for int entries only.
+"""
+
+from __future__ import annotations
+
+from itertools import compress
+
+
+def row_terms(t: list[list[int]]) -> list:
+    """Per row of t: the columns of its 1s and of its -1s, and its other
+    nonzeros as (column, entry), in one pass over the row's nonzeros.  Only
+    int entries pack exactly; a zero of any type packs as nothing."""
+    cols, terms = range(len(t)), []
+    for row in t:
+        plus, minus, other = [], [], []
+        for j in compress(cols, row):
+            x = row[j]
+            if not isinstance(x, int):
+                raise ArithmeticError(
+                    "packed rows are not exact for a non-integer")
+            if x == 1:
+                plus.append(j)
+            elif x == -1:
+                minus.append(j)
+            else:
+                other.append((j, x))
+        terms.append((plus, minus, other))
+    return terms
+
+
+def row_norm(terms) -> int:
+    """|T|, the largest absolute row sum, from the row terms of T."""
+    return max((len(plus) + len(minus) + sum(abs(c) for _, c in other)
+                for plus, minus, other in terms), default=0)
+
+
+def left_mul(terms, rows: list[int], w: int) -> tuple[list[int], int]:
+    """The packed rows of T M from those of M, over the nonzeros of T, and
+    the trace of T M: digit i of row i, signed in base 2^w, summed."""
+    get, out, trace = rows.__getitem__, [], 0
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    for i, (plus, minus, other) in enumerate(terms):
+        x = sum(map(get, plus))
+        if minus:
+            x -= sum(map(get, minus))
+        if other:
+            x += sum([c * rows[j] for j, c in other])
+        out.append(x)
+        if i:
+            x = ((x >> (w * i - 1)) + 1) >> 1      # round the lower digits
+        trace += ((x + half) & mask) - half
+    return out, trace
+
+
+def slot_masks(mu: int, w: int, b: int) -> tuple[int, int]:
+    """OFF_b, 2^b in each of mu slots of width w, and HIGH_b, the bits
+    b+1..w-1 of each slot."""
+    unit = _ones(mu, w)
+    return unit << b, unit * ((1 << w) - (2 << b))
+
+
+def fits(rows: list[int], off: int, high: int) -> bool:
+    """Whether every entry v_j of the packed rows lies in [-2^b, 2^b),
+    given the masks of ``slot_masks`` and every v_j in the signed window
+    [-2^(w-1), 2^(w-1)).  X = P + OFF_b = sum_j d_j 2^(w j) with each
+    d_j = v_j + 2^b in the window [2^b - 2^(w-1), 2^b + 2^(w-1)) of 2^w
+    consecutive integers.  If every v_j is in range, the d_j in
+    [0, 2^(b+1)) are X's own base-2^w digits: X >= 0 and no bit of HIGH_b
+    is set.  Conversely, such an X is below 2^(w mu) and its own digits lie
+    in [0, 2^(b+1)), inside that window; base-2^w digits from one window
+    are unique, so they are the d_j.  One add and one AND per row.  (For
+    X < 0 the top slot's bit w-1, one of HIGH_b, is set too: the sign test
+    only exits early.)"""
+    for x in rows:
+        x += off
+        if x < 0 or x & high:
+            return False
+    return True
+
+
+def respace(rows: list[int], w: int, w2: int) -> list[int]:
+    """Packed rows with entries in [-2^(w-1), 2^(w-1)) moved from slot
+    width w to w2 > w.  Lifted by 2^(w-1), every slot holds a digit in
+    [0, 2^w); slot j has to move up by j (w2 - w) bits, so for each bit l
+    of j, the highest first, the slots with that bit set move up by
+    2^l (w2 - w).  The slots stay disjoint and in order after every level,
+    so a row costs a few big-integer operations per bit of mu."""
+    mu, d = len(rows), w2 - w
+    full, levels = (1 << w) - 1, []
+    for l in reversed(range((mu - 1).bit_length())):
+        done, move = -2 << l, 0         # done: the levels above l
+        for j in range(mu):
+            if j >> l & 1:
+                move |= full << (w * j + d * (j & done))
+        levels.append((move, d << l))
+    up, down = _ones(mu, w) << (w - 1), _ones(mu, w2) << (w - 1)
+    out = []
+    for x in rows:
+        x += up
+        for move, shift in levels:
+            y = x & move
+            x ^= y
+            x |= y << shift
+        out.append(x - down)
+    return out
+
+
+def _ones(mu: int, w: int) -> int:
+    """1 in each of mu slots of width w."""
+    return ((1 << (w * mu)) - 1) // ((1 << w) - 1)

@@ -6,8 +6,13 @@ integer identity and floating point would make the checks meaningless.
 Matrices are plain lists of lists of ints; the dimension mu may be 0, in
 which case every trace is 0 and the Lefschetz number is 1.  The
 characteristic polynomial and the traces Tr(T^k) hold row i as the int
-sum_j v_j 2^(w j), so a row operation is one big-integer add; the slot
-width w comes from a bound certified by T alone, so every value decodes.
+sum_j v_j 2^(w j), so a row operation is one big-integer add.  The traces
+take w from a bound certified by T alone.  The characteristic polynomial
+first runs on narrow slots and keeps the invariant that every entry of
+M_(k-1) lies in [-2^b, 2^b), which bounds T M_(k-1) by 2^(w-2): one add
+and one AND per row test it, exactly, since base-2^w digits drawn from a
+window of 2^w consecutive integers are unique.  When the test fails, the
+steps resume on wider slots, up to the bound from T alone.
 The signature form 2 Id + N + tN has the diagram's sparsity and is eliminated
 on sparse rows in a minimum-degree order: by Sylvester's law of inertia
 each pivot adds its sign, and a 2x2 pivot [[0, b], [b, 0]], taken when
@@ -23,6 +28,7 @@ from itertools import compress
 from math import isqrt, prod
 from operator import add, mul, neg, sub
 
+from . import packed
 from .divide_map import DivideMap, classify, compute_faces
 from .dynkin import (
     Gamma, body_euler, build_gamma, check_flag_edges, counts,
@@ -143,72 +149,83 @@ def _lefschetz(mu: int, tr_ntn: int, tr_nt2n: int, t: Matrix) -> int:
 def trace_powers(t: Matrix, k_max: int) -> list[int]:
     """Exact traces Tr(T^k) for k = 1..k_max, on packed rows: every entry
     of T^k is at most |T|^k, |T| the largest absolute row sum."""
-    terms = _row_terms(t)
-    norm = max((sum(map(abs, row)) for row in t), default=0)
-    w = (norm ** max(k_max, 0)).bit_length() + 1
+    terms = packed.row_terms(t)
+    w = (packed.row_norm(terms) ** max(k_max, 0)).bit_length() + 1
     rows, out = [1 << (w * i) for i in range(len(t))], []
     for _ in range(k_max):
-        rows, trace = _step(terms, rows, w)
+        rows, trace = packed.left_mul(terms, rows, w)
         out.append(trace)
     return out
-
-
-def _row_terms(t: Matrix) -> list:
-    """Per row of t: the columns of its 1s and of its -1s, and its other
-    nonzeros as (column, entry).  Only int entries pack exactly."""
-    if not all(isinstance(x, int) for row in t for x in row):
-        raise ArithmeticError("packed rows are not exact for a non-integer")
-    return [([j for j, x in enumerate(row) if x == 1],
-             [j for j, x in enumerate(row) if x == -1],
-             [(j, x) for j, x in enumerate(row) if x not in (0, 1, -1)])
-            for row in t]
-
-
-def _step(terms, rows: list[int], w: int) -> tuple[list[int], int]:
-    """The packed rows of T M from those of M, over the nonzeros of T, and
-    the trace of T M: digit i of row i, signed in base 2^w, summed."""
-    get, out, trace = rows.__getitem__, [], 0
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    for i, (plus, minus, other) in enumerate(terms):
-        x = sum(map(get, plus))
-        if minus:
-            x -= sum(map(get, minus))
-        if other:
-            x += sum([c * rows[j] for j, c in other])
-        out.append(x)
-        if i:
-            x = ((x >> (w * i - 1)) + 1) >> 1      # round the lower digits
-        trace += ((x + half) & mask) - half
-    return out, trace
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial
 # ---------------------------------------------------------------------------
 
+FIRST_RUNG_BITS = 12     # b of the first narrow rung; doubled per rung
+
+
 def char_poly(t: Matrix) -> list[int]:
     """Monic characteristic polynomial of T, constant term first.
 
     Faddeev-LeVerrier on packed rows: M_k = T M_(k-1) + a_k Id from M_0 = Id
     with a_k = -Tr(T M_(k-1))/k, checked for exact division and for M_mu = 0
-    (Cayley-Hamilton).  The M_k and a_k are the coefficients of adj(lambda Id
-    - T) and det(lambda Id - T); on |lambda| = 1 Hadamard's inequality bounds
-    those minors by H = isqrt(prod_j c_j^2) + 1 (``_faddeev_width``), and by
-    Cauchy's estimate so their coefficients: each T M_(k-1) is within 2H.
+    (Cayley-Hamilton).  The steps run on a ladder of slot widths, resuming
+    from the last M_(k-1) kept when a rung gives out:
+
+    * Narrow rungs, b = 12, 24, 48, ...: w = b + |T|.bit_length() + 2 with
+      |T| the largest absolute row sum.  If every entry of M_(k-1) lies in
+      [-2^b, 2^b), every entry of T M_(k-1) is below |T| 2^b < 2^(w-2), so
+      it and a_k decode exactly.  The step is kept when |a_k| < 2^(w-2),
+      which keeps every entry of M_k in the signed window [-2^(w-1),
+      2^(w-1)), and when M_k passes ``packed.fits``: that certifies the
+      invariant for the next step, or the rung ends.
+    * The last rung: the minors of lambda Id - T, the entries of adj(lambda
+      Id - T) and det(lambda Id - T), are at most H = isqrt(prod_j c_j^2)
+      + 1 on |lambda| = 1 by Hadamard's inequality (``_faddeev_width``),
+      and by Cauchy's estimate so are their coefficients, the M_k and a_k:
+      each T M_(k-1) is within 2H whatever the start.  A narrow rung runs
+      only while its width is below this one.
     """
-    terms, w = _row_terms(t), _faddeev_width(t)
-    units = [1 << (w * i) for i in range(len(t))]
-    rows, coeffs_desc = units, [1]      # leading first while building
-    for k in range(1, len(t) + 1):
-        rows, trace = _step(terms, rows, w)
-        a_k, r = divmod(-trace, k)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier division is not exact")
-        coeffs_desc.append(a_k)
-        rows = [x + a_k * u for x, u in zip(rows, units)]
+    terms, mu, w_top = packed.row_terms(t), len(t), _faddeev_width(t)
+    lift = packed.row_norm(terms).bit_length() + 2
+    coeffs_desc = [1]       # leading first while building
+    rows, w, b = [], 0, FIRST_RUNG_BITS
+    while len(coeffs_desc) <= mu:
+        narrow = b + lift < w_top
+        w_next = b + lift if narrow else w_top
+        rows = (packed.respace(rows, w, w_next) if w
+                else [1 << (w_next * i) for i in range(mu)])
+        w = w_next
+        rows = _faddeev(terms, rows, w, coeffs_desc, b if narrow else None)
+        b *= 2
     if any(rows):
         raise ArithmeticError("Cayley-Hamilton: T M_(mu-1) + a_mu Id != 0")
     return list(reversed(coeffs_desc))
+
+
+def _faddeev(terms, rows: list[int], w: int, coeffs_desc: list[int],
+             b: int | None) -> list[int]:
+    """Steps k = len(coeffs_desc).. from the packed rows of M_(k-1) at slot
+    width w, appending each a_k to coeffs_desc; the rows of the last M_k
+    kept.  With b, a step is kept only while |a_k| < 2^(w-2) and M_k
+    ``packed.fits`` in [-2^b, 2^b)."""
+    slots = range(0, w * len(rows), w)
+    if b is not None:
+        off, high = packed.slot_masks(len(rows), w, b)
+        cap = 1 << (w - 2)
+    for k in range(len(coeffs_desc), len(rows) + 1):
+        out, trace = packed.left_mul(terms, rows, w)
+        a_k, r = divmod(-trace, k)
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier division is not exact")
+        out = [x + (a_k << s) for x, s in zip(out, slots)]
+        if b is not None and (abs(a_k) >= cap
+                              or not packed.fits(out, off, high)):
+            break
+        coeffs_desc.append(a_k)
+        rows = out
+    return rows
 
 
 def _faddeev_width(t: Matrix) -> int:

@@ -137,3 +137,36 @@ class BlockPivots:
             return real(adj, diag, pivots, s)
 
         monkeypatch.setattr(seifert, "_eliminate", eliminate)
+
+
+class Rungs:
+    """Records each run of Faddeev-LeVerrier steps the library's char_poly
+    makes, as (b, first k, first k not kept, mu); b is None on the a-priori
+    slot width."""
+
+    def __init__(self, monkeypatch):
+        self.runs = []
+        real = seifert._faddeev
+
+        def faddeev(terms, rows, w, coeffs_desc, b):
+            first = len(coeffs_desc)
+            out = real(terms, rows, w, coeffs_desc, b)
+            self.runs.append((b, first, len(coeffs_desc), len(rows)))
+            return out
+
+        monkeypatch.setattr(seifert, "_faddeev", faddeev)
+
+    def whole(self):
+        """Runs in which one narrow rung kept every step."""
+        return [r for r in self.runs
+                if r[0] is not None and r[1] == 1 and r[2] == r[3] + 1]
+
+    def resumed(self, narrow):
+        """Runs that started from the M_(k-1) a narrower rung kept, on a
+        narrow rung or on the a-priori width."""
+        return [r for r in self.runs
+                if r[1] > 1 and (r[0] is not None) == narrow]
+
+    def gave_out(self, b):
+        """Runs on rung b that stopped before M_mu."""
+        return [r for r in self.runs if r[0] == b and r[2] <= r[3]]

@@ -6,9 +6,12 @@ elimination; random integer matrices (negative entries, big integers,
 zero rows, mu = 0) through ``mat_mul`` and the scalar triple loop, and
 through the packed-row ``char_poly`` and ``trace_powers`` and their dense
 versions, whose intermediate matrices must also respect the certified
-slot bounds.  Known answers pin the signature and the characteristic
-polynomial on the zigzag and coil families, the signature at mu of about
-2000, where the dense elimination cannot go.
+slot bounds.  The slot test of ``char_poly``'s narrow rungs is checked on
+its own at the edges of its range, and the ladder of rungs on chord sets,
+the families and a first rung forced down to one bit.  Known answers pin
+the signature and the characteristic polynomial on the zigzag and coil
+families, the signature at mu of about 2000, where the dense elimination
+cannot go.
 """
 
 import time
@@ -19,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from divides import (
     build_gamma, char_poly, coil, compute_faces, fixture, from_chords,
-    gen_chords, matrix_N, monodromy_matrix, seifert, signature,
+    gen_chords, matrix_N, monodromy_matrix, packed, seifert, signature,
     trace_powers, zigzag,
 )
 from divides.seifert import mat_mul, sparse_signature
@@ -29,6 +32,7 @@ import algebra_oracle
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
+FEWER = settings(PROPERTY, max_examples=100)
 
 small = st.one_of(st.just(0), st.integers(-3, 3))
 
@@ -176,6 +180,102 @@ def test_narrow_slots_are_caught(monkeypatch, m, width, guard):
     monkeypatch.setattr(seifert, "_faddeev_width", lambda t: width)
     with pytest.raises(ArithmeticError, match=guard):
         char_poly(t)
+
+
+@st.composite
+def slot_rows(draw):
+    """Packed rows of a narrow rung, w = b + |T|.bit_length() + 2, with
+    entries in the signed window [-2^(w-1), 2^(w-1)): drawn inside
+    [-2^b, 2^b), a few set at or next to +-2^b, +-2^(w-2) (the bound on
+    T M_(k-1)) or the window's ends."""
+    b = draw(st.integers(1, 40))
+    w = b + draw(st.integers(2, 12))
+    mu = draw(st.integers(0, 6))
+    rows = [[draw(st.integers(-(1 << b), (1 << b) - 1)) for _ in range(mu)]
+            for _ in range(mu)]
+    edges = sorted({s * e + d for e in (1 << b, 1 << (w - 2))
+                    for s in (1, -1) for d in (-1, 0, 1)}
+                   | {-(1 << (w - 1)), (1 << (w - 1)) - 1})
+    for _ in range(draw(st.integers(0, 2)) if mu else 0):
+        i, j = draw(st.integers(0, mu - 1)), draw(st.integers(0, mu - 1))
+        rows[i][j] = draw(st.sampled_from(edges))
+    return b, w, rows
+
+
+def _pack(row, w):
+    return sum(v << (w * j) for j, v in enumerate(row))
+
+
+def test_slot_certificate_is_exact():
+    # fits accepts exactly when every entry lies in [-2^b, 2^b)
+    seen = set()
+
+    @FEWER
+    @given(slot_rows())
+    def check(drawn):
+        b, w, rows = drawn
+        off, high = packed.slot_masks(len(rows), w, b)
+        inside = all(-(1 << b) <= v < 1 << b for row in rows for v in row)
+        assert packed.fits([_pack(r, w) for r in rows], off, high) \
+            == inside, drawn
+        seen.add(inside)
+
+    check()
+    assert seen == {True, False}
+
+
+@FEWER
+@given(st.integers(2, 40).flatmap(lambda w: st.tuples(
+    st.just(w), st.integers(w + 1, w + 60),
+    st.lists(st.lists(st.integers(-(1 << (w - 1)), (1 << (w - 1)) - 1),
+                      min_size=9, max_size=9), max_size=9))))
+def test_respace_matches_packing(drawn):
+    w, w2, rows = drawn
+    rows = [r[:len(rows)] for r in rows]       # mu rows of mu slots
+    assert packed.respace([_pack(r, w) for r in rows], w, w2) \
+        == [_pack(r, w2) for r in rows]
+
+
+def _monodromies(maps):
+    return [(name, monodromy_matrix(n_of(m))) for name, m in maps]
+
+
+def test_char_poly_rungs_match_dense_oracle(monkeypatch):
+    # chord sets whose narrow rungs keep every step, or give out and
+    # resume; coil(k), whose coefficients outgrow every narrow rung
+    rungs = algebra_oracle.Rungs(monkeypatch)
+    ts = _monodromies([(f"zigzag({k})", zigzag(k)) for k in range(1, 31)]
+                      + [(f"coil({k})", coil(k)) for k in range(1, 31)])
+    # mu <= 32 keeps 52 of the 120 sets: the dense oracle takes 15 s on
+    # all of them
+    ts += [(name, t) for name, t in _monodromies(
+        (f"chords({n}, {s})", from_chords(gen_chords(n, s)))
+        for n in range(10, 16) for s in range(20)) if len(t) <= 32]
+    for name, t in ts:
+        assert char_poly(t) == algebra_oracle.char_poly(t), name
+    assert rungs.whole() and rungs.resumed(True) and rungs.resumed(False)
+
+
+def test_first_rung_at_one_bit_falls_through(monkeypatch, zoo):
+    # at b = 1 the first rung gives out on almost any T; the ladder must
+    # resume wider and still reach the dense oracle's answer
+    monkeypatch.setattr(seifert, "FIRST_RUNG_BITS", 1)
+    rungs = algebra_oracle.Rungs(monkeypatch)
+
+    @FEWER
+    @given(square_matrices())
+    # -Id, mu = 16: a_1 = 16 is past 2^(w-2) = 4 at b = 1, while
+    # M_1 = 15 Id would pass the slot test by carrying into the next slot
+    @example(([[-int(i == j) for j in range(16)] for i in range(16)], 0))
+    def check(drawn):
+        t, _ = drawn
+        assert char_poly(t) == algebra_oracle.char_poly(t), t
+
+    check()
+    for name, t in _monodromies(zoo):
+        assert char_poly(t) == algebra_oracle.char_poly(t), name
+    assert rungs.gave_out(1) and rungs.resumed(True) \
+        and rungs.resumed(False)
 
 
 def _zigzag_poly(k):
