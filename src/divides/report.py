@@ -8,11 +8,9 @@ from fractions import Fraction
 
 from .divide_map import DivideError, DivideMap
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
-from .seifert import (
-    mat_add, mat_mul, mat_trace, signature, trace_powers, transpose,
-    verify_theorem,
-)
-from .walks import K_CAP, K_DEFAULT
+from .seifert import mat_mul, mat_trace, signature, trace_powers, \
+    verify_theorem
+from .walks import K_CAP, K_DEFAULT, adjacency
 
 LATTICE_GENUS_NOTE = (
     "(mu - r + 1)/2 computed from the lattice rank; no claim is made tying "
@@ -187,7 +185,7 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
 
         failed = thm.failed()
         failed += _chord_instance_checks(cs, thm, m)
-        failed += _walk_sanity(thm.n, thm.e)
+        failed += _walk_sanity(thm.gamma, thm.e)
 
         # theorem checks graded applicable, plus 4 corpus-level hard checks
         n_applicable = sum(1 for v in thm.checks.values() if v != "n/a") + 4
@@ -216,10 +214,10 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
     return summary
 
 
-def _walk_sanity(n, e: int) -> list[str]:
+def _walk_sanity(gamma, e: int) -> list[str]:
     # M = N + tN.  Chord diagrams never carry multi-edges, so Tr(M^2) = 2e
     # here; a multi-edge would make it 2 * sum of squared multiplicities
-    m = mat_add(n, transpose(n))
+    m = adjacency(gamma)
     failed = []
     if mat_trace(m) != 0:
         failed.append("walk_trace_M_zero")

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynkin import Gamma
-from .seifert import Matrix, mat_add, matrix_N, monodromy_matrix, \
-    trace_powers, transpose
+from .seifert import Matrix, matrix_N, monodromy_matrix, trace_powers
 
 K_DEFAULT = 12
 K_CAP = 64      # bounds arbitrary-precision growth in reports
@@ -31,16 +30,19 @@ class WalkTable:
 
 
 def adjacency(gamma: Gamma) -> Matrix:
-    """Symmetric adjacency matrix of the diagram: N + tN."""
-    n = matrix_N(gamma)
-    return mat_add(n, transpose(n))
+    """Symmetric adjacency matrix of the diagram, M = N + tN, built from
+    the edge list as ``matrix_N`` builds N: each edge (i, j) adds 1 to
+    M[i][j] and to M[j][i]."""
+    m = [[0] * gamma.mu for _ in range(gamma.mu)]
+    for e in gamma.edges:
+        m[e.i - 1][e.j - 1] += 1
+        m[e.j - 1][e.i - 1] += 1
+    return m
 
 
 def walk_table(gamma: Gamma, k: int = K_DEFAULT) -> WalkTable:
     k = max(1, min(k, K_CAP))
-    n = matrix_N(gamma)
-    t = monodromy_matrix(n)
-    m = mat_add(n, transpose(n))
-    pairs = zip(trace_powers(t, k), trace_powers(m, k))
+    t = monodromy_matrix(matrix_N(gamma))
+    pairs = zip(trace_powers(t, k), trace_powers(adjacency(gamma), k))
     return WalkTable(rows=tuple((i, tr_t, 1 - tr_t, tr_m)
                                 for i, (tr_t, tr_m) in enumerate(pairs, 1)))

@@ -1,16 +1,47 @@
 """The dense exact routines, kept as oracles for the library's kernels.
 
 ``mat_mul`` is the scalar triple loop the whole-row product replaced,
-``signature_symmetric`` the dense congruence elimination the sparse
-minimum-degree signature replaced, and ``char_poly``/``trace_powers`` the
-dense Faddeev-LeVerrier and matrix powers the packed-row kernel replaced.
-All of them are cubic or worse in mu, so the tests run them on small
-matrices only.
+``monodromy_series`` the series (Id - tN + (tN)^2)(Id + N) the forward
+substitution replaced, ``signature_symmetric`` the dense congruence
+elimination the sparse minimum-degree signature replaced, and
+``char_poly``/``trace_powers`` the dense Faddeev-LeVerrier and matrix
+powers the packed-row kernel replaced.  All of them are cubic or worse in
+mu, so the tests run them on small matrices only.  Their own checks raise
+real errors, not ``assert``, so they hold under ``python -O`` too.
 """
 
 from fractions import Fraction
 
 from divides import seifert
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def transpose(a):
+    n = len(a)
+    return [[a[j][i] for j in range(n)] for i in range(n)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def monodromy_series(n):
+    """T = (Id + tN)^-1 (Id + N) with the inverse expanded as
+    Id - tN + (tN)^2, exact when (tN)^3 = 0."""
+    mu = len(n)
+    nt = transpose(n)
+    nt2 = mat_mul(nt, nt)
+    if any(x for row in mat_mul(nt2, nt) for x in row):
+        raise ValueError("nilpotency violation: (tN)^3 != 0")
+    inv = mat_add(mat_sub(identity(mu), nt), nt2)
+    return mat_mul(inv, mat_add(identity(mu), n))
 
 
 def mat_mul(a, b):
@@ -37,11 +68,13 @@ def faddeev_products(t):
     for k in range(1, mu + 1):
         m = mat_mul(t, m)
         a_k, r = divmod(-sum(m[i][i] for i in range(mu)), k)
-        assert r == 0
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier division is not exact")
         out.append((m, a_k))
         m = [[x + a_k * (i == j) for j, x in enumerate(row)]
              for i, row in enumerate(m)]
-    assert all(x == 0 for row in m for x in row)    # Cayley-Hamilton
+    if any(x for row in m for x in row):
+        raise ArithmeticError("Cayley-Hamilton: T M_(mu-1) + a_mu Id != 0")
     return out
 
 

@@ -16,10 +16,9 @@ from divides import (
 )
 from divides.cli import main
 from divides.dynkin import body_euler
-from divides.seifert import (
-    det_from_char_poly, identity, is_zero, mat_mul, mat_trace, transpose,
-)
+from divides.seifert import det_from_char_poly, is_zero, mat_mul, mat_trace
 
+from algebra_oracle import identity, transpose
 from conftest import instance_zoo
 
 
@@ -235,8 +234,8 @@ def test_criterion_9_findings(monkeypatch):
     import divides.report as report_mod
     real = report_mod.verify_theorem
 
-    def with_synthetic_finding(m, faces=None):
-        rep = real(m, faces)
+    def with_synthetic_finding(m):
+        rep = real(m)
         rep.findings.append("multi_edge_iff_noncellular: synthetic")
         return rep
 

@@ -11,7 +11,8 @@ its own at the edges of its range, and the ladder of rungs on chord sets,
 the families and a first rung forced down to one bit.  Known answers pin
 the signature and the characteristic polynomial on the zigzag and coil
 families, the signature at mu of about 2000, where the dense elimination
-cannot go.
+cannot go.  The monodromy's forward substitution equals the series
+(Id - tN + (tN)^2)(Id + N) on the zoo, the families and chord sets.
 """
 
 import time
@@ -317,13 +318,29 @@ def test_signature_at_scale():
         assert time.perf_counter() - t0 < 10
 
 
+def _chord_maps():
+    """The chord sets gen_chords(3..15, seeds 0..39)."""
+    return [(f"chords({n}, {s})", from_chords(gen_chords(n, s)))
+            for n in range(3, 16) for s in range(40)]
+
+
+def test_monodromy_matches_series_oracle(zoo):
+    maps = list(zoo)
+    maps += [(f"zigzag({k})", zigzag(k)) for k in range(1, 31)]
+    maps += [(f"coil({k})", coil(k)) for k in range(1, 31)]
+    maps += _chord_maps()
+    for name, m in maps:
+        n = n_of(m)
+        assert monodromy_matrix(n) == algebra_oracle.monodromy_series(n), \
+            name
+
+
 def test_signature_matches_dense_oracle(zoo, monkeypatch):
     blocks = algebra_oracle.BlockPivots(monkeypatch)
     maps = list(zoo)
     maps += [(f"zigzag({k})", zigzag(k)) for k in range(1, 21)]
     maps += [(f"coil({k})", coil(k)) for k in range(1, 21)]
-    maps += [(f"chords({n}, {s})", from_chords(gen_chords(n, s)))
-             for n in range(3, 16) for s in range(40)]
+    maps += _chord_maps()
     for name, m in maps:
         n = n_of(m)
         assert signature(n) == algebra_oracle.signature(n), name

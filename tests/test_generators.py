@@ -57,7 +57,7 @@ class TestChords:
         st = classify(m, faces)
         assert st.region_count == 1
         assert st.connected and st.cellular and st.simple
-        rep = verify_theorem(m, faces)
+        rep = verify_theorem(m)
         assert rep.lam == 0 and rep.all_pass()
 
     def test_duplicate_parameter_rejected(self):

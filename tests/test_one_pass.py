@@ -69,7 +69,8 @@ def test_run_corpus_runs_the_chain_once_per_instance(calls):
 
 
 def test_verify_theorem_fixed_products(monkeypatch):
-    # 3 in monodromy_matrix and 1 for N^2; char_poly and trace_powers
+    # N^2 and N^3 in monodromy_matrix's nilpotency guard, whose forward
+    # substitution makes none, and 1 for N^2; char_poly and trace_powers
     # work on packed rows and make none
     made = 0
     real = seifert.mat_mul
@@ -82,7 +83,7 @@ def test_verify_theorem_fixed_products(monkeypatch):
     monkeypatch.setattr(seifert, "mat_mul", counted)
     rep = verify_theorem(zigzag(6))
     assert rep.mu == 11
-    assert made == 4
+    assert made == 3
     made = 0
     seifert.char_poly(rep.t)
     seifert.trace_powers(rep.t, 64)

@@ -13,11 +13,12 @@ from divides import (
     newton_power_sums, signature, trace_powers, verify_theorem,
 )
 from divides.seifert import (
-    _flag_traces, _lefschetz, det_from_char_poly, identity, is_zero,
-    mat_mul, mat_trace, sparse_signature, transpose,
+    _flag_traces, _lefschetz, det_from_char_poly, is_zero, mat_mul,
+    mat_trace, sparse_signature,
 )
 
 import algebra_oracle
+from algebra_oracle import identity, transpose
 
 # a length-4 chain is strictly upper triangular but not cube-zero, so it
 # cannot be the matrix of any divide diagram
@@ -79,6 +80,14 @@ class TestMonodromy:
     def test_nilpotency_guard(self):
         with pytest.raises(ValueError, match="nilpotency"):
             monodromy_matrix(CHAIN4)
+        with pytest.raises(ValueError, match="nilpotency"):
+            algebra_oracle.monodromy_series(CHAIN4)
+
+    def test_entry_on_or_below_diagonal_rejected(self):
+        # the forward substitution needs N strictly upper triangular
+        for n in ([[0, 0], [1, 0]], [[1]], [[0, 1, 0], [0, 0, 0], [0, 2, 0]]):
+            with pytest.raises(ValueError, match="not above the diagonal"):
+                monodromy_matrix(n)
 
     def test_dimension_zero(self):
         assert monodromy_matrix([]) == []
@@ -148,6 +157,23 @@ class TestCharPoly:
         # a rational input makes the first division by k = 1 inexact
         with pytest.raises(ArithmeticError, match="not exact"):
             char_poly([[Fraction(1, 2)]])
+
+    def test_oracle_checks_survive_optimize(self):
+        # python -O strips assert statements; the dense oracle must still
+        # reject an inexact division
+        code = ("from fractions import Fraction\n"
+                "import algebra_oracle\n"
+                "try:\n"
+                "    algebra_oracle.faddeev_products([[Fraction(1, 2)]])\n"
+                "except ArithmeticError:\n"
+                "    print('raised')\n")
+        src = str(Path(divides.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ,
+                                  "PYTHONPATH": os.pathsep.join((src, tests))})
+        assert out.stdout == "raised\n"
 
     def test_det_one_and_reciprocal(self, zoo):
         for name, m in zoo:
