@@ -15,7 +15,7 @@ corrupt every downstream integer identity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from importlib import resources
@@ -48,6 +48,9 @@ class Chord:
 class ChordSet:
     chords: tuple[Chord, ...]
     rejections: int = 0      # resamples it took gen_chords to get here
+    # the geometry its general-position check found; None if built by hand
+    arrangement: _Arrangement | None = field(
+        default=None, compare=False, repr=False)
 
 
 def interleaved(a: Chord, b: Chord) -> bool:
@@ -184,10 +187,10 @@ def gen_chords(n: int, seed: int) -> ChordSet:
                   for _ in range(2 * n)]
         chords = [Chord(params[2 * i], params[2 * i + 1]) for i in range(n)]
         try:
-            _arrangement(chords)
+            arr = _arrangement(chords)
         except DivideError:
             continue
-        return ChordSet(chords=tuple(chords), rejections=attempt)
+        return ChordSet(tuple(chords), rejections=attempt, arrangement=arr)
     raise DivideError("resample budget exhausted while seeking general position")
 
 
@@ -201,7 +204,12 @@ def from_chords(cs: ChordSet) -> DivideMap:
 
 
 def chords_to_map_document(cs: ChordSet) -> dict:
-    return _map_document(_arrangement(cs.chords))
+    return _map_document(_arrangement_of(cs))
+
+
+def _arrangement_of(cs: ChordSet) -> _Arrangement:
+    """The set's kept geometry, or DivideError if it is not generic."""
+    return cs.arrangement or _arrangement(cs.chords)
 
 
 def _map_document(arr: _Arrangement) -> dict:
@@ -272,8 +280,7 @@ def chords_from_document(doc) -> ChordSet:
         if not isinstance(c, dict) or "s" not in c or "t" not in c:
             raise DivideError(f"malformed document: bad chord {c!r}")
         chords.append(Chord(_param_from_json(c["s"]), _param_from_json(c["t"])))
-    _arrangement(chords)
-    return ChordSet(chords=tuple(chords))
+    return ChordSet(chords=tuple(chords), arrangement=_arrangement(chords))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ face walks of the map give the polygons directly.
 from __future__ import annotations
 
 from .divide_map import compute_faces, map_from_document
-from .generators import ChordSet, _arrangement, _map_document
+from .generators import ChordSet, _arrangement_of, _map_document
 
 _SIZE = 500
 _R = 230
@@ -23,7 +23,7 @@ def _xy(p) -> tuple[float, float]:
 
 
 def render_chords_svg(cs: ChordSet) -> str:
-    arr = _arrangement(cs.chords)
+    arr = _arrangement_of(cs)
     m = map_from_document(_map_document(arr))
     faces = compute_faces(m)
     first = len(m.endpoints)        # crossing k is map vertex first + k

@@ -3,11 +3,12 @@
 Everything here runs over arbitrary-precision integers (rationals only
 inside the signature elimination); every quantity of interest is an exact
 integer identity and floating point would make the checks meaningless.
-Matrices are plain lists of lists of ints; the dimension mu may be 0, in
-which case every trace is 0 and the Lefschetz number is 1.  The monodromy
-T = (Id + tN)^-1 (Id + N) comes from one forward substitution, since N is
+N is held as sparse rows, row i a dict {j: N[i][j]}: N^2, N^3, the flag
+traces and the signature form are read off them.  T = (Id + tN)^-1 (Id + N)
+is a list of lists of ints from one forward substitution, since N is
 strictly upper triangular and Id + tN unit lower triangular.  The
-characteristic polynomial and the traces Tr(T^k) hold row i as the int
+dimension mu may be 0: then every trace is 0 and the Lefschetz number is 1.
+The characteristic polynomial and the traces Tr(T^k) hold row i as the int
 sum_j v_j 2^(w j), so a row operation is one big-integer add.  The traces
 take w from a bound certified by T alone.  The characteristic polynomial
 first runs on narrow slots and keeps the invariant that every entry of
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, prod
-from operator import add, mul, neg, sub
+from operator import mul, neg, sub
 
 from . import packed
 from .divide_map import DivideMap, classify, compute_faces
@@ -38,30 +39,18 @@ from .dynkin import (
 )
 
 Matrix = list[list[int]]
+Rows = list[dict[int, int]]
 
 
-# ---------------------------------------------------------------------------
-# matrix helpers
-# ---------------------------------------------------------------------------
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b, each row a sum of whole rows of b: b[k] itself is added or
-    subtracted for an entry a[i][k] of 1 or -1, scaled for any other
-    nonzero entry, and skipped for a zero."""
+def sparse_mul(a: Rows, b: Rows) -> Rows:
+    """a b on sparse rows; entries that cancel to zero are dropped."""
     out = []
     for ai in a:
-        row = None
-        for k in compress(range(len(ai)), ai):
-            x, bk = ai[k], b[k]
-            if row is None:
-                row = bk[:] if x == 1 else [x * v for v in bk]
-            elif x == 1:
-                row = list(map(add, row, bk))
-            elif x == -1:
-                row = list(map(sub, row, bk))
-            else:
-                row = [u + x * v for u, v in zip(row, bk)]
-        out.append([0] * len(ai) if row is None else row)
+        row = {}
+        for k, x in ai.items():
+            for j, y in b[k].items():
+                row[j] = row.get(j, 0) + x * y
+        out.append({j: v for j, v in row.items() if v})
     return out
 
 
@@ -69,70 +58,78 @@ def mat_trace(a: Matrix) -> int:
     return sum(a[i][i] for i in range(len(a)))
 
 
-def is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 # ---------------------------------------------------------------------------
 # the intersection matrix and the monodromy
 # ---------------------------------------------------------------------------
 
-def matrix_N(gamma: Gamma) -> Matrix:
-    """Strictly upper triangular edge-multiplicity matrix of the diagram.
+def matrix_N(gamma: Gamma) -> Rows:
+    """Strictly upper triangular edge-multiplicity matrix of the diagram
+    as sparse rows: row i maps each j > i to the multiplicity of (i, j).
 
-    Each edge (i, j), i < j, adds 1 to N[i][j].  Under the
-    minus/double/plus numbering the edges join minus to double, double to
-    plus and minus to plus vertices; the tricoloring forces N^3 = 0.
+    Under the minus/double/plus numbering the edges join minus to double,
+    double to plus and minus to plus vertices; the tricoloring forces
+    N^3 = 0.
     """
-    n = [[0] * gamma.mu for _ in range(gamma.mu)]
+    n = [{} for _ in range(gamma.mu)]
     for e in gamma.edges:
-        n[e.i - 1][e.j - 1] += 1
+        n[e.i - 1][e.j - 1] = n[e.i - 1].get(e.j - 1, 0) + 1
     return n
 
 
-def monodromy_matrix(n: Matrix) -> Matrix:
-    """T = (Id + tN)^-1 (Id + N), by one forward substitution.
+def nilpotent_square(n: Rows) -> Rows:
+    """N^2 on sparse rows, after the guards against a corrupted N:
+    ValueError unless N is strictly upper triangular with N^3 = 0."""
+    for k, row in enumerate(n):
+        for i, x in row.items():
+            if not k < i < len(n):
+                raise ValueError(f"N[{k}][{i}] = {x} is not above "
+                                 "the diagonal")
+    n2 = sparse_mul(n, n)
+    if any(sparse_mul(n2, n)):
+        raise ValueError("nilpotency violation: (tN)^3 != 0")
+    return n2
+
+
+def monodromy_matrix(n: Rows, n2: Rows | None = None) -> Matrix:
+    """Dense T = (Id + tN)^-1 (Id + N) from the rows of N, by one forward
+    substitution.
 
     Id + tN is unit lower triangular, so (Id + tN) T = Id + N gives row i
-    of T as row i of Id + N minus N[k][i] T[k] over the nonzeros N[k][i],
-    k < i.  ValueError guards a corrupted N: a nonzero on or below the
-    diagonal, or N^3 != 0.  T is integral with det 1.
+    of T as row i of Id + N minus N[k][i] T[k] over the entries N[k][i],
+    k < i.  ``nilpotent_square`` guards N first, unless its N^2 is passed
+    in.  T is integral with det 1.
     """
-    above = [[] for _ in n]         # above[i]: the k with N[k][i] != 0
+    if n2 is None:
+        nilpotent_square(n)
+    above = [[] for _ in n]         # above[i]: the (k, N[k][i]), k < i
     for k, row in enumerate(n):
-        for i in compress(range(len(row)), row):
-            if i <= k:
-                raise ValueError(f"N[{k}][{i}] = {row[i]} is not above "
-                                 "the diagonal")
-            above[i].append(k)
-    if not is_zero(mat_mul(mat_mul(n, n), n)):
-        raise ValueError("nilpotency violation: (tN)^3 != 0")
+        for i, x in row.items():
+            above[i].append((k, x))
     t = []
     for i, row in enumerate(n):
-        ti = row[:]
-        ti[i] += 1
-        for k in above[i]:
-            x, tk = n[k][i], t[k]
-            ti = (list(map(sub, ti, tk)) if x == 1
-                  else [u - x * v for u, v in zip(ti, tk)])
+        ti = [0] * len(n)
+        ti[i] = 1
+        for j, x in row.items():
+            ti[j] += x
+        for k, x in above[i]:
+            ti = (list(map(sub, ti, t[k])) if x == 1
+                  else [u - x * v for u, v in zip(ti, t[k])])
         t.append(ti)
     return t
 
 
-def lefschetz_number(n: Matrix) -> int:
-    """Lefschetz number 1 - mu + Tr(tN N) - Tr((tN)^2 N).
-
-    The same value must come out as 1 - Tr(T); both routes are computed
-    and compared on every call.
-    """
-    return _lefschetz(len(n), *_flag_traces(n, mat_mul(n, n)),
-                      monodromy_matrix(n))
+def lefschetz_number(n: Rows) -> int:
+    """Lefschetz number 1 - mu + Tr(tN N) - Tr((tN)^2 N), checked on every
+    call against the trace route 1 - Tr(T)."""
+    n2 = nilpotent_square(n)
+    return _lefschetz(len(n), *_flag_traces(n, n2), monodromy_matrix(n, n2))
 
 
-def _flag_traces(n: Matrix, n2: Matrix) -> tuple[int, int]:
+def _flag_traces(n: Rows, n2: Rows) -> tuple[int, int]:
     """Tr(tN N) and Tr((tN)^2 N) = Tr(t(N^2) N) as entrywise sums."""
-    return (sum(x * x for row in n for x in row),
-            sum(x * y for r, r2 in zip(n, n2) for x, y in zip(r, r2)))
+    return (sum(x * x for row in n for x in row.values()),
+            sum(x * r2.get(j, 0) for r, r2 in zip(n, n2)
+                for j, x in r.items()))
 
 
 def _lefschetz(mu: int, tr_ntn: int, tr_nt2n: int, t: Matrix) -> int:
@@ -287,14 +284,14 @@ def newton_power_sums(coeffs: list[int], k_max: int) -> list[int]:
 # signature of the symmetrized Seifert form
 # ---------------------------------------------------------------------------
 
-def signature(n: Matrix) -> int:
+def signature(n: Rows) -> int:
     """Signature of S + tS = 2 Id + N + tN: ``sparse_signature`` on the
-    form's sparse rows, built from the nonzeros of N."""
+    form's sparse rows, built from the sparse rows of N."""
     rows = [{i: 2} for i in range(len(n))]
     for i, row in enumerate(n):
-        for j in compress(range(len(row)), row):
-            rows[i][j] = rows[i].get(j, 0) + row[j]
-            rows[j][i] = rows[j].get(i, 0) + row[j]
+        for j, x in row.items():
+            rows[i][j] = rows[i].get(j, 0) + x
+            rows[j][i] = rows[j].get(i, 0) + x
     return sparse_signature(rows)
 
 
@@ -378,8 +375,8 @@ class TheoremReport:
     ``checks`` maps check names to pass/fail/n/a.  The multi-edge versus
     cellularity comparison is a finding, not a check: it is recorded in
     ``findings`` when the two disagree and never fails a run.  The chain's
-    artifacts (diagram, N, T, characteristic polynomial and the traces
-    Tr(T^k) for k = 1..min(12, mu + 2)) ride along for reports to reuse.
+    artifacts (diagram, N as sparse rows, T, characteristic polynomial and
+    the traces Tr(T^k), k = 1..min(12, mu + 2)) ride along for reuse.
     """
     stats: object
     mu: int
@@ -389,7 +386,7 @@ class TheoremReport:
     lam: int
     n_square_zero: bool
     gamma: Gamma
-    n: Matrix
+    n: Rows
     t: Matrix
     char_poly: list[int]
     traces: list[int]
@@ -422,29 +419,26 @@ def verify_theorem(m: DivideMap) -> TheoremReport:
     chi = body_euler(m, faces)
 
     n = matrix_N(gamma)
-    n2 = mat_mul(n, n)
-    t = monodromy_matrix(n)
+    n2 = nilpotent_square(n)
+    t = monodromy_matrix(n, n2)
     tr_ntn, tr_nt2n = _flag_traces(n, n2)
     lam = _lefschetz(cnt.mu, tr_ntn, tr_nt2n, t)
     cp = char_poly(t)
     k_cmp = min(12, max(1, cnt.mu + 2))
     traces = trace_powers(t, k_cmp)
-    n_square_zero = is_zero(n2)
+    n_square_zero = not any(n2)
 
     checks: dict[str, str] = {}
 
     def grade(name, applicable, ok):
         checks[name] = NA if not applicable else (PASS if ok else FAIL)
 
-    # monodromy_matrix found N^3 zero above (it raises otherwise), so this
-    # check passes by construction
+    # nilpotent_square raised above unless N^3 = 0: passes by construction
     grade("n_cube_zero", True, True)
     grade("slalom_equiv_n2_f", True, n_square_zero == (cnt.f == 0))
     grade("lefschetz_two_routes", True, lam == 1 - mat_trace(t))
-    det_s = 1
-    for i in range(cnt.mu):
-        det_s *= 1 + n[i][i]     # triangular: diagonal of Id + N
-    grade("det_seifert_one", True, det_s == 1)
+    grade("det_seifert_one", True,      # Id + N is triangular
+          prod(1 + row.get(i, 0) for i, row in enumerate(n)) == 1)
     grade("det_monodromy_one", True, det_from_char_poly(cp) == 1)
     grade("charpoly_reciprocal", True, is_reciprocal(cp))
     grade("newton_matches_traces", True,
@@ -452,7 +446,7 @@ def verify_theorem(m: DivideMap) -> TheoremReport:
 
     cellular = stats.cellular
     grade("cellular_entries_01", cellular,
-          all(x in (0, 1) for row in n for x in row))
+          all(x in (0, 1) for row in n for x in row.values()))
     grade("cellular_trace_nn_eq_e", cellular, tr_ntn == cnt.e)
     grade("cellular_trace_n2n_eq_f", cellular, tr_nt2n == cnt.f)
     grade("cellular_flags_closed", cellular, not check_flag_edges(gamma))

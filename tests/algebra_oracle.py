@@ -1,6 +1,8 @@
 """The dense exact routines, kept as oracles for the library's kernels.
 
-``mat_mul`` is the scalar triple loop the whole-row product replaced,
+The library holds N as sparse rows; ``dense`` lays them out as a list of
+lists for these routines.  ``mat_mul`` is the scalar triple loop the
+sparse row products replaced, ``is_zero`` the dense zero test,
 ``monodromy_series`` the series (Id - tN + (tN)^2)(Id + N) the forward
 substitution replaced, ``signature_symmetric`` the dense congruence
 elimination the sparse minimum-degree signature replaced, and
@@ -13,6 +15,15 @@ real errors, not ``assert``, so they hold under ``python -O`` too.
 from fractions import Fraction
 
 from divides import seifert
+
+
+def dense(rows):
+    """The list-of-lists matrix of sparse rows {j: value}."""
+    out = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[i][j] += x
+    return out
 
 
 def identity(n):
@@ -57,6 +68,10 @@ def mat_mul(a, b):
                 for j in range(n):
                     oi[j] += x * bk[j]
     return out
+
+
+def is_zero(a):
+    return all(x == 0 for row in a for x in row)
 
 
 def faddeev_products(t):

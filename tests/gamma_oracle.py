@@ -15,6 +15,8 @@ import divides
 from divides import MINUS, PLUS, REGION
 from divides.divide_map import segment_faces
 
+from algebra_oracle import rows_of
+
 
 @dataclass(frozen=True)
 class Blocks:
@@ -113,10 +115,11 @@ def check_flag_edges(bl):
 
 
 def readings(m, faces):
-    """Partition, N, (mu, e, f), multi-edge and missing flags, from blocks."""
+    """Partition, N (as sparse rows), (mu, e, f), multi-edge and missing
+    flags, from blocks."""
     bl = build_blocks(m, faces)
-    return ((bl.n_minus, bl.n_double, bl.n_plus), matrix_N(bl), counts(bl),
-            has_multi_edge(bl), check_flag_edges(bl))
+    return ((bl.n_minus, bl.n_double, bl.n_plus), rows_of(matrix_N(bl)),
+            counts(bl), has_multi_edge(bl), check_flag_edges(bl))
 
 
 def library_readings(m, faces):

@@ -16,9 +16,11 @@ from divides import (
 )
 from divides.cli import main
 from divides.dynkin import body_euler
-from divides.seifert import det_from_char_poly, is_zero, mat_mul, mat_trace
+from divides.seifert import det_from_char_poly, mat_trace
 
-from algebra_oracle import identity, transpose
+from algebra_oracle import (
+    dense, identity, is_zero, mat_mul, rows_of, transpose,
+)
 from conftest import instance_zoo
 
 
@@ -83,10 +85,11 @@ def test_criterion_3_universal():
     instances += [(f"corpus5/{s}", from_chords(gen_chords(5, s)))
                   for s in range(7, 107)]
     for name, m in instances:
-        _, _, cnt, n = pipeline(m)
+        _, _, cnt, rows = pipeline(m)
+        n = dense(rows)
         assert is_zero(mat_mul(mat_mul(n, n), n)), name
-        t = monodromy_matrix(n)
-        lam = lefschetz_number(n)
+        t = monodromy_matrix(rows)
+        lam = lefschetz_number(rows)
         assert lam == 1 - mat_trace(t), name
         dets = 1
         for i in range(cnt.mu):
@@ -106,7 +109,8 @@ def test_criterion_4_cellular():
         if not classify(m, faces).cellular:
             continue
         checked += 1
-        _, gamma, cnt, n = pipeline(m, faces)
+        _, gamma, cnt, rows = pipeline(m, faces)
+        n = dense(rows)
         assert all(x in (0, 1) for row in n for x in row), name
         nt = transpose(n)
         assert mat_trace(mat_mul(nt, n)) == cnt.e, name
@@ -124,14 +128,15 @@ def test_criterion_5_slalom():
     for name, m in instance_zoo():
         faces = compute_faces(m)
         st = classify(m, faces)
-        _, _, cnt, n = pipeline(m, faces)
+        _, _, cnt, rows = pipeline(m, faces)
+        n = dense(rows)
         n2_zero = is_zero(mat_mul(n, n))
         assert n2_zero == (cnt.f == 0), name
         if n2_zero and st.simple and st.cellular:
             shortcut_checked += 1
             tr = mat_trace(mat_mul(transpose(n), n))
             assert tr == cnt.mu - 1, name
-            assert lefschetz_number(n) == 1 - cnt.mu + tr == 0, name
+            assert lefschetz_number(rows) == 1 - cnt.mu + tr == 0, name
     assert shortcut_checked > 0
 
 
@@ -144,7 +149,7 @@ def test_criterion_6_families():
         _, _, cnt, nmat = pipeline(m, faces)
         assert lefschetz_number(nmat) == 0, n_par
         assert cnt.mu == 2 * n_par - 1, n_par
-        assert is_zero(mat_mul(nmat, nmat)), n_par
+        assert is_zero(mat_mul(dense(nmat), dense(nmat))), n_par
         assert st.simple and st.cellular, n_par
         # exact-power oracle for T^(2n) = Id
         t = monodromy_matrix(nmat)
@@ -175,7 +180,8 @@ def test_criterion_7_golden():
     assert lefschetz_number(n_lens) == 0
 
 
-def _block_permuted(n, gamma, rng):
+def _block_permuted(rows, gamma, rng):
+    n = dense(rows)
     sizes = (gamma.n_minus, gamma.n_double, gamma.n_plus)
     perm = []
     start = 0
@@ -184,8 +190,8 @@ def _block_permuted(n, gamma, rng):
         rng.shuffle(block)
         perm.extend(block)
         start += size
-    return [[n[perm[i]][perm[j]] for j in range(len(n))]
-            for i in range(len(n))]
+    return rows_of([[n[perm[i]][perm[j]] for j in range(len(n))]
+                    for i in range(len(n))])
 
 
 def _invariants(n):

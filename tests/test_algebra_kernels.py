@@ -3,16 +3,20 @@
 Random symmetric integer forms (sparse, with an all-zero diagonal, or of
 low rank) go through ``sparse_signature`` and the dense congruence
 elimination; random integer matrices (negative entries, big integers,
-zero rows, mu = 0) through ``mat_mul`` and the scalar triple loop, and
+zero rows, mu = 0) through ``sparse_mul`` and the scalar triple loop, and
 through the packed-row ``char_poly`` and ``trace_powers`` and their dense
 versions, whose intermediate matrices must also respect the certified
-slot bounds.  The slot test of ``char_poly``'s narrow rungs is checked on
-its own at the edges of its range, and the ladder of rungs on chord sets,
-the families and a first rung forced down to one bit.  Known answers pin
-the signature and the characteristic polynomial on the zigzag and coil
-families, the signature at mu of about 2000, where the dense elimination
-cannot go.  The monodromy's forward substitution equals the series
-(Id - tN + (tN)^2)(Id + N) on the zoo, the families and chord sets.
+slot bounds.  Random strictly upper triangular N, on sparse rows, go
+through N^2, the nilpotency guard, the flag traces, the signature and the
+monodromy, against the same routines on the dense N.  The slot test of
+``char_poly``'s narrow rungs is checked on its own at the edges of its
+range, and the ladder of rungs on chord sets, the families and a first
+rung forced down to one bit.  Known answers pin the signature and the
+characteristic polynomial on the zigzag and coil families, and the
+signature, the flag traces and the nilpotency guard at mu of about
+2 * 10^4, where no dense matrix can go.  The monodromy's forward
+substitution equals the series (Id - tN + (tN)^2)(Id + N) on the zoo,
+the families and chord sets.
 """
 
 import time
@@ -22,14 +26,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from divides import (
-    build_gamma, char_poly, coil, compute_faces, fixture, from_chords,
-    gen_chords, matrix_N, monodromy_matrix, packed, seifert, signature,
-    trace_powers, zigzag,
+    build_gamma, char_poly, coil, compute_faces, counts, fixture,
+    from_chords, gen_chords, matrix_N, monodromy_matrix, packed, seifert,
+    signature, trace_powers, zigzag,
 )
-from divides.seifert import mat_mul, sparse_signature
+from divides.seifert import (
+    _flag_traces, mat_trace, nilpotent_square, sparse_mul, sparse_signature,
+)
 from divides.walks import K_CAP
 
 import algebra_oracle
+from algebra_oracle import dense, is_zero, mat_mul, rows_of, transpose
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
@@ -119,18 +126,75 @@ def integer_matrices(draw):
 
 @PROPERTY
 @given(integer_matrices())
-def test_mat_mul_matches_scalar_oracle(ab):
-    a, b = ab
-    before = [row[:] for row in b]
-    out = mat_mul(a, b)
-    assert out == algebra_oracle.mat_mul(a, b)
+def test_sparse_mul_matches_scalar_oracle(ab):
+    a, b = (rows_of(x) for x in ab)
+    before = [dict(row) for row in b]
+    out = sparse_mul(a, b)
+    # rows_of keeps nonzeros only: a cancelled entry must be dropped
+    assert out == rows_of(mat_mul(*ab))
     assert b == before
     # no row of the product is a row of b: callers mutate the product
     assert all(r is not s for r in out for s in b)
 
 
-def test_mat_mul_dimension_zero():
-    assert mat_mul([], []) == []
+def test_sparse_mul_dimension_zero():
+    assert sparse_mul([], []) == []
+
+
+@st.composite
+def upper_rows(draw):
+    """Strictly upper triangular N as sparse rows, entries in -3..3.  In
+    "layered" draws every entry joins a lower layer of three to a higher
+    one, as on a divide's diagram, so N^3 = 0."""
+    mu = draw(st.integers(0, 8))
+    layered = draw(st.booleans())
+    layer = sorted(draw(st.integers(0, 2)) for _ in range(mu))
+    rows = [{} for _ in range(mu)]
+    for i in range(mu):
+        for j in range(i + 1, mu):
+            x = draw(small)
+            if x and (layer[i] < layer[j] or not layered):
+                rows[i][j] = x
+    return rows
+
+
+def test_sparse_n_matches_dense_oracle():
+    # the draws must reach a guard that raises, one that passes, and one
+    # that passes because length-3 paths cancel
+    seen = set()
+
+    @PROPERTY
+    @given(upper_rows())
+    # 0 -> 1 -> 2 -> 4 and 0 -> 1 -> 3 -> 4 carry +1 and -1
+    @example([{1: 1}, {2: 1, 3: 1}, {4: 1}, {4: -1}, {}])
+    def check(rows):
+        n = dense(rows)
+        n2 = mat_mul(n, n)
+        assert sparse_mul(rows, rows) == rows_of(n2), rows
+        nt = transpose(n)
+        assert _flag_traces(rows, sparse_mul(rows, rows)) == (
+            mat_trace(mat_mul(nt, n)),
+            mat_trace(mat_mul(mat_mul(nt, nt), n))), rows
+        assert signature(rows) == algebra_oracle.signature(n), rows
+        if not is_zero(mat_mul(n2, n)):
+            seen.add("raises")
+            for guarded in (nilpotent_square, monodromy_matrix):
+                with pytest.raises(ValueError, match="nilpotency"):
+                    guarded(rows)
+            return
+        seen.add("passes")
+        paths = dense([{j: abs(x) for j, x in r.items()} for r in rows])
+        if not is_zero(mat_mul(mat_mul(paths, paths), paths)):
+            seen.add("cancelled")
+        sq = nilpotent_square(rows)
+        assert sq == rows_of(n2), rows
+        assert (not any(sq)) == is_zero(n2), rows      # n_square_zero
+        assert monodromy_matrix(rows) \
+            == algebra_oracle.monodromy_series(n), rows
+        assert monodromy_matrix(rows, sq) == monodromy_matrix(rows), rows
+
+    check()
+    assert seen == {"raises", "passes", "cancelled"}
 
 
 @st.composite
@@ -308,13 +372,19 @@ def test_trace_powers_at_mu_200():
 
 
 def test_signature_at_scale():
-    # mu about 2000: the form is positive definite on both families
-    for m in (zigzag(1000), coil(1000)):
-        n = n_of(m)
+    # mu about 2 * 10^4, where a dense N would hold 4 * 10^8 entries: the
+    # form is positive definite on both families, and neither has a flag
+    for m in (zigzag(10000), coil(10000)):
+        g = build_gamma(m, compute_faces(m))
+        c = counts(g)
+        n = matrix_N(g)
         t0 = time.perf_counter()
-        assert signature(n) == len(n)
-        # the dense elimination needs hours here; the sparse one, well
-        # under a second on a 2-vCPU host
+        n2 = nilpotent_square(n)
+        assert _flag_traces(n, n2) == (c.e, c.f)
+        assert (not any(n2)) == (c.f == 0)
+        assert signature(n) == c.mu
+        # the dense elimination needs days here; the sparse one, under a
+        # second on a 2-vCPU host
         assert time.perf_counter() - t0 < 10
 
 
@@ -331,8 +401,8 @@ def test_monodromy_matches_series_oracle(zoo):
     maps += _chord_maps()
     for name, m in maps:
         n = n_of(m)
-        assert monodromy_matrix(n) == algebra_oracle.monodromy_series(n), \
-            name
+        assert monodromy_matrix(n) \
+            == algebra_oracle.monodromy_series(dense(n)), name
 
 
 def test_signature_matches_dense_oracle(zoo, monkeypatch):
@@ -343,7 +413,7 @@ def test_signature_matches_dense_oracle(zoo, monkeypatch):
     maps += _chord_maps()
     for name, m in maps:
         n = n_of(m)
-        assert signature(n) == algebra_oracle.signature(n), name
+        assert signature(n) == algebra_oracle.signature(dense(n)), name
     for k in range(1, 21):
         assert signature(n_of(zigzag(k))) == 2 * k - 1
         assert signature(n_of(coil(k))) == 2 * k

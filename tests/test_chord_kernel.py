@@ -12,7 +12,10 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from divides import Chord, ChordSet, DivideError, from_chords, gen_chords
+from divides import (
+    Chord, ChordSet, DivideError, chords_document, chords_from_document,
+    from_chords, gen_chords,
+)
 from divides.generators import (
     _GRID, _arrangement, _grid_param, chords_to_map_document,
 )
@@ -120,7 +123,8 @@ def test_concurrent_off_center():
 
 
 def test_each_caller_runs_the_kernel_once(monkeypatch):
-    cs = gen_chords(6, 12)
+    # the general-position check of gen_chords and chords_from_document
+    # keeps its arrangement on the set, and the map and the picture reuse it
     runs = 0
     real = _arrangement
 
@@ -134,7 +138,16 @@ def test_each_caller_runs_the_kernel_once(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is real:
                     monkeypatch.setattr(mod, attr, counted)
+    cs = gen_chords(6, 12)
+    assert cs.rejections == 0
     from_chords(cs)
     assert runs == 1
     render_chords_svg(cs)
-    assert runs == 2
+    assert runs == 1
+    runs = 0
+    from_chords(chords_from_document(chords_document(cs)))
+    assert runs == 1
+    # a set built by hand carries none: its reader runs the kernel
+    runs = 0
+    from_chords(ChordSet(chords=cs.chords))
+    assert runs == 1

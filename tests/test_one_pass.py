@@ -11,7 +11,7 @@ import pytest
 
 import divides
 from divides import (
-    build_report, from_chords, gen_chords, run_corpus, seifert,
+    build_report, fixture, from_chords, gen_chords, run_corpus, seifert,
     verify_theorem, zigzag,
 )
 
@@ -69,22 +69,27 @@ def test_run_corpus_runs_the_chain_once_per_instance(calls):
 
 
 def test_verify_theorem_fixed_products(monkeypatch):
-    # N^2 and N^3 in monodromy_matrix's nilpotency guard, whose forward
-    # substitution makes none, and 1 for N^2; char_poly and trace_powers
-    # work on packed rows and make none
+    # no dense product at all: N, N^2 and N^3 are sparse rows, N^2 formed
+    # once for the nilpotency guard and the flag traces; the forward
+    # substitution, char_poly and trace_powers multiply no matrices
+    assert not hasattr(seifert, "mat_mul")
+    assert not hasattr(seifert, "is_zero")
     made = 0
-    real = seifert.mat_mul
+    real = seifert.sparse_mul
 
     def counted(a, b):
         nonlocal made
         made += 1
         return real(a, b)
 
-    monkeypatch.setattr(seifert, "mat_mul", counted)
-    rep = verify_theorem(zigzag(6))
-    assert rep.mu == 11
-    assert made == 3
-    made = 0
-    seifert.char_poly(rep.t)
-    seifert.trace_powers(rep.t, 64)
-    assert made == 0
+    monkeypatch.setattr(seifert, "sparse_mul", counted)
+    # FIG2A carries a multi-edge: one entry for several edges
+    for m, mu in ((zigzag(6), 11), (fixture("FIG2A"), 4)):
+        made = 0
+        rep = verify_theorem(m)
+        assert rep.mu == mu
+        assert made == 2
+        assert all(type(row) is dict for row in rep.n)
+        distinct = {(e.i - 1, e.j - 1) for e in rep.gamma.edges}
+        assert sum(len(row) for row in rep.n) == len(distinct)
+    assert len(distinct) < len(rep.gamma.edges)

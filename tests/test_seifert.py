@@ -13,16 +13,16 @@ from divides import (
     newton_power_sums, signature, trace_powers, verify_theorem,
 )
 from divides.seifert import (
-    _flag_traces, _lefschetz, det_from_char_poly, is_zero, mat_mul,
-    mat_trace, sparse_signature,
+    _flag_traces, _lefschetz, det_from_char_poly, mat_trace,
+    sparse_mul, sparse_signature,
 )
 
 import algebra_oracle
-from algebra_oracle import identity, transpose
+from algebra_oracle import dense, identity, is_zero, mat_mul, transpose
 
 # a length-4 chain is strictly upper triangular but not cube-zero, so it
 # cannot be the matrix of any divide diagram
-CHAIN4 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+CHAIN4 = [{1: 1}, {2: 1}, {3: 1}, {}]
 
 
 def n_of(name_or_map):
@@ -32,24 +32,23 @@ def n_of(name_or_map):
 
 class TestMatrixN:
     def test_x1(self):
-        assert n_of("X1") == [[0]]
+        assert n_of("X1") == [{}]
 
     def test_loop(self):
-        assert n_of("LOOP") == [[0, 1], [0, 0]]
+        assert n_of("LOOP") == [{1: 1}, {}]
 
     def test_lens(self):
-        assert n_of("LENS") == [[0, 1, 1], [0, 0, 0], [0, 0, 0]]
+        assert n_of("LENS") == [{1: 1, 2: 1}, {}, {}]
 
     def test_strictly_upper(self, zoo):
         for name, m in zoo:
             n = n_of(m)
-            for i in range(len(n)):
-                for j in range(i + 1):
-                    assert n[i][j] == 0, name
+            for i, row in enumerate(n):
+                assert all(i < j < len(n) and x for j, x in row.items()), name
 
     def test_n_cube_zero(self, zoo):
         for name, m in zoo:
-            n = n_of(m)
+            n = dense(n_of(m))
             assert is_zero(mat_mul(mat_mul(n, n), n)), name
 
 
@@ -61,8 +60,8 @@ class TestMonodromy:
         assert monodromy_matrix(n_of("LOOP")) == [[1, 1], [-1, 0]]
 
     def test_lens(self):
-        n = n_of("LENS")
-        t = monodromy_matrix(n)
+        n = dense(n_of("LENS"))
+        t = monodromy_matrix(n_of("LENS"))
         assert t == [[1, 1, 1], [-1, 0, -1], [-1, -1, 0]]
         # defining relation: t(Id+N) T = Id+N
         s = [[(1 if i == j else 0) + n[i][j] for j in range(3)]
@@ -71,23 +70,40 @@ class TestMonodromy:
 
     def test_defining_relation(self, zoo):
         for name, m in zoo:
-            n = n_of(m)
+            n = dense(n_of(m))
             mu = len(n)
             s = [[(1 if i == j else 0) + n[i][j] for j in range(mu)]
                  for i in range(mu)]
-            assert mat_mul(transpose(s), monodromy_matrix(n)) == s, name
+            assert mat_mul(transpose(s), monodromy_matrix(n_of(m))) == s, \
+                name
 
     def test_nilpotency_guard(self):
         with pytest.raises(ValueError, match="nilpotency"):
             monodromy_matrix(CHAIN4)
         with pytest.raises(ValueError, match="nilpotency"):
-            algebra_oracle.monodromy_series(CHAIN4)
+            algebra_oracle.monodromy_series(dense(CHAIN4))
 
     def test_entry_on_or_below_diagonal_rejected(self):
-        # the forward substitution needs N strictly upper triangular
-        for n in ([[0, 0], [1, 0]], [[1]], [[0, 1, 0], [0, 0, 0], [0, 2, 0]]):
+        # the forward substitution needs N strictly upper triangular; a
+        # column past the last is outside the matrix
+        for n in ([{}, {0: 1}], [{0: 1}], [{1: 1}, {}, {1: 2}], [{2: 1}, {}]):
             with pytest.raises(ValueError, match="not above the diagonal"):
                 monodromy_matrix(n)
+
+    def test_guards_survive_optimize(self):
+        # python -O strips assert statements; both guards must still raise
+        code = ("from divides import monodromy_matrix\n"
+                "for n in ([{}, {0: 1}], [{1: 1}, {2: 1}, {3: 1}, {}]):\n"
+                "    try:\n"
+                "        monodromy_matrix(n)\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        src = str(Path(divides.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == ("N[1][0] = 1 is not above the diagonal\n"
+                              "nilpotency violation: (tN)^3 != 0\n")
 
     def test_dimension_zero(self):
         assert monodromy_matrix([]) == []
@@ -119,9 +135,10 @@ class TestLefschetz:
         maps += [from_chords(gen_chords(n, s))
                  for n in range(5, 9) for s in range(100, 105)]
         for m in maps:
-            n = n_of(m)
+            rows = n_of(m)
+            n = dense(rows)
             nt = transpose(n)
-            assert _flag_traces(n, mat_mul(n, n)) == (
+            assert _flag_traces(rows, sparse_mul(rows, rows)) == (
                 mat_trace(mat_mul(nt, n)),
                 mat_trace(mat_mul(mat_mul(nt, nt), n)))
 
@@ -246,8 +263,8 @@ class TestSignature:
         assert signature(n_of("LENS")) == 3
 
     def test_degenerate(self):
-        assert signature([[0, 2], [0, 0]]) == 1     # form [[2,2],[2,2]]
-        assert signature([[0, 1], [-1, 0]]) == 2    # form [[2,0],[0,2]]
+        assert signature([{1: 2}, {}]) == 1         # form [[2,2],[2,2]]
+        assert signature([{1: 1}, {0: -1}]) == 2    # form [[2,0],[0,2]]
 
     def test_symmetric_core_block_pivot(self):
         # (dense form, its sparse rows {j: value}, signature)
@@ -270,7 +287,7 @@ class TestSignature:
         # when every leading principal minor is nonzero, the signature is
         # the number of sign agreements minus disagreements along them
         for name, m in zoo:
-            n = n_of(m)
+            n = dense(n_of(m))
             mu = len(n)
             q = [[(2 if i == j else 0) + n[i][j] + n[j][i]
                   for j in range(mu)] for i in range(mu)]
@@ -286,7 +303,7 @@ class TestSignature:
                 continue
             sig = sum(1 if minors[i - 1] * minors[i] > 0 else -1
                       for i in range(1, mu + 1))
-            assert signature(n) == sig, name
+            assert signature(n_of(m)) == sig, name
 
 
 def _det_int(a):
@@ -316,7 +333,7 @@ class TestVerifyTheorem:
         # n_cube_zero is graded pass without a product of its own, which
         # holds only because a nonzero N^3 never gets past monodromy_matrix
         monkeypatch.setattr(divides.seifert, "matrix_N",
-                            lambda gamma: [row[:] for row in CHAIN4])
+                            lambda gamma: [dict(row) for row in CHAIN4])
         with pytest.raises(ValueError, match="nilpotency"):
             verify_theorem(fixture("LENS"))
 
