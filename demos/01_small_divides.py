@@ -1,7 +1,9 @@
 """Tour of the smallest divides: one crossing, one curl, one lens.
 
 Walks the whole pipeline by hand: parse the map, trace faces, classify,
-build the diagram, and read off the exact invariants.
+build the diagram, and read off the exact invariants.  N and T print as
+the library holds them, as sparse rows: row i maps each column j of a
+nonzero entry to that entry.
 """
 
 from divides import (

@@ -113,7 +113,7 @@ def _build_map(endpoints, crossings, edges) -> DivideMap:
 
     # slot tables: endpoints have 1 slot, crossings 4
     end_slot: list[int | None] = [None] * n_end
-    cross_slots: list[list[int | None]] = [[None] * 4 for _ in range(n_cross)]
+    cross_slots = [[None] * 4 for _ in range(n_cross)]
 
     for k, ((va, sa), (vb, sb)) in enumerate(edges):
         for d, (v, s) in ((2 * k, (va, sa)), (2 * k + 1, (vb, sb))):

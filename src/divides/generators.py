@@ -129,7 +129,7 @@ def _arrangement(chords) -> _Arrangement:
     lines = [_cross(p, q) for p, q in ends]
 
     pairs, points, signs = [], [], []
-    along: list[list[int]] = [[] for _ in range(n)]
+    along = [[] for _ in range(n)]
     for i in range(n):
         lo, hi = sorted(rank[2 * i:2 * i + 2])
         for j in range(i + 1, n):

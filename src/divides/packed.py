@@ -1,4 +1,4 @@
-"""Matrix rows packed into single Python ints (Kronecker substitution).
+"""Sparse rows packed into single Python ints (Kronecker substitution).
 
 Row i of an integer matrix M is held as the int sum_j M_ij 2^(w j): slot
 j of width w holds entry j as a signed base-2^w digit, so adding or
@@ -11,18 +11,18 @@ Every function here is exact for int entries only.
 
 from __future__ import annotations
 
-from itertools import compress
 
-
-def row_terms(t: list[list[int]]) -> list:
-    """Per row of t: the columns of its 1s and of its -1s, and its other
-    nonzeros as (column, entry), in one pass over the row's nonzeros.  Only
-    int entries pack exactly; a zero of any type packs as nothing."""
-    cols, terms = range(len(t)), []
+def row_terms(t: list[dict[int, int]]) -> list:
+    """Per sparse row {j: entry} of t: the columns of its 1s and of its
+    -1s, and its other nonzeros as (column, entry), in one pass over the
+    row's items.  Only int entries pack exactly; a stored zero of any type
+    packs as nothing."""
+    terms = []
     for row in t:
         plus, minus, other = [], [], []
-        for j in compress(cols, row):
-            x = row[j]
+        for j, x in row.items():
+            if not x:
+                continue
             if not isinstance(x, int):
                 raise ArithmeticError(
                     "packed rows are not exact for a non-integer")

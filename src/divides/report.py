@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .divide_map import DivideError, DivideMap
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
-from .seifert import mat_trace, signature, trace_powers, verify_theorem
-from .walks import K_CAP, K_DEFAULT, adjacency
+from .seifert import signature, trace_powers, verify_theorem
+from .walks import K_CAP, K_DEFAULT
 
 LATTICE_GENUS_NOTE = (
     "(mu - r + 1)/2 computed from the lattice rank; no claim is made tying "
@@ -74,7 +75,7 @@ def build_report(m: DivideMap, source: str = "",
         chi_body=thm.chi_body,
         slalom=thm.n_square_zero,
         lambda_formula=thm.lam,
-        lambda_trace=1 - mat_trace(thm.t),
+        lambda_trace=1 - sum(row.get(i, 0) for i, row in enumerate(thm.t)),
         char_poly=thm.char_poly,
         signature=signature(thm.n),
         lattice_genus=[genus.numerator, genus.denominator],
@@ -214,9 +215,12 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
 
 
 def _walk_sanity(gamma, e: int) -> list[str]:
-    # M = N + tN.  Chord diagrams never carry multi-edges, so Tr(M^2) = 2e
-    # here; a multi-edge would make it 2 * sum of squared multiplicities
-    tr_m, tr_m2 = trace_powers(adjacency(gamma), 2)
+    # M = N + tN off the edge list: an edge repeated m times puts m at
+    # (i, j) and (j, i), a loop 2m at (i, i), and Tr(M^2) sums the squared
+    # entries.  Chord diagrams never carry multi-edges, so Tr(M^2) = 2e
+    mult = Counter((min(x.i, x.j), max(x.i, x.j)) for x in gamma.edges)
+    tr_m = 2 * sum(m for (i, j), m in mult.items() if i == j)
+    tr_m2 = 2 * sum(m * m * (1 + (i == j)) for (i, j), m in mult.items())
     failed = []
     if tr_m != 0:
         failed.append("walk_trace_M_zero")

@@ -3,11 +3,12 @@
 Everything here runs over arbitrary-precision integers (rationals only
 inside the signature elimination); every quantity of interest is an exact
 integer identity and floating point would make the checks meaningless.
-N is held as sparse rows, row i a dict {j: N[i][j]}: N^2, N^3, the flag
-traces and the signature form are read off them.  T = (Id + tN)^-1 (Id + N)
-is a list of lists of ints from one forward substitution, since N is
-strictly upper triangular and Id + tN unit lower triangular.  The
-dimension mu may be 0: then every trace is 0 and the Lefschetz number is 1.
+Every matrix is held as sparse rows, row i a dict {j: value} of its
+nonzero entries.  N^2, N^3, the flag traces and the signature form are read
+off the rows of N; T = (Id + tN)^-1 (Id + N) is one forward substitution
+on them, since N is strictly upper triangular and Id + tN unit lower
+triangular.  The dimension mu may be 0: then every trace is 0 and the
+Lefschetz number is 1.
 The characteristic polynomial and the traces Tr(T^k) hold row i as the int
 sum_j v_j 2^(w j), so a row operation is one big-integer add.  The traces
 take w from a bound certified by T alone.  The characteristic polynomial
@@ -27,9 +28,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from math import isqrt, prod
-from operator import mul, neg, sub
+from operator import mul, neg
 
 from . import packed
 from .divide_map import DivideMap, classify, compute_faces
@@ -38,7 +38,6 @@ from .dynkin import (
     has_multi_edge,
 )
 
-Matrix = list[list[int]]
 Rows = list[dict[int, int]]
 
 
@@ -52,10 +51,6 @@ def sparse_mul(a: Rows, b: Rows) -> Rows:
                 row[j] = row.get(j, 0) + x * y
         out.append({j: v for j, v in row.items() if v})
     return out
-
-
-def mat_trace(a: Matrix) -> int:
-    return sum(a[i][i] for i in range(len(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +85,15 @@ def nilpotent_square(n: Rows) -> Rows:
     return n2
 
 
-def monodromy_matrix(n: Rows, n2: Rows | None = None) -> Matrix:
-    """Dense T = (Id + tN)^-1 (Id + N) from the rows of N, by one forward
-    substitution.
+def monodromy_matrix(n: Rows, n2: Rows | None = None) -> Rows:
+    """T = (Id + tN)^-1 (Id + N) as sparse rows, from those of N, by one
+    forward substitution.
 
     Id + tN is unit lower triangular, so (Id + tN) T = Id + N gives row i
     of T as row i of Id + N minus N[k][i] T[k] over the entries N[k][i],
-    k < i.  ``nilpotent_square`` guards N first, unless its N^2 is passed
-    in.  T is integral with det 1.
+    k < i; entries that cancel to zero are dropped.  ``nilpotent_square``
+    guards N first, unless its N^2 is passed in.  T is integral with
+    det 1.
     """
     if n2 is None:
         nilpotent_square(n)
@@ -107,14 +103,12 @@ def monodromy_matrix(n: Rows, n2: Rows | None = None) -> Matrix:
             above[i].append((k, x))
     t = []
     for i, row in enumerate(n):
-        ti = [0] * len(n)
-        ti[i] = 1
-        for j, x in row.items():
-            ti[j] += x
+        ti = {i: 1}
+        ti.update(row)
         for k, x in above[i]:
-            ti = (list(map(sub, ti, t[k])) if x == 1
-                  else [u - x * v for u, v in zip(ti, t[k])])
-        t.append(ti)
+            for j, y in t[k].items():
+                ti[j] = ti.get(j, 0) - x * y
+        t.append({j: v for j, v in ti.items() if v})
     return t
 
 
@@ -132,19 +126,20 @@ def _flag_traces(n: Rows, n2: Rows) -> tuple[int, int]:
                 for j, x in r.items()))
 
 
-def _lefschetz(mu: int, tr_ntn: int, tr_nt2n: int, t: Matrix) -> int:
+def _lefschetz(mu: int, tr_ntn: int, tr_nt2n: int, t: Rows) -> int:
     """The formula route from its traces, checked against 1 - Tr(T)."""
     lam = 1 - mu + tr_ntn - tr_nt2n
-    lam_trace = 1 - mat_trace(t)
+    lam_trace = 1 - sum(row.get(i, 0) for i, row in enumerate(t))
     if lam != lam_trace:
         raise ArithmeticError(
             f"lefschetz routes disagree: formula {lam}, trace {lam_trace}")
     return lam
 
 
-def trace_powers(t: Matrix, k_max: int) -> list[int]:
-    """Exact traces Tr(T^k) for k = 1..k_max, on packed rows: every entry
-    of T^k is at most |T|^k, |T| the largest absolute row sum."""
+def trace_powers(t: Rows, k_max: int) -> list[int]:
+    """Exact traces Tr(T^k) for k = 1..k_max of T given as sparse rows, on
+    packed rows: every entry of T^k is at most |T|^k, |T| the largest
+    absolute row sum."""
     terms = packed.row_terms(t)
     w = (packed.row_norm(terms) ** max(k_max, 0)).bit_length() + 1
     rows, out = [1 << (w * i) for i in range(len(t))], []
@@ -161,8 +156,9 @@ def trace_powers(t: Matrix, k_max: int) -> list[int]:
 FIRST_RUNG_BITS = 12     # b of the first narrow rung; doubled per rung
 
 
-def char_poly(t: Matrix) -> list[int]:
-    """Monic characteristic polynomial of T, constant term first.
+def char_poly(t: Rows) -> list[int]:
+    """Monic characteristic polynomial of T, given as sparse rows, constant
+    term first.
 
     Faddeev-LeVerrier on packed rows: M_k = T M_(k-1) + a_k Id from M_0 = Id
     with a_k = -Tr(T M_(k-1))/k, checked for exact division and for M_mu = 0
@@ -224,21 +220,15 @@ def _faddeev(terms, rows: list[int], w: int, coeffs_desc: list[int],
     return rows
 
 
-def _faddeev_width(t: Matrix) -> int:
-    """Slots for 2H, with c_j the norm of column j of |Id| + |T|."""
+def _faddeev_width(t: Rows) -> int:
+    """Slots for 2H, with c_j the norm of column j of |Id| + |T|, from
+    the nonzeros of T: a stored zero of any type adds nothing."""
     col_sq = [1] * len(t)
     for i, row in enumerate(t):
-        for j in compress(range(len(row)), row):
-            col_sq[j] += row[j] ** 2 + 2 * abs(row[j]) * (i == j)
+        for j, x in row.items():
+            if x:
+                col_sq[j] += x * x + 2 * abs(x) * (i == j)
     return (2 * isqrt(prod(col_sq)) + 2).bit_length() + 1
-
-
-def poly_eval(coeffs: list[int], x: int) -> int:
-    """Evaluate a constant-first coefficient list at an integer."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def det_from_char_poly(coeffs: list[int]) -> int:
@@ -375,8 +365,8 @@ class TheoremReport:
     ``checks`` maps check names to pass/fail/n/a.  The multi-edge versus
     cellularity comparison is a finding, not a check: it is recorded in
     ``findings`` when the two disagree and never fails a run.  The chain's
-    artifacts (diagram, N as sparse rows, T, characteristic polynomial and
-    the traces Tr(T^k), k = 1..min(12, mu + 2)) ride along for reuse.
+    artifacts (diagram, N and T as sparse rows, characteristic polynomial
+    and the traces Tr(T^k), k = 1..min(12, mu + 2)) ride along for reuse.
     """
     stats: object
     mu: int
@@ -387,7 +377,7 @@ class TheoremReport:
     n_square_zero: bool
     gamma: Gamma
     n: Rows
-    t: Matrix
+    t: Rows
     char_poly: list[int]
     traces: list[int]
     checks: dict = field(default_factory=dict)
@@ -436,7 +426,8 @@ def verify_theorem(m: DivideMap) -> TheoremReport:
     # nilpotent_square raised above unless N^3 = 0: passes by construction
     grade("n_cube_zero", True, True)
     grade("slalom_equiv_n2_f", True, n_square_zero == (cnt.f == 0))
-    grade("lefschetz_two_routes", True, lam == 1 - mat_trace(t))
+    grade("lefschetz_two_routes", True,
+          lam == 1 - sum(row.get(i, 0) for i, row in enumerate(t)))
     grade("det_seifert_one", True,      # Id + N is triangular
           prod(1 + row.get(i, 0) for i, row in enumerate(n)) == 1)
     grade("det_monodromy_one", True, det_from_char_poly(cp) == 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynkin import Gamma
-from .seifert import Matrix, matrix_N, monodromy_matrix, trace_powers
+from .seifert import Rows, matrix_N, monodromy_matrix, trace_powers
 
 K_DEFAULT = 12
 K_CAP = 64      # bounds arbitrary-precision growth in reports
@@ -29,14 +29,15 @@ class WalkTable:
         return "\n".join(lines) + "\n"
 
 
-def adjacency(gamma: Gamma) -> Matrix:
-    """Symmetric adjacency matrix of the diagram, M = N + tN, built from
-    the edge list as ``matrix_N`` builds N: each edge (i, j) adds 1 to
-    M[i][j] and to M[j][i]."""
-    m = [[0] * gamma.mu for _ in range(gamma.mu)]
+def adjacency(gamma: Gamma) -> Rows:
+    """Symmetric adjacency matrix of the diagram, M = N + tN, as sparse
+    rows built from the edge list as ``matrix_N`` builds N: each edge
+    (i, j) adds 1 to M[i][j] and to M[j][i]."""
+    m = [{} for _ in range(gamma.mu)]
     for e in gamma.edges:
-        m[e.i - 1][e.j - 1] += 1
-        m[e.j - 1][e.i - 1] += 1
+        i, j = e.i - 1, e.j - 1
+        m[i][j] = m[i].get(j, 0) + 1
+        m[j][i] = m[j].get(i, 0) + 1
     return m
 
 

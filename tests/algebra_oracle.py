@@ -1,10 +1,12 @@
 """The dense exact routines, kept as oracles for the library's kernels.
 
-The library holds N as sparse rows; ``dense`` lays them out as a list of
-lists for these routines.  ``mat_mul`` is the scalar triple loop the
-sparse row products replaced, ``is_zero`` the dense zero test,
-``monodromy_series`` the series (Id - tN + (tN)^2)(Id + N) the forward
-substitution replaced, ``signature_symmetric`` the dense congruence
+The library holds N, T and the adjacency matrix as sparse rows; ``dense``
+lays them out as a list of lists for these routines.  ``mat_mul`` is the
+scalar triple loop the sparse row products replaced, ``mat_trace`` and
+``is_zero`` the dense trace and zero test, ``monodromy_series`` the
+series (Id - tN + (tN)^2)(Id + N) the forward substitution replaced,
+``monodromy_acampo`` A'Campo's product of three multi-twists, which
+shares no step with either, ``signature_symmetric`` the dense congruence
 elimination the sparse minimum-degree signature replaced, and
 ``char_poly``/``trace_powers`` the dense Faddeev-LeVerrier and matrix
 powers the packed-row kernel replaced.  All of them are cubic or worse in
@@ -41,6 +43,29 @@ def mat_add(a, b):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_trace(a):
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def monodromy_acampo(n, sizes):
+    """T = (Id + D+ Q)(Id + D. Q)(Id + D- Q) with Q = N - tN, where D_c
+    keeps the rows of the vertices of colour c and sizes = (n_minus,
+    n_double, n_plus) numbers them minus first, then double, then plus:
+    the monodromy of a divide as the product of the three multi-twists
+    along its minus, double and plus vanishing cycles (A'Campo, *Generic
+    immersions of curves, knots, monodromy and gordian number*, Publ.
+    Math. IHES 88, 1998)."""
+    q = mat_sub(n, transpose(n))
+    out, start = identity(len(n)), 0
+    for size in sizes:
+        twist = identity(len(n))
+        for i in range(start, start + size):
+            twist[i] = [x + y for x, y in zip(twist[i], q[i])]
+        out = mat_mul(twist, out)
+        start += size
+    return out
 
 
 def monodromy_series(n):

@@ -13,10 +13,11 @@ monodromy, against the same routines on the dense N.  The slot test of
 range, and the ladder of rungs on chord sets, the families and a first
 rung forced down to one bit.  Known answers pin the signature and the
 characteristic polynomial on the zigzag and coil families, and the
-signature, the flag traces and the nilpotency guard at mu of about
-2 * 10^4, where no dense matrix can go.  The monodromy's forward
-substitution equals the series (Id - tN + (tN)^2)(Id + N) on the zoo,
-the families and chord sets.
+signature, the flag traces, the nilpotency guard and the Lefschetz
+number by both routes at mu of about 2 * 10^4, where no dense matrix can
+go.  The monodromy's forward substitution equals the series
+(Id - tN + (tN)^2)(Id + N) on the zoo, the families and chord sets, and
+A'Campo's product of three multi-twists on fewer of them.
 """
 
 import time
@@ -27,16 +28,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from divides import (
     build_gamma, char_poly, coil, compute_faces, counts, fixture,
-    from_chords, gen_chords, matrix_N, monodromy_matrix, packed, seifert,
-    signature, trace_powers, zigzag,
+    from_chords, gen_chords, lefschetz_number, matrix_N, monodromy_matrix,
+    packed, seifert, signature, trace_powers, zigzag,
 )
 from divides.seifert import (
-    _flag_traces, mat_trace, nilpotent_square, sparse_mul, sparse_signature,
+    _flag_traces, nilpotent_square, sparse_mul, sparse_signature,
 )
 from divides.walks import K_CAP
 
 import algebra_oracle
-from algebra_oracle import dense, is_zero, mat_mul, rows_of, transpose
+from algebra_oracle import (
+    dense, is_zero, mat_mul, mat_trace, rows_of, transpose,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
@@ -189,7 +192,7 @@ def test_sparse_n_matches_dense_oracle():
         sq = nilpotent_square(rows)
         assert sq == rows_of(n2), rows
         assert (not any(sq)) == is_zero(n2), rows      # n_square_zero
-        assert monodromy_matrix(rows) \
+        assert dense(monodromy_matrix(rows)) \
             == algebra_oracle.monodromy_series(n), rows
         assert monodromy_matrix(rows, sq) == monodromy_matrix(rows), rows
 
@@ -220,15 +223,17 @@ def hadamard_bound(t):
 @example(([[2 ** 80, -2 ** 80], [-(2 ** 80), 3]], K_CAP))
 def test_packed_kernels_match_dense_oracles(drawn):
     t, k_max = drawn
-    assert char_poly(t) == algebra_oracle.char_poly(t)
-    assert trace_powers(t, k_max) == algebra_oracle.trace_powers(t, k_max)
+    rows = rows_of(t)
+    assert char_poly(rows) == algebra_oracle.char_poly(t)
+    assert trace_powers(rows, k_max) \
+        == algebra_oracle.trace_powers(t, k_max)
     # the certificates themselves: every decoded Faddeev entry within 2H,
     # the library's width derived from that 2H, every entry of T^k within
     # |T|^k
     h = hadamard_bound(t)
     for m, _ in algebra_oracle.faddeev_products(t):
         assert all(abs(x) <= 2 * h for row in m for x in row)
-    assert seifert._faddeev_width(t) == (2 * h).bit_length() + 1
+    assert seifert._faddeev_width(rows) == (2 * h).bit_length() + 1
     norm = max((sum(map(abs, row)) for row in t), default=0)
     for k, p in enumerate(algebra_oracle.powers(t, k_max), 1):
         assert all(abs(x) <= norm ** k for row in p for x in row)
@@ -317,7 +322,7 @@ def test_char_poly_rungs_match_dense_oracle(monkeypatch):
         (f"chords({n}, {s})", from_chords(gen_chords(n, s)))
         for n in range(10, 16) for s in range(20)) if len(t) <= 32]
     for name, t in ts:
-        assert char_poly(t) == algebra_oracle.char_poly(t), name
+        assert char_poly(t) == algebra_oracle.char_poly(dense(t)), name
     assert rungs.whole() and rungs.resumed(True) and rungs.resumed(False)
 
 
@@ -334,11 +339,11 @@ def test_first_rung_at_one_bit_falls_through(monkeypatch, zoo):
     @example(([[-int(i == j) for j in range(16)] for i in range(16)], 0))
     def check(drawn):
         t, _ = drawn
-        assert char_poly(t) == algebra_oracle.char_poly(t), t
+        assert char_poly(rows_of(t)) == algebra_oracle.char_poly(t), t
 
     check()
     for name, t in _monodromies(zoo):
-        assert char_poly(t) == algebra_oracle.char_poly(t), name
+        assert char_poly(t) == algebra_oracle.char_poly(dense(t)), name
     assert rungs.gave_out(1) and rungs.resumed(True) \
         and rungs.resumed(False)
 
@@ -368,13 +373,16 @@ def test_char_poly_known_answers():
 def test_trace_powers_at_mu_200():
     for m in (zigzag(100), coil(100)):
         t = monodromy_matrix(n_of(m))
-        assert trace_powers(t, 12) == algebra_oracle.trace_powers(t, 12)
+        assert trace_powers(t, 12) \
+            == algebra_oracle.trace_powers(dense(t), 12)
 
 
 def test_signature_at_scale():
-    # mu about 2 * 10^4, where a dense N would hold 4 * 10^8 entries: the
-    # form is positive definite on both families, and neither has a flag
-    for m in (zigzag(10000), coil(10000)):
+    # mu about 2 * 10^4, where a dense N or T would hold 4 * 10^8 entries:
+    # the form is positive definite on both families, and neither has a
+    # flag; Tr(T) is 1 on zigzag(k) and k on coil(k), as their
+    # characteristic polynomials give
+    for m, lam in ((zigzag(10000), 0), (coil(10000), 1 - 10000)):
         g = build_gamma(m, compute_faces(m))
         c = counts(g)
         n = matrix_N(g)
@@ -386,6 +394,10 @@ def test_signature_at_scale():
         # the dense elimination needs days here; the sparse one, under a
         # second on a 2-vCPU host
         assert time.perf_counter() - t0 < 10
+        assert lefschetz_number(n) == lam
+        t = monodromy_matrix(n)
+        assert len(t) == c.mu
+        assert all(type(row) is dict and all(row.values()) for row in t)
 
 
 def _chord_maps():
@@ -401,8 +413,24 @@ def test_monodromy_matches_series_oracle(zoo):
     maps += _chord_maps()
     for name, m in maps:
         n = n_of(m)
-        assert monodromy_matrix(n) \
+        assert dense(monodromy_matrix(n)) \
             == algebra_oracle.monodromy_series(dense(n)), name
+
+
+def test_monodromy_matches_acampo_oracle(zoo):
+    # the product of the multi-twists along the minus, double and plus
+    # vanishing cycles, which needs the tricoloring, not only N^3 = 0
+    maps = list(zoo)
+    maps += [(f"zigzag({k})", zigzag(k)) for k in range(1, 11)]
+    maps += [(f"coil({k})", coil(k)) for k in range(1, 11)]
+    maps += [(f"chords({n}, {s})", from_chords(gen_chords(n, s)))
+             for n in range(3, 13) for s in range(10)]
+    for name, m in maps:
+        g = build_gamma(m, compute_faces(m))
+        n = matrix_N(g)
+        sizes = (g.n_minus, g.n_double, g.n_plus)
+        assert dense(monodromy_matrix(n)) \
+            == algebra_oracle.monodromy_acampo(dense(n), sizes), name
 
 
 def test_signature_matches_dense_oracle(zoo, monkeypatch):

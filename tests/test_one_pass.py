@@ -63,8 +63,10 @@ def test_build_report_extends_short_traces(calls):
 def test_run_corpus_runs_the_chain_once_per_instance(calls):
     count = 20
     assert run_corpus(count, 5, 7).ok()
+    # trace_powers once, in verify_theorem: the walk sanity checks read
+    # Tr(M) and Tr(M^2) off the edge list
     for name in ("compute_faces", "build_gamma", "matrix_N",
-                 "monodromy_matrix", "char_poly"):
+                 "monodromy_matrix", "char_poly", "trace_powers"):
         assert calls[name] == count, name
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -79,6 +80,28 @@ class TestCorpus:
         assert summary.ok()
         assert summary.simple == 0
         assert summary.slalom == 10
+
+    def test_doubled_edge_fails_the_handshake(self, monkeypatch):
+        # one edge doubled in each diagram: Tr(M^2) gains 6 over 2e, read
+        # off the edge list, and Tr(M) stays 0; seeds 101..103 at n = 6
+        # all have edges
+        import divides.report as report_mod
+        clean = run_corpus(3, 6, 101)
+        real = report_mod.verify_theorem
+
+        def doubled(m):
+            rep = real(m)
+            rep.gamma = replace(rep.gamma,
+                                edges=rep.gamma.edges + rep.gamma.edges[:1])
+            return rep
+
+        monkeypatch.setattr(report_mod, "verify_theorem", doubled)
+        summary = run_corpus(3, 6, 101)
+        assert summary.discrepancies == [(101, "walk_handshake_2e"),
+                                         (102, "walk_handshake_2e"),
+                                         (103, "walk_handshake_2e")]
+        assert summary.checks_failed == 3
+        assert summary.checks_passed == clean.checks_passed - 3
 
     def test_negative_count_rejected(self):
         with pytest.raises(DivideError, match="count"):
