@@ -13,17 +13,21 @@ Dart conventions used throughout the package:
 
 * edge ``k`` owns darts ``2k`` (its ``a`` end) and ``2k + 1`` (its ``b``
   end); boundary arcs are appended after the divide edges, so a dart is a
-  boundary dart iff its edge index is ``>= len(map.edges)``;
-* ``twin(d) == d ^ 1``;
+  boundary dart iff ``d >= 2 * len(map.edges)``;
+* the twin of dart ``d`` is ``d ^ 1``;
 * rotations are stored counterclockwise.  Face walks step from a dart to
   its twin and then to the next dart *clockwise* at the twin's vertex,
-  which makes every augmented-map face appear exactly once.
+  which makes every augmented-map face appear exactly once;
+* the corner between rotation positions ``i`` and ``i + 1`` (ccw) at
+  vertex ``v`` belongs to the face whose walk holds ``rotations[v][i]``:
+  a walk turns into that dart out of the corner.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 MINUS = -1
 PLUS = 1
@@ -101,10 +105,6 @@ class DivideMap:
         }
 
 
-def twin(d: int) -> int:
-    return d ^ 1
-
-
 def _build_map(endpoints, crossings, edges) -> DivideMap:
     """Assemble rotations for the augmented map and validate everything."""
     n_end = len(endpoints)
@@ -169,7 +169,7 @@ def _build_map(endpoints, crossings, edges) -> DivideMap:
         for i, d in enumerate(rot):
             dart_vertex[d] = v
             dart_pos[d] = i
-    walks = _trace_all_faces(rotations, dart_vertex, dart_pos)
+    walks = _trace_all_faces(rotations, n_darts)
 
     # tuple(list), not tuple(generator): resizing fills CPython's free lists
     m = DivideMap(
@@ -276,12 +276,11 @@ def trace_branches(m: DivideMap) -> list[tuple[int, ...]]:
         while True:
             walk.append(d)
             used_edges.add(d // 2)
-            t = twin(d)
+            t = d ^ 1
             v = m.dart_vertex[t]
-            if m.is_endpoint_vertex(v):
+            if v < n_end:
                 break
-            slot = m.dart_pos[t]
-            d = m.rotations[v][(slot + 2) % 4]
+            d = m.rotations[v][(m.dart_pos[t] + 2) % 4]
         branches.append(tuple(walk))
     if len(used_edges) != m.n_divide_edges:
         raise DivideError("closed branch detected (circular component)")
@@ -294,11 +293,20 @@ def trace_branches(m: DivideMap) -> list[tuple[int, ...]]:
 # faces
 # ---------------------------------------------------------------------------
 
-def _trace_all_faces(rotations, dart_vertex, dart_pos) -> tuple:
-    """All faces of the augmented map, each as its boundary dart walk."""
-    seen = [False] * len(dart_vertex)
+def _trace_all_faces(rotations, n_darts: int) -> tuple:
+    """All faces of the augmented map, each as its boundary dart walk.
+
+    Every walk starts at its smallest dart, and walks come in the order of
+    those darts.
+    """
+    # one walk step: from d to the dart clockwise of d ^ 1 at its vertex
+    step = [0] * n_darts
+    for rot in rotations:
+        for i, d in enumerate(rot):
+            step[d ^ 1] = rot[i - 1]
+    seen = [False] * n_darts
     walks = []
-    for d0 in range(len(dart_vertex)):
+    for d0 in range(n_darts):
         if seen[d0]:
             continue
         walk = []
@@ -306,9 +314,7 @@ def _trace_all_faces(rotations, dart_vertex, dart_pos) -> tuple:
         while not seen[d]:
             seen[d] = True
             walk.append(d)
-            t = twin(d)
-            rot = rotations[dart_vertex[t]]
-            d = rot[(dart_pos[t] - 1) % len(rot)]
+            d = step[d]
         walks.append(tuple(walk))
     return tuple(walks)
 
@@ -321,15 +327,14 @@ def _check_planarity(m: DivideMap) -> None:
         raise DivideError(
             f"planarity failure (Euler check {euler} != 2): the rotation "
             "system does not embed in the disk")
-    all_arc = [w for w in m.face_walks
-               if all(m.is_boundary_dart(d) for d in w)]
-    if len(all_arc) != 1:
+    boundary = 2 * m.n_divide_edges      # the first boundary-arc dart
+    all_arc = sum(1 for w in m.face_walks if min(w) >= boundary)
+    if all_arc != 1:
         raise DivideError(
-            f"expected exactly one all-boundary-arc face, found {len(all_arc)}")
+            f"expected exactly one all-boundary-arc face, found {all_arc}")
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """One inside-disk face of the augmented map."""
     index: int
     darts: tuple[int, ...]   # boundary walk
@@ -339,25 +344,25 @@ class Face:
 
 @dataclass(frozen=True)
 class Faces:
-    """All inside-disk faces of a divide, signed, with corner lookup.
+    """All inside-disk faces of a divide, signed.
 
-    ``corner_face[(v, i)]`` is the face occupying the corner between
-    rotation positions i and i+1 (ccw) at vertex v; for a crossing this is
-    exactly the sector between slots i and (i+1) mod 4.  ``regions`` lists
-    region face indices in canonical order (by smallest dart on the walk).
+    ``dart_face[d]`` is the face whose walk holds dart d (-1 for the face
+    outside the disk).  The face in the corner between rotation positions
+    i and i+1 (ccw) at vertex v is ``dart_face[m.rotations[v][i]]``; for a
+    crossing that is exactly the sector between slots i and (i+1) mod 4.
+    ``regions`` lists region face indices in canonical order (by smallest
+    dart on the walk, which is also face index order).
     """
     faces: tuple[Face, ...]
     dart_face: tuple[int, ...]               # dart -> face index (-1: outside)
-    corner_face: dict
     regions: tuple[int, ...]
 
     def flipped(self) -> "Faces":
         """The same faces under the reversed sign normalization."""
         return Faces(
-            faces=tuple(Face(f.index, f.darts, f.kind, -f.sign)
-                        for f in self.faces),
+            faces=tuple([Face(f.index, f.darts, f.kind, -f.sign)
+                         for f in self.faces]),
             dart_face=self.dart_face,
-            corner_face=self.corner_face,
             regions=self.regions,
         )
 
@@ -374,86 +379,57 @@ def compute_faces(m: DivideMap) -> Faces:
     the first boundary arc) is Minus.  ``Faces.flipped`` gives the
     opposite normalization.
     """
-    # drop the unique all-boundary-arc face: the outside of the disk
-    inside = []
-    for w in m.face_walks:
-        if all(m.is_boundary_dart(d) for d in w):
-            continue
-        inside.append(w)
+    boundary = 2 * m.n_divide_edges      # the first boundary-arc dart
+    # drop the unique all-boundary-arc face: the outside of the disk; of
+    # the rest, a face with no boundary-arc dart is a region
+    inside = [w for w in m.face_walks if min(w) < boundary]
+    kinds = [REGION if max(w) < boundary else OUTER for w in inside]
+    regions = tuple([fi for fi, k in enumerate(kinds) if k == REGION])
 
-    kinds = []
-    for w in inside:
-        if any(m.is_boundary_dart(d) for d in w):
-            kinds.append(OUTER)
-        else:
-            kinds.append(REGION)
-            # region walks stay clear of the boundary circle
-            if any(m.is_endpoint_vertex(m.dart_vertex[d]) for d in w):
-                raise DivideError("a region walk touches an endpoint")
+    # region walks stay clear of the boundary circle
+    endpoint_darts = {m.rotations[j][1] for j in range(len(m.endpoints))}
+    if any(not endpoint_darts.isdisjoint(inside[fi]) for fi in regions):
+        raise DivideError("a region walk touches an endpoint")
 
     dart_face = [-1] * m.n_darts
-    corner_face: dict = {}
     for fi, w in enumerate(inside):
         for d in w:
             dart_face[d] = fi
-            t = twin(d)
-            v = m.dart_vertex[t]
-            pos = m.dart_pos[t]
-            deg = len(m.rotations[v])
-            corner_face[(v, (pos - 1) % deg)] = fi
-
-    regions = sorted((fi for fi, k in enumerate(kinds) if k == REGION),
-                     key=lambda fi: min(inside[fi]))
 
     # adjacency across divide segments only
-    adj: list[set[int]] = [set() for _ in inside]
-    for k in range(m.n_divide_edges):
-        f1, f2 = dart_face[2 * k], dart_face[2 * k + 1]
+    adj: list[list[int]] = [[] for _ in inside]
+    for f1, f2 in zip(dart_face[0:boundary:2], dart_face[1:boundary:2]):
         if f1 == f2:
             raise DivideError("2-coloring inconsistency: a segment has the "
                               "same face on both sides")
-        adj[f1].add(f2)
-        adj[f2].add(f1)
+        adj[f1].append(f2)
+        adj[f2].append(f1)
 
     if regions:
         seed = regions[0]
     else:
         # inside dart of the first boundary arc
-        d = 2 * m.n_divide_edges
-        seed = dart_face[d] if dart_face[d] != -1 else dart_face[twin(d)]
+        d = boundary
+        seed = dart_face[d] if dart_face[d] != -1 else dart_face[d ^ 1]
 
     signs = [0] * len(inside)
-    order = [seed] + [fi for fi in range(len(inside)) if fi != seed]
-    for start in order:
+    for start in (seed, *range(len(inside))):
         if signs[start] != 0:
             continue
         signs[start] = MINUS
         queue = [start]
-        while queue:
-            fi = queue.pop(0)
-            for fj in sorted(adj[fi]):
+        for fi in queue:                 # the queue grows while it is read
+            opposite = -signs[fi]
+            for fj in adj[fi]:
                 if signs[fj] == 0:
-                    signs[fj] = -signs[fi]
+                    signs[fj] = opposite
                     queue.append(fj)
-                elif signs[fj] != -signs[fi]:
+                elif signs[fj] != opposite:
                     raise DivideError("2-coloring inconsistency across a "
                                       "divide segment")
-    faces = tuple([
-        Face(index=fi, darts=w, kind=kinds[fi], sign=signs[fi])
-        for fi, w in enumerate(inside)
-    ])
-    return Faces(faces=faces, dart_face=tuple(dart_face),
-                 corner_face=corner_face, regions=tuple(regions))
-
-
-def segment_faces(m: DivideMap, faces: Faces, k: int) -> tuple[int, int]:
-    """Face indices on the two sides of divide edge k."""
-    return faces.dart_face[2 * k], faces.dart_face[2 * k + 1]
-
-
-def walk_vertices(m: DivideMap, face: Face) -> list[int]:
-    """Vertices visited by a face walk, one entry per corner."""
-    return [m.dart_vertex[d] for d in face.darts]
+    # tuple(list), not tuple(map): resizing fills CPython's free lists
+    faces = tuple(list(map(Face, range(len(inside)), inside, kinds, signs)))
+    return Faces(faces=faces, dart_face=tuple(dart_face), regions=regions)
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +471,19 @@ def classify(m: DivideMap, faces: Faces) -> DivideStats:
     """
     connected = faces.region_count() == m.delta - m.r + 1
 
-    walks = (walk_vertices(m, faces.faces[fi]) for fi in faces.regions)
-    vertex_simple = all(len(set(w)) == len(w) for w in walks)
+    dart_vertex = m.dart_vertex
+    walks = (faces.faces[fi].darts for fi in faces.regions)
+    vertex_simple = all(len({dart_vertex[d] for d in w}) == len(w)
+                        for w in walks)
     cellular = connected and vertex_simple
 
-    def splits(k):
-        f1, f2 = segment_faces(m, faces, k)
-        (a, _), (b, _) = m.edges[k]
-        return (faces.faces[f1].kind == faces.faces[f2].kind == OUTER
-                and not m.is_endpoint_vertex(a)
-                and not m.is_endpoint_vertex(b))
-
-    simple = (connected and m.delta >= 1
-              and not any(splits(k) for k in range(m.n_divide_edges)))
+    n_end = len(m.endpoints)
+    outer = [f.kind == OUTER for f in faces.faces]
+    dart_face = faces.dart_face
+    splits = (outer[dart_face[2 * k]] and outer[dart_face[2 * k + 1]]
+              and a >= n_end and b >= n_end
+              for k, ((a, _), (b, _)) in enumerate(m.edges))
+    simple = connected and m.delta >= 1 and not any(splits)
 
     return DivideStats(
         r=m.r,

@@ -14,24 +14,23 @@ downstream.  Nothing here is quadratic in mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .divide_map import (
-    MINUS, PLUS, REGION, DivideError, DivideMap, Faces, segment_faces,
+    MINUS, PLUS, REGION, DivideError, DivideMap, Faces,
 )
 
 SECTOR = "sector"
 SEGMENT = "segment"
 
 
-@dataclass(frozen=True)
-class GammaVertex:
+class GammaVertex(NamedTuple):
     kind: str           # "minus" | "double" | "plus"
     ref: int            # region face index, or crossing input index
     index: int          # 1..mu in the canonical numbering
 
 
-@dataclass(frozen=True)
-class GammaEdge:
+class GammaEdge(NamedTuple):
     species: str                 # SECTOR or SEGMENT
     i: int                       # vertex indices, i < j
     j: int
@@ -66,48 +65,49 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
                      if faces.faces[fi].sign == MINUS]
     plus_regions = [fi for fi in faces.regions
                     if faces.faces[fi].sign == PLUS]
+    n_minus = len(minus_regions)
 
+    # base[fi]: vertex index of region fi's basepoint, 0 for an Outer face
+    base = [0] * len(faces.faces)
     vertices: list[GammaVertex] = []
-    base_index: dict[int, int] = {}      # region face index -> vertex index
     for fi in minus_regions:
         vertices.append(GammaVertex("minus", fi, len(vertices) + 1))
-        base_index[fi] = vertices[-1].index
-    double_index = {}
-    for c in range(m.delta):
-        vertices.append(GammaVertex("double", c, len(vertices) + 1))
-        double_index[c] = vertices[-1].index
+        base[fi] = len(vertices)
+    vertices += [GammaVertex("double", c, n_minus + 1 + c)
+                 for c in range(m.delta)]
     for fi in plus_regions:
         vertices.append(GammaVertex("plus", fi, len(vertices) + 1))
-        base_index[fi] = vertices[-1].index
+        base[fi] = len(vertices)
 
     edges: list[GammaEdge] = []
+    dart_face = faces.dart_face
     n_end = len(m.endpoints)
     for c in range(m.delta):
-        v = n_end + c
-        for corner in range(4):
-            fi = faces.corner_face[(v, corner)]
-            face = faces.faces[fi]
-            if face.kind != REGION:
-                continue
-            i, j = sorted((base_index[fi], double_index[c]))
-            edges.append(GammaEdge(SECTOR, i, j, crossing=c, corner=corner))
+        d = n_minus + 1 + c
+        for corner, dart in enumerate(m.rotations[n_end + c]):
+            b = base[dart_face[dart]]
+            if b:
+                i, j = (b, d) if b < d else (d, b)
+                edges.append(GammaEdge(SECTOR, i, j, crossing=c,
+                                       corner=corner))
 
-    for k in range(m.n_divide_edges):
-        f1, f2 = segment_faces(m, faces, k)
-        a, b = faces.faces[f1], faces.faces[f2]
-        if a.kind != REGION or b.kind != REGION:
+    n_segment_darts = 2 * m.n_divide_edges
+    sides = zip(dart_face[0:n_segment_darts:2], dart_face[1:n_segment_darts:2])
+    for k, (f1, f2) in enumerate(sides):
+        b1, b2 = base[f1], base[f2]
+        if not (b1 and b2):
             continue
-        if a.sign == b.sign:
+        # minus basepoints are numbered first, plus basepoints last
+        if (b1 <= n_minus) == (b2 <= n_minus):
             raise DivideError("2-coloring inconsistency: a segment joins "
                               "two regions of one sign")
-        # minus basepoints are numbered first, so i is the Minus one
-        i, j = sorted((base_index[f1], base_index[f2]))
+        i, j = (b1, b2) if b1 < b2 else (b2, b1)    # i is the Minus one
         edges.append(GammaEdge(SEGMENT, i, j, edge_id=k))
 
     return Gamma(
         vertices=tuple(vertices),
         edges=tuple(edges),
-        n_minus=len(minus_regions),
+        n_minus=n_minus,
         n_double=m.delta,
         n_plus=len(plus_regions),
     )
@@ -155,12 +155,11 @@ def body_euler(m: DivideMap, faces: Faces) -> int:
     segments with at least one region side as 1-cells, and the regions as
     2-cells.
     """
-    region_sides = 0
-    for k in range(m.n_divide_edges):
-        f1, f2 = segment_faces(m, faces, k)
-        if (faces.faces[f1].kind == REGION
-                or faces.faces[f2].kind == REGION):
-            region_sides += 1
+    region = [f.kind == REGION for f in faces.faces]
+    n_segment_darts = 2 * m.n_divide_edges
+    sides = zip(faces.dart_face[0:n_segment_darts:2],
+                faces.dart_face[1:n_segment_darts:2])
+    region_sides = sum(1 for f1, f2 in sides if region[f1] or region[f2])
     return m.delta - region_sides + faces.region_count()
 
 

@@ -10,7 +10,6 @@ the number of edges, so the tests run them on small divides only.
 """
 
 from divides import DivideStats, OUTER
-from divides.divide_map import segment_faces, walk_vertices
 
 
 class _UnionFind:
@@ -44,7 +43,8 @@ def classify(m, faces):
         uf.union(a, b)
     connected = len({uf.find(v) for v in range(n_vertices)}) == 1
 
-    walks = (walk_vertices(m, faces.faces[fi]) for fi in faces.regions)
+    walks = ([m.dart_vertex[d] for d in faces.faces[fi].darts]
+             for fi in faces.regions)
     vertex_simple = all(len(set(w)) == len(w) for w in walks)
     cellular = connected and vertex_simple
 
@@ -52,7 +52,7 @@ def classify(m, faces):
     if simple:
         n_end = len(m.endpoints)
         for k in range(m.n_divide_edges):
-            f1, f2 = segment_faces(m, faces, k)
+            f1, f2 = faces.dart_face[2 * k], faces.dart_face[2 * k + 1]
             if faces.faces[f1].kind != OUTER or faces.faces[f2].kind != OUTER:
                 continue
             cut = _UnionFind(n_vertices)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import divides
 from divides import MINUS, PLUS, REGION
-from divides.divide_map import segment_faces
 
 from algebra_oracle import rows_of
 
@@ -32,6 +31,24 @@ class Blocks:
         return self.n_minus + self.n_double + self.n_plus
 
 
+def corner_faces(m, faces):
+    """Face in each corner (v, i), from the walks alone.
+
+    A walk that reaches vertex v along the twin of the dart at rotation
+    position pos turns clockwise into the corner (v, (pos - 1) mod deg).
+    """
+    face_of_walk = {f.darts: f.index for f in faces.faces}
+    corner = {}
+    for w in m.face_walks:
+        fi = face_of_walk.get(w)        # None: the face outside the disk
+        for d in w:
+            t = d ^ 1
+            v = m.dart_vertex[t]
+            deg = len(m.rotations[v])
+            corner[(v, (m.dart_pos[t] - 1) % deg)] = fi
+    return corner
+
+
 def build_blocks(m, faces):
     """The three multiplicity blocks of the diagram of a signed divide."""
     minus_regions = [fi for fi in faces.regions
@@ -47,9 +64,10 @@ def build_blocks(m, faces):
     B = [[0] * n_plus for _ in range(n_double)]
     C = [[0] * n_plus for _ in range(n_minus)]
     n_end = len(m.endpoints)
+    corner_face = corner_faces(m, faces)
     for c in range(m.delta):
         for corner in range(4):
-            fi = faces.corner_face[(n_end + c, corner)]
+            fi = corner_face[(n_end + c, corner)]
             if faces.faces[fi].kind != REGION:
                 continue
             if faces.faces[fi].sign == MINUS:
@@ -57,7 +75,7 @@ def build_blocks(m, faces):
             else:
                 B[c][plus_col[fi]] += 1
     for k in range(m.n_divide_edges):
-        f1, f2 = segment_faces(m, faces, k)
+        f1, f2 = faces.dart_face[2 * k], faces.dart_face[2 * k + 1]
         if (faces.faces[f1].kind != REGION
                 or faces.faces[f2].kind != REGION):
             continue

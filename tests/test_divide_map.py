@@ -8,9 +8,9 @@ from divides import (
     parse_divide, trace_branches, verify_theorem, zigzag,
 )
 from divides import divide_map
-from divides.divide_map import segment_faces, walk_vertices
 
 import classify_oracle
+import gamma_oracle
 
 
 def doc(endpoints, crossings, edges):
@@ -207,7 +207,7 @@ class TestFaces:
         for name, m in zoo:
             faces = compute_faces(m)
             for k in range(m.n_divide_edges):
-                f1, f2 = segment_faces(m, faces, k)
+                f1, f2 = faces.dart_face[2 * k], faces.dart_face[2 * k + 1]
                 assert f1 != f2, name
                 assert faces.faces[f1].sign == -faces.faces[f2].sign, name
 
@@ -216,8 +216,8 @@ class TestFaces:
             faces = compute_faces(m)
             for c in range(m.delta):
                 v = len(m.endpoints) + c
-                signs = [faces.faces[faces.corner_face[(v, i)]].sign
-                         for i in range(4)]
+                signs = [faces.faces[faces.dart_face[d]].sign
+                         for d in m.rotations[v]]
                 assert signs[0] == -signs[1] == signs[2] == -signs[3], name
 
     def test_region_walk_hygiene(self, zoo):
@@ -236,6 +236,27 @@ class TestFaces:
             for fa, fb in zip(a.faces, b.faces):
                 assert fa.darts == fb.darts and fa.kind == fb.kind, name
                 assert fa.sign == -fb.sign, name
+
+    def test_corner_face_is_the_face_of_its_rotation_dart(self, zoo):
+        # the face in corner (v, i) is the face of rotations[v][i]; the
+        # oracle reads it off the walks with the (v, (pos - 1) % deg) rule
+        maps = [m for _, m in zoo]
+        maps += [zigzag(k) for k in range(1, 9)]
+        maps += [coil(k) for k in range(1, 9)]
+        maps += [from_chords(gen_chords(n, s))
+                 for n in range(1, 13) for s in range(20)]
+        corners = 0
+        for m in maps:
+            faces = compute_faces(m)
+            oracle = gamma_oracle.corner_faces(m, faces)
+            for v, rot in enumerate(m.rotations):
+                for i, d in enumerate(rot):
+                    expected = oracle[(v, i)]
+                    assert faces.dart_face[d] == \
+                        (-1 if expected is None else expected)
+            corners += len(oracle)
+            assert len(oracle) == m.n_darts
+        assert corners > 10000
 
     def test_faces_traced_once_per_map(self, monkeypatch):
         # validation traces every face; compute_faces reuses those walks
@@ -278,7 +299,7 @@ class TestClassify:
         assert st.connected and not st.cellular
         assert not st.regions_vertex_simple
         pinched = [fi for fi in faces.regions
-                   if len(set(walk_vertices(m, faces.faces[fi])))
+                   if len({m.dart_vertex[d] for d in faces.faces[fi].darts})
                    != len(faces.faces[fi].darts)]
         assert len(pinched) == 1
 

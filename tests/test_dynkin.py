@@ -5,7 +5,7 @@ import pytest
 from divides import (
     body_euler, build_gamma, check_flag_edges, classify, coil, compute_faces,
     counts, fixture, from_chords, gamma_to_dot, gen_chords, has_multi_edge,
-    zigzag,
+    map_from_document, zigzag,
 )
 from divides.dynkin import SECTOR, SEGMENT, Gamma, GammaEdge, GammaVertex
 
@@ -206,3 +206,42 @@ def test_diagram_stage_at_scale():
         assert check_flag_edges(g) == []
         assert not has_multi_edge(g)
         assert gamma_to_dot(g).count(" -- ") == c.e
+
+
+def test_front_end_at_scale():
+    # the whole topology front end from the document, mu about 4 * 10^4:
+    # (mu, e, f, chi_body, connected, cellular, simple) in closed form
+    k = 20000
+    for family, expected in (
+            (zigzag, (2 * k - 1, 2 * k - 2, 0, 1, True, True, True)),
+            (coil, (2 * k, k, 0, k, True, True, False))):
+        m = map_from_document(family(k).to_document())
+        faces = compute_faces(m)
+        st = classify(m, faces)
+        g = build_gamma(m, faces)
+        c = counts(g)
+        got = (c.mu, c.e, c.f, body_euler(m, faces),
+               st.connected, st.cellular, st.simple)
+        assert got == expected, family.__name__
+        assert check_flag_edges(g) == []
+        assert gamma_to_dot(g).count("\n") == c.mu + c.e + 3
+
+
+class TestRecords:
+    """Faces, diagram vertices and diagram edges are immutable records."""
+
+    def test_fields_cannot_be_assigned(self):
+        m = fixture("LENS")
+        faces = compute_faces(m)
+        g = build_gamma(m, faces)
+        records = (faces.faces[0], g.vertices[0],
+                   GammaEdge(SEGMENT, 1, 3, edge_id=0))
+        for record in records:
+            for name in type(record)._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
+
+    def test_edge_defaults(self):
+        e = GammaEdge(SEGMENT, 1, 3, edge_id=0)
+        assert e.crossing is None and e.corner is None
+        assert (e.species, e.i, e.j, e.edge_id) == (SEGMENT, 1, 3, 0)
