@@ -4,10 +4,12 @@ A divide is a collection of immersed arcs in the unit disk: endpoints on
 the boundary circle, interior intersections are transversal double points.
 We encode one as a rotation system: endpoints expose a single attachment
 slot, double points expose four slots in counterclockwise order, and every
-slot is used by exactly one edge.  The *augmented* map adds the boundary
-arcs between cyclically consecutive endpoints; tracing its faces both
-certifies that the rotation system embeds in the disk (Euler count) and
-yields the complement components needed downstream.
+slot is used by exactly one edge.  ``map_from_document`` builds it in one
+pass over the edges, putting each dart in its slot as it reads it.  The
+*augmented* map adds the boundary arcs between cyclically consecutive
+endpoints; tracing its faces both certifies that the rotation system
+embeds in the disk (Euler count) and yields the complement components
+needed downstream.
 
 Dart conventions used throughout the package:
 
@@ -80,111 +82,18 @@ class DivideMap:
     def n_darts(self) -> int:
         return 2 * (len(self.edges) + len(self.endpoints))
 
-    def is_endpoint_vertex(self, v: int) -> bool:
-        return v < len(self.endpoints)
-
-    def is_boundary_dart(self, d: int) -> bool:
-        return d // 2 >= len(self.edges)
-
-    def vertex_label(self, v: int) -> str:
-        if v < len(self.endpoints):
-            return self.endpoints[v]
-        return self.crossings[v - len(self.endpoints)]
-
     def to_document(self) -> dict:
         """Emit the divide-map/1 document for this map (canonical labels)."""
+        labels = self.endpoints + self.crossings
         return {
             "format": "divide-map/1",
             "endpoints": list(self.endpoints),
             "crossings": list(self.crossings),
             "edges": [
-                {"a": [self.vertex_label(a[0]), a[1]],
-                 "b": [self.vertex_label(b[0]), b[1]]}
+                {"a": [labels[a[0]], a[1]], "b": [labels[b[0]], b[1]]}
                 for a, b in self.edges
             ],
         }
-
-
-def _build_map(endpoints, crossings, edges) -> DivideMap:
-    """Assemble rotations for the augmented map and validate everything."""
-    n_end = len(endpoints)
-    n_cross = len(crossings)
-    n_edge = len(edges)
-
-    # slot tables: endpoints have 1 slot, crossings 4
-    end_slot: list[int | None] = [None] * n_end
-    cross_slots = [[None] * 4 for _ in range(n_cross)]
-
-    for k, ((va, sa), (vb, sb)) in enumerate(edges):
-        for d, (v, s) in ((2 * k, (va, sa)), (2 * k + 1, (vb, sb))):
-            if v < n_end:
-                if s != 0:
-                    raise DivideError(
-                        f"endpoint {endpoints[v]!r} only exposes slot 0, got {s}")
-                if end_slot[v] is not None:
-                    raise DivideError(
-                        f"slot reuse at endpoint {endpoints[v]!r}")
-                end_slot[v] = d
-            else:
-                c = v - n_end
-                if not 0 <= s <= 3:
-                    raise DivideError(
-                        f"crossing {crossings[c]!r} slot {s} out of range 0..3")
-                if cross_slots[c][s] is not None:
-                    raise DivideError(
-                        f"slot reuse at crossing {crossings[c]!r} slot {s}")
-                cross_slots[c][s] = d
-
-    for v, d in enumerate(end_slot):
-        if d is None:
-            raise DivideError(f"unused slot at endpoint {endpoints[v]!r}")
-    for c, slots in enumerate(cross_slots):
-        for s, d in enumerate(slots):
-            if d is None:
-                raise DivideError(
-                    f"unused slot at crossing {crossings[c]!r} slot {s}")
-
-    # boundary arcs: arc j joins endpoint j to endpoint (j+1) mod 2r,
-    # darts 2*(n_edge+j) at j and 2*(n_edge+j)+1 at j+1
-    def arc_dart_at_start(j):
-        return 2 * (n_edge + j)
-
-    def arc_dart_at_end(j):
-        return 2 * (n_edge + j) + 1
-
-    rotations: list[tuple[int, ...]] = []
-    for j in range(n_end):
-        succ_arc = arc_dart_at_start(j)
-        pred_arc = arc_dart_at_end((j - 1) % n_end)
-        # ccw as seen from inside the disk: arc to ccw successor, the
-        # divide edge, arc to ccw predecessor
-        rotations.append((succ_arc, end_slot[j], pred_arc))
-    for slots in cross_slots:
-        rotations.append(tuple(slots))
-
-    n_darts = 2 * (n_edge + n_end)
-    dart_vertex = [0] * n_darts
-    dart_pos = [0] * n_darts
-    for v, rot in enumerate(rotations):
-        for i, d in enumerate(rot):
-            dart_vertex[d] = v
-            dart_pos[d] = i
-    walks = _trace_all_faces(rotations, n_darts)
-
-    # tuple(list), not tuple(generator): resizing fills CPython's free lists
-    m = DivideMap(
-        endpoints=tuple(endpoints),
-        crossings=tuple(crossings),
-        edges=tuple([(tuple(a), tuple(b)) for a, b in edges]),
-        rotations=tuple(rotations),
-        dart_vertex=tuple(dart_vertex),
-        dart_pos=tuple(dart_pos),
-        face_walks=walks,
-    )
-
-    trace_branches(m)          # rejects closed components
-    _check_planarity(m)        # Euler count + unique all-arc face
-    return m
 
 
 def parse_json(data: str | bytes):
@@ -206,6 +115,15 @@ def parse_divide(text: str) -> DivideMap:
 
 
 def map_from_document(doc) -> DivideMap:
+    """Validate a divide-map/1 document and build its augmented map.
+
+    One pass over the edges puts dart ``2k`` (the ``a`` end of edge ``k``)
+    and ``2k + 1`` (its ``b`` end) in their slots: position ``s`` of a
+    crossing's rotation, or between an endpoint's two boundary arcs.  Of
+    several faults the first raised is the first in this order: document
+    shape and labels; each edge in turn (shape, attachment, slot); unused
+    slots by vertex; closed branches; planarity.
+    """
     if not isinstance(doc, dict):
         raise DivideError("malformed document: expected a JSON object")
     if doc.get("format") != "divide-map/1":
@@ -220,36 +138,86 @@ def map_from_document(doc) -> DivideMap:
             or not isinstance(edges, list):
         raise DivideError("malformed document: endpoints/crossings/edges")
 
-    for lab in list(endpoints) + list(crossings):
+    labels = endpoints + crossings
+    for lab in labels:
         if not isinstance(lab, str) or not lab:
             raise DivideError(f"malformed document: bad label {lab!r}")
-    all_labels = list(endpoints) + list(crossings)
-    if len(set(all_labels)) != len(all_labels):
+    index = {lab: v for v, lab in enumerate(labels)}
+    if len(index) != len(labels):
         raise DivideError("malformed document: duplicate label")
 
-    if len(endpoints) % 2 != 0 or len(endpoints) < 2:
+    n_end = len(endpoints)
+    if n_end % 2 != 0 or n_end < 2:
         raise DivideError(
-            f"odd endpoint count: {len(endpoints)} endpoints (need an even "
+            f"odd endpoint count: {n_end} endpoints (need an even "
             "number, at least 2)")
 
-    index = {lab: i for i, lab in enumerate(endpoints)}
-    index.update({lab: len(endpoints) + i for i, lab in enumerate(crossings)})
+    # arc j: dart 2 * (n_edge + j) at endpoint j, its twin at j + 1.  Ccw
+    # from inside the disk an endpoint holds: arc out, divide dart, arc in.
+    n_edge = len(edges)
+    rotations = [[2 * (n_edge + j), None, 2 * (n_edge + (j - 1) % n_end) + 1]
+                 for j in range(n_end)]
+    rotations += [[None] * 4 for _ in crossings]
 
-    resolved = []
+    ends = []          # dart d leaves the (vertex, slot) ends[d]
     for e in edges:
         if not isinstance(e, dict) or "a" not in e or "b" not in e:
             raise DivideError(f"malformed document: bad edge {e!r}")
-        ends = []
-        for key in ("a", "b"):
-            pair = e[key]
+        for pair in (e["a"], e["b"]):
             # type() rather than isinstance(): JSON true is not slot 1
             if (not isinstance(pair, list) or len(pair) != 2
-                    or pair[0] not in index or type(pair[1]) is not int):
+                    or not isinstance(pair[0], str) or pair[0] not in index
+                    or type(pair[1]) is not int):
                 raise DivideError(f"malformed document: bad attachment {pair!r}")
-            ends.append((index[pair[0]], pair[1]))
-        resolved.append(tuple(ends))
+            lab, s = pair
+            v = index[lab]
+            rot = rotations[v]
+            if v < n_end:
+                if s != 0:
+                    raise DivideError(
+                        f"endpoint {lab!r} only exposes slot 0, got {s}")
+                if rot[1] is not None:
+                    raise DivideError(f"slot reuse at endpoint {lab!r}")
+                rot[1] = len(ends)
+            else:
+                if not 0 <= s <= 3:
+                    raise DivideError(
+                        f"crossing {lab!r} slot {s} out of range 0..3")
+                if rot[s] is not None:
+                    raise DivideError(
+                        f"slot reuse at crossing {lab!r} slot {s}")
+                rot[s] = len(ends)
+            ends.append((v, s))
 
-    return _build_map(list(endpoints), list(crossings), resolved)
+    # a face walk steps from d to the dart clockwise of d ^ 1 at its vertex
+    n_darts = 2 * (n_edge + n_end)
+    dart_vertex = [0] * n_darts
+    dart_pos = [0] * n_darts
+    step = [0] * n_darts
+    for v, rot in enumerate(rotations):
+        for i, d in enumerate(rot):
+            if d is None:
+                raise DivideError(
+                    f"unused slot at endpoint {labels[v]!r}" if v < n_end
+                    else f"unused slot at crossing {labels[v]!r} slot {i}")
+            dart_vertex[d] = v
+            dart_pos[d] = i
+            step[d ^ 1] = rot[i - 1]
+
+    # tuple(list), not tuple(iterator): resizing fills CPython's free lists
+    rotations = tuple([tuple(rot) for rot in rotations])
+    m = DivideMap(
+        endpoints=tuple(endpoints),
+        crossings=tuple(crossings),
+        edges=tuple(list(zip(ends[::2], ends[1::2]))),
+        rotations=rotations,
+        dart_vertex=tuple(dart_vertex),
+        dart_pos=tuple(dart_pos),
+        face_walks=_trace_all_faces(step),
+    )
+    trace_branches(m)          # rejects closed components
+    _check_planarity(m)        # Euler count + unique all-arc face
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +261,15 @@ def trace_branches(m: DivideMap) -> list[tuple[int, ...]]:
 # faces
 # ---------------------------------------------------------------------------
 
-def _trace_all_faces(rotations, n_darts: int) -> tuple:
+def _trace_all_faces(step: list[int]) -> tuple:
     """All faces of the augmented map, each as its boundary dart walk.
 
-    Every walk starts at its smallest dart, and walks come in the order of
-    those darts.
+    ``step[d]`` is the dart after ``d`` on its face walk.  Every walk
+    starts at its smallest dart, and walks come in the order of those darts.
     """
-    # one walk step: from d to the dart clockwise of d ^ 1 at its vertex
-    step = [0] * n_darts
-    for rot in rotations:
-        for i, d in enumerate(rot):
-            step[d ^ 1] = rot[i - 1]
-    seen = [False] * n_darts
+    seen = [False] * len(step)
     walks = []
-    for d0 in range(n_darts):
+    for d0 in range(len(step)):
         if seen[d0]:
             continue
         walk = []

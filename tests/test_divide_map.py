@@ -1,13 +1,18 @@
+import copy
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divides import (
     MINUS, OUTER, REGION, DivideError, build_gamma, classify, coil,
-    compute_faces, counts, fixture, from_chords, gen_chords, parse_chords,
-    parse_divide, trace_branches, verify_theorem, zigzag,
+    compute_faces, counts, fixture, fixtures, from_chords, gen_chords,
+    map_from_document, parse_chords, parse_divide, trace_branches,
+    verify_theorem, zigzag,
 )
 from divides import divide_map
+from divides.generators import chords_to_map_document
 
 import classify_oracle
 import gamma_oracle
@@ -20,6 +25,11 @@ def doc(endpoints, crossings, edges):
         "crossings": crossings,
         "edges": [{"a": list(a), "b": list(b)} for a, b in edges],
     })
+
+
+def exact(message):
+    """A ``pytest.raises`` pattern matching ``message`` and nothing more."""
+    return "^" + re.escape(message) + "$"
 
 
 X1_DOC = doc(["e1", "e2", "e3", "e4"], ["c1"],
@@ -47,45 +57,63 @@ class TestParse:
         assert m.r == 1
         assert m.delta == 1
 
-    def test_slot_reuse(self):
-        bad = doc(["e1", "e2", "e3", "e4"], ["c1"],
-                  [(("e1", 0), ("c1", 0)), (("e2", 0), ("c1", 0)),
-                   (("e3", 0), ("c1", 2)), (("e4", 0), ("c1", 3))])
-        with pytest.raises(DivideError, match="slot reuse"):
+    @pytest.mark.parametrize("edges, message", [
+        ([(("e1", 0), ("c1", 0)), (("e2", 0), ("c1", 0)),
+          (("e3", 0), ("c1", 2)), (("e4", 0), ("c1", 3))],
+         "slot reuse at crossing 'c1' slot 0"),
+        ([(("e1", 0), ("c1", 0)), (("e1", 0), ("c1", 1)),
+          (("e3", 0), ("c1", 2)), (("e4", 0), ("c1", 3))],
+         "slot reuse at endpoint 'e1'"),
+    ], ids=["crossing", "endpoint"])
+    def test_slot_reuse(self, edges, message):
+        bad = doc(["e1", "e2", "e3", "e4"], ["c1"], edges)
+        with pytest.raises(DivideError, match=exact(message)):
             parse_divide(bad)
 
-    def test_unused_slot(self):
-        bad = doc(["e1", "e2"], ["c1"],
-                  [(("e1", 0), ("c1", 0)), (("e2", 0), ("c1", 1))])
-        with pytest.raises(DivideError, match="unused slot"):
+    @pytest.mark.parametrize("endpoints, crossings, edges, message", [
+        (["e1", "e2"], ["c1"],
+         [(("e1", 0), ("c1", 0)), (("e2", 0), ("c1", 1))],
+         "unused slot at crossing 'c1' slot 2"),
+        (["e1", "e2", "e3", "e4"], [], [(("e1", 0), ("e2", 0))],
+         "unused slot at endpoint 'e3'"),
+    ], ids=["crossing", "endpoint"])
+    def test_unused_slot(self, endpoints, crossings, edges, message):
+        bad = doc(endpoints, crossings, edges)
+        with pytest.raises(DivideError, match=exact(message)):
             parse_divide(bad)
 
     def test_odd_endpoint_count(self):
         bad = doc(["e1", "e2", "e3"], [],
                   [(("e1", 0), ("e2", 0))])
-        with pytest.raises(DivideError, match="odd endpoint count"):
+        with pytest.raises(DivideError, match=exact(
+                "odd endpoint count: 3 endpoints (need an even number, "
+                "at least 2)")):
             parse_divide(bad)
 
     def test_endpoint_slot_must_be_zero(self):
         bad = doc(["e1", "e2"], [], [(("e1", 1), ("e2", 0))])
-        with pytest.raises(DivideError, match="slot 0"):
+        with pytest.raises(DivideError, match=exact(
+                "endpoint 'e1' only exposes slot 0, got 1")):
             parse_divide(bad)
 
     def test_crossing_slot_range(self):
         bad = doc(["e1", "e2"], ["c1"],
                   [(("e1", 0), ("c1", 4)), (("c1", 1), ("c1", 2)),
                    (("c1", 3), ("e2", 0))])
-        with pytest.raises(DivideError, match="out of range"):
+        with pytest.raises(DivideError, match=exact(
+                "crossing 'c1' slot 4 out of range 0..3")):
             parse_divide(bad)
 
     def test_duplicate_label(self):
         bad = doc(["e1", "e1"], [], [(("e1", 0), ("e1", 0))])
-        with pytest.raises(DivideError, match="duplicate label"):
+        with pytest.raises(DivideError,
+                           match=exact("malformed document: duplicate label")):
             parse_divide(bad)
 
     def test_unknown_label(self):
         bad = doc(["e1", "e2"], [], [(("e1", 0), ("zz", 0))])
-        with pytest.raises(DivideError, match="bad attachment"):
+        with pytest.raises(DivideError, match=exact(
+                "malformed document: bad attachment ['zz', 0]")):
             parse_divide(bad)
 
     def test_boolean_slot_rejected(self):
@@ -93,16 +121,20 @@ class TestParse:
         lens = fixture("LENS").to_document()
         edge = next(e for e in lens["edges"] if e["b"][1] == 1)
         edge["b"][1] = True
-        with pytest.raises(DivideError, match="bad attachment"):
+        with pytest.raises(DivideError, match=exact(
+                f"malformed document: bad attachment {edge['b']!r}")):
             parse_divide(json.dumps(lens))
 
     def test_bad_format_field(self):
-        with pytest.raises(DivideError, match="format"):
+        with pytest.raises(DivideError, match=exact(
+                "malformed document: format is 'nope', expected "
+                "'divide-map/1'")):
             parse_divide(json.dumps({"format": "nope", "endpoints": [],
                                      "crossings": [], "edges": []}))
 
     def test_not_json(self):
-        with pytest.raises(DivideError, match="malformed"):
+        with pytest.raises(DivideError,
+                           match="^malformed document: Expecting"):
             parse_divide("{")
 
     @pytest.mark.parametrize("data", [
@@ -121,7 +153,8 @@ class TestParse:
         bad = doc(["e1", "e2"], ["c1"],
                   [(("e1", 0), ("e2", 0)), (("c1", 0), ("c1", 1)),
                    (("c1", 2), ("c1", 3))])
-        with pytest.raises(DivideError, match="closed branch"):
+        with pytest.raises(DivideError, match=exact(
+                "closed branch detected (circular component)")):
             parse_divide(bad)
 
     def test_planarity_failure(self):
@@ -130,13 +163,82 @@ class TestParse:
         bad = doc(["e1", "e2", "e3", "e4"], ["c1"],
                   [(("e1", 0), ("c1", 0)), (("e2", 0), ("c1", 2)),
                    (("e3", 0), ("c1", 1)), (("e4", 0), ("c1", 3))])
-        with pytest.raises(DivideError, match="planarity failure"):
+        with pytest.raises(DivideError, match=exact(
+                "planarity failure (Euler check 0 != 2): the rotation "
+                "system does not embed in the disk")):
             parse_divide(bad)
 
     def test_note_field_ignored(self):
         d = json.loads(X1_DOC)
         d["note"] = "annotation"
         parse_divide(json.dumps(d))
+
+
+# JSON values of every type, at the sizes and signs the guards test
+JUNK = st.recursive(
+    st.sampled_from([None, True, False, 0, -1, 4, 2 ** 70, 1.0,
+                     "", "e1", "c1", "zz"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", "format"]), inner,
+                      max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def junk_documents(draw, bases):
+    """A valid document with 1-3 of its values replaced by junk."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        site = draw(st.sampled_from(
+            ["endpoint", "crossing", "label", "slot", "edge", "key"]))
+        value = draw(JUNK)
+        if site == "key":
+            doc[draw(st.sampled_from(
+                ["format", "endpoints", "crossings", "edges"]))] = value
+            continue
+        seq = doc.get({"endpoint": "endpoints",
+                       "crossing": "crossings"}.get(site, "edges"))
+        if not isinstance(seq, list) or not seq:
+            continue
+        i = draw(st.integers(0, len(seq) - 1))
+        if site in ("label", "slot"):
+            edge = seq[i]
+            if not isinstance(edge, dict):
+                continue
+            pair = edge.get(draw(st.sampled_from(["a", "b"])))
+            if isinstance(pair, list) and len(pair) == 2:
+                pair[site == "slot"] = value
+        else:
+            seq[i] = value
+    return doc
+
+
+# the guards of the parse itself, before branches and planarity
+GUARDS = {"format is", "endpoints/crossings/edges", "bad label",
+          "duplicate label", "odd endpoint count", "bad edge",
+          "bad attachment", "only exposes slot 0", "out of range",
+          "slot reuse", "unused slot"}
+
+
+def test_junk_values_raise_divide_error():
+    # the parser meets input from outside the program: it returns a map or
+    # raises DivideError, never another exception
+    bases = [m.to_document() for m in fixtures().values()]
+    bases += [zigzag(3).to_document(), coil(2).to_document(),
+              chords_to_map_document(gen_chords(5, 7))]
+    reached = set()
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(junk_documents(bases))
+    def check(doc):
+        try:
+            map_from_document(doc)
+        except DivideError as exc:
+            reached.update(g for g in GUARDS if g in str(exc))
+
+    check()
+    assert reached == GUARDS     # the junk gets past each earlier guard
 
 
 class TestBranches:
@@ -153,7 +255,7 @@ class TestBranches:
         m = parse_divide(LOOP_DOC)
         (walk,) = trace_branches(m)
         crossing_visits = [m.dart_vertex[d ^ 1] for d in walk
-                           if not m.is_endpoint_vertex(m.dart_vertex[d ^ 1])]
+                           if m.dart_vertex[d ^ 1] >= len(m.endpoints)]
         assert crossing_visits.count(2) == 2   # vertex id 2 is c1
 
     def test_lens_two_branches_each_crossing_once(self):
@@ -225,8 +327,8 @@ class TestFaces:
             faces = compute_faces(m)
             for fi in faces.regions:
                 for d in faces.faces[fi].darts:
-                    assert not m.is_boundary_dart(d), name
-                    assert not m.is_endpoint_vertex(m.dart_vertex[d]), name
+                    assert d < 2 * len(m.edges), name
+                    assert m.dart_vertex[d] >= len(m.endpoints), name
 
     def test_flip_changes_only_signs(self, zoo):
         for name, m in zoo:

@@ -158,6 +158,17 @@ class TestCli:
         assert main(["validate", path]) == 1
         assert "slot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", [["e1"], {"e": 1}],
+                             ids=["list", "dict"])
+    def test_validate_unhashable_label(self, tmp_path, capsys, label):
+        doc = self.x1_doc()
+        doc["edges"][0]["a"] = [label, 0]
+        path = self.write(tmp_path, "bad.json", doc)
+        assert main(["validate", path]) == 1
+        err = capsys.readouterr().err
+        assert "bad attachment" in err
+        assert "Traceback" not in err
+
     def test_validate_bad_chords(self, tmp_path, capsys):
         doc = {"format": "divide-chords/1",
                "chords": [{"s": [0, 1], "t": [1, 1]},
