@@ -291,7 +291,8 @@ def _check_planarity(m: DivideMap) -> None:
             f"planarity failure (Euler check {euler} != 2): the rotation "
             "system does not embed in the disk")
     boundary = 2 * m.n_divide_edges      # the first boundary-arc dart
-    all_arc = sum(1 for w in m.face_walks if min(w) >= boundary)
+    # a walk starts at its smallest dart, so w[0] is min(w)
+    all_arc = sum(1 for w in m.face_walks if w[0] >= boundary)
     if all_arc != 1:
         raise DivideError(
             f"expected exactly one all-boundary-arc face, found {all_arc}")
@@ -344,8 +345,9 @@ def compute_faces(m: DivideMap) -> Faces:
     """
     boundary = 2 * m.n_divide_edges      # the first boundary-arc dart
     # drop the unique all-boundary-arc face: the outside of the disk; of
-    # the rest, a face with no boundary-arc dart is a region
-    inside = [w for w in m.face_walks if min(w) < boundary]
+    # the rest, a face with no boundary-arc dart is a region (a walk
+    # starts at its smallest dart)
+    inside = [w for w in m.face_walks if w[0] < boundary]
     kinds = [REGION if max(w) < boundary else OUTER for w in inside]
     regions = tuple([fi for fi, k in enumerate(kinds) if k == REGION])
 

@@ -14,6 +14,7 @@ downstream.  Nothing here is quadratic in mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 from .divide_map import (
@@ -138,7 +139,17 @@ def counts(gamma: Gamma) -> GammaCounts:
     basepoint and one to a Plus basepoint; f is the total with
     multiplicity.
     """
-    f = sum(len(minus) * len(plus) for minus, plus in _sector_ends(gamma))
+    minus = [0] * gamma.n_double     # sector edges at each double point
+    plus = [0] * gamma.n_double
+    first_double = gamma.n_minus + 1
+    for e in gamma.edges:
+        if e.species != SECTOR:
+            continue
+        if e.i < first_double:          # minus basepoint -- double point
+            minus[e.j - first_double] += 1
+        else:                           # double point -- plus basepoint
+            plus[e.i - first_double] += 1
+    f = sum(map(mul, minus, plus))
     return GammaCounts(mu=gamma.mu, e=len(gamma.edges), f=f)
 
 

@@ -9,30 +9,53 @@ cross product of two lines, so every predicate (interleaving, crossing
 order along a chord, the orientation at a crossing, concurrency) is a
 comparison of integer ranks or the sign of an integer determinant, with
 no Fraction and no epsilon anywhere: a single wrong sign would silently
-corrupt every downstream integer identity.
+corrupt every downstream integer identity.  A parameter is held as the
+reduced integer pair (a, b), b > 0, and the circular order compares two
+of them by the sign of a cross product, so that too stays on integers.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cmp_to_key
 from importlib import resources
 
 from .divide_map import DivideError, DivideMap, map_from_document, \
     parse_divide, parse_json
 
-# circle parameter: a Fraction, or None for the point (-1, 0)
-Param = Fraction | None
+# circle parameter: t = a/b as the reduced pair (a, b) with b > 0, or None
+# for the point (-1, 0)
+Param = tuple[int, int] | None
 
 _GRID = 10_000                 # parameter grid: u/(GRID - |u|), u in (-GRID, GRID]
 _RESAMPLE_BUDGET = 100_000
 
 
-def _circular_key(t: Param):
+def _cmp_circular(s: Param, t: Param) -> int:
+    """Negative, zero or positive as s comes before, at or after t ccw."""
     # infinity sits at angle pi == -pi, so it comes first going ccw
-    return (0, Fraction(0)) if t is None else (1, t)
+    if s is None or t is None:
+        return (t is None) - (s is None)
+    return s[0] * t[1] - t[0] * s[1]
+
+
+_by_circle = cmp_to_key(_cmp_circular)
+
+
+def _check_param(t) -> None:
+    """DivideError unless t is None or a reduced int pair (a, b), b > 0.
+
+    The order and the points read a pair as a/b without checking it, so a
+    pair with b < 0 would sit at the wrong place on the circle.
+    """
+    if t is None or (type(t) is tuple and len(t) == 2
+                     and type(t[0]) is int and type(t[1]) is int
+                     and t[1] > 0 and math.gcd(*t) == 1):
+        return
+    raise DivideError(f"bad circle parameter {t!r}: expected None or a "
+                      "reduced pair (a, b) of ints with b > 0")
 
 
 @dataclass(frozen=True)
@@ -55,9 +78,9 @@ class ChordSet:
 
 def interleaved(a: Chord, b: Chord) -> bool:
     """Whether the two chords cross, by endpoint interleaving on the circle."""
-    k1, k2 = sorted((_circular_key(a.s), _circular_key(a.t)))
-    inside_b1 = k1 < _circular_key(b.s) < k2
-    inside_b2 = k1 < _circular_key(b.t) < k2
+    lo, hi = (a.s, a.t) if _cmp_circular(a.s, a.t) < 0 else (a.t, a.s)
+    inside_b1 = _cmp_circular(lo, b.s) < 0 < _cmp_circular(hi, b.s)
+    inside_b2 = _cmp_circular(lo, b.t) < 0 < _cmp_circular(hi, b.t)
     return inside_b1 != inside_b2
 
 
@@ -75,7 +98,7 @@ def crossing_count(cs: ChordSet) -> int:
 def _point(t: Param) -> tuple[int, int, int]:
     if t is None:
         return (-1, 0, 1)
-    a, b = t.numerator, t.denominator
+    a, b = t
     return (b * b - a * a, 2 * a * b, a * a + b * b)
 
 
@@ -115,9 +138,13 @@ def _arrangement(chords) -> _Arrangement:
 
     Generic means that no two endpoints coincide and no three chords pass
     through one point, i.e. no chord carries two crossings at one place.
+    Each parameter must be None or a reduced pair (see ``_check_param``).
     """
     n = len(chords)
-    keys = [_circular_key(t) for c in chords for t in c.params()]
+    params = [t for c in chords for t in c.params()]
+    for t in params:
+        _check_param(t)
+    keys = [_by_circle(t) for t in params]
     order = sorted(range(2 * n), key=keys.__getitem__)
     if any(keys[a] == keys[b] for a, b in zip(order, order[1:])):
         raise DivideError("general-position violation: duplicate circle "
@@ -169,7 +196,9 @@ def _grid_param(u: int) -> Param:
     # nearly uniformly in angle (density ratio at most 2).
     if u == _GRID:
         return None
-    return Fraction(u, _GRID - abs(u))
+    den = _GRID - abs(u)
+    g = math.gcd(u, den)
+    return (u // g, den // g)
 
 
 def gen_chords(n: int, seed: int) -> ChordSet:
@@ -244,7 +273,7 @@ def _map_document(arr: _Arrangement) -> dict:
 # ---------------------------------------------------------------------------
 
 def _param_to_json(t: Param):
-    return "inf" if t is None else [t.numerator, t.denominator]
+    return "inf" if t is None else list(t)
 
 
 def _param_from_json(v) -> Param:
@@ -252,7 +281,9 @@ def _param_from_json(v) -> Param:
         return None
     if (isinstance(v, list) and len(v) == 2
             and all(type(x) is int for x in v) and v[1] != 0):
-        return Fraction(v[0], v[1])
+        a, b = v
+        g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+        return (a // g, b // g)
     raise DivideError(f"malformed document: bad circle parameter {v!r}")
 
 

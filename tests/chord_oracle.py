@@ -4,18 +4,30 @@ These are the affine routines the library used before its chord geometry
 moved to homogeneous integer coordinates: circle points as Fractions, one
 intersection per call, and a general-position scan over all pairs of
 crossings.  Slow, but simple enough to trust; the property tests compare
-the kernel's verdicts and map documents against them.
+the kernel's verdicts and map documents against them.  A chord parameter
+is the library's pair (a, b), read here as ``Fraction(a, b)``; the circle
+order and the interleaving test are the oracle's own, on those Fractions.
 """
 
 from fractions import Fraction
 
-from divides import DivideError, interleaved
-from divides.generators import _circular_key
+from divides import DivideError
+
+
+def circular_key(t):
+    # infinity sits at angle pi == -pi, so it comes first going ccw
+    return (0, Fraction(0)) if t is None else (1, Fraction(*t))
+
+
+def interleaved(a, b):
+    k1, k2 = sorted((circular_key(a.s), circular_key(a.t)))
+    return (k1 < circular_key(b.s) < k2) != (k1 < circular_key(b.t) < k2)
 
 
 def circle_point(t):
     if t is None:
         return Fraction(-1), Fraction(0)
+    t = Fraction(*t)
     den = 1 + t * t
     return (1 - t * t) / den, 2 * t / den
 
@@ -42,7 +54,7 @@ def intersection(a, b):
 def check_general_position(chords):
     """None if the set is generic, else a description of the violation."""
     params = [t for c in chords for t in c.params()]
-    keys = [_circular_key(t) for t in params]
+    keys = [circular_key(t) for t in params]
     if len(set(keys)) != len(keys):
         return "duplicate circle parameter"
     pts = {}
@@ -69,8 +81,8 @@ def chords_to_map_document(chords):
     # endpoints in ccw circular order
     ends = []       # (key, chord index, which param)
     for i, c in enumerate(chords):
-        ends.append((_circular_key(c.s), i, 0))
-        ends.append((_circular_key(c.t), i, 1))
+        ends.append((circular_key(c.s), i, 0))
+        ends.append((circular_key(c.t), i, 1))
     ends.sort()
     endpoint_labels = [f"e{k + 1}" for k in range(2 * n)]
     endpoint_of = {(i, which): endpoint_labels[k]

@@ -2,9 +2,10 @@
 
 Chord sets are drawn on gen_chords' parameter grid, and on a coarse grid
 closed under the antipode t -> -1/t, where duplicate endpoints and
-concurrent diameters are common.  On every set the kernel and the oracle
-reach the same verdict; on generic sets they give the same crossing points
-and the same divide-map/1 document.
+concurrent diameters are common, and as reduced pairs (a, b) drawn from
+wide integers.  On every set the kernel and the oracle reach the same
+verdict; on generic sets they give the same crossing points and the same
+divide-map/1 document.
 """
 
 import sys
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from divides import (
     Chord, ChordSet, DivideError, chords_document, chords_from_document,
-    from_chords, gen_chords,
+    from_chords, gen_chords, interleaved,
 )
 from divides.generators import (
     _GRID, _arrangement, _grid_param, chords_to_map_document,
@@ -27,20 +28,28 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
 
 
+def pair(t: F):
+    return (t.numerator, t.denominator)
+
+
 def antipode(t):
     if t is None:
-        return F(0)
-    return None if t == 0 else -1 / t
+        return (0, 1)
+    return None if t == (0, 1) else pair(-1 / F(*t))
 
 
-_COARSE = [None, F(0)] + [s * F(a, b) for s in (1, -1)
-                          for a, b in ((1, 1), (2, 1), (3, 1), (1, 2),
-                                       (1, 3), (2, 3), (3, 2))]
+_COARSE = [None, (0, 1)] + [(s * a, b) for s in (1, -1)
+                            for a, b in ((1, 1), (2, 1), (3, 1), (1, 2),
+                                         (1, 3), (2, 3), (3, 2))]
 assert all(antipode(t) in _COARSE for t in _COARSE)
 
 grid = st.integers(-_GRID + 1, _GRID).map(_grid_param)
 coarse = st.sampled_from(_COARSE)
+wide = st.one_of(st.none(), st.builds(
+    lambda a, b: pair(F(a, b)), st.integers(-2 ** 70, 2 ** 70),
+    st.integers(1, 2 ** 70)))
 grid_sets = st.lists(st.builds(Chord, grid, grid), min_size=1, max_size=7)
+wide_sets = st.lists(st.builds(Chord, wide, wide), min_size=1, max_size=5)
 # diameters (t, -1/t) all pass through the center: three make a violation
 coarse_sets = st.builds(
     lambda diameters, chords: diameters + chords,
@@ -84,6 +93,15 @@ def test_kernel_matches_oracle_on_the_generator_grid(chords):
     assert_agrees(chords)
 
 
+@PROPERTY
+@given(wide_sets)
+def test_kernel_matches_oracle_on_wide_pairs(chords):
+    assert_agrees(chords)
+    for a in chords:
+        for b in chords:
+            assert interleaved(a, b) == chord_oracle.interleaved(a, b)
+
+
 def test_kernel_matches_oracle_on_the_antipodal_grid():
     # this grid is there for its violations, so all verdicts must occur
     verdicts = set()
@@ -109,15 +127,15 @@ def test_generated_sets_match_oracle():
 
 def test_concurrent_off_center():
     # the x-axis and two more chords meet at (1/2, 0), off the center
-    chords = [Chord(F(0), None)]
-    for s in (F(1, 3), F(1, 2)):
+    chords = [Chord((0, 1), None)]
+    for s in ((1, 3), (1, 2)):
         # the line from the circle point p of s through q = (1/2, 0)
         # leaves the circle at p + k (q - p), with parameter y / (1 + x)
         x, y = chord_oracle.circle_point(s)
         dx, dy = F(1, 2) - x, -y
         k = -2 * (x * dx + y * dy) / (dx * dx + dy * dy)
         px, py = x + k * dx, y + k * dy
-        chords.append(Chord(s, py / (1 + px)))
+        chords.append(Chord(s, pair(py / (1 + px))))
     assert oracle_verdict(chords) == kernel_verdict(chords) \
         == "general-position violation: three chords concurrent"
 

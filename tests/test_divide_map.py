@@ -305,6 +305,13 @@ class TestFaces:
             e = m.n_divide_edges + len(m.endpoints)
             assert len(faces.faces) == 1 + e - v, name
 
+    def test_walks_start_at_their_smallest_dart(self, zoo):
+        # the planarity check and compute_faces read w[0] as min(w)
+        for name, m in zoo:
+            assert all(w[0] == min(w) for w in m.face_walks), name
+            starts = [w[0] for w in m.face_walks]
+            assert starts == sorted(starts), name
+
     def test_sign_alternation_across_segments(self, zoo):
         for name, m in zoo:
             faces = compute_faces(m)
@@ -407,9 +414,8 @@ class TestClassify:
 
     def test_disconnected_chords(self):
         # two chords on disjoint arcs of the circle never cross
-        from fractions import Fraction as F
         from divides import Chord, ChordSet
-        cs = ChordSet(chords=(Chord(F(-5), F(-2)), Chord(F(1), F(4))))
+        cs = ChordSet(chords=(Chord((-5, 1), (-2, 1)), Chord((1, 1), (4, 1))))
         m = from_chords(cs)
         st = classify(m, compute_faces(m))
         assert m.delta == 0

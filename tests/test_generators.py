@@ -1,7 +1,9 @@
 import json
-from fractions import Fraction as F
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis.strategies import integers
 
 from divides import (
     Chord, ChordSet, DivideError, chords_document, chords_from_document,
@@ -9,7 +11,9 @@ from divides import (
     fixtures, from_chords, gen_chords, interleaved, parse_chords,
     verify_theorem, zigzag,
 )
-from divides.generators import _arrangement, chords_to_map_document
+from divides.generators import (
+    _arrangement, _param_from_json, chords_to_map_document,
+)
 
 
 class TestChords:
@@ -34,7 +38,7 @@ class TestChords:
             assert from_chords(cs).delta == crossing_count(cs)
 
     def test_interleaved_pair_is_x1_shape(self):
-        cs = ChordSet(chords=(Chord(F(-1), F(1)), Chord(F(0), F(5))))
+        cs = ChordSet(chords=(Chord((-1, 1), (1, 1)), Chord((0, 1), (5, 1))))
         assert interleaved(*cs.chords)
         m = from_chords(cs)
         assert m.r == 2 and m.delta == 1
@@ -42,15 +46,15 @@ class TestChords:
         assert st.connected and st.simple
 
     def test_non_interleaved_pair(self):
-        cs = ChordSet(chords=(Chord(F(-5), F(-2)), Chord(F(1), F(4))))
+        cs = ChordSet(chords=(Chord((-5, 1), (-2, 1)), Chord((1, 1), (4, 1))))
         m = from_chords(cs)
         assert m.delta == 0
         assert not classify(m, compute_faces(m)).connected
 
     def test_triangle_arrangement(self):
         # three pairwise interleaved chords enclosing one region
-        cs = ChordSet(chords=(Chord(F(-5), F(1)), Chord(F(-2), F(2)),
-                              Chord(F(-1), F(5))))
+        cs = ChordSet(chords=(Chord((-5, 1), (1, 1)), Chord((-2, 1), (2, 1)),
+                              Chord((-1, 1), (5, 1))))
         m = from_chords(cs)
         assert m.delta == 3
         faces = compute_faces(m)
@@ -61,21 +65,21 @@ class TestChords:
         assert rep.lam == 0 and rep.all_pass()
 
     def test_duplicate_parameter_rejected(self):
-        cs = ChordSet(chords=(Chord(F(0), F(1)), Chord(F(1), F(2))))
+        cs = ChordSet(chords=(Chord((0, 1), (1, 1)), Chord((1, 1), (2, 1))))
         with pytest.raises(DivideError, match="general-position"):
             from_chords(cs)
 
     def test_concurrent_chords_rejected(self):
         # three diameters all pass through the center: t and -1/t are
         # antipodal parameters
-        cs = ChordSet(chords=(Chord(F(1), F(-1)), Chord(F(2), F(-1, 2)),
-                              Chord(F(3), F(-1, 3))))
+        cs = ChordSet(chords=(Chord((1, 1), (-1, 1)), Chord((2, 1), (-1, 2)),
+                              Chord((3, 1), (-1, 3))))
         with pytest.raises(DivideError, match="concurrent"):
             from_chords(cs)
 
     def test_infinity_parameter(self):
         # the horizontal diameter through (-1, 0), crossed by another chord
-        cs = ChordSet(chords=(Chord(None, F(0)), Chord(F(1), F(-2))))
+        cs = ChordSet(chords=(Chord(None, (0, 1)), Chord((1, 1), (-2, 1))))
         assert _arrangement(cs.chords).ends[0][0] == (-1, 0, 1)
         m = from_chords(cs)
         assert m.delta == 1
@@ -105,6 +109,50 @@ class TestChords:
                "chords": [{"s": [True, 2], "t": [-2, 1]}]}
         with pytest.raises(DivideError, match="parameter"):
             chords_from_document(doc)
+
+    @pytest.mark.parametrize("bad", [
+        (1, -2),            # -1/2 as a/b, but it would sort after 0
+        (2, 4),             # not reduced
+        (0, 2),
+        (1, 0),
+        Fraction(1, 2),
+        (True, 1),
+        (1, 2, 3),
+        [1, 2],
+        (1.0, 2),
+    ])
+    def test_hand_built_bad_parameter_rejected(self, bad):
+        cs = ChordSet(chords=(Chord((0, 1), (3, 1)), Chord((-1, 1), bad)))
+        with pytest.raises(DivideError, match="bad circle parameter"):
+            from_chords(cs)
+        with pytest.raises(DivideError, match="bad circle parameter"):
+            _arrangement([Chord(bad, None)])
+
+    def test_document_parameters_are_normalized(self):
+        doc = {"format": "divide-chords/1",
+               "chords": [{"s": [1, -2], "t": [4, 2]},
+                          {"s": [0, -7], "t": "inf"}]}
+        cs = chords_from_document(doc)
+        assert cs.chords == (Chord((-1, 2), (2, 1)), Chord((0, 1), None))
+        assert chords_document(cs)["chords"] == [
+            {"s": [-1, 2], "t": [2, 1]}, {"s": [0, 1], "t": "inf"}]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(integers(), integers().filter(bool), integers(),
+           integers().filter(bool))
+    def test_parameter_normalization_matches_fraction(self, a, b, c, d):
+        edge = 2 ** 70
+        for x, y in ((a, b), (c, d), (0, b), (-edge, b), (a, edge + 1)):
+            t = Fraction(x, y)
+            assert _param_from_json([x, y]) == (t.numerator, t.denominator)
+        s, t = Fraction(a, b), Fraction(c, d)
+        assume(s != t)
+        doc = {"format": "divide-chords/1",
+               "chords": [{"s": [a, b], "t": [c, d]}]}
+        assert chords_document(chords_from_document(doc))["chords"] == [
+            {"s": [s.numerator, s.denominator],
+             "t": [t.numerator, t.denominator]}]
 
     def test_connected_chord_divides_are_cellular(self):
         seen_connected = 0

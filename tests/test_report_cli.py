@@ -36,9 +36,8 @@ class TestReport:
     def test_half_integer_lattice_genus(self):
         # two non-crossing chords: mu = 0, r = 2: genus (0 - 2 + 1)/2
         from divides import Chord, ChordSet, from_chords
-        from fractions import Fraction as F
-        m = from_chords(ChordSet(chords=(Chord(F(-5), F(-2)),
-                                         Chord(F(1), F(4)))))
+        m = from_chords(ChordSet(chords=(Chord((-5, 1), (-2, 1)),
+                                         Chord((1, 1), (4, 1)))))
         rep = build_report(m, source="two chords")
         assert rep.lattice_genus == [-1, 2]
         assert rep.lambda_formula == 1    # mu = 0
