@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, fields
+from math import gcd
 
 from .divide_map import DivideError, DivideMap
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
@@ -44,7 +44,13 @@ class DivideReport:
     lattice_genus_note: str = LATTICE_GENUS_NOTE
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order, each list and dict copied one level deep:
+        their items are ints and strings."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = v.copy() if isinstance(v, (list, dict)) else v
+        return out
 
 
 def report_from_json_dict(d: dict) -> DivideReport:
@@ -60,7 +66,8 @@ def build_report(m: DivideMap, source: str = "",
               else trace_powers(thm.t, k))
 
     stats = thm.stats
-    genus = Fraction(thm.mu - m.r + 1, 2)
+    twice_genus = thm.mu - m.r + 1
+    g = gcd(twice_genus, 2)          # the genus in lowest terms
     return DivideReport(
         source=source,
         r=stats.r,
@@ -78,7 +85,7 @@ def build_report(m: DivideMap, source: str = "",
         lambda_trace=1 - sum(row.get(i, 0) for i, row in enumerate(thm.t)),
         char_poly=thm.char_poly,
         signature=signature(thm.n),
-        lattice_genus=[genus.numerator, genus.denominator],
+        lattice_genus=[twice_genus // g, 2 // g],
         traces=list(traces),
         lefschetz_iterates=[1 - x for x in traces],
         checks=dict(thm.checks),

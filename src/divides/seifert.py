@@ -1,8 +1,8 @@
 """Exact linear algebra on the intersection matrix of a divide.
 
-Everything here runs over arbitrary-precision integers (rationals only
-inside the signature elimination); every quantity of interest is an exact
-integer identity and floating point would make the checks meaningless.
+Everything here runs over arbitrary-precision integers; every quantity of
+interest is an exact integer identity and floating point would make the
+checks meaningless.
 Every matrix is held as sparse rows, row i a dict {j: value} of its
 nonzero entries.  N^2, N^3, the flag traces and the signature form are read
 off the rows of N; T = (Id + tN)^-1 (Id + N) is one forward substitution
@@ -20,16 +20,22 @@ steps resume on wider slots, up to the bound from T alone.
 The signature form 2 Id + N + tN has the diagram's sparsity and is eliminated
 on sparse rows in a minimum-degree order: by Sylvester's law of inertia
 each pivot adds its sign, and a 2x2 pivot [[0, b], [b, 0]], taken when
-the remaining diagonal is zero, adds +1 - 1.
+the remaining diagonal is zero, adds +1 - 1.  The rows stay integral:
+each holds integer numerators over its own positive denominator, and a
+row the elimination rewrites is divided by the gcd of its numerators and
+denominator.  A single determinant shared by all rows, as in Bareiss's
+elimination, would grow with every pivot, also across parts of the form
+that never interact.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import isqrt, prod
-from operator import mul, neg
+import fractions
+from itertools import chain, repeat
+from math import gcd, isqrt, lcm, prod
+from operator import neg
 
 from . import packed
 from .divide_map import DivideMap, classify, compute_faces
@@ -276,12 +282,20 @@ def newton_power_sums(coeffs: list[int], k_max: int) -> list[int]:
 
 def signature(n: Rows) -> int:
     """Signature of S + tS = 2 Id + N + tN: ``sparse_signature`` on the
-    form's sparse rows, built from the sparse rows of N."""
+    form's sparse rows, built from the sparse rows of N.  ValueError on an
+    entry of N that is not an int, on a column outside 0..mu-1 and
+    wherever ``sparse_signature`` rejects the form."""
+    if not set(map(type, chain.from_iterable(map(dict.values, n)))) <= {int}:
+        raise ValueError("N has an entry that is not an int")
     rows = [{i: 2} for i in range(len(n))]
-    for i, row in enumerate(n):
-        for j, x in row.items():
-            rows[i][j] = rows[i].get(j, 0) + x
-            rows[j][i] = rows[j].get(i, 0) + x
+    try:
+        for i, row in enumerate(n):
+            for j, x in row.items():
+                rows[i][j] = rows[i].get(j, 0) + x
+                rows[j][i] = rows[j].get(i, 0) + x
+    except (IndexError, TypeError) as exc:
+        raise ValueError(f"N has a column outside 0..{len(n) - 1}: "
+                         f"{exc}") from None
     return sparse_signature(rows)
 
 
@@ -293,10 +307,21 @@ def sparse_signature(rows: list[dict]) -> int:
     pivot adds its sign.  When every remaining diagonal entry is zero,
     the 2x2 block [[0, b], [b, 0]] through a nonzero b adds +1 - 1
     (Bunch and Kaufman, 1977); an all-zero row adds nothing.
+
+    The elimination runs on ints: row u of the current Schur complement
+    is held as integer numerators over one positive denominator den[u],
+    the diagonal numerator in dg[u] and the others in adj[u], and each
+    entry is stored in both of its rows, over each row's own
+    denominator.  A pivot rewrites only the rows it touches, and each
+    rewritten row is divided by the gcd of its numerators and its
+    denominator.  There is no global determinant: one d_k for the whole
+    form, as in Bareiss's elimination, would multiply across parts of
+    the form that never interact.  Entries are ints or Fractions (each
+    input row is cleared by the lcm of its denominators); ValueError on
+    a column outside 0..mu-1, an entry of another type, or a form that
+    is not symmetric.
     """
-    diag = [Fraction(r.get(i, 0)) for i, r in enumerate(rows)]
-    adj = [{j: Fraction(v) for j, v in r.items() if v and j != i}
-           for i, r in enumerate(rows)]
+    adj, dg, den = _integer_rows(rows)
     # sorted (-degree, -index) pairs: pop() takes the least degree first
     queue = sorted((-len(r), -i) for i, r in enumerate(adj))
     parked: list[tuple[int, int]] = []     # popped with a zero diagonal
@@ -305,9 +330,9 @@ def sparse_signature(rows: list[dict]) -> int:
         deg, p = map(neg, (queue or parked).pop())
         if adj[p] is None or deg != len(adj[p]):
             continue                        # stale entry
-        if diag[p]:
-            sig += 1 if diag[p] > 0 else -1
-            pivots, s = [p], diag[p]
+        if dg[p]:
+            sig += 1 if dg[p] > 0 else -1   # den[p] > 0
+            pivots = (p,)
         elif queue:
             insort(parked, (-deg, -p))
             continue
@@ -316,37 +341,102 @@ def sparse_signature(rows: list[dict]) -> int:
             continue
         else:
             q = min(adj[p], key=lambda j: (len(adj[j]), j))
-            pivots, s = [p, q], adj[p][q]
-        for u in _eliminate(adj, diag, pivots, s):
+            pivots = (p, q)
+        for u in _eliminate(adj, dg, den, pivots):
             insort(queue, (-len(adj[u]), -u))
     return sig
 
 
-def _eliminate(adj, diag, pivots, s) -> list[int]:
-    """Replace the form by its Schur complement on the pivot block P.
+def _integer_rows(rows: list[dict]):
+    """The off-diagonal numerators, diagonal numerators and denominators
+    of a symmetric form's rows, each row cleared by the lcm of its
+    entries' denominators; ValueError on a column outside 0..mu-1, an
+    entry that is not symmetric, or one that is neither an int nor a
+    Fraction.  The checks run over all entries at once."""
+    mu = len(rows)
+    cols = list(chain.from_iterable(rows))
+    if cols and not (set(map(type, cols)) == {int}
+                     and 0 <= min(cols) and max(cols) < mu):
+        raise ValueError(f"a column is outside 0..{mu - 1}")
+    # the mirror of entry (i, j) is rows[j].get(i, 0)
+    owners = chain.from_iterable(map(repeat, range(mu), map(len, rows)))
+    vals = list(chain.from_iterable(map(dict.values, rows)))
+    if list(map(dict.get, map(rows.__getitem__, cols), owners,
+                repeat(0))) != vals:
+        raise ValueError("the form is not symmetric")
+    kinds = set(map(type, vals))
+    if kinds <= {int}:
+        adj, den = [{j: x for j, x in r.items() if x} for r in rows], [1] * mu
+    elif all(k is int or issubclass(k, fractions.Fraction) for k in kinds):
+        den = [lcm(*(x.denominator for x in r.values())) for r in rows]
+        adj = [{j: x.numerator * (d // x.denominator)
+                for j, x in r.items() if x} for r, d in zip(rows, den)]
+    else:
+        raise ValueError("an entry is neither an int nor a Fraction")
+    return adj, [r.pop(i, 0) for i, r in enumerate(adj)], den
 
-    P is [[s]] or [[0, s], [s, 0]]; either way P^-1 reverses a vector
-    and divides it by s, and Q_uv -= Q_uP P^-1 Q_Pv.  Returns the
-    indices whose rows changed; the pivots' rows become None.
+
+def _eliminate(adj, dg, den, pivots):
+    """Replace the form by its Schur complement on the pivot block P,
+    Q_uv -= Q_uP P^-1 Q_Pv, on integer rows.  Returns the indices whose
+    rows changed; the pivots' rows become None.
+
+    P = [[s]], s = dg[p]: row u becomes s row_u - a row_p with a = row_u[p],
+    over den[u] s.  P = [[0, b], [b, 0]] with b = x / den[p] = y / den[q],
+    x = row_p[q] and y = row_q[p]: row u becomes L row_u - a x row_q -
+    b_u y row_p with a = row_u[p], b_u = row_u[q] and L = x y > 0, over
+    den[u] L.  Either way the entries at the pivots cancel, the row's own
+    entry is its diagonal, and the row, dg[u] and den[u] are then divided
+    by their gcd, negated when s < 0 so that den[u] stays positive.
     """
-    cols = [adj[p] for p in pivots]
-    for p in pivots:
-        for u in adj[p]:
-            del adj[u][p]
+    if len(pivots) == 1:
+        p, = pivots
+        rp, s = adj[p], dg[p]
         adj[p] = None
-    touched = sorted(set().union(*cols).difference(pivots))
-    w = {u: [col.get(u, 0) for col in cols] for u in touched}
-    y = {u: [x / s for x in reversed(wu)] for u, wu in w.items()}
-    for k, u in enumerate(touched):
-        diag[u] -= sum(map(mul, w[u], y[u]))
-        for v in touched[k + 1:]:
-            x = adj[u].get(v, 0) - sum(map(mul, w[v], y[u]))
-            if x:
-                adj[u][v] = adj[v][u] = x
-            else:
-                adj[u].pop(v, None)
-                adj[v].pop(u, None)
+        for u in rp:
+            ru = adj[u]
+            a = ru[p]
+            row = {v: s * z for v, z in ru.items()}
+            row[u] = s * dg[u]
+            for v, z in rp.items():
+                row[v] = row.get(v, 0) - a * z
+            del row[p]
+            _store(adj, dg, den, u, row, s)
+        return rp.keys()
+    p, q = pivots
+    rp, rq = adj[p], adj[q]
+    adj[p] = adj[q] = None
+    x, y = rp[q], rq[p]
+    s = x * y
+    touched = (rp.keys() | rq.keys()) - {p, q}
+    for u in touched:
+        ru = adj[u]
+        row = {v: s * z for v, z in ru.items()}
+        row[u] = s * dg[u]
+        for rk, c in ((rq, ru.get(p, 0) * x), (rp, ru.get(q, 0) * y)):
+            if c:
+                for v, z in rk.items():
+                    row[v] = row.get(v, 0) - c * z
+        row.pop(p, None)
+        row.pop(q, None)
+        _store(adj, dg, den, u, row, s)
     return touched
+
+
+def _store(adj, dg, den, u, row, s) -> None:
+    """Store the rewritten row u: ``row`` holds its numerators, the
+    diagonal one at key u, over den[u] s.  All are divided by their gcd,
+    taken with the sign of s so that den[u] stays positive, and the zero
+    entries are dropped."""
+    d = row.pop(u)
+    g = gcd(den[u] * s, d, *row.values())
+    if s < 0:
+        g = -g
+    den[u] = den[u] * s // g
+    dg[u] = d // g
+    if g != 1 or 0 in row.values():
+        row = {v: z // g for v, z in row.items() if z}
+    adj[u] = row
 
 
 # ---------------------------------------------------------------------------

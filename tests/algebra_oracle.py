@@ -7,14 +7,19 @@ scalar triple loop the sparse row products replaced, ``mat_trace`` and
 series (Id - tN + (tN)^2)(Id + N) the forward substitution replaced,
 ``monodromy_acampo`` A'Campo's product of three multi-twists, which
 shares no step with either, ``signature_symmetric`` the dense congruence
-elimination the sparse minimum-degree signature replaced, and
+elimination the sparse minimum-degree signature replaced,
+``sparse_signature_fraction`` that sparse elimination on Fractions, the
+twin of the library's integer-row kernel, and
 ``char_poly``/``trace_powers`` the dense Faddeev-LeVerrier and matrix
-powers the packed-row kernel replaced.  All of them are cubic or worse in
-mu, so the tests run them on small matrices only.  Their own checks raise
-real errors, not ``assert``, so they hold under ``python -O`` too.
+powers the packed-row kernel replaced.  All of them but the Fraction twin
+are cubic or worse in mu, so the tests run them on small matrices only.
+Their own checks raise real errors, not ``assert``, so they hold under
+``python -O`` too.
 """
 
+from bisect import insort
 from fractions import Fraction
+from operator import mul, neg
 
 from divides import seifert
 
@@ -193,23 +198,90 @@ def signature_symmetric(q):
     return sig
 
 
+def sparse_signature_fraction(rows):
+    """The library's sparse signature on Fractions, with the same pivot
+    order: minimum degree, stale queue entries skipped, a zero diagonal
+    parked, and the 2x2 block [[0, b], [b, 0]] through the neighbour of
+    least degree once the remaining diagonal is all zero.  Returns the
+    signature and the pivot blocks taken, in order."""
+    diag = [Fraction(r.get(i, 0)) for i, r in enumerate(rows)]
+    adj = [{j: Fraction(v) for j, v in r.items() if v and j != i}
+           for i, r in enumerate(rows)]
+    # sorted (-degree, -index) pairs: pop() takes the least degree first
+    queue = sorted((-len(r), -i) for i, r in enumerate(adj))
+    parked = []                         # popped with a zero diagonal
+    sig, taken = 0, []
+    while queue or parked:
+        deg, p = map(neg, (queue or parked).pop())
+        if adj[p] is None or deg != len(adj[p]):
+            continue                    # stale entry
+        if diag[p]:
+            sig += 1 if diag[p] > 0 else -1
+            pivots, s = (p,), diag[p]
+        elif queue:
+            insort(parked, (-deg, -p))
+            continue
+        elif not deg:
+            adj[p] = None               # zero row
+            continue
+        else:
+            q = min(adj[p], key=lambda j: (len(adj[j]), j))
+            pivots, s = (p, q), adj[p][q]
+        taken.append(pivots)
+        for u in _eliminate_fraction(adj, diag, pivots, s):
+            insort(queue, (-len(adj[u]), -u))
+    return sig, taken
+
+
+def _eliminate_fraction(adj, diag, pivots, s):
+    """Replace the form by its Schur complement on the pivot block P.
+
+    P is [[s]] or [[0, s], [s, 0]]; either way P^-1 reverses a vector
+    and divides it by s, and Q_uv -= Q_uP P^-1 Q_Pv.  Returns the
+    indices whose rows changed; the pivots' rows become None.
+    """
+    cols = [adj[p] for p in pivots]
+    for p in pivots:
+        for u in adj[p]:
+            del adj[u][p]
+        adj[p] = None
+    touched = sorted(set().union(*cols).difference(pivots))
+    w = {u: [col.get(u, 0) for col in cols] for u in touched}
+    y = {u: [x / s for x in reversed(wu)] for u, wu in w.items()}
+    for k, u in enumerate(touched):
+        diag[u] -= sum(map(mul, w[u], y[u]))
+        for v in touched[k + 1:]:
+            x = adj[u].get(v, 0) - sum(map(mul, w[v], y[u]))
+            if x:
+                adj[u][v] = adj[v][u] = x
+            else:
+                adj[u].pop(v, None)
+                adj[v].pop(u, None)
+    return touched
+
+
 def rows_of(q):
     """The sparse-row form {j: value} of a dense symmetric matrix."""
     return [{j: x for j, x in enumerate(row) if x} for row in q]
 
 
 class BlockPivots:
-    """Counts the 2x2 pivots the library's sparse signature takes."""
+    """Records the pivot blocks the library's sparse signature takes, in
+    order, as tuples of indices; ``count`` is the number of 2x2 blocks."""
 
     def __init__(self, monkeypatch):
-        self.count = 0
+        self.pivots = []
         real = seifert._eliminate
 
-        def eliminate(adj, diag, pivots, s):
-            self.count += len(pivots) == 2
-            return real(adj, diag, pivots, s)
+        def eliminate(adj, dg, den, pivots):
+            self.pivots.append(tuple(pivots))
+            return real(adj, dg, den, pivots)
 
         monkeypatch.setattr(seifert, "_eliminate", eliminate)
+
+    @property
+    def count(self):
+        return sum(len(p) == 2 for p in self.pivots)
 
 
 class Rungs:

@@ -2,9 +2,13 @@
 
 Random symmetric integer forms (sparse, with an all-zero diagonal, or of
 low rank) go through ``sparse_signature`` and the dense congruence
-elimination; random integer matrices (negative entries, big integers,
-zero rows, mu = 0) through ``sparse_mul`` and the scalar triple loop, and
-through the packed-row ``char_poly`` and ``trace_powers`` and their dense
+elimination, and, with rational entries too, through the Fraction twin of
+the integer-row elimination, which must take the same pivots.  The rows
+must stay within Hadamard's bound, and the nullity of N - tN, read off
+the signature of -(N - tN)^2, must be r minus the number of components.
+Random integer matrices (negative entries, big integers, zero rows,
+mu = 0) go through ``sparse_mul`` and the scalar triple loop, and through
+the packed-row ``char_poly`` and ``trace_powers`` and their dense
 versions, whose intermediate matrices must also respect the certified
 slot bounds.  Random strictly upper triangular N, on sparse rows, go
 through N^2, the nilpotency guard, the flag traces, the signature and the
@@ -15,19 +19,21 @@ rung forced down to one bit.  Known answers pin the signature and the
 characteristic polynomial on the zigzag and coil families, and the
 signature, the flag traces, the nilpotency guard and the Lefschetz
 number by both routes at mu of about 2 * 10^4, where no dense matrix can
-go.  The monodromy's forward substitution equals the series
-(Id - tN + (tN)^2)(Id + N) on the zoo, the families and chord sets, and
-A'Campo's product of three multi-twists on fewer of them.
+go; the signature alone must take under 2 s there.  The monodromy's
+forward substitution equals the series (Id - tN + (tN)^2)(Id + N) on the
+zoo, the families and chord sets, and A'Campo's product of three
+multi-twists on fewer of them.
 """
 
 import time
+from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from divides import (
-    build_gamma, char_poly, coil, compute_faces, counts, fixture,
+    build_gamma, char_poly, classify, coil, compute_faces, counts, fixture,
     from_chords, gen_chords, lefschetz_number, matrix_N, monodromy_matrix,
     packed, seifert, signature, trace_powers, zigzag,
 )
@@ -96,6 +102,42 @@ def test_sparse_signature_matches_dense_oracle(monkeypatch):
     check()
     assert seen == {"sparse", "zero diagonal", "low rank", "2x2 block",
                     "rank-deficient"}
+
+
+@st.composite
+def fraction_forms(draw):
+    """A drawn symmetric form with each entry pair divided by 1..6."""
+    _, q = draw(symmetric_forms())
+    for i in range(len(q)):
+        for j in range(i, len(q)):
+            q[i][j] = q[j][i] = Fraction(q[i][j], draw(st.integers(1, 6)))
+    return "fractions", q
+
+
+def test_integer_kernel_matches_fraction_twin(monkeypatch):
+    # the integer rows take the pivots of the Fraction elimination, in its
+    # order (so as many 2x2 blocks), and give its signature on integer and
+    # on rational forms
+    seen = set()
+    blocks = algebra_oracle.BlockPivots(monkeypatch)
+
+    @PROPERTY
+    @given(st.one_of(symmetric_forms(), fraction_forms()))
+    def check(drawn):
+        kind, q = drawn
+        rows = rows_of(q)
+        blocks.pivots.clear()
+        sig = sparse_signature(rows)
+        twin, taken = algebra_oracle.sparse_signature_fraction(rows)
+        assert sig == twin == algebra_oracle.signature_symmetric(q), q
+        assert blocks.pivots == taken, q
+        seen.add(kind)
+        if blocks.count:
+            seen.add("2x2 block")
+
+    check()
+    assert seen == {"sparse", "zero diagonal", "low rank", "fractions",
+                    "2x2 block"}
 
 
 def _rank(q):
@@ -398,6 +440,79 @@ def test_signature_at_scale():
         t = monodromy_matrix(n)
         assert len(t) == c.mu
         assert all(type(row) is dict and all(row.values()) for row in t)
+
+
+def test_signature_scale_guard():
+    # the per-row denominators stay local: one determinant for the whole
+    # form, as in Bareiss's elimination, would multiply across parts of
+    # the form that never interact
+    for m in (coil(10000), zigzag(10000)):
+        n = n_of(m)
+        t0 = time.process_time()
+        assert signature(n) == len(n)
+        assert time.process_time() - t0 < 2
+
+
+def _neg_q_squared(n):
+    """-(N - tN)^2 as sparse rows: positive semidefinite, with the kernel
+    of N - tN."""
+    q = [dict(row) for row in n]
+    for i, row in enumerate(n):
+        for j, x in row.items():
+            q[j][i] = -x
+    return [{j: -x for j, x in row.items()} for row in sparse_mul(q, q)]
+
+
+def _boundary_nullity(m):
+    """mu - signature(-(N - tN)^2) and r - C, C = r - delta + regions the
+    number of components: the nullity of N - tN and the rank of the
+    radical of the fibre's intersection form."""
+    faces = compute_faces(m)
+    stats = classify(m, faces)
+    n = matrix_N(build_gamma(m, faces))
+    components = stats.r - stats.delta + stats.region_count
+    return (len(n) - sparse_signature(_neg_q_squared(n)),
+            stats.r - components)
+
+
+def test_boundary_nullity_identity(zoo):
+    maps = list(zoo)
+    maps += [(f"zigzag({k})", zigzag(k)) for k in range(1, 9)]
+    maps += [(f"coil({k})", coil(k)) for k in range(1, 9)]
+    maps += [(f"chords({n}, {s})", from_chords(gen_chords(n, s)))
+             for n in range(2, 13) for s in range(15)]
+    maps += [("zigzag(2000)", zigzag(2000)), ("coil(2000)", coil(2000))]
+    for name, m in maps:
+        nullity, radical = _boundary_nullity(m)
+        assert nullity == radical, name
+
+
+def test_rows_stay_within_hadamard_bound(monkeypatch):
+    # den[u] is the least common denominator of row u's entries, so it
+    # divides the determinant of the eliminated block, and each numerator
+    # is at most a minor: all are within Hadamard's bound H of the integer
+    # form, H^2 = prod_i max(1, |row_i|^2).  Without the gcd reduction the
+    # products of pivots pass H after a few steps.
+    real, hsq = seifert._store, 0
+
+    def store(adj, dg, den, u, row, s):
+        real(adj, dg, den, u, row, s)
+        for x in (den[u], dg[u], *adj[u].values()):
+            assert x * x <= hsq, (u, x)
+
+    monkeypatch.setattr(seifert, "_store", store)
+    forms = []
+    for n in (16, 20, 24):
+        for s in range(3):
+            nn = n_of(from_chords(gen_chords(n, s)))
+            form = [{i: 2, **row} for i, row in enumerate(nn)]
+            for i, row in enumerate(nn):
+                for j, x in row.items():
+                    form[j][i] = x          # 2 Id + N + tN
+            forms += [form, _neg_q_squared(nn)]
+    for rows in forms:
+        hsq = prod(max(1, sum(x * x for x in r.values())) for r in rows)
+        sparse_signature(rows)
 
 
 def _chord_maps():

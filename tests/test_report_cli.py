@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +49,25 @@ class TestReport:
         text = json.dumps(rep.to_json_dict())
         back = report_from_json_dict(json.loads(text))
         assert back == rep
+
+    def test_json_dict_matches_asdict(self):
+        # the shallow dict has asdict's keys, order and values, and its
+        # lists and dicts are copies
+        rep = build_report(fixture("LENS"), source="LENS")
+        d = rep.to_json_dict()
+        assert list(d.items()) == list(dataclasses.asdict(rep).items())
+        d["char_poly"].append(0)
+        d["checks"].clear()
+        assert rep.char_poly[-1] == 1 and rep.checks
+
+    def test_lattice_genus_in_lowest_terms(self, zoo):
+        # [num, den] of (mu - r + 1)/2 as Fraction gives it, zero and
+        # negatives included
+        for name, m in zoo:
+            rep = build_report(m)
+            genus = Fraction(rep.mu - rep.r + 1, 2)
+            assert rep.lattice_genus == [genus.numerator,
+                                         genus.denominator], name
 
     def test_deterministic(self):
         a = build_report(zigzag(4), source="zz", k=10)

@@ -292,6 +292,27 @@ class TestSignature:
         # a stored zero is no entry, so never the b of a 2x2 block
         assert sparse_signature([{1: 0, 2: 1}, {0: 0}, {0: 1}]) == 0
 
+    @pytest.mark.parametrize("rows", [
+        [{5: 1}],                   # a column outside 0..mu-1
+        [{-1: 1}],
+        [{True: 1}, {0: 1}],
+        [{1: 1}, {0: 2}],           # not symmetric
+        [{1: 1}, {}],
+        [{0: 0.5}],                 # neither an int nor a Fraction
+        [{0: True}],
+    ])
+    def test_sparse_signature_guards(self, rows):
+        with pytest.raises(ValueError):
+            sparse_signature(rows)
+
+    @pytest.mark.parametrize("n", [
+        [{5: 1}], [{-1: 1}, {}], [{1: 0.5}, {}], [{1.0: 1}, {}],
+        [{1: True}, {}], [{1: "1"}, {}],
+    ])
+    def test_signature_guards(self, n):
+        with pytest.raises(ValueError):
+            signature(n)
+
     def test_jacobi_minor_oracle(self, zoo):
         # when every leading principal minor is nonzero, the signature is
         # the number of sign agreements minus disagreements along them
