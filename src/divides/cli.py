@@ -21,7 +21,8 @@ from .generators import (
 from .render import render_chords_svg
 from .report import (build_report, check_corpus_args, render_text,
                      run_corpus, summary_text)
-from .walks import K_DEFAULT, walk_table
+from .seifert import K_DEFAULT
+from .walks import walk_table
 
 
 def _load_json(path: str) -> dict:

@@ -9,8 +9,7 @@ from math import gcd
 
 from .divide_map import DivideError, DivideMap
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
-from .seifert import signature, trace_powers, verify_theorem
-from .walks import K_CAP, K_DEFAULT
+from .seifert import K_CAP, K_DEFAULT, signature, trace_powers, verify_theorem
 
 LATTICE_GENUS_NOTE = (
     "(mu - r + 1)/2 computed from the lattice rank; no claim is made tying "
@@ -82,7 +81,7 @@ def build_report(m: DivideMap, source: str = "",
         chi_body=thm.chi_body,
         slalom=thm.n_square_zero,
         lambda_formula=thm.lam,
-        lambda_trace=1 - sum(row.get(i, 0) for i, row in enumerate(thm.t)),
+        lambda_trace=thm.lam_trace,
         char_poly=thm.char_poly,
         signature=signature(thm.n),
         lattice_genus=[twice_genus // g, 2 // g],
@@ -153,15 +152,22 @@ class CorpusSummary:
         return not self.discrepancies
 
 
-def _chord_instance_checks(cs: ChordSet, thm, m) -> list[str]:
-    """Hard checks specific to chord instances; returns failed check names."""
-    failed = []
-    if m.delta != crossing_count(cs):
-        failed.append("delta_matches_interleaving_oracle")
-    # chord regions are convex, so connected chord divides are cellular
-    if thm.stats.connected and not thm.stats.cellular:
-        failed.append("chord_connected_implies_cellular")
-    return failed
+def _corpus_checks(cs: ChordSet, thm, m) -> dict[str, bool]:
+    """The corpus-level hard checks on one chord instance, by name."""
+    # M = N + tN off the edge list: an edge repeated k times puts k at
+    # (i, j) and (j, i), a loop 2k at (i, i), and Tr(M^2) sums the squared
+    # entries.  Chord diagrams never carry multi-edges, so Tr(M^2) = 2e
+    mult = Counter((min(x.i, x.j), max(x.i, x.j)) for x in thm.gamma.edges)
+    tr_m = 2 * sum(k for (i, j), k in mult.items() if i == j)
+    tr_m2 = 2 * sum(k * k * (1 + (i == j)) for (i, j), k in mult.items())
+    return {
+        "delta_matches_interleaving_oracle": m.delta == crossing_count(cs),
+        # chord regions are convex, so connected chord divides are cellular
+        "chord_connected_implies_cellular":
+            thm.stats.cellular or not thm.stats.connected,
+        "walk_trace_M_zero": tr_m == 0,
+        "walk_handshake_2e": tr_m2 == 2 * thm.e,
+    }
 
 
 def check_corpus_args(count: int, n: int) -> None:
@@ -190,12 +196,12 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
         m = from_chords(cs)
         thm = verify_theorem(m)
 
-        failed = thm.failed()
-        failed += _chord_instance_checks(cs, thm, m)
-        failed += _walk_sanity(thm.gamma, thm.e)
+        corpus = _corpus_checks(cs, thm, m)
+        failed = thm.failed() + [k for k, ok in corpus.items() if not ok]
 
-        # theorem checks graded applicable, plus 4 corpus-level hard checks
-        n_applicable = sum(1 for v in thm.checks.values() if v != "n/a") + 4
+        # theorem checks graded applicable, plus the corpus-level hard checks
+        n_applicable = (sum(1 for v in thm.checks.values() if v != "n/a")
+                        + len(corpus))
         summary.checks_passed += n_applicable - len(failed)
         summary.checks_failed += len(failed)
         for name in failed:
@@ -219,21 +225,6 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
 
     summary.wall_time = time.perf_counter() - t0
     return summary
-
-
-def _walk_sanity(gamma, e: int) -> list[str]:
-    # M = N + tN off the edge list: an edge repeated m times puts m at
-    # (i, j) and (j, i), a loop 2m at (i, i), and Tr(M^2) sums the squared
-    # entries.  Chord diagrams never carry multi-edges, so Tr(M^2) = 2e
-    mult = Counter((min(x.i, x.j), max(x.i, x.j)) for x in gamma.edges)
-    tr_m = 2 * sum(m for (i, j), m in mult.items() if i == j)
-    tr_m2 = 2 * sum(m * m * (1 + (i == j)) for (i, j), m in mult.items())
-    failed = []
-    if tr_m != 0:
-        failed.append("walk_trace_M_zero")
-    if tr_m2 != 2 * e:
-        failed.append("walk_handshake_2e")
-    return failed
 
 
 def summary_text(s: CorpusSummary) -> str:

@@ -17,25 +17,23 @@ M_(k-1) lies in [-2^b, 2^b), which bounds T M_(k-1) by 2^(w-2): one add
 and one AND per row test it, exactly, since base-2^w digits drawn from a
 window of 2^w consecutive integers are unique.  When the test fails, the
 steps resume on wider slots, up to the bound from T alone.
-The signature form 2 Id + N + tN has the diagram's sparsity and is eliminated
-on sparse rows in a minimum-degree order: by Sylvester's law of inertia
-each pivot adds its sign, and a 2x2 pivot [[0, b], [b, 0]], taken when
-the remaining diagonal is zero, adds +1 - 1.  The rows stay integral:
-each holds integer numerators over its own positive denominator, and a
-row the elimination rewrites is divided by the gcd of its numerators and
-denominator.  A single determinant shared by all rows, as in Bareiss's
-elimination, would grow with every pivot, also across parts of the form
-that never interact.
+The signature form 2 Id + N + tN has the diagram's sparsity and is
+eliminated on sparse rows of ints, the only input format, in a
+minimum-degree order: by Sylvester's law of inertia each pivot adds its
+sign, and a 2x2 pivot [[0, b], [b, 0]], taken when the remaining diagonal
+is zero, adds +1 - 1.  The rows stay integral: each holds integer
+numerators over its own positive denominator, and a row the elimination
+rewrites is divided by the gcd of its numerators and denominator.  A
+single determinant shared by all rows, as in Bareiss's elimination, would
+grow with every pivot, also across parts of the form that never interact.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
-import fractions
+from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
-from math import gcd, isqrt, lcm, prod
-from operator import neg
+from math import gcd, isqrt, prod
 
 from . import packed
 from .divide_map import DivideMap, classify, compute_faces
@@ -120,9 +118,15 @@ def monodromy_matrix(n: Rows, n2: Rows | None = None) -> Rows:
 
 def lefschetz_number(n: Rows) -> int:
     """Lefschetz number 1 - mu + Tr(tN N) - Tr((tN)^2 N), checked on every
-    call against the trace route 1 - Tr(T)."""
+    call against the trace route 1 - Tr(T): ArithmeticError when the two
+    routes disagree."""
     n2 = nilpotent_square(n)
-    return _lefschetz(len(n), *_flag_traces(n, n2), monodromy_matrix(n, n2))
+    lam, lam_trace = _lefschetz_routes(len(n), *_flag_traces(n, n2),
+                                       monodromy_matrix(n, n2))
+    if lam != lam_trace:
+        raise ArithmeticError(
+            f"lefschetz routes disagree: formula {lam}, trace {lam_trace}")
+    return lam
 
 
 def _flag_traces(n: Rows, n2: Rows) -> tuple[int, int]:
@@ -132,14 +136,16 @@ def _flag_traces(n: Rows, n2: Rows) -> tuple[int, int]:
                 for j, x in r.items()))
 
 
-def _lefschetz(mu: int, tr_ntn: int, tr_nt2n: int, t: Rows) -> int:
-    """The formula route from its traces, checked against 1 - Tr(T)."""
-    lam = 1 - mu + tr_ntn - tr_nt2n
-    lam_trace = 1 - sum(row.get(i, 0) for i, row in enumerate(t))
-    if lam != lam_trace:
-        raise ArithmeticError(
-            f"lefschetz routes disagree: formula {lam}, trace {lam_trace}")
-    return lam
+def _lefschetz_routes(mu: int, tr_ntn: int, tr_nt2n: int,
+                      t: Rows) -> tuple[int, int]:
+    """The Lefschetz number by the formula route, from its traces, and by
+    the trace route 1 - Tr(T)."""
+    return (1 - mu + tr_ntn - tr_nt2n,
+            1 - sum(row.get(i, 0) for i, row in enumerate(t)))
+
+
+K_DEFAULT = 12   # traces Tr(T^k), k = 1..K, that reports and tables give
+K_CAP = 64       # bounds arbitrary-precision growth in reports
 
 
 def trace_powers(t: Rows, k_max: int) -> list[int]:
@@ -281,99 +287,94 @@ def newton_power_sums(coeffs: list[int], k_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def signature(n: Rows) -> int:
-    """Signature of S + tS = 2 Id + N + tN: ``sparse_signature`` on the
-    form's sparse rows, built from the sparse rows of N.  ValueError on an
-    entry of N that is not an int, on a column outside 0..mu-1 and
-    wherever ``sparse_signature`` rejects the form."""
-    if not set(map(type, chain.from_iterable(map(dict.values, n)))) <= {int}:
-        raise ValueError("N has an entry that is not an int")
+    """Signature of S + tS = 2 Id + N + tN, by ``sparse_signature``'s
+    elimination on the form's sparse rows, built from the sparse rows of N.
+    ValueError wherever ``_check_rows`` rejects N."""
+    _check_rows(n)
     rows = [{i: 2} for i in range(len(n))]
-    try:
-        for i, row in enumerate(n):
-            for j, x in row.items():
-                rows[i][j] = rows[i].get(j, 0) + x
-                rows[j][i] = rows[j].get(i, 0) + x
-    except (IndexError, TypeError) as exc:
-        raise ValueError(f"N has a column outside 0..{len(n) - 1}: "
-                         f"{exc}") from None
-    return sparse_signature(rows)
+    for i, row in enumerate(n):
+        for j, x in row.items():
+            rows[i][j] = rows[i].get(j, 0) + x
+            rows[j][i] = rows[j].get(i, 0) + x
+    return _signature(rows)
 
 
-def sparse_signature(rows: list[dict]) -> int:
-    """Signature of a symmetric rational form given as rows {j: value}.
+def sparse_signature(rows: Rows) -> int:
+    """Signature of a symmetric integer form given as rows {j: value}.
 
-    Symmetric elimination in a minimum-degree order, skipping stale
-    queue entries: by Sylvester's law of inertia each nonzero diagonal
-    pivot adds its sign.  When every remaining diagonal entry is zero,
-    the 2x2 block [[0, b], [b, 0]] through a nonzero b adds +1 - 1
-    (Bunch and Kaufman, 1977); an all-zero row adds nothing.
+    Symmetric elimination in a minimum-degree order, ties to the least
+    index, skipping stale queue entries: by Sylvester's law of inertia
+    each nonzero diagonal pivot adds its sign.  When every remaining
+    diagonal entry is zero, the 2x2 block [[0, b], [b, 0]] through a
+    nonzero b adds +1 - 1 (Bunch and Kaufman, 1977); an all-zero row adds
+    nothing.
 
-    The elimination runs on ints: row u of the current Schur complement
-    is held as integer numerators over one positive denominator den[u],
-    the diagonal numerator in dg[u] and the others in adj[u], and each
-    entry is stored in both of its rows, over each row's own
-    denominator.  A pivot rewrites only the rows it touches, and each
-    rewritten row is divided by the gcd of its numerators and its
-    denominator.  There is no global determinant: one d_k for the whole
-    form, as in Bareiss's elimination, would multiply across parts of
-    the form that never interact.  Entries are ints or Fractions (each
-    input row is cleared by the lcm of its denominators); ValueError on
-    a column outside 0..mu-1, an entry of another type, or a form that
-    is not symmetric.
+    Row u of the current Schur complement is held as integer numerators
+    over one positive denominator den[u], the diagonal numerator in dg[u]
+    and the others in adj[u], and each entry is stored in both of its
+    rows, over each row's own denominator.  A pivot rewrites only the
+    rows it touches, and each rewritten row is divided by the gcd of its
+    numerators and its denominator.  ValueError wherever ``_check_rows``
+    rejects the rows, or on a form that is not symmetric.
     """
-    adj, dg, den = _integer_rows(rows)
-    # sorted (-degree, -index) pairs: pop() takes the least degree first
-    queue = sorted((-len(r), -i) for i, r in enumerate(adj))
-    parked: list[tuple[int, int]] = []     # popped with a zero diagonal
+    cols = _check_rows(rows)
+    # the mirror of entry (i, j) is rows[j].get(i, 0)
+    owners = chain.from_iterable(map(repeat, range(len(rows)),
+                                     map(len, rows)))
+    mirrors = map(dict.get, map(rows.__getitem__, cols), owners, repeat(0))
+    if list(mirrors) != list(chain.from_iterable(map(dict.values, rows))):
+        raise ValueError("the form is not symmetric")
+    return _signature(rows)
+
+
+def _check_rows(rows: Rows) -> list[int]:
+    """ValueError unless every row is a dict, every column an int in
+    0..mu-1 and every entry an int (``type(x) is int``: no bool); returns
+    the columns, row after row.  Each check is one pass over all rows or
+    entries at once."""
+    mu = len(rows)
+    if not set(map(type, rows)) <= {dict}:
+        raise ValueError("a row is not a dict")
+    cols = list(chain.from_iterable(rows))
+    if cols and not (set(map(type, cols)) == {int}
+                     and 0 <= min(cols) and max(cols) < mu):
+        raise ValueError(f"a column is outside 0..{mu - 1}")
+    values = chain.from_iterable(map(dict.values, rows))
+    if not set(map(type, values)) <= {int}:
+        raise ValueError("an entry is not an int")
+    return cols
+
+
+def _signature(rows: Rows) -> int:
+    """The elimination of ``sparse_signature`` on checked, symmetric rows.
+    The queue and the parked rows are heaps of the keys degree mu + index,
+    so heappop takes the least degree, then the least index: one int
+    compares faster than a (degree, index) pair."""
+    mu = len(rows)
+    adj = [{j: x for j, x in r.items() if x} for r in rows]
+    dg, den = [r.pop(i, 0) for i, r in enumerate(adj)], [1] * mu
+    queue = [len(r) * mu + i for i, r in enumerate(adj)]
+    heapify(queue)
+    parked: list[int] = []          # popped with a zero diagonal
     sig = 0
     while queue or parked:
-        deg, p = map(neg, (queue or parked).pop())
+        deg, p = divmod(heappop(queue or parked), mu)
         if adj[p] is None or deg != len(adj[p]):
             continue                        # stale entry
         if dg[p]:
             sig += 1 if dg[p] > 0 else -1   # den[p] > 0
             pivots = (p,)
         elif queue:
-            insort(parked, (-deg, -p))
+            heappush(parked, deg * mu + p)
             continue
         elif not deg:
             adj[p] = None                   # zero row
             continue
         else:
-            q = min(adj[p], key=lambda j: (len(adj[j]), j))
-            pivots = (p, q)
+            pivots = (p, min(adj[p], key=lambda j: (len(adj[j]), j)))
         for u in _eliminate(adj, dg, den, pivots):
-            insort(queue, (-len(adj[u]), -u))
+            heappush(queue, len(adj[u]) * mu + u)
     return sig
-
-
-def _integer_rows(rows: list[dict]):
-    """The off-diagonal numerators, diagonal numerators and denominators
-    of a symmetric form's rows, each row cleared by the lcm of its
-    entries' denominators; ValueError on a column outside 0..mu-1, an
-    entry that is not symmetric, or one that is neither an int nor a
-    Fraction.  The checks run over all entries at once."""
-    mu = len(rows)
-    cols = list(chain.from_iterable(rows))
-    if cols and not (set(map(type, cols)) == {int}
-                     and 0 <= min(cols) and max(cols) < mu):
-        raise ValueError(f"a column is outside 0..{mu - 1}")
-    # the mirror of entry (i, j) is rows[j].get(i, 0)
-    owners = chain.from_iterable(map(repeat, range(mu), map(len, rows)))
-    vals = list(chain.from_iterable(map(dict.values, rows)))
-    if list(map(dict.get, map(rows.__getitem__, cols), owners,
-                repeat(0))) != vals:
-        raise ValueError("the form is not symmetric")
-    kinds = set(map(type, vals))
-    if kinds <= {int}:
-        adj, den = [{j: x for j, x in r.items() if x} for r in rows], [1] * mu
-    elif all(k is int or issubclass(k, fractions.Fraction) for k in kinds):
-        den = [lcm(*(x.denominator for x in r.values())) for r in rows]
-        adj = [{j: x.numerator * (d // x.denominator)
-                for j, x in r.items() if x} for r, d in zip(rows, den)]
-    else:
-        raise ValueError("an entry is neither an int nor a Fraction")
-    return adj, [r.pop(i, 0) for i, r in enumerate(adj)], den
 
 
 def _eliminate(adj, dg, den, pivots):
@@ -381,62 +382,47 @@ def _eliminate(adj, dg, den, pivots):
     Q_uv -= Q_uP P^-1 Q_Pv, on integer rows.  Returns the indices whose
     rows changed; the pivots' rows become None.
 
-    P = [[s]], s = dg[p]: row u becomes s row_u - a row_p with a = row_u[p],
-    over den[u] s.  P = [[0, b], [b, 0]] with b = x / den[p] = y / den[q],
-    x = row_p[q] and y = row_q[p]: row u becomes L row_u - a x row_q -
-    b_u y row_p with a = row_u[p], b_u = row_u[q] and L = x y > 0, over
-    den[u] L.  Either way the entries at the pivots cancel, the row's own
-    entry is its diagonal, and the row, dg[u] and den[u] are then divided
-    by their gcd, negated when s < 0 so that den[u] stays positive.
+    Row u becomes s row_u - sum_k c_k row_k over den[u] s, one term per
+    pivot k, with the pivots' own columns left out.  P = [[s]], s = dg[p]:
+    the term is row_p with c = row_u[p].  P = [[0, b], [b, 0]] with b =
+    x / den[p] = y / den[q], x = row_p[q] and y = row_q[p]: s = x y > 0
+    and the terms are row_q with c = row_u[p] x and row_p with c =
+    row_u[q] y.  The row's own entry is its diagonal.  The row, dg[u] and
+    den[u] are then divided by their gcd, taken with the sign of s so that
+    den[u] stays positive, and the zero entries are dropped.
     """
     if len(pivots) == 1:
         p, = pivots
-        rp, s = adj[p], dg[p]
-        adj[p] = None
-        for u in rp:
-            ru = adj[u]
-            a = ru[p]
-            row = {v: s * z for v, z in ru.items()}
-            row[u] = s * dg[u]
-            for v, z in rp.items():
-                row[v] = row.get(v, 0) - a * z
-            del row[p]
-            _store(adj, dg, den, u, row, s)
-        return rp.keys()
-    p, q = pivots
-    rp, rq = adj[p], adj[q]
-    adj[p] = adj[q] = None
-    x, y = rp[q], rq[p]
-    s = x * y
-    touched = (rp.keys() | rq.keys()) - {p, q}
+        rp = adj[p]
+        s, terms, touched = dg[p], ((p, rp, 1),), rp.keys()
+    else:
+        p, q = pivots
+        rp, rq = adj[p], adj[q]
+        x, y = rp.pop(q), rq.pop(p)
+        s, terms = x * y, ((p, rq, x), (q, rp, y))
+        touched = rp.keys() | rq.keys()
+    for k in pivots:
+        adj[k] = None
     for u in touched:
         ru = adj[u]
         row = {v: s * z for v, z in ru.items()}
         row[u] = s * dg[u]
-        for rk, c in ((rq, ru.get(p, 0) * x), (rp, ru.get(q, 0) * y)):
-            if c:
+        for k, rk, m in terms:
+            c = ru.get(k, 0) * m
+            if c:                   # row_u has an entry at k
+                del row[k]
                 for v, z in rk.items():
                     row[v] = row.get(v, 0) - c * z
-        row.pop(p, None)
-        row.pop(q, None)
-        _store(adj, dg, den, u, row, s)
+        d = row.pop(u)
+        g = gcd(den[u] * s, d, *row.values())
+        if s < 0:
+            g = -g
+        den[u] = den[u] * s // g
+        dg[u] = d // g
+        if g != 1 or 0 in row.values():
+            row = {v: z // g for v, z in row.items() if z}
+        adj[u] = row
     return touched
-
-
-def _store(adj, dg, den, u, row, s) -> None:
-    """Store the rewritten row u: ``row`` holds its numerators, the
-    diagonal one at key u, over den[u] s.  All are divided by their gcd,
-    taken with the sign of s so that den[u] stays positive, and the zero
-    entries are dropped."""
-    d = row.pop(u)
-    g = gcd(den[u] * s, d, *row.values())
-    if s < 0:
-        g = -g
-    den[u] = den[u] * s // g
-    dg[u] = d // g
-    if g != 1 or 0 in row.values():
-        row = {v: z // g for v, z in row.items() if z}
-    adj[u] = row
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +442,8 @@ class TheoremReport:
     cellularity comparison is a finding, not a check: it is recorded in
     ``findings`` when the two disagree and never fails a run.  The chain's
     artifacts (diagram, N and T as sparse rows, characteristic polynomial
-    and the traces Tr(T^k), k = 1..min(12, mu + 2)) ride along for reuse.
+    and the traces Tr(T^k), k = 1..min(K_DEFAULT, mu + 2)) ride along for
+    reuse.  ``lam`` and ``lam_trace`` are the formula and trace routes.
     """
     stats: object
     mu: int
@@ -464,6 +451,7 @@ class TheoremReport:
     f: int
     chi_body: int
     lam: int
+    lam_trace: int
     n_square_zero: bool
     gamma: Gamma
     n: Rows
@@ -502,9 +490,9 @@ def verify_theorem(m: DivideMap) -> TheoremReport:
     n2 = nilpotent_square(n)
     t = monodromy_matrix(n, n2)
     tr_ntn, tr_nt2n = _flag_traces(n, n2)
-    lam = 1 - cnt.mu + tr_ntn - tr_nt2n   # the formula route, graded below
+    lam, lam_trace = _lefschetz_routes(cnt.mu, tr_ntn, tr_nt2n, t)
     cp = char_poly(t)
-    k_cmp = min(12, max(1, cnt.mu + 2))
+    k_cmp = min(K_DEFAULT, max(1, cnt.mu + 2))
     traces = trace_powers(t, k_cmp)
     n_square_zero = not any(n2)
 
@@ -516,8 +504,7 @@ def verify_theorem(m: DivideMap) -> TheoremReport:
     # nilpotent_square raised above unless N^3 = 0: passes by construction
     grade("n_cube_zero", True, True)
     grade("slalom_equiv_n2_f", True, n_square_zero == (cnt.f == 0))
-    grade("lefschetz_two_routes", True,
-          lam == 1 - sum(row.get(i, 0) for i, row in enumerate(t)))
+    grade("lefschetz_two_routes", True, lam == lam_trace)
     grade("det_seifert_one", True,      # Id + N is triangular
           prod(1 + row.get(i, 0) for i, row in enumerate(n)) == 1)
     grade("det_monodromy_one", True, det_from_char_poly(cp) == 1)
@@ -543,8 +530,8 @@ def verify_theorem(m: DivideMap) -> TheoremReport:
 
     report = TheoremReport(
         stats=stats, mu=cnt.mu, e=cnt.e, f=cnt.f, chi_body=chi,
-        lam=lam, n_square_zero=n_square_zero, gamma=gamma, n=n, t=t,
-        char_poly=cp, traces=traces, checks=checks,
+        lam=lam, lam_trace=lam_trace, n_square_zero=n_square_zero,
+        gamma=gamma, n=n, t=t, char_poly=cp, traces=traces, checks=checks,
     )
 
     # findings channel: the multi-edge criterion against the walk test,

@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynkin import Gamma
-from .seifert import Rows, matrix_N, monodromy_matrix, trace_powers
-
-K_DEFAULT = 12
-K_CAP = 64      # bounds arbitrary-precision growth in reports
+from .seifert import (K_CAP, K_DEFAULT, Rows, matrix_N, monodromy_matrix,
+                      trace_powers)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Random symmetric integer forms (sparse, with an all-zero diagonal, or of
 low rank) go through ``sparse_signature`` and the dense congruence
 elimination, and, with rational entries too, through the Fraction twin of
-the integer-row elimination, which must take the same pivots.  The rows
+the integer-row elimination, which must take the same pivots on the form
+scaled to integers by the lcm of its denominators.  The rows
 must stay within Hadamard's bound, and the nullity of N - tN, read off
 the signature of -(N - tN)^2, must be r minus the number of components.
 Random integer matrices (negative entries, big integers, zero rows,
@@ -27,7 +28,7 @@ multi-twists on fewer of them.
 
 import time
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -117,7 +118,9 @@ def fraction_forms(draw):
 def test_integer_kernel_matches_fraction_twin(monkeypatch):
     # the integer rows take the pivots of the Fraction elimination, in its
     # order (so as many 2x2 blocks), and give its signature on integer and
-    # on rational forms
+    # on rational forms; a rational form goes to the integer kernel scaled
+    # by the lcm of its denominators, which keeps the signature and every
+    # zero, so the pivot order
     seen = set()
     blocks = algebra_oracle.BlockPivots(monkeypatch)
 
@@ -126,8 +129,10 @@ def test_integer_kernel_matches_fraction_twin(monkeypatch):
     def check(drawn):
         kind, q = drawn
         rows = rows_of(q)
+        scale = lcm(*(Fraction(x).denominator for r in q for x in r))
         blocks.pivots.clear()
-        sig = sparse_signature(rows)
+        sig = sparse_signature([{j: int(x * scale) for j, x in r.items()}
+                                for r in rows])
         twin, taken = algebra_oracle.sparse_signature_fraction(rows)
         assert sig == twin == algebra_oracle.signature_symmetric(q), q
         assert blocks.pivots == taken, q
@@ -493,14 +498,16 @@ def test_rows_stay_within_hadamard_bound(monkeypatch):
     # is at most a minor: all are within Hadamard's bound H of the integer
     # form, H^2 = prod_i max(1, |row_i|^2).  Without the gcd reduction the
     # products of pivots pass H after a few steps.
-    real, hsq = seifert._store, 0
+    real, hsq = seifert._eliminate, 0
 
-    def store(adj, dg, den, u, row, s):
-        real(adj, dg, den, u, row, s)
-        for x in (den[u], dg[u], *adj[u].values()):
-            assert x * x <= hsq, (u, x)
+    def eliminate(adj, dg, den, pivots):
+        touched = real(adj, dg, den, pivots)
+        for u in touched:
+            for x in (den[u], dg[u], *adj[u].values()):
+                assert x * x <= hsq, (u, x)
+        return touched
 
-    monkeypatch.setattr(seifert, "_store", store)
+    monkeypatch.setattr(seifert, "_eliminate", eliminate)
     forms = []
     for n in (16, 20, 24):
         for s in range(3):
