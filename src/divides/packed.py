@@ -7,6 +7,18 @@ polynomial multiplication via multipoint Kronecker substitution*,
 J. Symb. Comput. 2009).  A slot decodes exactly while its entry lies in
 the signed window [-2^(w-1), 2^(w-1)); callers choose w so that it does.
 Every function here is exact for int entries only.
+
+A product T M is run by a row program of T: per row i, the rows it adds,
+subtracts and scales.  A term names row j of M for j < mu and, for
+mu + k, row k of T M itself, formed earlier in the same product.  The
+rows of T make a program with no such back references (``row_terms``).
+The monodromy T = (Id + tN)^-1 (Id + N) also makes one from the rows of
+the Seifert data N (``factored_terms``): a forward pass over Id + N, then
+a back substitution over tN, with mu + 2 nnz(N) terms against nnz(T).
+Packing is Z-linear, so each row of T M comes out as the exact packed
+integer of its entries whatever the terms summed on the way: a partial
+sum, or a row of (Id + N) M, may leave the slot window, and only the
+entries of T M itself have to lie in it to decode.
 """
 
 from __future__ import annotations
@@ -36,28 +48,73 @@ def row_terms(t: list[dict[int, int]]) -> list:
     return terms
 
 
-def row_norm(terms) -> int:
-    """|T|, the largest absolute row sum, from the row terms of T."""
-    return max((len(plus) + len(minus) + sum(abs(c) for _, c in other)
-                for plus, minus, other in terms), default=0)
+def row_norm(t: list[dict[int, int]]) -> int:
+    """|T|, the largest absolute row sum of T given as sparse rows.  As in
+    ``row_terms``, a stored zero of any type counts for nothing and any
+    other non-integer raises: then its row sum is not an int."""
+    norm = 0
+    for row in t:
+        x = sum(map(abs, filter(None, row.values())))
+        if type(x) is not int:
+            raise ArithmeticError(
+                "packed rows are not exact for a non-integer")
+        norm = max(norm, x)
+    return norm
+
+
+def factored_terms(n: list[dict[int, int]]) -> list:
+    """The row program of T = (Id + tN)^-1 (Id + N) from the sparse rows of
+    a strictly upper triangular N, as its callers check.  (Id + tN) T M =
+    (Id + N) M gives row i of T M as
+
+        M_i + sum_j N_ij M_j - sum_(k<i) N_ki (T M)_k,
+
+    so row i reads row mu + k for each entry N_ki above it: row k of T M,
+    formed earlier since k < i.  Entries of any sign and size are
+    coefficients, a multi-edge too; as in ``row_terms``, a non-integer
+    raises and a stored zero is no term."""
+    mu = len(n)
+    terms = [([i], [], []) for i in range(mu)]
+    for k, row in enumerate(n):
+        plus, minus, other = terms[k]
+        for j, x in row.items():
+            if not x:
+                continue
+            if not isinstance(x, int):
+                raise ArithmeticError(
+                    "packed rows are not exact for a non-integer")
+            if x == 1:
+                plus.append(j)
+                terms[j][1].append(mu + k)
+            elif x == -1:
+                minus.append(j)
+                terms[j][0].append(mu + k)
+            else:
+                other.append((j, x))
+                terms[j][2].append((mu + k, -x))
+    return terms
 
 
 def left_mul(terms, rows: list[int], w: int) -> tuple[list[int], int]:
-    """The packed rows of T M from those of M, over the nonzeros of T, and
-    the trace of T M: digit i of row i, signed in base 2^w, summed."""
-    get, out, trace = rows.__getitem__, [], 0
+    """The packed rows of T M from those of M, by a row program of T, and
+    the trace of T M: digit i of row i, signed in base 2^w, summed.  The
+    rows are formed in order, so a term may name row mu + k, k < i: row k
+    of T M.  Only the rows of T M have to decode (see the module notes)."""
+    mu = len(rows)
+    src = rows.copy()       # row mu + k: row k of T M, once formed
+    get, push, trace = src.__getitem__, src.append, 0
     half, mask = 1 << (w - 1), (1 << w) - 1
     for i, (plus, minus, other) in enumerate(terms):
         x = sum(map(get, plus))
         if minus:
             x -= sum(map(get, minus))
         if other:
-            x += sum([c * rows[j] for j, c in other])
-        out.append(x)
+            x += sum([c * src[j] for j, c in other])
+        push(x)
         if i:
             x = ((x >> (w * i - 1)) + 1) >> 1      # round the lower digits
         trace += ((x + half) & mask) - half
-    return out, trace
+    return src[mu:], trace
 
 
 def slot_masks(mu: int, w: int, b: int) -> tuple[int, int]:

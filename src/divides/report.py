@@ -62,7 +62,7 @@ def build_report(m: DivideMap, source: str = "",
     k = max(1, min(k, K_CAP))
     thm = verify_theorem(m)
     traces = (thm.traces[:k] if k <= len(thm.traces)
-              else trace_powers(thm.t, k))
+              else trace_powers(thm.t, k, thm.n))
 
     stats = thm.stats
     twice_genus = thm.mu - m.r + 1

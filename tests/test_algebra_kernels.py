@@ -23,7 +23,10 @@ number by both routes at mu of about 2 * 10^4, where no dense matrix can
 go; the signature alone must take under 2 s there.  The monodromy's
 forward substitution equals the series (Id - tN + (tN)^2)(Id + N) on the
 zoo, the families and chord sets, and A'Campo's product of three
-multi-twists on fewer of them.
+multi-twists on fewer of them.  Given N, ``char_poly`` and
+``trace_powers`` must give what they give on T's rows alone, on every N
+above that passes the guard and on the zoo, the families and chord sets,
+and must take the factored program of N exactly where it has fewer terms.
 """
 
 import time
@@ -242,9 +245,70 @@ def test_sparse_n_matches_dense_oracle():
         assert dense(monodromy_matrix(rows)) \
             == algebra_oracle.monodromy_series(n), rows
         assert monodromy_matrix(rows, sq) == monodromy_matrix(rows), rows
+        if _factored(rows):
+            seen.add("factored")
+        _assert_twins(rows, rows)
 
     check()
-    assert seen == {"raises", "passes", "cancelled"}
+    assert seen == {"raises", "passes", "cancelled", "factored"}
+
+
+def _factored(n):
+    """Whether the kernels given N run on its factored program."""
+    t = monodromy_matrix(n)
+    return len(t) + 2 * sum(map(len, n)) < sum(map(len, t))
+
+
+def _assert_twins(n, name):
+    # the kernels given N equal the kernels on T's rows alone
+    t = monodromy_matrix(n)
+    assert char_poly(t, n) == char_poly(t), name
+    for k in range(13):
+        assert trace_powers(t, k, n) == trace_powers(t, k), (name, k)
+
+
+def test_factored_program_matches_rows(zoo):
+    maps = zoo + [(f"zigzag({k})", zigzag(k)) for k in range(1, 9)]
+    maps += [(f"coil({k})", coil(k)) for k in range(1, 9)]
+    maps += [(f"chords({n}, {s})", from_chords(gen_chords(n, s)))
+             for n in range(2, 13) for s in range(15)]
+    for name, m in maps:
+        _assert_twins(n_of(m), name)
+
+
+def test_program_choice_reads_the_input(monkeypatch):
+    # coil keeps T's rows; a chord divide with mu >= 12 takes the factored
+    # program, in both kernels
+    built = []
+    real = packed.factored_terms
+    monkeypatch.setattr(packed, "factored_terms",
+                        lambda n: built.append(len(n)) or real(n))
+    for k in range(1, 9):
+        n = n_of(coil(k))
+        t = monodromy_matrix(n)
+        char_poly(t, n)
+        trace_powers(t, 12, n)
+    assert built == []
+    n = n_of(from_chords(gen_chords(10, 0)))
+    t = monodromy_matrix(n)
+    assert len(n) >= 12
+    char_poly(t, n)
+    trace_powers(t, 12, n)
+    assert built == [len(n), len(n)]
+
+
+def test_factored_terms_take_any_int_entry():
+    # signs, multi-edges and a stored zero; a non-integer raises as in
+    # row_terms
+    n = [{1: 2, 2: -1, 3: 0}, {3: -3}, {3: 1}, {}]
+    assert packed.factored_terms(n) == [
+        ([0], [2], [(1, 2)]),
+        ([1], [], [(4, -2), (3, -3)]),
+        ([2, 4, 3], [], []),
+        ([3], [6], [(5, 3)]),
+    ]
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        packed.factored_terms([{1: 0.5}, {}])
 
 
 @st.composite

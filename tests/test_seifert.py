@@ -25,6 +25,14 @@ from algebra_oracle import (
 # cannot be the matrix of any divide diagram
 CHAIN4 = [{1: 1}, {2: 1}, {3: 1}, {}]
 
+# N in no format the guards on N accept: a column out of range or not an
+# int, an entry not an int, a row not a dict
+BAD_N = [
+    [{5: 1}], [{-1: 1}, {}], [{1: 0.5}, {}], [{1.0: 1}, {}],
+    [{1: True}, {}], [{1: "1"}, {}],
+    [[0, 1], [0, 0]],           # dense rows, not dicts
+]
+
 
 def n_of(name_or_map):
     m = fixture(name_or_map) if isinstance(name_or_map, str) else name_or_map
@@ -94,7 +102,8 @@ class TestMonodromy:
     def test_guards_survive_optimize(self):
         # python -O strips assert statements; both guards must still raise
         code = ("from divides import monodromy_matrix\n"
-                "for n in ([{}, {0: 1}], [{1: 1}, {2: 1}, {3: 1}, {}]):\n"
+                "for n in ([{}, {0: 1}], [{1: True}, {}],\n"
+                "          [{1: 1}, {2: 1}, {3: 1}, {}]):\n"
                 "    try:\n"
                 "        monodromy_matrix(n)\n"
                 "    except ValueError as exc:\n"
@@ -104,7 +113,20 @@ class TestMonodromy:
                              capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout == ("N[1][0] = 1 is not above the diagonal\n"
+                              "N[0][1] = True is not an int\n"
                               "nilpotency violation: (tN)^3 != 0\n")
+
+    @pytest.mark.parametrize("n", BAD_N)
+    def test_every_guard_on_n_checks_types(self, n):
+        # the guard of monodromy_matrix, lefschetz_number and verify_theorem
+        # checks types as well as positions, and so do char_poly and
+        # trace_powers when given N, whichever program they run on
+        t = [{i: 1} for i in range(len(n))]
+        for guarded in (monodromy_matrix, lefschetz_number,
+                        lambda n: char_poly(t, n),
+                        lambda n: trace_powers(t, 3, n)):
+            with pytest.raises(ValueError):
+                guarded(n)
 
     def test_dimension_zero(self):
         assert monodromy_matrix([]) == []
@@ -307,11 +329,7 @@ class TestSignature:
         with pytest.raises(ValueError):
             sparse_signature(rows)
 
-    @pytest.mark.parametrize("n", [
-        [{5: 1}], [{-1: 1}, {}], [{1: 0.5}, {}], [{1.0: 1}, {}],
-        [{1: True}, {}], [{1: "1"}, {}],
-        [[0, 1], [0, 0]],           # dense rows, not dicts
-    ])
+    @pytest.mark.parametrize("n", BAD_N)
     def test_signature_guards(self, n):
         with pytest.raises(ValueError):
             signature(n)
@@ -414,6 +432,38 @@ class TestVerifyTheorem:
         m = from_chords(gen_chords(5, 7))
         rep = verify_theorem(m)
         assert rep.all_pass()
+
+    def test_factored_program_is_tied_to_t(self, monkeypatch):
+        # a factored program that drops the back-substitution term N_ki of
+        # its last row multiplies by a T' with T'_ii = T_ii + N_ki T_ki:
+        # the Tr(T) it gives must fail the Lefschetz grade against T's rows
+        real = seifert.packed.factored_terms
+        dropped = []
+
+        def drop_one(n):
+            terms, t = real(n), monodromy_matrix(n)
+            mu = len(n)
+            for lst in terms[-1]:
+                for term in lst:
+                    k = (term if isinstance(term, int) else term[0]) - mu
+                    if k >= 0 and t[k].get(mu - 1):
+                        lst.remove(term)
+                        dropped.append(k)
+                        return terms
+            return terms
+
+        m = from_chords(gen_chords(12, 3))
+        clean = verify_theorem(m)
+        assert clean.all_pass() and clean.mu >= 12
+        monkeypatch.setattr(seifert.packed, "factored_terms", drop_one)
+        try:
+            rep = verify_theorem(m)
+        except ArithmeticError:
+            pass
+        else:
+            assert rep.checks["lefschetz_two_routes"] == "fail"
+            assert (rep.lam, rep.lam_trace) == (clean.lam, clean.lam_trace)
+        assert dropped
 
     def test_carries_chain_artifacts(self, zoo):
         for name, m in zoo:
