@@ -300,7 +300,6 @@ def _check_planarity(m: DivideMap) -> None:
 
 class Face(NamedTuple):
     """One inside-disk face of the augmented map."""
-    index: int
     darts: tuple[int, ...]   # boundary walk
     kind: str                # OUTER or REGION
     sign: int                # MINUS or PLUS
@@ -324,7 +323,7 @@ class Faces:
     def flipped(self) -> "Faces":
         """The same faces under the reversed sign normalization."""
         return Faces(
-            faces=tuple([Face(f.index, f.darts, f.kind, -f.sign)
+            faces=tuple([Face(f.darts, f.kind, -f.sign)
                          for f in self.faces]),
             dart_face=self.dart_face,
             regions=self.regions,
@@ -393,7 +392,7 @@ def compute_faces(m: DivideMap) -> Faces:
                     raise DivideError("2-coloring inconsistency across a "
                                       "divide segment")
     # tuple(list), not tuple(map): resizing fills CPython's free lists
-    faces = tuple(list(map(Face, range(len(inside)), inside, kinds, signs)))
+    faces = tuple(list(map(Face, inside, kinds, signs)))
     return Faces(faces=faces, dart_face=tuple(dart_face), regions=regions)
 
 

@@ -5,16 +5,16 @@ Vertices are one basepoint per region plus the double points, numbered
 then the double points (in input order), then the Plus basepoints.  Edges
 come in two species: one per region sector at a double point, and one per
 segment whose two sides are both regions (those two regions necessarily
-carry opposite signs).  The diagram is its edge list: every edge runs
-from a lower to a higher vertex, and an edge repeated k times is an entry
-k of the strictly upper triangular intersection matrix assembled
-downstream.  Nothing here is quadratic in mu.
+carry opposite signs).  The diagram is three counts and its edge list:
+n_minus, n_double and n_plus fix each vertex's kind by its index, every
+edge runs from a lower to a higher vertex, and an edge repeated k times
+is an entry k of the strictly upper triangular intersection matrix
+assembled downstream.  Nothing here is quadratic in mu.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple
 
 from .divide_map import (
@@ -25,32 +25,22 @@ SECTOR = "sector"
 SEGMENT = "segment"
 
 
-class GammaVertex(NamedTuple):
-    kind: str           # "minus" | "double" | "plus"
-    ref: int            # region face index, or crossing input index
-    index: int          # 1..mu in the canonical numbering
-
-
 class GammaEdge(NamedTuple):
-    species: str                 # SECTOR or SEGMENT
-    i: int                       # vertex indices, i < j
+    species: str        # SECTOR or SEGMENT
+    i: int              # vertex indices, i < j
     j: int
-    crossing: int | None = None  # sector edges: crossing input index
-    corner: int | None = None    # sector edges: slot pair (corner, corner+1)
-    edge_id: int | None = None   # segment edges: divide edge index
 
 
 @dataclass(frozen=True)
 class Gamma:
-    vertices: tuple[GammaVertex, ...]
     edges: tuple[GammaEdge, ...]
-    n_minus: int
-    n_double: int
+    n_minus: int        # vertices 1..n_minus
+    n_double: int       # then n_double vertices, then n_plus
     n_plus: int
 
     @property
     def mu(self) -> int:
-        return len(self.vertices)
+        return self.n_minus + self.n_double + self.n_plus
 
 
 @dataclass(frozen=True)
@@ -70,31 +60,23 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
 
     # base[fi]: vertex index of region fi's basepoint, 0 for an Outer face
     base = [0] * len(faces.faces)
-    vertices: list[GammaVertex] = []
-    for fi in minus_regions:
-        vertices.append(GammaVertex("minus", fi, len(vertices) + 1))
-        base[fi] = len(vertices)
-    vertices += [GammaVertex("double", c, n_minus + 1 + c)
-                 for c in range(m.delta)]
-    for fi in plus_regions:
-        vertices.append(GammaVertex("plus", fi, len(vertices) + 1))
-        base[fi] = len(vertices)
+    for v, fi in enumerate(minus_regions, 1):
+        base[fi] = v
+    for v, fi in enumerate(plus_regions, n_minus + m.delta + 1):
+        base[fi] = v
 
     edges: list[GammaEdge] = []
     dart_face = faces.dart_face
-    n_end = len(m.endpoints)
-    for c in range(m.delta):
-        d = n_minus + 1 + c
-        for corner, dart in enumerate(m.rotations[n_end + c]):
+    # the crossings' rotations follow the endpoints', in input order
+    for d, rotation in enumerate(m.rotations[len(m.endpoints):], n_minus + 1):
+        for dart in rotation:
             b = base[dart_face[dart]]
             if b:
                 i, j = (b, d) if b < d else (d, b)
-                edges.append(GammaEdge(SECTOR, i, j, crossing=c,
-                                       corner=corner))
+                edges.append(GammaEdge(SECTOR, i, j))
 
-    n_segment_darts = 2 * m.n_divide_edges
-    sides = zip(dart_face[0:n_segment_darts:2], dart_face[1:n_segment_darts:2])
-    for k, (f1, f2) in enumerate(sides):
+    segment_darts = dart_face[:2 * m.n_divide_edges]
+    for f1, f2 in zip(segment_darts[::2], segment_darts[1::2]):
         b1, b2 = base[f1], base[f2]
         if not (b1 and b2):
             continue
@@ -103,10 +85,9 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
             raise DivideError("2-coloring inconsistency: a segment joins "
                               "two regions of one sign")
         i, j = (b1, b2) if b1 < b2 else (b2, b1)    # i is the Minus one
-        edges.append(GammaEdge(SEGMENT, i, j, edge_id=k))
+        edges.append(GammaEdge(SEGMENT, i, j))
 
     return Gamma(
-        vertices=tuple(vertices),
         edges=tuple(edges),
         n_minus=n_minus,
         n_double=m.delta,
@@ -139,17 +120,7 @@ def counts(gamma: Gamma) -> GammaCounts:
     basepoint and one to a Plus basepoint; f is the total with
     multiplicity.
     """
-    minus = [0] * gamma.n_double     # sector edges at each double point
-    plus = [0] * gamma.n_double
-    first_double = gamma.n_minus + 1
-    for e in gamma.edges:
-        if e.species != SECTOR:
-            continue
-        if e.i < first_double:          # minus basepoint -- double point
-            minus[e.j - first_double] += 1
-        else:                           # double point -- plus basepoint
-            plus[e.i - first_double] += 1
-    f = sum(map(mul, minus, plus))
+    f = sum(len(minus) * len(plus) for minus, plus in _sector_ends(gamma))
     return GammaCounts(mu=gamma.mu, e=len(gamma.edges), f=f)
 
 
@@ -195,20 +166,19 @@ def gamma_to_dot(gamma: Gamma) -> str:
     by their vertex index, Plus basepoints boxes labeled "+".  Segment
     edges are dashed to distinguish the two species.
     """
-    names = {}
+    first_double = gamma.n_minus + 1
+    first_plus = first_double + gamma.n_double
+    # kind[v]: the name prefix of vertex v (kind[0] is unused)
+    kind = "m" * first_double + "d" * gamma.n_double + "p" * gamma.n_plus
     lines = ["graph gamma {", "  node [fontsize=10];"]
-    for v in gamma.vertices:
-        if v.kind == "minus":
-            names[v.index] = f"m{v.index}"
-            lines.append(f'  m{v.index} [shape=box, label="-"];')
-        elif v.kind == "double":
-            names[v.index] = f"d{v.index}"
-            lines.append(f'  d{v.index} [shape=circle, label="{v.index}"];')
-        else:
-            names[v.index] = f"p{v.index}"
-            lines.append(f'  p{v.index} [shape=box, label="+"];')
+    lines += [f'  m{v} [shape=box, label="-"];'
+              for v in range(1, first_double)]
+    lines += [f'  d{v} [shape=circle, label="{v}"];'
+              for v in range(first_double, first_plus)]
+    lines += [f'  p{v} [shape=box, label="+"];'
+              for v in range(first_plus, gamma.mu + 1)]
     for e in sorted(gamma.edges, key=lambda e: (e.i, e.j, e.species)):
         style = " [style=dashed]" if e.species == SEGMENT else ""
-        lines.append(f"  {names[e.i]} -- {names[e.j]}{style};")
+        lines.append(f"  {kind[e.i]}{e.i} -- {kind[e.j]}{e.j}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -41,7 +41,8 @@ def adjacency(gamma: Gamma) -> Rows:
 
 def walk_table(gamma: Gamma, k: int = K_DEFAULT) -> WalkTable:
     k = max(1, min(k, K_CAP))
-    t = monodromy_matrix(matrix_N(gamma))
-    pairs = zip(trace_powers(t, k), trace_powers(adjacency(gamma), k))
+    n = matrix_N(gamma)
+    t = monodromy_matrix(n)
+    pairs = zip(trace_powers(t, k, n), trace_powers(adjacency(gamma), k))
     return WalkTable(rows=tuple((i, tr_t, 1 - tr_t, tr_m)
                                 for i, (tr_t, tr_m) in enumerate(pairs, 1)))

@@ -37,7 +37,7 @@ def corner_faces(m, faces):
     A walk that reaches vertex v along the twin of the dart at rotation
     position pos turns clockwise into the corner (v, (pos - 1) mod deg).
     """
-    face_of_walk = {f.darts: f.index for f in faces.faces}
+    face_of_walk = {f.darts: fi for fi, f in enumerate(faces.faces)}
     corner = {}
     for w in m.face_walks:
         fi = face_of_walk.get(w)        # None: the face outside the disk

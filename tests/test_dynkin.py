@@ -7,7 +7,8 @@ from divides import (
     counts, fixture, from_chords, gamma_to_dot, gen_chords, has_multi_edge,
     map_from_document, zigzag,
 )
-from divides.dynkin import SECTOR, SEGMENT, Gamma, GammaEdge, GammaVertex
+from divides.divide_map import DivideError, Face, Faces
+from divides.dynkin import SECTOR, SEGMENT, Gamma, GammaEdge
 
 import gamma_oracle
 
@@ -71,10 +72,39 @@ class TestBuildGamma:
     def test_numbering_contiguous(self, zoo):
         for name, m in zoo:
             g = gamma_of(m)
-            kinds = [v.kind for v in g.vertices]
-            assert kinds == (["minus"] * g.n_minus + ["double"] * g.n_double
-                             + ["plus"] * g.n_plus), name
-            assert [v.index for v in g.vertices] == list(range(1, g.mu + 1))
+            assert g.n_double == m.delta, name
+            assert g.mu == m.delta + compute_faces(m).region_count(), name
+            first_double = g.n_minus + 1
+            first_plus = first_double + g.n_double
+            for e in g.edges:
+                assert 1 <= e.i < e.j <= g.mu, name
+                if e.species == SEGMENT:    # minus basepoint -- plus one
+                    assert e.i < first_double and e.j >= first_plus, name
+                else:                       # one end is a double point
+                    assert (first_double <= e.i < first_plus) != \
+                        (first_double <= e.j < first_plus), name
+            # the DOT node lines name m..., then d..., then p..., 1..mu
+            nodes = [line.split()[0] for line in gamma_to_dot(g).splitlines()
+                     if "shape=" in line]
+            assert nodes == ([f"m{v}" for v in range(1, first_double)]
+                             + [f"d{v}" for v in range(first_double,
+                                                       first_plus)]
+                             + [f"p{v}" for v in range(first_plus,
+                                                       g.mu + 1)]), name
+
+    def test_segment_joining_one_sign_raises(self):
+        # FIG2A has a segment edge; re-signing one of its two regions
+        # makes that segment join two regions of one sign
+        m = fixture("FIG2A")
+        faces = compute_faces(m)
+        assert any(e.species == SEGMENT for e in build_gamma(m, faces).edges)
+        fi = faces.regions[0]
+        resigned = list(faces.faces)
+        resigned[fi] = resigned[fi]._replace(sign=-resigned[fi].sign)
+        bad = Faces(faces=tuple(resigned), dart_face=faces.dart_face,
+                    regions=faces.regions)
+        with pytest.raises(DivideError, match="two regions of one sign"):
+            build_gamma(m, bad)
 
     def test_sector_count_bounded(self, zoo):
         for name, m in zoo:
@@ -135,15 +165,11 @@ class TestFlagEdges:
         assert check_flag_edges(gamma_of(fixture("FIG2A"))) == []
 
     def test_detects_missing_closing_edge(self):
-        vertices = (GammaVertex("minus", 0, 1), GammaVertex("double", 0, 2),
-                    GammaVertex("plus", 1, 3))
-        sectors = (GammaEdge(SECTOR, 1, 2, crossing=0, corner=0),
-                   GammaEdge(SECTOR, 2, 3, crossing=0, corner=1))
-        g = Gamma(vertices=vertices, edges=sectors,
-                  n_minus=1, n_double=1, n_plus=1)
+        sectors = (GammaEdge(SECTOR, 1, 2), GammaEdge(SECTOR, 2, 3))
+        g = Gamma(edges=sectors, n_minus=1, n_double=1, n_plus=1)
         assert check_flag_edges(g) == [(1, 2, 3)]
-        closing = GammaEdge(SEGMENT, 1, 3, edge_id=0)
-        closed = Gamma(vertices=vertices, edges=sectors + (closing,),
+        closing = GammaEdge(SEGMENT, 1, 3)
+        closed = Gamma(edges=sectors + (closing,),
                        n_minus=1, n_double=1, n_plus=1)
         assert check_flag_edges(closed) == []
 
@@ -228,20 +254,27 @@ def test_front_end_at_scale():
 
 
 class TestRecords:
-    """Faces, diagram vertices and diagram edges are immutable records."""
+    """Faces, diagram edges and the diagram are immutable records."""
 
     def test_fields_cannot_be_assigned(self):
         m = fixture("LENS")
         faces = compute_faces(m)
         g = build_gamma(m, faces)
-        records = (faces.faces[0], g.vertices[0],
-                   GammaEdge(SEGMENT, 1, 3, edge_id=0))
-        for record in records:
+        for record in (faces.faces[0], GammaEdge(SEGMENT, 1, 3)):
             for name in type(record)._fields:
                 with pytest.raises(AttributeError):
                     setattr(record, name, 0)
+        for name in ("edges", "n_minus", "n_double", "n_plus"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 0)
 
     def test_edge_defaults(self):
-        e = GammaEdge(SEGMENT, 1, 3, edge_id=0)
-        assert e.crossing is None and e.corner is None
-        assert (e.species, e.i, e.j, e.edge_id) == (SEGMENT, 1, 3, 0)
+        # an edge is its species and its two ends, with nothing optional
+        assert GammaEdge._fields == ("species", "i", "j")
+        assert GammaEdge._field_defaults == {}
+        e = GammaEdge(SEGMENT, 1, 3)
+        assert (e.species, e.i, e.j) == (SEGMENT, 1, 3)
+
+    def test_face_fields(self):
+        # a face's index is its position in Faces.faces, not a field
+        assert Face._fields == ("darts", "kind", "sign")

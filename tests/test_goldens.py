@@ -1,11 +1,13 @@
-"""Byte-identity of reports, walk tables and corpus rows.
+"""Byte-identity of reports, walk tables, diagrams and corpus rows.
 
 ``goldens/outputs.json`` holds sha256 digests of the outputs below, and the
 full CSV of ``run_corpus(50, 5, 7)``, recorded before the chain was folded
 into one ``verify_theorem`` pass.  The ``render_svg`` digests of chord
 pictures were recorded before the integer chord geometry replaced the
-``Fraction`` one.  A change that means to alter an output must say why and
-re-record the file with ``record()``.
+``Fraction`` one.  The ``gamma_dot`` digests were recorded while the diagram
+still kept a record per vertex and the provenance of each edge.  A change
+that means to alter an output must say why and re-record the file with
+``record()``.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ import pytest
 
 from divides import (
     build_gamma, build_report, coil, compute_faces, fixtures, from_chords,
-    gen_chords, render_text, run_corpus, walk_table, zigzag,
+    gamma_to_dot, gen_chords, render_text, run_corpus, walk_table, zigzag,
 )
 from divides.render import render_chords_svg
 
@@ -49,6 +51,8 @@ OUTPUTS = {
     "report_json_k20": lambda m, name: report_json(m, name, k=20),
     "walk_table_k12": lambda m, name:
         walk_table(build_gamma(m, compute_faces(m)), 12).to_csv(),
+    "gamma_dot": lambda m, name:
+        gamma_to_dot(build_gamma(m, compute_faces(m))),
 }
 
 
