@@ -25,8 +25,8 @@ for name in ("X1", "LOOP", "LENS"):
           f"regions: {stats.region_count}")
     print(f"  connected={stats.connected} cellular={stats.cellular} "
           f"simple={stats.simple}")
-    print(f"  inside-disk faces: {len(faces.faces)} "
-          f"({sum(1 for f in faces.faces if f.kind == 'region')} regions)")
+    print(f"  inside-disk faces: {len(faces.signs)} "
+          f"({faces.region_count()} regions)")
     print(f"  diagram: mu={cnt.mu} e={cnt.e} f={cnt.f}")
     print(f"  N = {n}")
     print(f"  T = {t}")

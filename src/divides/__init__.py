@@ -9,9 +9,8 @@ corpus runner and a small CLI (`divide`).
 """
 
 from .divide_map import (
-    MINUS, OUTER, PLUS, REGION, DivideError, DivideMap, DivideStats, Face,
-    Faces, classify, compute_faces, map_from_document, parse_divide,
-    trace_branches,
+    MINUS, PLUS, DivideError, DivideMap, DivideStats, Faces, classify,
+    compute_faces, map_from_document, parse_divide, trace_branches,
 )
 from .dynkin import (
     Gamma, GammaCounts, body_euler, build_gamma, check_flag_edges, counts,

@@ -15,7 +15,7 @@ Dart conventions used throughout the package:
 
 * edge ``k`` owns darts ``2k`` (its ``a`` end) and ``2k + 1`` (its ``b``
   end); boundary arcs are appended after the divide edges, so a dart is a
-  boundary dart iff ``d >= 2 * len(map.edges)``;
+  boundary dart iff ``d >= 2 * map.n_divide_edges``;
 * the twin of dart ``d`` is ``d ^ 1``;
 * rotations are stored counterclockwise.  Face walks step from a dart to
   its twin and then to the next dart *clockwise* at the twin's vertex,
@@ -29,13 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 MINUS = -1
 PLUS = 1
-
-OUTER = "outer"
-REGION = "region"
 
 
 class DivideError(Exception):
@@ -52,13 +48,12 @@ class DivideMap:
 
     ``endpoints`` are labels in counterclockwise order along the disk
     boundary; vertex ids 0..2r-1 follow that order and crossings continue
-    at 2r..2r+delta-1 in input order.  ``edges`` holds the divide edges
-    only, as ((vertex, slot), (vertex, slot)) pairs.
+    at 2r..2r+delta-1 in input order.  Divide edge k is the dart pair
+    2k, 2k + 1, its ends read off ``dart_vertex`` and ``dart_pos``.
     """
 
     endpoints: tuple[str, ...]
     crossings: tuple[str, ...]
-    edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     rotations: tuple[tuple[int, ...], ...]   # per vertex, darts ccw
     dart_vertex: tuple[int, ...]             # dart -> vertex id
     dart_pos: tuple[int, ...]                # dart -> index in its rotation
@@ -76,23 +71,26 @@ class DivideMap:
 
     @property
     def n_divide_edges(self) -> int:
-        return len(self.edges)
+        return len(self.dart_vertex) // 2 - len(self.endpoints)
 
     @property
     def n_darts(self) -> int:
-        return 2 * (len(self.edges) + len(self.endpoints))
+        return len(self.dart_vertex)
 
     def to_document(self) -> dict:
         """Emit the divide-map/1 document for this map (canonical labels)."""
         labels = self.endpoints + self.crossings
+        n_end = len(self.endpoints)
+        n_divide_darts = 2 * self.n_divide_edges
+        # dart d leaves its vertex by slot dart_pos[d], or 0 at an endpoint
+        ends = [[labels[v], s if v >= n_end else 0]
+                for v, s in zip(self.dart_vertex[:n_divide_darts],
+                                self.dart_pos[:n_divide_darts])]
         return {
             "format": "divide-map/1",
             "endpoints": list(self.endpoints),
             "crossings": list(self.crossings),
-            "edges": [
-                {"a": [labels[a[0]], a[1]], "b": [labels[b[0]], b[1]]}
-                for a, b in self.edges
-            ],
+            "edges": [{"a": a, "b": b} for a, b in zip(ends[::2], ends[1::2])],
         }
 
 
@@ -159,7 +157,7 @@ def map_from_document(doc) -> DivideMap:
                  for j in range(n_end)]
     rotations += [[None] * 4 for _ in crossings]
 
-    ends = []          # dart d leaves the (vertex, slot) ends[d]
+    d = 0              # the dart each attachment puts in its slot
     for e in edges:
         if not isinstance(e, dict) or "a" not in e or "b" not in e:
             raise DivideError(f"malformed document: bad edge {e!r}")
@@ -178,7 +176,7 @@ def map_from_document(doc) -> DivideMap:
                         f"endpoint {lab!r} only exposes slot 0, got {s}")
                 if rot[1] is not None:
                     raise DivideError(f"slot reuse at endpoint {lab!r}")
-                rot[1] = len(ends)
+                rot[1] = d
             else:
                 if not 0 <= s <= 3:
                     raise DivideError(
@@ -186,8 +184,8 @@ def map_from_document(doc) -> DivideMap:
                 if rot[s] is not None:
                     raise DivideError(
                         f"slot reuse at crossing {lab!r} slot {s}")
-                rot[s] = len(ends)
-            ends.append((v, s))
+                rot[s] = d
+            d += 1
 
     # a face walk steps from d to the dart clockwise of d ^ 1 at its vertex
     n_darts = 2 * (n_edge + n_end)
@@ -209,7 +207,6 @@ def map_from_document(doc) -> DivideMap:
     m = DivideMap(
         endpoints=tuple(endpoints),
         crossings=tuple(crossings),
-        edges=tuple(list(zip(ends[::2], ends[1::2]))),
         rotations=rotations,
         dart_vertex=tuple(dart_vertex),
         dart_pos=tuple(dart_pos),
@@ -298,36 +295,30 @@ def _check_planarity(m: DivideMap) -> None:
             f"expected exactly one all-boundary-arc face, found {all_arc}")
 
 
-class Face(NamedTuple):
-    """One inside-disk face of the augmented map."""
-    darts: tuple[int, ...]   # boundary walk
-    kind: str                # OUTER or REGION
-    sign: int                # MINUS or PLUS
-
-
 @dataclass(frozen=True)
 class Faces:
     """All inside-disk faces of a divide, signed.
 
-    ``dart_face[d]`` is the face whose walk holds dart d (-1 for the face
-    outside the disk).  The face in the corner between rotation positions
+    Face fi is the walk ``m.face_walks[fi]`` and its sign is ``signs[fi]``.
+    The inside faces are ``m.face_walks[:-1]``: walks come in order of
+    their smallest dart, divide darts are numbered below boundary-arc
+    darts, and every walk but the one all-arc walk (the outside of the
+    disk, unique by the planarity check) holds a divide dart, so that walk
+    is the last.  ``dart_face[d]`` is the face whose walk holds dart d (-1
+    for the outside).  The face in the corner between rotation positions
     i and i+1 (ccw) at vertex v is ``dart_face[m.rotations[v][i]]``; for a
     crossing that is exactly the sector between slots i and (i+1) mod 4.
-    ``regions`` lists region face indices in canonical order (by smallest
-    dart on the walk, which is also face index order).
+    ``regions`` lists the faces whose walk holds no boundary-arc dart, in
+    face index order; the other inside faces are Outer.
     """
-    faces: tuple[Face, ...]
+    signs: tuple[int, ...]                   # face index -> MINUS or PLUS
     dart_face: tuple[int, ...]               # dart -> face index (-1: outside)
     regions: tuple[int, ...]
 
     def flipped(self) -> "Faces":
         """The same faces under the reversed sign normalization."""
-        return Faces(
-            faces=tuple([Face(f.darts, f.kind, -f.sign)
-                         for f in self.faces]),
-            dart_face=self.dart_face,
-            regions=self.regions,
-        )
+        return Faces(signs=tuple([-s for s in self.signs]),
+                     dart_face=self.dart_face, regions=self.regions)
 
     def region_count(self) -> int:
         return len(self.regions)
@@ -343,12 +334,10 @@ def compute_faces(m: DivideMap) -> Faces:
     opposite normalization.
     """
     boundary = 2 * m.n_divide_edges      # the first boundary-arc dart
-    # drop the unique all-boundary-arc face: the outside of the disk; of
-    # the rest, a face with no boundary-arc dart is a region (a walk
-    # starts at its smallest dart)
-    inside = [w for w in m.face_walks if w[0] < boundary]
-    kinds = [REGION if max(w) < boundary else OUTER for w in inside]
-    regions = tuple([fi for fi, k in enumerate(kinds) if k == REGION])
+    # the last walk is the outside of the disk (see Faces); of the rest, a
+    # face with no boundary-arc dart is a region
+    inside = m.face_walks[:-1]
+    regions = tuple([fi for fi, w in enumerate(inside) if max(w) < boundary])
 
     # region walks stay clear of the boundary circle
     endpoint_darts = {m.rotations[j][1] for j in range(len(m.endpoints))}
@@ -391,9 +380,8 @@ def compute_faces(m: DivideMap) -> Faces:
                 elif signs[fj] != opposite:
                     raise DivideError("2-coloring inconsistency across a "
                                       "divide segment")
-    # tuple(list), not tuple(map): resizing fills CPython's free lists
-    faces = tuple(list(map(Face, inside, kinds, signs)))
-    return Faces(faces=faces, dart_face=tuple(dart_face), regions=regions)
+    return Faces(signs=tuple(signs), dart_face=tuple(dart_face),
+                 regions=regions)
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +424,18 @@ def classify(m: DivideMap, faces: Faces) -> DivideStats:
     connected = faces.region_count() == m.delta - m.r + 1
 
     dart_vertex = m.dart_vertex
-    walks = (faces.faces[fi].darts for fi in faces.regions)
+    walks = (m.face_walks[fi] for fi in faces.regions)
     vertex_simple = all(len({dart_vertex[d] for d in w}) == len(w)
                         for w in walks)
     cellular = connected and vertex_simple
 
     n_end = len(m.endpoints)
-    outer = [f.kind == OUTER for f in faces.faces]
+    region = set(faces.regions)
     dart_face = faces.dart_face
-    splits = (outer[dart_face[2 * k]] and outer[dart_face[2 * k + 1]]
-              and a >= n_end and b >= n_end
-              for k, ((a, _), (b, _)) in enumerate(m.edges))
+    # segment k joins the vertices of darts 2k and 2k + 1
+    splits = (dart_face[d] not in region and dart_face[d + 1] not in region
+              and dart_vertex[d] >= n_end and dart_vertex[d + 1] >= n_end
+              for d in range(0, 2 * m.n_divide_edges, 2))
     simple = connected and m.delta >= 1 and not any(splits)
 
     return DivideStats(

@@ -15,11 +15,10 @@ assembled downstream.  Nothing here is quadratic in mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .divide_map import (
-    MINUS, PLUS, REGION, DivideError, DivideMap, Faces,
-)
+from .divide_map import MINUS, PLUS, DivideError, DivideMap, Faces
 
 SECTOR = "sector"
 SEGMENT = "segment"
@@ -42,6 +41,25 @@ class Gamma:
     def mu(self) -> int:
         return self.n_minus + self.n_double + self.n_plus
 
+    @cached_property
+    def _sector_ends(self) -> list[tuple[list[int], list[int]]]:
+        """Per double point, its Minus and its Plus sector ends.
+
+        Each list holds basepoint vertex indices with multiplicity: a region
+        meeting a double point in two sectors appears twice.  Built on first
+        use and kept, so ``counts`` and ``check_flag_edges`` share one scan.
+        """
+        ends: list[tuple[list[int], list[int]]] = \
+            [([], []) for _ in range(self.n_double)]
+        for e in self.edges:
+            if e.species != SECTOR:
+                continue
+            if e.i <= self.n_minus:         # minus basepoint -- double point
+                ends[e.j - self.n_minus - 1][0].append(e.i)
+            else:                           # double point -- plus basepoint
+                ends[e.i - self.n_minus - 1][1].append(e.j)
+        return ends
+
 
 @dataclass(frozen=True)
 class GammaCounts:
@@ -52,14 +70,13 @@ class GammaCounts:
 
 def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
     """Assemble the diagram from the signed faces of a divide."""
-    minus_regions = [fi for fi in faces.regions
-                     if faces.faces[fi].sign == MINUS]
-    plus_regions = [fi for fi in faces.regions
-                    if faces.faces[fi].sign == PLUS]
+    signs = faces.signs
+    minus_regions = [fi for fi in faces.regions if signs[fi] == MINUS]
+    plus_regions = [fi for fi in faces.regions if signs[fi] == PLUS]
     n_minus = len(minus_regions)
 
     # base[fi]: vertex index of region fi's basepoint, 0 for an Outer face
-    base = [0] * len(faces.faces)
+    base = [0] * len(signs)
     for v, fi in enumerate(minus_regions, 1):
         base[fi] = v
     for v, fi in enumerate(plus_regions, n_minus + m.delta + 1):
@@ -95,24 +112,6 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
     )
 
 
-def _sector_ends(gamma: Gamma) -> list[tuple[list[int], list[int]]]:
-    """Per double point, its Minus and its Plus sector ends.
-
-    Each list holds basepoint vertex indices with multiplicity: a region
-    meeting a double point in two sectors appears twice.
-    """
-    ends: list[tuple[list[int], list[int]]] = \
-        [([], []) for _ in range(gamma.n_double)]
-    for e in gamma.edges:
-        if e.species != SECTOR:
-            continue
-        if e.i <= gamma.n_minus:        # minus basepoint -- double point
-            ends[e.j - gamma.n_minus - 1][0].append(e.i)
-        else:                           # double point -- plus basepoint
-            ends[e.i - gamma.n_minus - 1][1].append(e.j)
-    return ends
-
-
 def counts(gamma: Gamma) -> GammaCounts:
     """mu, edge count e (with multiplicity), and flag count f.
 
@@ -120,7 +119,7 @@ def counts(gamma: Gamma) -> GammaCounts:
     basepoint and one to a Plus basepoint; f is the total with
     multiplicity.
     """
-    f = sum(len(minus) * len(plus) for minus, plus in _sector_ends(gamma))
+    f = sum(len(minus) * len(plus) for minus, plus in gamma._sector_ends)
     return GammaCounts(mu=gamma.mu, e=len(gamma.edges), f=f)
 
 
@@ -137,11 +136,11 @@ def body_euler(m: DivideMap, faces: Faces) -> int:
     segments with at least one region side as 1-cells, and the regions as
     2-cells.
     """
-    region = [f.kind == REGION for f in faces.faces]
+    region = set(faces.regions)
     n_segment_darts = 2 * m.n_divide_edges
     sides = zip(faces.dart_face[0:n_segment_darts:2],
                 faces.dart_face[1:n_segment_darts:2])
-    region_sides = sum(1 for f1, f2 in sides if region[f1] or region[f2])
+    region_sides = sum(1 for f1, f2 in sides if f1 in region or f2 in region)
     return m.delta - region_sides + faces.region_count()
 
 
@@ -155,7 +154,7 @@ def check_flag_edges(gamma: Gamma) -> list[tuple[int, int, int]]:
     """
     closed = {(e.i, e.j) for e in gamma.edges if e.species == SEGMENT}
     return sorted({(b, gamma.n_minus + d + 1, p)
-                   for d, (minus, plus) in enumerate(_sector_ends(gamma))
+                   for d, (minus, plus) in enumerate(gamma._sector_ends)
                    for b in minus for p in plus if (b, p) not in closed})
 
 

@@ -36,13 +36,12 @@ def render_chords_svg(cs: ChordSet) -> str:
     ]
 
     for fi in faces.regions:
-        face = faces.faces[fi]
         pts = []
-        for d in face.darts:
+        for d in m.face_walks[fi]:
             x, y = _xy(arr.points[m.dart_vertex[d] - first])
             pts.append(f"{x:.2f},{y:.2f}")
         out.append(f'  <polygon points="{" ".join(pts)}" '
-                   f'fill="{_FILL[face.sign]}" fill-opacity="0.6" '
+                   f'fill="{_FILL[faces.signs[fi]]}" fill-opacity="0.6" '
                    'stroke="none"/>')
 
     for p, q in arr.ends:

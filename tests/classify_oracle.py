@@ -9,7 +9,7 @@ tests need to check the identity ``mu = 2 delta - r + C``.  Quadratic in
 the number of edges, so the tests run them on small divides only.
 """
 
-from divides import DivideStats, OUTER
+from divides import DivideStats
 
 
 class _UnionFind:
@@ -26,11 +26,17 @@ class _UnionFind:
         self.parent[self.find(x)] = self.find(y)
 
 
+def edge_ends(m):
+    """The two end vertices of each divide edge, from its darts 2k, 2k + 1."""
+    return list(zip(m.dart_vertex[0:2 * m.n_divide_edges:2],
+                    m.dart_vertex[1:2 * m.n_divide_edges:2]))
+
+
 def component_count(m):
     """Connected components of the graph spanned by the divide edges."""
     n_vertices = len(m.endpoints) + len(m.crossings)
     uf = _UnionFind(n_vertices)
-    for (a, _), (b, _) in m.edges:
+    for a, b in edge_ends(m):
         uf.union(a, b)
     return len({uf.find(v) for v in range(n_vertices)})
 
@@ -38,12 +44,13 @@ def component_count(m):
 def classify(m, faces):
     """Connectedness, cellularity and simplicity by union-find and cuts."""
     n_vertices = len(m.endpoints) + len(m.crossings)
+    ends = edge_ends(m)
     uf = _UnionFind(n_vertices)
-    for (a, _), (b, _) in m.edges:
+    for a, b in ends:
         uf.union(a, b)
     connected = len({uf.find(v) for v in range(n_vertices)}) == 1
 
-    walks = ([m.dart_vertex[d] for d in faces.faces[fi].darts]
+    walks = ([m.dart_vertex[d] for d in m.face_walks[fi]]
              for fi in faces.regions)
     vertex_simple = all(len(set(w)) == len(w) for w in walks)
     cellular = connected and vertex_simple
@@ -53,13 +60,13 @@ def classify(m, faces):
         n_end = len(m.endpoints)
         for k in range(m.n_divide_edges):
             f1, f2 = faces.dart_face[2 * k], faces.dart_face[2 * k + 1]
-            if faces.faces[f1].kind != OUTER or faces.faces[f2].kind != OUTER:
-                continue
+            if f1 in faces.regions or f2 in faces.regions:
+                continue    # not Outer on both sides
             cut = _UnionFind(n_vertices)
-            for j, ((a, _), (b, _)) in enumerate(m.edges):
+            for j, (a, b) in enumerate(ends):
                 if j != k:
                     cut.union(a, b)
-            (a, _), (b, _) = m.edges[k]
+            a, b = ends[k]
             if cut.find(a) == cut.find(b):
                 continue    # the segment lies on a cycle; no split
             side_a = cut.find(a)

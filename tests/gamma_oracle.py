@@ -12,7 +12,7 @@ the tests run them on small diagrams only.
 from dataclasses import dataclass
 
 import divides
-from divides import MINUS, PLUS, REGION
+from divides import MINUS, PLUS
 
 from algebra_oracle import rows_of
 
@@ -31,16 +31,17 @@ class Blocks:
         return self.n_minus + self.n_double + self.n_plus
 
 
-def corner_faces(m, faces):
+def corner_faces(m):
     """Face in each corner (v, i), from the walks alone.
 
     A walk that reaches vertex v along the twin of the dart at rotation
     position pos turns clockwise into the corner (v, (pos - 1) mod deg).
     """
-    face_of_walk = {f.darts: fi for fi, f in enumerate(faces.faces)}
+    boundary = 2 * m.n_divide_edges
     corner = {}
-    for w in m.face_walks:
-        fi = face_of_walk.get(w)        # None: the face outside the disk
+    for fi, w in enumerate(m.face_walks):
+        if min(w) >= boundary:
+            fi = None                   # the face outside the disk
         for d in w:
             t = d ^ 1
             v = m.dart_vertex[t]
@@ -52,9 +53,9 @@ def corner_faces(m, faces):
 def build_blocks(m, faces):
     """The three multiplicity blocks of the diagram of a signed divide."""
     minus_regions = [fi for fi in faces.regions
-                     if faces.faces[fi].sign == MINUS]
+                     if faces.signs[fi] == MINUS]
     plus_regions = [fi for fi in faces.regions
-                    if faces.faces[fi].sign == PLUS]
+                    if faces.signs[fi] == PLUS]
     minus_row = {fi: i for i, fi in enumerate(minus_regions)}
     plus_col = {fi: i for i, fi in enumerate(plus_regions)}
     n_minus, n_double, n_plus = \
@@ -64,22 +65,21 @@ def build_blocks(m, faces):
     B = [[0] * n_plus for _ in range(n_double)]
     C = [[0] * n_plus for _ in range(n_minus)]
     n_end = len(m.endpoints)
-    corner_face = corner_faces(m, faces)
+    corner_face = corner_faces(m)
     for c in range(m.delta):
         for corner in range(4):
             fi = corner_face[(n_end + c, corner)]
-            if faces.faces[fi].kind != REGION:
+            if fi not in faces.regions:
                 continue
-            if faces.faces[fi].sign == MINUS:
+            if faces.signs[fi] == MINUS:
                 A[minus_row[fi]][c] += 1
             else:
                 B[c][plus_col[fi]] += 1
     for k in range(m.n_divide_edges):
         f1, f2 = faces.dart_face[2 * k], faces.dart_face[2 * k + 1]
-        if (faces.faces[f1].kind != REGION
-                or faces.faces[f2].kind != REGION):
+        if f1 not in faces.regions or f2 not in faces.regions:
             continue
-        if faces.faces[f1].sign != MINUS:
+        if faces.signs[f1] != MINUS:
             f1, f2 = f2, f1
         C[minus_row[f1]][plus_col[f2]] += 1
     return Blocks(n_minus, n_double, n_plus,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divides import (
-    MINUS, OUTER, REGION, DivideError, build_gamma, classify, coil,
+    MINUS, DivideError, build_gamma, classify, coil,
     compute_faces, counts, fixture, fixtures, from_chords, gen_chords,
     map_from_document, parse_chords, parse_divide, trace_branches,
     verify_theorem, zigzag,
@@ -278,32 +278,31 @@ class TestFaces:
     def test_x1_all_outer(self):
         m = parse_divide(X1_DOC)
         faces = compute_faces(m)
-        assert len(faces.faces) == 4           # 1 + 8 - 5
-        assert all(f.kind == OUTER for f in faces.faces)
+        assert len(faces.signs) == 4           # 1 + 8 - 5
+        assert faces.regions == ()
         assert faces.region_count() == 0
 
     def test_loop_faces(self):
         m = parse_divide(LOOP_DOC)
         faces = compute_faces(m)
-        assert len(faces.faces) == 3
-        regions = [f for f in faces.faces if f.kind == REGION]
-        assert len(regions) == 1
-        assert regions[0].sign == MINUS
-        assert len(regions[0].darts) == 1      # single dart inside the curl
+        assert len(faces.signs) == 3
+        assert len(faces.regions) == 1
+        fi = faces.regions[0]
+        assert faces.signs[fi] == MINUS
+        assert len(m.face_walks[fi]) == 1      # single dart inside the curl
 
     def test_lens_faces(self):
         m = fixture("LENS")
         faces = compute_faces(m)
-        assert len(faces.faces) == 5           # 1 + 10 - 6
-        kinds = sorted(f.kind for f in faces.faces)
-        assert kinds == [OUTER] * 4 + [REGION]
+        assert len(faces.signs) == 5           # 1 + 10 - 6
+        assert len(faces.regions) == 1         # the other four are Outer
 
     def test_euler_count(self, zoo):
         for name, m in zoo:
             faces = compute_faces(m)
             v = len(m.endpoints) + len(m.crossings)
             e = m.n_divide_edges + len(m.endpoints)
-            assert len(faces.faces) == 1 + e - v, name
+            assert len(faces.signs) == 1 + e - v, name
 
     def test_walks_start_at_their_smallest_dart(self, zoo):
         # the planarity check and compute_faces read w[0] as min(w)
@@ -312,20 +311,31 @@ class TestFaces:
             starts = [w[0] for w in m.face_walks]
             assert starts == sorted(starts), name
 
+    def test_outside_face_is_the_last_walk(self, zoo):
+        # Faces takes m.face_walks[:-1] as the inside faces
+        for name, m in zoo:
+            boundary = 2 * m.n_divide_edges
+            all_arc = [w for w in m.face_walks if min(w) >= boundary]
+            assert all_arc == [m.face_walks[-1]], name
+            faces = compute_faces(m)
+            assert len(faces.signs) == len(m.face_walks) - 1, name
+            assert all(faces.dart_face[d] == -1
+                       for d in m.face_walks[-1]), name
+
     def test_sign_alternation_across_segments(self, zoo):
         for name, m in zoo:
             faces = compute_faces(m)
             for k in range(m.n_divide_edges):
                 f1, f2 = faces.dart_face[2 * k], faces.dart_face[2 * k + 1]
                 assert f1 != f2, name
-                assert faces.faces[f1].sign == -faces.faces[f2].sign, name
+                assert faces.signs[f1] == -faces.signs[f2], name
 
     def test_sector_signs_alternate_at_crossings(self, zoo):
         for name, m in zoo:
             faces = compute_faces(m)
             for c in range(m.delta):
                 v = len(m.endpoints) + c
-                signs = [faces.faces[faces.dart_face[d]].sign
+                signs = [faces.signs[faces.dart_face[d]]
                          for d in m.rotations[v]]
                 assert signs[0] == -signs[1] == signs[2] == -signs[3], name
 
@@ -333,8 +343,8 @@ class TestFaces:
         for name, m in zoo:
             faces = compute_faces(m)
             for fi in faces.regions:
-                for d in faces.faces[fi].darts:
-                    assert d < 2 * len(m.edges), name
+                for d in m.face_walks[fi]:
+                    assert d < 2 * m.n_divide_edges, name
                     assert m.dart_vertex[d] >= len(m.endpoints), name
 
     def test_flip_changes_only_signs(self, zoo):
@@ -342,9 +352,8 @@ class TestFaces:
             a = compute_faces(m)
             b = compute_faces(m).flipped()
             assert a.regions == b.regions, name
-            for fa, fb in zip(a.faces, b.faces):
-                assert fa.darts == fb.darts and fa.kind == fb.kind, name
-                assert fa.sign == -fb.sign, name
+            assert a.dart_face == b.dart_face, name
+            assert b.signs == tuple(-s for s in a.signs), name
 
     def test_corner_face_is_the_face_of_its_rotation_dart(self, zoo):
         # the face in corner (v, i) is the face of rotations[v][i]; the
@@ -357,7 +366,7 @@ class TestFaces:
         corners = 0
         for m in maps:
             faces = compute_faces(m)
-            oracle = gamma_oracle.corner_faces(m, faces)
+            oracle = gamma_oracle.corner_faces(m)
             for v, rot in enumerate(m.rotations):
                 for i, d in enumerate(rot):
                     expected = oracle[(v, i)]
@@ -408,8 +417,8 @@ class TestClassify:
         assert st.connected and not st.cellular
         assert not st.regions_vertex_simple
         pinched = [fi for fi in faces.regions
-                   if len({m.dart_vertex[d] for d in faces.faces[fi].darts})
-                   != len(faces.faces[fi].darts)]
+                   if len({m.dart_vertex[d] for d in m.face_walks[fi]})
+                   != len(m.face_walks[fi])]
         assert len(pinched) == 1
 
     def test_disconnected_chords(self):

@@ -1,13 +1,15 @@
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
+import divides
 from divides import (
     body_euler, build_gamma, check_flag_edges, classify, coil, compute_faces,
     counts, fixture, from_chords, gamma_to_dot, gen_chords, has_multi_edge,
     map_from_document, zigzag,
 )
-from divides.divide_map import DivideError, Face, Faces
+from divides.divide_map import DivideError, DivideMap, Faces
 from divides.dynkin import SECTOR, SEGMENT, Gamma, GammaEdge
 
 import gamma_oracle
@@ -99,9 +101,9 @@ class TestBuildGamma:
         faces = compute_faces(m)
         assert any(e.species == SEGMENT for e in build_gamma(m, faces).edges)
         fi = faces.regions[0]
-        resigned = list(faces.faces)
-        resigned[fi] = resigned[fi]._replace(sign=-resigned[fi].sign)
-        bad = Faces(faces=tuple(resigned), dart_face=faces.dart_face,
+        resigned = list(faces.signs)
+        resigned[fi] = -resigned[fi]
+        bad = Faces(signs=tuple(resigned), dart_face=faces.dart_face,
                     regions=faces.regions)
         with pytest.raises(DivideError, match="two regions of one sign"):
             build_gamma(m, bad)
@@ -172,6 +174,25 @@ class TestFlagEdges:
         closed = Gamma(edges=sectors + (closing,),
                        n_minus=1, n_double=1, n_plus=1)
         assert check_flag_edges(closed) == []
+
+    def test_one_sector_end_scan(self):
+        # counts and check_flag_edges share one scan for the sector ends;
+        # the only other read of the edges is check_flag_edges' search for
+        # closing segment edges
+        class Reads(tuple):
+            count = 0
+
+            def __iter__(self):
+                Reads.count += 1
+                return super().__iter__()
+
+        plain = gamma_of(fixture("FIG2A"))
+        g = Gamma(edges=Reads(plain.edges), n_minus=plain.n_minus,
+                  n_double=plain.n_double, n_plus=plain.n_plus)
+        assert counts(g) == counts(plain)
+        assert check_flag_edges(g) == check_flag_edges(plain)
+        assert counts(g) == counts(plain)
+        assert Reads.count == 2
 
 
 class TestDot:
@@ -260,13 +281,16 @@ class TestRecords:
         m = fixture("LENS")
         faces = compute_faces(m)
         g = build_gamma(m, faces)
-        for record in (faces.faces[0], GammaEdge(SEGMENT, 1, 3)):
-            for name in type(record)._fields:
+        edge = GammaEdge(SEGMENT, 1, 3)
+        for name in GammaEdge._fields:
+            with pytest.raises(AttributeError):
+                setattr(edge, name, 0)
+        for record, names in (
+                (faces, ("signs", "dart_face", "regions")),
+                (g, ("edges", "n_minus", "n_double", "n_plus"))):
+            for name in names:
                 with pytest.raises(AttributeError):
                     setattr(record, name, 0)
-        for name in ("edges", "n_minus", "n_double", "n_plus"):
-            with pytest.raises(AttributeError):
-                setattr(g, name, 0)
 
     def test_edge_defaults(self):
         # an edge is its species and its two ends, with nothing optional
@@ -276,5 +300,13 @@ class TestRecords:
         assert (e.species, e.i, e.j) == (SEGMENT, 1, 3)
 
     def test_face_fields(self):
-        # a face's index is its position in Faces.faces, not a field
-        assert Face._fields == ("darts", "kind", "sign")
+        # a face is an index: its walk is m.face_walks[fi], its sign
+        # faces.signs[fi]; an edge is a dart pair, with no end tuples
+        assert [f.name for f in fields(Faces)] == \
+            ["signs", "dart_face", "regions"]
+        assert [f.name for f in fields(DivideMap)] == \
+            ["endpoints", "crossings", "rotations", "dart_vertex",
+             "dart_pos", "face_walks"]
+        assert Faces.__dataclass_params__.frozen
+        for name in ("Face", "OUTER", "REGION"):
+            assert not hasattr(divides, name), name

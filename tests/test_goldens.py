@@ -5,9 +5,10 @@ full CSV of ``run_corpus(50, 5, 7)``, recorded before the chain was folded
 into one ``verify_theorem`` pass.  The ``render_svg`` digests of chord
 pictures were recorded before the integer chord geometry replaced the
 ``Fraction`` one.  The ``gamma_dot`` digests were recorded while the diagram
-still kept a record per vertex and the provenance of each edge.  A change
-that means to alter an output must say why and re-record the file with
-``record()``.
+still kept a record per vertex and the provenance of each edge, and the
+``map_document`` digests while the map still stored each edge as a pair of
+(vertex, slot) ends.  A change that means to alter an output must say why
+and re-record the file with ``record()``.
 """
 
 import hashlib
@@ -53,6 +54,7 @@ OUTPUTS = {
         walk_table(build_gamma(m, compute_faces(m)), 12).to_csv(),
     "gamma_dot": lambda m, name:
         gamma_to_dot(build_gamma(m, compute_faces(m))),
+    "map_document": lambda m, name: json.dumps(m.to_document()),
 }
 
 

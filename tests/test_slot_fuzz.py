@@ -3,8 +3,10 @@
 A divide-map/1 document with 1-3 branches and 0-4 crossings is drawn by
 matching all of its slots at random.  Most such documents are not divides
 (closed components, slot pairs that cannot embed in the disk); the parser
-or the chain must then raise DivideError.  Every document it accepts must
-pass every hard check of the theorem, and its edge-list diagram and its
+or the chain must then raise DivideError.  Every map the parser accepts
+must rebuild from its own document and end its face walks with the
+outside of the disk.  Every document the chain accepts must pass every
+hard check of the theorem, and its edge-list diagram and its
 classification must read the same as the dense block and union-find
 oracles under both sign normalizations, and its signature the dense
 elimination's.  Unlike chord arrangements, these maps include multi-edge
@@ -83,6 +85,17 @@ def test_slot_matchings_are_rejected_or_pass_every_check(monkeypatch):
     def check(doc):
         try:
             m = map_from_document(doc)
+        except DivideError:
+            seen.add("rejected")
+            return
+        # the map re-emits a document that builds it again, and its last
+        # walk is its one all-arc walk: the outside of the disk
+        again = map_from_document(m.to_document())
+        assert again == m and again.face_walks == m.face_walks, doc
+        boundary = 2 * m.n_divide_edges
+        all_arc = [w for w in m.face_walks if min(w) >= boundary]
+        assert all_arc == [m.face_walks[-1]], doc
+        try:
             thm = verify_theorem(m)
         except DivideError:
             seen.add("rejected")
