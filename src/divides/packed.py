@@ -97,13 +97,18 @@ def factored_terms(n: list[dict[int, int]]) -> list:
 
 def left_mul(terms, rows: list[int], w: int) -> tuple[list[int], int]:
     """The packed rows of T M from those of M, by a row program of T, and
-    the trace of T M: digit i of row i, signed in base 2^w, summed.  The
-    rows are formed in order, so a term may name row mu + k, k < i: row k
-    of T M.  Only the rows of T M have to decode (see the module notes)."""
+    the trace of T M: digit i of row i, signed in base 2^w, summed, exact
+    while every entry of T M is within +-(2^(w-1) - 1).  The rows are
+    formed in order, so a term may name row mu + k, k < i: row k of T M.
+    Only the rows of T M have to decode (see the module notes).  Digit i
+    of row x, i > 0, is (z + 1) >> 1 mod 2^w for z = x >> (w i - 1): the
+    lower digits sum to within +-2^(w i - 1) and round off.  With z =
+    q 2^(w+1) + y, 0 <= y < 2^(w+1), that is q 2^w + ((y + 1) >> 1): one
+    shift and one AND, to the w + 1 bits y, give digit i mod 2^w."""
     mu = len(rows)
     src = rows.copy()       # row mu + k: row k of T M, once formed
     get, push, trace = src.__getitem__, src.append, 0
-    half, mask = 1 << (w - 1), (1 << w) - 1
+    half, mask, low = 1 << (w - 1), (1 << w) - 1, (2 << w) - 1
     for i, (plus, minus, other) in enumerate(terms):
         x = sum(map(get, plus))
         if minus:
@@ -112,7 +117,7 @@ def left_mul(terms, rows: list[int], w: int) -> tuple[list[int], int]:
             x += sum([c * src[j] for j, c in other])
         push(x)
         if i:
-            x = ((x >> (w * i - 1)) + 1) >> 1      # round the lower digits
+            x = (((x >> (w * i - 1)) & low) + 1) >> 1
         trace += ((x + half) & mask) - half
     return src[mu:], trace
 

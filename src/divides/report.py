@@ -9,7 +9,8 @@ from math import gcd
 
 from .divide_map import DivideError, DivideMap
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
-from .seifert import K_CAP, K_DEFAULT, signature, trace_powers, verify_theorem
+from .seifert import (K_CAP, K_DEFAULT, check_k, signature, trace_powers,
+                      verify_theorem)
 
 LATTICE_GENUS_NOTE = (
     "(mu - r + 1)/2 computed from the lattice rank; no claim is made tying "
@@ -59,7 +60,7 @@ def report_from_json_dict(d: dict) -> DivideReport:
 def build_report(m: DivideMap, source: str = "",
                  k: int = K_DEFAULT) -> DivideReport:
     """``verify_theorem`` plus the signature, with traces k = 1..K."""
-    k = max(1, min(k, K_CAP))
+    k = max(1, min(check_k(k), K_CAP))
     thm = verify_theorem(m)
     traces = (thm.traces[:k] if k <= len(thm.traces)
               else trace_powers(thm.t, k, thm.n))

@@ -10,13 +10,13 @@ on them, since N is strictly upper triangular and Id + tN unit lower
 triangular.  The dimension mu may be 0: then every trace is 0 and the
 Lefschetz number is 1.
 The characteristic polynomial and the traces Tr(T^k) hold row i as the int
-sum_j v_j 2^(w j), so a row operation is one big-integer add.  The traces
-take w from a bound certified by T alone.  The characteristic polynomial
-first runs on narrow slots and keeps the invariant that every entry of
-M_(k-1) lies in [-2^b, 2^b), which bounds T M_(k-1) by 2^(w-2): one add
-and one AND per row test it, exactly, since base-2^w digits drawn from a
-window of 2^w consecutive integers are unique.  When the test fails, the
-steps resume on wider slots, up to the bound from T alone.
+sum_j v_j 2^(w j), so a row operation is one big-integer add.  Both first
+run on narrow slots and keep the invariant that every entry of the matrix
+multiplied, M_(k-1) or T^(k-1), lies in [-2^b, 2^b), which bounds its
+product with T by 2^(w-2): one add and one AND per row test it, exactly,
+since base-2^w digits drawn from a window of 2^w consecutive integers are
+unique.  When the test fails, the products resume on wider slots, up to a
+bound from T alone.
 Given N as well, both form each product T M as (Id + tN)^-1 (Id + N) M
 from the rows of N when that takes fewer row terms than T's own rows
 (``_program``); every bound still comes from T.
@@ -147,16 +147,31 @@ K_DEFAULT = 12   # traces Tr(T^k), k = 1..K, that reports and tables give
 K_CAP = 64       # bounds arbitrary-precision growth in reports
 
 
+def check_k(k: int) -> int:
+    """k, or ValueError unless ``type(k) is int``: no bool, float or str."""
+    if type(k) is not int:
+        raise ValueError(f"k = {k!r} is not an int")
+    return k
+
+
 def trace_powers(t: Rows, k_max: int, n: Rows | None = None) -> list[int]:
     """Exact traces Tr(T^k) for k = 1..k_max of T given as sparse rows, on
-    packed rows: every entry of T^k is at most |T|^k, |T| the largest
-    absolute row sum.  Given the N of T, the products may run on N's rows
-    (``_program``): only the rows of T^k are decoded, so the bound holds
-    whichever program formed them."""
-    terms = _program(t, n)
-    w = (packed.row_norm(t) ** max(k_max, 0)).bit_length() + 1
-    rows, out = [1 << (w * i) for i in range(len(t))], []
-    for _ in range(k_max):
+    packed rows; ValueError unless k_max is an int.  The products climb
+    ``char_poly``'s ladder (``_rung``).  On a narrow rung T^k lies in
+    [-2^b, 2^b): |T|^k < 2^b while k s <= b, s = |T|.bit_length(), and
+    then ``packed.fits`` tests it, so T^(k+1) is below |T| 2^b < 2^(w-2).
+    When the test fails, T^k decoded, so it is below 2^(w-2): the next rung
+    takes b = max(2 b, w - 2).  The last, (|T|^k_max).bit_length() + 1,
+    needs no test.  Given N, the products may run on its rows, ``_program``."""
+    check_k(k_max)
+    terms, mu, norm = _program(t, n), len(t), packed.row_norm(t)
+    s, w_top = norm.bit_length(), (norm ** max(k_max, 0)).bit_length() + 1
+    b, out = FIRST_RUNG_BITS, []
+    rows, w, masks = _rung(mu, [], 0, b, s + 2, w_top)
+    for k in range(k_max):          # rows: T^k
+        if masks and k * s > b and not packed.fits(rows, *masks):
+            b = max(2 * b, w - 2)
+            rows, w, masks = _rung(mu, rows, w, b, s + 2, w_top)
         rows, trace = packed.left_mul(terms, rows, w)
         out.append(trace)
     return out
@@ -218,36 +233,40 @@ def char_poly(t: Rows, n: Rows | None = None) -> list[int]:
     coeffs_desc = [1]       # leading first while building
     rows, w, b = [], 0, FIRST_RUNG_BITS
     while len(coeffs_desc) <= mu:
-        narrow = b + lift < w_top
-        w_next = b + lift if narrow else w_top
-        rows = (packed.respace(rows, w, w_next) if w
-                else [1 << (w_next * i) for i in range(mu)])
-        w = w_next
-        rows = _faddeev(terms, rows, w, coeffs_desc, b if narrow else None)
+        rows, w, masks = _rung(mu, rows, w, b, lift, w_top)
+        rows = _faddeev(terms, rows, w, coeffs_desc, masks)
         b *= 2
     if any(rows):
         raise ArithmeticError("Cayley-Hamilton: T M_(mu-1) + a_mu Id != 0")
     return list(reversed(coeffs_desc))
 
 
+def _rung(mu: int, rows: list[int], w: int, b: int, lift: int,
+          w_top: int) -> tuple[list[int], int, tuple | None]:
+    """The rows moved from width w (Id when w is 0) to the next rung for
+    entries in [-2^b, 2^b): width b + lift while below w_top, with its
+    ``packed.slot_masks``, else w_top and None."""
+    narrow = b + lift < w_top
+    w2 = b + lift if narrow else w_top
+    rows = (packed.respace(rows, w, w2) if w
+            else [1 << (w2 * i) for i in range(mu)])
+    return rows, w2, packed.slot_masks(mu, w2, b) if narrow else None
+
+
 def _faddeev(terms, rows: list[int], w: int, coeffs_desc: list[int],
-             b: int | None) -> list[int]:
+             masks: tuple | None) -> list[int]:
     """Steps k = len(coeffs_desc).. from the packed rows of M_(k-1) at slot
     width w, appending each a_k to coeffs_desc; the rows of the last M_k
-    kept.  With b, a step is kept only while |a_k| < 2^(w-2) and M_k
-    ``packed.fits`` in [-2^b, 2^b)."""
-    slots = range(0, w * len(rows), w)
-    if b is not None:
-        off, high = packed.slot_masks(len(rows), w, b)
-        cap = 1 << (w - 2)
+    kept.  With the masks of a narrow rung, a step is kept only while
+    |a_k| < 2^(w-2) and M_k ``packed.fits`` in [-2^b, 2^b)."""
+    slots, cap = range(0, w * len(rows), w), 1 << (w - 2)
     for k in range(len(coeffs_desc), len(rows) + 1):
         out, trace = packed.left_mul(terms, rows, w)
         a_k, r = divmod(-trace, k)
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division is not exact")
         out = [x + (a_k << s) for x, s in zip(out, slots)]
-        if b is not None and (abs(a_k) >= cap
-                              or not packed.fits(out, off, high)):
+        if masks and (abs(a_k) >= cap or not packed.fits(out, *masks)):
             break
         coeffs_desc.append(a_k)
         rows = out
@@ -292,14 +311,9 @@ def newton_power_sums(coeffs: list[int], k_max: int) -> list[int]:
     a = [0] + [coeffs[mu - j] for j in range(1, mu + 1)]   # a[1..mu]
     s: list[int] = []
     for k in range(1, k_max + 1):
-        if k <= mu:
-            val = -k * a[k]
-            for i in range(1, k):
-                val -= a[i] * s[k - i - 1]
-        else:
-            val = 0
-            for i in range(1, mu + 1):
-                val -= a[i] * s[k - i - 1]
+        val = -k * a[k] if k <= mu else 0
+        for i in range(1, min(k, mu + 1)):
+            val -= a[i] * s[k - i - 1]
         s.append(val)
     return s
 

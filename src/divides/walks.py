@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynkin import Gamma
-from .seifert import (K_CAP, K_DEFAULT, Rows, matrix_N, monodromy_matrix,
-                      trace_powers)
+from .seifert import (K_CAP, K_DEFAULT, Rows, check_k, matrix_N,
+                      monodromy_matrix, trace_powers)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def adjacency(gamma: Gamma) -> Rows:
 
 
 def walk_table(gamma: Gamma, k: int = K_DEFAULT) -> WalkTable:
-    k = max(1, min(k, K_CAP))
+    k = max(1, min(check_k(k), K_CAP))
     n = matrix_N(gamma)
     t = monodromy_matrix(n)
     pairs = zip(trace_powers(t, k, n), trace_powers(adjacency(gamma), k))

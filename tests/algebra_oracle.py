@@ -293,9 +293,11 @@ class Rungs:
         self.runs = []
         real = seifert._faddeev
 
-        def faddeev(terms, rows, w, coeffs_desc, b):
+        def faddeev(terms, rows, w, coeffs_desc, masks):
             first = len(coeffs_desc)
-            out = real(terms, rows, w, coeffs_desc, b)
+            out = real(terms, rows, w, coeffs_desc, masks)
+            # a narrow rung's masks start with OFF_b, 2^b in each slot
+            b = masks and (masks[0] & -masks[0]).bit_length() - 1
             self.runs.append((b, first, len(coeffs_desc), len(rows)))
             return out
 

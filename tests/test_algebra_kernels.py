@@ -16,7 +16,12 @@ through N^2, the nilpotency guard, the flag traces, the signature and the
 monodromy, against the same routines on the dense N.  The slot test of
 ``char_poly``'s narrow rungs is checked on its own at the edges of its
 range, and the ladder of rungs on chord sets, the families and a first
-rung forced down to one bit.  Known answers pin the signature and the
+rung forced down to one bit.  ``trace_powers`` climbs the same ladder: its
+K_CAP traces must equal Newton's power sums of the exact characteristic
+polynomial on the zoo, the families and chord sets, some of which must
+leave the first rung, and on gen_chords(30, 100), mu 255, its slots must
+stay within 64 bits for K_CAP traces and 24 bits for twelve, where
+|T|^k alone gives 330 and 63.  Known answers pin the signature and the
 characteristic polynomial on the zigzag and coil families, and the
 signature, the flag traces, the nilpotency guard and the Lefschetz
 number by both routes at mu of about 2 * 10^4, where no dense matrix can
@@ -37,9 +42,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from divides import (
-    build_gamma, char_poly, classify, coil, compute_faces, counts, fixture,
-    from_chords, gen_chords, lefschetz_number, matrix_N, monodromy_matrix,
-    packed, seifert, signature, trace_powers, zigzag,
+    adjacency, build_gamma, char_poly, classify, coil, compute_faces,
+    counts, fixture, from_chords, gen_chords, lefschetz_number, matrix_N,
+    monodromy_matrix, newton_power_sums, packed, seifert, signature,
+    trace_powers, zigzag,
 )
 from divides.seifert import (
     _flag_traces, nilpotent_square, sparse_mul, sparse_signature,
@@ -486,6 +492,53 @@ def test_trace_powers_at_mu_200():
         t = monodromy_matrix(n_of(m))
         assert trace_powers(t, 12) \
             == algebra_oracle.trace_powers(dense(t), 12)
+
+
+def test_trace_ladder_matches_newton(monkeypatch, zoo):
+    # the traces up to K_CAP climb the ladder of slot widths; Newton's
+    # identities on the exact characteristic polynomial are their oracle,
+    # with N and without, and the dense powers are that of an adjacency
+    # matrix; some inputs must leave the first rung
+    climbed = []
+    real = packed.respace
+    monkeypatch.setattr(packed, "respace", lambda rows, w, w2:
+                        climbed.append(w2) or real(rows, w, w2))
+    maps = list(zoo)
+    maps += [(f"{f.__name__}({k})", f(k)) for f in (zigzag, coil)
+             for k in (1, 2, 5, 8, 50)]
+    maps += [(f"chords({n}, {s})", from_chords(gen_chords(n, s)))
+             for n in range(2, 21, 2) for s in range(5)]
+    left = []
+    for name, m in maps:
+        n = n_of(m)
+        t = monodromy_matrix(n)
+        sums = newton_power_sums(char_poly(t, n), K_CAP)
+        climbed.clear()
+        assert trace_powers(t, K_CAP, n) == sums, name
+        if climbed:
+            left.append(name)
+        assert trace_powers(t, K_CAP) == sums, name
+    assert len(left) >= 20, left
+    m = from_chords(gen_chords(12, 0))
+    a = adjacency(build_gamma(m, compute_faces(m)))
+    climbed.clear()
+    assert trace_powers(a, 64) == algebra_oracle.trace_powers(dense(a), 64)
+    assert climbed
+
+
+def test_trace_widths_stay_narrow(monkeypatch):
+    # the scale gain as slot widths, not seconds: from |T| alone these
+    # products ran at 330 bits (k = 64) and 63 bits (k = 12)
+    widths = []
+    real = packed.left_mul
+    monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w:
+                        widths.append(w) or real(terms, rows, w))
+    n = n_of(from_chords(gen_chords(30, 100)))
+    t = monodromy_matrix(n)
+    for k, cap in ((64, 64), (12, 24)):
+        widths.clear()
+        trace_powers(t, k, n)
+        assert len(widths) == k and max(widths) <= cap, (k, widths)
 
 
 def test_signature_at_scale():

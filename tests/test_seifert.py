@@ -8,9 +8,10 @@ import pytest
 
 import divides
 from divides import (
-    build_gamma, char_poly, coil, compute_faces, fixture, from_chords,
-    gen_chords, is_reciprocal, lefschetz_number, matrix_N, monodromy_matrix,
-    newton_power_sums, seifert, signature, trace_powers, verify_theorem,
+    build_gamma, build_report, char_poly, coil, compute_faces, fixture,
+    from_chords, gen_chords, is_reciprocal, lefschetz_number, matrix_N,
+    monodromy_matrix, newton_power_sums, seifert, signature, trace_powers,
+    verify_theorem, walk_table,
 )
 from divides.seifert import (
     _flag_traces, det_from_char_poly, sparse_mul, sparse_signature,
@@ -32,6 +33,9 @@ BAD_N = [
     [{1: True}, {}], [{1: "1"}, {}],
     [[0, 1], [0, 0]],           # dense rows, not dicts
 ]
+
+# trace counts no guard on k accepts
+BAD_K = [True, 2.5, "3", None]
 
 
 def n_of(name_or_map):
@@ -127,6 +131,38 @@ class TestMonodromy:
                         lambda n: trace_powers(t, 3, n)):
             with pytest.raises(ValueError):
                 guarded(n)
+
+    @pytest.mark.parametrize("k", BAD_K, ids=repr)
+    def test_every_guard_on_k_checks_its_type(self, k):
+        # as on N: a trace count is an int, not a bool, float, str or None
+        m = fixture("LENS")
+        g = build_gamma(m, compute_faces(m))
+        t = monodromy_matrix(matrix_N(g))
+        for guarded in (lambda k: trace_powers(t, k),
+                        lambda k: trace_powers(t, k, matrix_N(g)),
+                        lambda k: build_report(m, k=k),
+                        lambda k: walk_table(g, k)):
+            with pytest.raises(ValueError, match=f"k = {k!r} is not an int"):
+                guarded(k)
+
+    def test_k_guard_survives_optimize(self):
+        code = ("from divides import build_gamma, build_report, "
+                "compute_faces, fixture, walk_table\n"
+                "m = fixture('LENS')\n"
+                "g = build_gamma(m, compute_faces(m))\n"
+                f"for k in {BAD_K!r}:\n"
+                "    for run in (lambda: build_report(m, k=k),\n"
+                "                lambda: walk_table(g, k)):\n"
+                "        try:\n"
+                "            run()\n"
+                "        except ValueError as exc:\n"
+                "            print(exc)\n")
+        src = str(Path(divides.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "".join(f"k = {k!r} is not an int\n" * 2
+                                     for k in BAD_K)
 
     def test_dimension_zero(self):
         assert monodromy_matrix([]) == []

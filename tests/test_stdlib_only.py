@@ -1,10 +1,13 @@
-"""The package has no runtime dependencies, builds no ``Fraction`` and
-guards nothing with ``assert``.
+"""The package has no runtime dependencies, builds no ``Fraction``, keeps
+floating point out of its exact modules and guards nothing with
+``assert``.
 
 Every import in ``src/divides`` is relative, ``__future__`` or a standard
 library module, and ``fractions`` is never imported: exact arithmetic in
-the library runs on Python ints.  No module holds an ``assert`` statement,
-since ``python -O`` strips them: invariant guards raise real errors.
+the library runs on Python ints.  The modules that compute invariants
+hold no true division, no float literal and no call of ``float`` or
+``round``.  No module holds an ``assert`` statement, since ``python -O``
+strips them: invariant guards raise real errors.
 """
 
 import ast
@@ -48,3 +51,25 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} asserts on lines {lines}"
+
+
+EXACT = ["divide_map.py", "dynkin.py", "packed.py", "seifert.py", "walks.py"]
+
+
+def floating(node):
+    """Whether an ast node divides truly, is a float literal or calls
+    ``float`` or ``round``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "round"))
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_no_floating_point_in_exact_modules(name):
+    path = SRC / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if floating(node)]
+    assert lines == [], f"{name} has floating point on lines {lines}"
