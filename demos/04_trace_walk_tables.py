@@ -5,11 +5,10 @@ structure of the diagram; what the exact relation is remains open.  The
 table pairs the two columns so the data can be eyeballed or exported.
 """
 
-from divides import build_gamma, compute_faces, fixture, walk_table, zigzag
+from divides import TheoremReport, fixture, walk_table, zigzag
 
 for name, m in [("LOOP", fixture("LOOP")), ("LENS", fixture("LENS")),
                 ("zigzag(3)", zigzag(3)), ("FIG2A", fixture("FIG2A"))]:
-    gamma = build_gamma(m, compute_faces(m))
     print(f"== {name} ==")
-    print(walk_table(gamma, 10).to_csv(), end="")
+    print(walk_table(TheoremReport(m), 10).to_csv(), end="")
     print()

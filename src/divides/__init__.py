@@ -26,10 +26,10 @@ from .report import (
     report_from_json_dict, run_corpus, summary_text,
 )
 from .seifert import (
-    TheoremReport, char_poly, is_reciprocal, lefschetz_number, matrix_N,
-    monodromy_matrix, newton_power_sums, signature, trace_powers,
-    verify_theorem,
+    TheoremReport, WalkTable, char_poly, is_reciprocal, lefschetz_number,
+    matrix_N, monodromy_matrix, newton_power_sums, signature, trace_powers,
+    verify_theorem, walk_table,
 )
-from .walks import WalkTable, adjacency, walk_table
+from .walks import adjacency
 
 __version__ = "0.1.0"

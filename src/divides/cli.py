@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .divide_map import (
     DivideError, DivideMap, compute_faces, map_from_document, parse_json,
@@ -21,8 +22,7 @@ from .generators import (
 from .render import render_chords_svg
 from .report import (build_report, check_corpus_args, render_text,
                      run_corpus, summary_text)
-from .seifert import K_DEFAULT
-from .walks import walk_table
+from .seifert import K_DEFAULT, TheoremReport, walk_table
 
 
 def _load_json(path: str) -> dict:
@@ -51,8 +51,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    m = _load_map(args.file)
-    rep = build_report(m, source=args.file, k=args.traces)
+    rep = build_report(_load_map(args.file), source=args.file, k=args.traces)
     if args.format == "json":
         print(json.dumps(rep.to_json_dict(), indent=2))
     else:
@@ -60,12 +59,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _write(path: str, text: str, note: str = "") -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}{note}")
+
+
 def cmd_gamma(args) -> int:
     m = _load_map(args.file)
-    gamma = build_gamma(m, compute_faces(m))
-    with open(args.dot, "w", encoding="utf-8") as fh:
-        fh.write(gamma_to_dot(gamma))
-    print(f"wrote {args.dot}")
+    _write(args.dot, gamma_to_dot(build_gamma(m, compute_faces(m))))
     return 0
 
 
@@ -74,55 +76,37 @@ def cmd_render(args) -> int:
     if doc.get("format") != "divide-chords/1":
         raise DivideError("no geometry available: render needs a "
                           "divide-chords/1 input")
-    cs = chords_from_document(doc)
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(render_chords_svg(cs))
-    print(f"wrote {args.svg}")
+    _write(args.svg, render_chords_svg(chords_from_document(doc)))
     return 0
 
 
 def cmd_gen_chords(args) -> int:
     cs = gen_chords(args.n, args.seed)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(chords_document(cs), fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.output} ({args.n} chords, seed {args.seed}, "
-          f"{cs.rejections} resamples)")
+    _write(args.output, json.dumps(chords_document(cs), indent=2) + "\n",
+           f" ({args.n} chords, seed {args.seed}, {cs.rejections} resamples)")
     return 0
 
 
 def cmd_gen(args) -> int:
-    if args.family == "zigzag":
-        m = zigzag(args.k)
-    else:
-        m = coil(args.k)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(m.to_document(), fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.output} ({args.family} k={args.k})")
+    m = (zigzag if args.family == "zigzag" else coil)(args.k)
+    _write(args.output, json.dumps(m.to_document(), indent=2) + "\n",
+           f" ({args.family} k={args.k})")
     return 0
 
 
 def cmd_corpus(args) -> int:
     check_corpus_args(args.count, args.n)   # before --csv is truncated
-    csv_fh = open(args.csv, "w", encoding="utf-8") if args.csv else None
-    try:
+    with (open(args.csv, "w", encoding="utf-8") if args.csv
+          else nullcontext()) as csv_fh:
         summary = run_corpus(args.count, args.n, args.seed, csv_out=csv_fh)
-    finally:
-        if csv_fh:
-            csv_fh.close()
     print(summary_text(summary), end="")
     return 0 if summary.ok() else 1
 
 
 def cmd_traces(args) -> int:
-    m = _load_map(args.file)
-    gamma = build_gamma(m, compute_faces(m))
-    table = walk_table(gamma, args.k)
+    table = walk_table(TheoremReport(_load_map(args.file)), args.k)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(table.to_csv())
-        print(f"wrote {args.csv}")
+        _write(args.csv, table.to_csv())
     else:
         print(table.to_csv(), end="")
     return 0
@@ -191,10 +175,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except DivideError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DivideError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,8 +4,10 @@ Row i of an integer matrix M is held as the int sum_j M_ij 2^(w j): slot
 j of width w holds entry j as a signed base-2^w digit, so adding or
 scaling whole rows is one big-integer operation (Harvey, *Faster
 polynomial multiplication via multipoint Kronecker substitution*,
-J. Symb. Comput. 2009).  A slot decodes exactly while its entry lies in
-the signed window [-2^(w-1), 2^(w-1)); callers choose w so that it does.
+J. Symb. Comput. 2009).  A slot holds its entry exactly on the signed
+window [-2^(w-1), 2^(w-1)), but ``left_mul`` reads a diagonal entry
+exactly only while every entry of its row is within +-(2^(w-1) - 1): a
+lower digit at -2^(w-1) puts it one off.  Callers choose w to suit.
 Every function here is exact for int entries only.
 
 A product T M is run by a row program of T: per row i, the rows it adds,

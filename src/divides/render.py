@@ -8,8 +8,10 @@ face walks of the map give the polygons directly.
 
 from __future__ import annotations
 
-from .divide_map import compute_faces, map_from_document
-from .generators import ChordSet, _arrangement_of, _map_document
+from dataclasses import replace
+
+from .divide_map import compute_faces
+from .generators import ChordSet, _arrangement_of, from_chords
 
 _SIZE = 500
 _R = 230
@@ -24,7 +26,7 @@ def _xy(p) -> tuple[float, float]:
 
 def render_chords_svg(cs: ChordSet) -> str:
     arr = _arrangement_of(cs)
-    m = map_from_document(_map_document(arr))
+    m = from_chords(replace(cs, arrangement=arr))    # no second arrangement
     faces = compute_faces(m)
     first = len(m.endpoints)        # crossing k is map vertex first + k
 

@@ -9,8 +9,7 @@ from math import gcd
 
 from .divide_map import DivideError, DivideMap
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
-from .seifert import (K_CAP, K_DEFAULT, check_k, signature, trace_powers,
-                      verify_theorem)
+from .seifert import K_CAP, K_DEFAULT, check_k, verify_theorem
 
 LATTICE_GENUS_NOTE = (
     "(mu - r + 1)/2 computed from the lattice rank; no claim is made tying "
@@ -62,8 +61,7 @@ def build_report(m: DivideMap, source: str = "",
     """``verify_theorem`` plus the signature, with traces k = 1..K."""
     k = max(1, min(check_k(k), K_CAP))
     thm = verify_theorem(m)
-    traces = (thm.traces[:k] if k <= len(thm.traces)
-              else trace_powers(thm.t, k, thm.n))
+    traces = thm.traces_to(k)
 
     stats = thm.stats
     twice_genus = thm.mu - m.r + 1
@@ -84,9 +82,9 @@ def build_report(m: DivideMap, source: str = "",
         lambda_formula=thm.lam,
         lambda_trace=thm.lam_trace,
         char_poly=thm.char_poly,
-        signature=signature(thm.n),
+        signature=thm.signature,
         lattice_genus=[twice_genus // g, 2 // g],
-        traces=list(traces),
+        traces=traces,
         lefschetz_iterates=[1 - x for x in traces],
         checks=dict(thm.checks),
         findings=list(thm.findings),

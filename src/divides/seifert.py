@@ -1,8 +1,8 @@
 """Exact linear algebra on the intersection matrix of a divide.
 
-Everything here runs over arbitrary-precision integers; every quantity of
-interest is an exact integer identity and floating point would make the
-checks meaningless.
+Every quantity here is an exact integer identity, which floating point would
+make meaningless.  One ``TheoremReport`` holds the chain of a divide,
+``verify_theorem`` grades it and ``walk_table`` reads it.
 Every matrix is held as sparse rows, row i a dict {j: value} of its
 nonzero entries.  N^2, N^3, the flag traces and the signature form are read
 off the rows of N; T = (Id + tN)^-1 (Id + N) is one forward substitution
@@ -33,7 +33,8 @@ grow with every pivot, also across parts of the form that never interact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from math import gcd, isqrt, prod
@@ -44,6 +45,7 @@ from .dynkin import (
     Gamma, body_euler, build_gamma, check_flag_edges, counts,
     has_multi_edge,
 )
+from .walks import adjacency
 
 Rows = list[dict[int, int]]
 
@@ -286,8 +288,7 @@ def _faddeev_width(t: Rows) -> int:
 
 def det_from_char_poly(coeffs: list[int]) -> int:
     """det(T) from p(lambda) = det(lambda Id - T): p(0) = (-1)^mu det(T)."""
-    mu = len(coeffs) - 1
-    return coeffs[0] if mu % 2 == 0 else -coeffs[0]
+    return coeffs[0] if len(coeffs) % 2 else -coeffs[0]
 
 
 def is_reciprocal(coeffs: list[int]) -> bool:
@@ -489,32 +490,99 @@ PASS, FAIL, NA = "pass", "fail", "n/a"
 FINDING_NAME = "multi_edge_iff_noncellular"
 
 
-@dataclass
 class TheoremReport:
-    """Every identity of the main theorem and its supports, on one divide.
+    """The chain of one divide, built once from its map for every reader.
 
-    ``checks`` maps check names to pass/fail/n/a.  The multi-edge versus
-    cellularity comparison is a finding, not a check: it is recorded in
-    ``findings`` when the two disagree and never fails a run.  The chain's
-    artifacts (diagram, N and T as sparse rows, characteristic polynomial
-    and the traces Tr(T^k), k = 1..min(K_DEFAULT, mu + 2)) ride along for
-    reuse.  ``lam`` and ``lam_trace`` are the formula and trace routes.
+    Built at once, in the chain's order: ``stats``, ``gamma``, ``mu``, ``e``,
+    ``f``, ``chi_body``, N and T as sparse rows ``n`` and ``t`` (after
+    ``nilpotent_square``'s guards), ``n_square_zero``, ``flag_traces`` and the
+    Lefschetz number by the formula and trace routes, ``lam`` and
+    ``lam_trace``.  Built on first read and kept: ``char_poly``, ``traces``
+    (Tr(T^k), k = 1..min(K_DEFAULT, mu + 2)), ``signature`` and the grades,
+    ``checks`` (pass/fail/n/a by name) and ``findings`` (where the multi-edge
+    and cellularity tests disagree; never a failure).
     """
-    stats: object
-    mu: int
-    e: int
-    f: int
-    chi_body: int
-    lam: int
-    lam_trace: int
-    n_square_zero: bool
-    gamma: Gamma
-    n: Rows
-    t: Rows
-    char_poly: list[int]
-    traces: list[int]
-    checks: dict = field(default_factory=dict)
-    findings: list = field(default_factory=list)
+
+    def __init__(self, m: DivideMap):
+        faces = compute_faces(m)
+        self.stats = classify(m, faces)
+        self.gamma = gamma = build_gamma(m, faces)
+        cnt = counts(gamma)
+        self.mu, self.e, self.f = cnt.mu, cnt.e, cnt.f
+        self.chi_body = body_euler(m, faces)
+        self.n = n = matrix_N(gamma)
+        n2 = nilpotent_square(n)
+        self.t = monodromy_matrix(n, n2)
+        self.n_square_zero = not any(n2)
+        self.flag_traces = _flag_traces(n, n2)      # Tr(tN N), Tr((tN)^2 N)
+        self.lam, self.lam_trace = _lefschetz_routes(
+            cnt.mu, *self.flag_traces, self.t)
+
+    @cached_property
+    def char_poly(self) -> list[int]:
+        return char_poly(self.t, self.n)
+
+    @cached_property
+    def traces(self) -> list[int]:
+        return trace_powers(self.t, min(K_DEFAULT, self.mu + 2), self.n)
+
+    @cached_property
+    def signature(self) -> int:
+        return signature(self.n)
+
+    def traces_to(self, k: int) -> list[int]:
+        """Tr(T^k), k = 1..K: the kept traces, or one trace_powers call."""
+        if k <= min(K_DEFAULT, self.mu + 2):
+            return self.traces[:k]
+        return trace_powers(self.t, k, self.n)
+
+    @cached_property
+    def checks(self) -> dict[str, str]:
+        cp, traces, n, lam = self.char_poly, self.traces, self.n, self.lam
+        mu, e, f, st = self.mu, self.e, self.f, self.stats
+        (tr_ntn, tr_nt2n), n2_zero = self.flag_traces, self.n_square_zero
+        sc = st.simple and st.cellular
+        graded = {      # name: (applicable, ok)
+            # nilpotent_square raised in the constructor unless N^3 = 0
+            "n_cube_zero": (True, True),
+            "slalom_equiv_n2_f": (True, n2_zero == (f == 0)),
+            # traces[0] is Tr(T) from the program the products ran on,
+            # lam_trace Tr(T) read off T's rows
+            "lefschetz_two_routes":
+                (True, lam == self.lam_trace == 1 - traces[0]),
+            "det_seifert_one": (True,       # Id + N is triangular
+                prod(1 + row.get(i, 0) for i, row in enumerate(n)) == 1),
+            "det_monodromy_one": (True, det_from_char_poly(cp) == 1),
+            "charpoly_reciprocal": (True, is_reciprocal(cp)),
+            "newton_matches_traces":
+                (True, newton_power_sums(cp, len(traces)) == traces),
+            "cellular_entries_01": (st.cellular, all(
+                x in (0, 1) for row in n for x in row.values())),
+            "cellular_trace_nn_eq_e": (st.cellular, tr_ntn == e),
+            "cellular_trace_n2n_eq_f": (st.cellular, tr_nt2n == f),
+            "cellular_flags_closed":
+                (st.cellular, not check_flag_edges(self.gamma)),
+            "simple_chi_body_one": (st.simple, self.chi_body == 1),
+            "simple_cellular_euler_one": (sc, mu - e + f == 1),
+            "simple_cellular_lambda_zero": (sc, lam == 0),
+            # the one-line slalom computation needs Tr(tN N) = mu - 1,
+            # which the theorem supplies exactly in the simple cellular case
+            "slalom_lambda_zero":
+                (sc and n2_zero, tr_ntn == mu - 1 and lam == 0),
+        }
+        return {name: (PASS if ok else FAIL) if applicable else NA
+                for name, (applicable, ok) in graded.items()}
+
+    @cached_property
+    def findings(self) -> list[str]:
+        # the multi-edge criterion against the walk test, compared without
+        # the connectivity conjunct on either side
+        vertex_simple = self.stats.regions_vertex_simple
+        multi = has_multi_edge(self.gamma)
+        if vertex_simple != multi:
+            return []
+        return [f"{FINDING_NAME}: regions vertex-simple={vertex_simple} but "
+                f"multi-edge={multi}"]
 
     def failed(self) -> list[str]:
         return [k for k, v in self.checks.items() if v == FAIL]
@@ -535,69 +603,33 @@ def verify_theorem(m: DivideMap) -> TheoremReport:
     The slalom shortcut (Tr(tN N) = mu - 1, hence Lefschetz 0) is graded
     on divides that are simple, cellular and have N^2 = 0.
     """
-    faces = compute_faces(m)
-    stats = classify(m, faces)
-    gamma = build_gamma(m, faces)
-    cnt = counts(gamma)
-    chi = body_euler(m, faces)
+    thm = TheoremReport(m)
+    thm.checks, thm.findings        # graded now: char_poly and the traces
+    return thm
 
-    n = matrix_N(gamma)
-    n2 = nilpotent_square(n)
-    t = monodromy_matrix(n, n2)
-    tr_ntn, tr_nt2n = _flag_traces(n, n2)
-    lam, lam_trace = _lefschetz_routes(cnt.mu, tr_ntn, tr_nt2n, t)
-    cp = char_poly(t, n)
-    k_cmp = min(K_DEFAULT, max(1, cnt.mu + 2))
-    traces = trace_powers(t, k_cmp, n)
-    n_square_zero = not any(n2)
 
-    checks: dict[str, str] = {}
+# ---------------------------------------------------------------------------
+# monodromy traces next to closed walks on the diagram
+# ---------------------------------------------------------------------------
 
-    def grade(name, applicable, ok):
-        checks[name] = NA if not applicable else (PASS if ok else FAIL)
+@dataclass(frozen=True)
+class WalkTable:
+    """Rows (k, Tr(T^k), 1 - Tr(T^k), Tr(M^k)) for k = 1..K, with M = N + tN
+    the adjacency matrix of the diagram.  Whether the traces of the
+    monodromy iterates follow from the closed walks on the diagram is
+    open: the table pairs the two exact columns and asserts nothing."""
+    rows: tuple[tuple[int, int, int, int], ...]
 
-    # nilpotent_square raised above unless N^3 = 0: passes by construction
-    grade("n_cube_zero", True, True)
-    grade("slalom_equiv_n2_f", True, n_square_zero == (cnt.f == 0))
-    # traces[0] is Tr(T) from the program the products ran on, lam_trace
-    # Tr(T) read off T's rows
-    grade("lefschetz_two_routes", True,
-          lam == lam_trace == 1 - traces[0])
-    grade("det_seifert_one", True,      # Id + N is triangular
-          prod(1 + row.get(i, 0) for i, row in enumerate(n)) == 1)
-    grade("det_monodromy_one", True, det_from_char_poly(cp) == 1)
-    grade("charpoly_reciprocal", True, is_reciprocal(cp))
-    grade("newton_matches_traces", True,
-          newton_power_sums(cp, k_cmp) == traces)
+    def to_csv(self) -> str:
+        head = ("k", "tr_T_k", "lefschetz_k", "tr_M_k")
+        return "".join(",".join(map(str, row)) + "\n"
+                       for row in (head, *self.rows))
 
-    cellular = stats.cellular
-    grade("cellular_entries_01", cellular,
-          all(x in (0, 1) for row in n for x in row.values()))
-    grade("cellular_trace_nn_eq_e", cellular, tr_ntn == cnt.e)
-    grade("cellular_trace_n2n_eq_f", cellular, tr_nt2n == cnt.f)
-    grade("cellular_flags_closed", cellular, not check_flag_edges(gamma))
 
-    grade("simple_chi_body_one", stats.simple, chi == 1)
-    sc = stats.simple and stats.cellular
-    grade("simple_cellular_euler_one", sc, cnt.mu - cnt.e + cnt.f == 1)
-    grade("simple_cellular_lambda_zero", sc, lam == 0)
-    # the one-line slalom computation needs Tr(tN N) = mu - 1, which the
-    # theorem supplies exactly in the simple cellular case
-    grade("slalom_lambda_zero", sc and n_square_zero,
-          tr_ntn == cnt.mu - 1 and lam == 0)
-
-    report = TheoremReport(
-        stats=stats, mu=cnt.mu, e=cnt.e, f=cnt.f, chi_body=chi,
-        lam=lam, lam_trace=lam_trace, n_square_zero=n_square_zero,
-        gamma=gamma, n=n, t=t, char_poly=cp, traces=traces, checks=checks,
-    )
-
-    # findings channel: the multi-edge criterion against the walk test,
-    # compared without the connectivity conjunct on either side
-    vertex_simple = stats.regions_vertex_simple
-    multi = has_multi_edge(gamma)
-    if vertex_simple == multi:
-        report.findings.append(
-            f"{FINDING_NAME}: regions vertex-simple={vertex_simple} but "
-            f"multi-edge={multi}")
-    return report
+def walk_table(thm: TheoremReport, k: int = K_DEFAULT) -> WalkTable:
+    """The walk table of the divide whose chain ``thm`` holds, for K = k
+    clamped to 1..K_CAP; ValueError unless k is an int."""
+    k = max(1, min(check_k(k), K_CAP))
+    pairs = zip(thm.traces_to(k), trace_powers(adjacency(thm.gamma), k))
+    return WalkTable(rows=tuple((i, tr_t, 1 - tr_t, tr_m)
+                                for i, (tr_t, tr_m) in enumerate(pairs, 1)))

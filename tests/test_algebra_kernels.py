@@ -48,9 +48,8 @@ from divides import (
     trace_powers, zigzag,
 )
 from divides.seifert import (
-    _flag_traces, nilpotent_square, sparse_mul, sparse_signature,
+    K_CAP, _flag_traces, nilpotent_square, sparse_mul, sparse_signature,
 )
-from divides.walks import K_CAP
 
 import algebra_oracle
 from algebra_oracle import (
@@ -409,6 +408,31 @@ def test_slot_certificate_is_exact():
 
     check()
     assert seen == {True, False}
+
+
+@st.composite
+def window_rows(draw):
+    """Rows of mu slots at width w = 3..8, each entry within +-(2^(w-1) -
+    1), the window of ``left_mul``'s diagonal read, often at its ends."""
+    w = draw(st.integers(3, 8))
+    top = (1 << (w - 1)) - 1
+    mu = draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from((top, -top)), st.integers(-top, top))
+    row = st.lists(entry, min_size=mu, max_size=mu)
+    return w, draw(st.lists(row, min_size=mu, max_size=mu))
+
+
+@PROPERTY
+@given(window_rows())
+def test_left_mul_reads_the_diagonal_on_its_window(drawn):
+    # the identity program: T M = M, so the trace read is M's own
+    w, rows = drawn
+    mu = len(rows)
+    packed_rows = [_pack(r, w) for r in rows]
+    identity = packed.row_terms([{i: 1} for i in range(mu)])
+    out, trace = packed.left_mul(identity, packed_rows, w)
+    assert out == packed_rows
+    assert trace == mat_trace(rows), drawn
 
 
 @FEWER

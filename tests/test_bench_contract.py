@@ -11,6 +11,9 @@ never imported or executed here.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,19 @@ def test_traced_layer_functions_exist(layer):
     for name in LAYERS[layer]:
         assert inspect.isfunction(getattr(module, name, None)), \
             f"divides.{layer}.{name}"
+
+
+def test_package_import_loads_every_traced_layer():
+    # Tracer.install looks each layer up in sys.modules, so ``import
+    # divides`` alone, in a fresh interpreter, must load every one
+    code = "import sys, divides\nprint(*sorted(sys.modules))\n"
+    src = str(Path(divides.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    loaded = set(out.stdout.split())
+    assert [layer for layer in sorted(LAYERS)
+            if f"divides.{layer}" not in loaded] == []
 
 
 def test_observed_functions_are_traced():

@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 
 from divides import (
-    build_gamma, build_report, coil, compute_faces, fixtures, from_chords,
-    gamma_to_dot, gen_chords, render_text, run_corpus, walk_table, zigzag,
+    TheoremReport, build_gamma, build_report, coil, compute_faces, fixtures,
+    from_chords, gamma_to_dot, gen_chords, render_text, run_corpus,
+    walk_table, zigzag,
 )
 from divides.render import render_chords_svg
 
@@ -51,7 +52,7 @@ OUTPUTS = {
     "report_json_k3": lambda m, name: report_json(m, name, k=3),
     "report_json_k20": lambda m, name: report_json(m, name, k=20),
     "walk_table_k12": lambda m, name:
-        walk_table(build_gamma(m, compute_faces(m)), 12).to_csv(),
+        walk_table(TheoremReport(m), 12).to_csv(),
     "gamma_dot": lambda m, name:
         gamma_to_dot(build_gamma(m, compute_faces(m))),
     "map_document": lambda m, name: json.dumps(m.to_document()),

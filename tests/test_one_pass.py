@@ -11,8 +11,8 @@ import pytest
 
 import divides
 from divides import (
-    build_report, fixture, from_chords, gen_chords, run_corpus, seifert,
-    verify_theorem, zigzag,
+    TheoremReport, build_report, fixture, from_chords, gen_chords,
+    run_corpus, seifert, verify_theorem, walk_table, zigzag,
 )
 
 CHAIN = ("compute_faces", "classify", "build_gamma", "counts", "matrix_N",
@@ -68,6 +68,22 @@ def test_run_corpus_runs_the_chain_once_per_instance(calls):
     for name in ("compute_faces", "build_gamma", "matrix_N",
                  "monodromy_matrix", "char_poly", "trace_powers"):
         assert calls[name] == count, name
+
+
+def test_walk_table_reads_the_record(calls):
+    # the table reads N, T and the traces off the record verify_theorem
+    # built, and builds none of them again
+    thm = verify_theorem(from_chords(gen_chords(8, 101)))
+    walk_table(thm, 12)
+    for name in ("compute_faces", "build_gamma", "matrix_N",
+                 "monodromy_matrix", "char_poly"):
+        assert calls[name] == 1, name
+
+
+def test_walk_table_needs_no_char_poly_or_signature(calls):
+    walk_table(TheoremReport(from_chords(gen_chords(8, 101))), 12)
+    assert calls["char_poly"] == calls["signature"] == 0
+    assert calls["matrix_N"] == calls["monodromy_matrix"] == 1
 
 
 def test_verify_theorem_fixed_products(monkeypatch):

@@ -2,16 +2,17 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import divides
 from divides import (
-    build_gamma, build_report, char_poly, coil, compute_faces, fixture,
-    from_chords, gen_chords, is_reciprocal, lefschetz_number, matrix_N,
-    monodromy_matrix, newton_power_sums, seifert, signature, trace_powers,
-    verify_theorem, walk_table,
+    TheoremReport, build_gamma, build_report, char_poly, coil, compute_faces,
+    fixture, from_chords, gen_chords, is_reciprocal, lefschetz_number,
+    matrix_N, monodromy_matrix, newton_power_sums, seifert, signature,
+    trace_powers, verify_theorem, walk_table,
 )
 from divides.seifert import (
     _flag_traces, det_from_char_poly, sparse_mul, sparse_signature,
@@ -138,21 +139,22 @@ class TestMonodromy:
         m = fixture("LENS")
         g = build_gamma(m, compute_faces(m))
         t = monodromy_matrix(matrix_N(g))
+        thm = TheoremReport(m)
         for guarded in (lambda k: trace_powers(t, k),
                         lambda k: trace_powers(t, k, matrix_N(g)),
                         lambda k: build_report(m, k=k),
-                        lambda k: walk_table(g, k)):
+                        lambda k: walk_table(thm, k)):
             with pytest.raises(ValueError, match=f"k = {k!r} is not an int"):
                 guarded(k)
 
     def test_k_guard_survives_optimize(self):
-        code = ("from divides import build_gamma, build_report, "
-                "compute_faces, fixture, walk_table\n"
+        code = ("from divides import TheoremReport, build_report, "
+                "fixture, walk_table\n"
                 "m = fixture('LENS')\n"
-                "g = build_gamma(m, compute_faces(m))\n"
+                "thm = TheoremReport(m)\n"
                 f"for k in {BAD_K!r}:\n"
                 "    for run in (lambda: build_report(m, k=k),\n"
-                "                lambda: walk_table(g, k)):\n"
+                "                lambda: walk_table(thm, k)):\n"
                 "        try:\n"
                 "            run()\n"
                 "        except ValueError as exc:\n"
@@ -168,6 +170,67 @@ class TestMonodromy:
         assert monodromy_matrix([]) == []
         assert lefschetz_number([]) == 1
         assert char_poly([]) == [1]
+
+
+# N that the guards of TheoremReport's constructor reject: an entry on the
+# diagonal, and a strictly upper triangular N with N^3 != 0
+CORRUPT_N = [([{0: 1}, {}], "N[0][0] = 1 is not above the diagonal"),
+             (CHAIN4, "nilpotency violation: (tN)^3 != 0")]
+
+RECORD_BUILDS = (TheoremReport, verify_theorem,
+                 lambda m: walk_table(TheoremReport(m), 4))
+
+
+class TestRecordGuards:
+    """The guards on N raise in TheoremReport's constructor, before any of
+    the record's artifacts built on first read."""
+
+    def test_lazy_artifacts(self):
+        lazy = {name for name, v in vars(TheoremReport).items()
+                if isinstance(v, cached_property)}
+        assert lazy == {"char_poly", "traces", "signature", "checks",
+                        "findings"}
+
+    @pytest.mark.parametrize("n, message", CORRUPT_N,
+                             ids=["diagonal", "cube"])
+    def test_constructor_guards_n(self, monkeypatch, n, message):
+        read = []
+        for name, v in list(vars(TheoremReport).items()):
+            if isinstance(v, cached_property):
+                monkeypatch.setattr(TheoremReport, name, property(
+                    lambda self, name=name: read.append(name)))
+        monkeypatch.setattr(seifert, "matrix_N", lambda gamma: n)
+        for build in RECORD_BUILDS:
+            with pytest.raises(ValueError) as excinfo:
+                build(fixture("LENS"))
+            assert str(excinfo.value) == message
+            assert "__init__" in [e.name for e in excinfo.traceback]
+        assert read == []
+
+    def test_constructor_guards_survive_optimize(self):
+        code = ("from functools import cached_property\n"
+                "from divides import (TheoremReport, fixture, seifert,\n"
+                "                     verify_theorem, walk_table)\n"
+                "read = []\n"
+                "for name, v in list(vars(TheoremReport).items()):\n"
+                "    if isinstance(v, cached_property):\n"
+                "        setattr(TheoremReport, name, property(\n"
+                "            lambda self, name=name: read.append(name)))\n"
+                f"for n in {[n for n, _ in CORRUPT_N]!r}:\n"
+                "    seifert.matrix_N = lambda gamma, n=n: n\n"
+                "    for build in (TheoremReport, verify_theorem, lambda m:\n"
+                "                  walk_table(TheoremReport(m), 4)):\n"
+                "        try:\n"
+                "            build(fixture('LENS'))\n"
+                "        except ValueError as exc:\n"
+                "            print(exc)\n"
+                "print(read)\n")
+        src = str(Path(divides.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "".join(f"{message}\n" * 3
+                                     for _, message in CORRUPT_N) + "[]\n"
 
 
 class TestLefschetz:
