@@ -95,7 +95,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    check_corpus_args(args.count, args.n)   # before --csv is truncated
+    check_corpus_args(args.count, args.n, args.seed)   # before --csv opens
     with (open(args.csv, "w", encoding="utf-8") if args.csv
           else nullcontext()) as csv_fh:
         summary = run_corpus(args.count, args.n, args.seed, csv_out=csv_fh)

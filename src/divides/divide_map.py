@@ -38,6 +38,14 @@ class DivideError(Exception):
     """A document or map violates a divide invariant."""
 
 
+def need_int(who: str, name: str, x, least: int | None = None) -> None:
+    """DivideError unless ``type(x) is int`` (no bool or float) and, when
+    ``least`` is given, x >= least."""
+    if type(x) is not int or (least is not None and x < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DivideError(f"{who} needs an int {name}{bound}, got {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # the map
 # ---------------------------------------------------------------------------

@@ -5,34 +5,27 @@ Vertices are one basepoint per region plus the double points, numbered
 then the double points (in input order), then the Plus basepoints.  Edges
 come in two species: one per region sector at a double point, and one per
 segment whose two sides are both regions (those two regions necessarily
-carry opposite signs).  The diagram is three counts and its edge list:
-n_minus, n_double and n_plus fix each vertex's kind by its index, every
-edge runs from a lower to a higher vertex, and an edge repeated k times
-is an entry k of the strictly upper triangular intersection matrix
-assembled downstream.  Nothing here is quadratic in mu.
+carry opposite signs).  ``Gamma`` holds the edges as two int arrays, and
+n_minus, n_double and n_plus fix each vertex's kind by its index.  An edge
+repeated k times is an entry k of the strictly upper triangular
+intersection matrix assembled downstream; nothing here is quadratic in mu.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .divide_map import MINUS, PLUS, DivideError, DivideMap, Faces
-
-SECTOR = "sector"
-SEGMENT = "segment"
-
-
-class GammaEdge(NamedTuple):
-    species: str        # SECTOR or SEGMENT
-    i: int              # vertex indices, i < j
-    j: int
 
 
 @dataclass(frozen=True)
 class Gamma:
-    edges: tuple[GammaEdge, ...]
+    """Edge k joins vertex lo[k] to hi[k] > lo[k], once per multiplicity;
+    edges 0..n_sector-1 are the sector edges, the rest the segment edges."""
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    n_sector: int
     n_minus: int        # vertices 1..n_minus
     n_double: int       # then n_double vertices, then n_plus
     n_plus: int
@@ -49,15 +42,13 @@ class Gamma:
         meeting a double point in two sectors appears twice.  Built on first
         use and kept, so ``counts`` and ``check_flag_edges`` share one scan.
         """
-        ends: list[tuple[list[int], list[int]]] = \
-            [([], []) for _ in range(self.n_double)]
-        for e in self.edges:
-            if e.species != SECTOR:
-                continue
-            if e.i <= self.n_minus:         # minus basepoint -- double point
-                ends[e.j - self.n_minus - 1][0].append(e.i)
+        nm, ns = self.n_minus, self.n_sector
+        ends = [([], []) for _ in range(self.n_double)]
+        for i, j in zip(self.lo[:ns], self.hi[:ns]):
+            if i <= nm:                     # minus basepoint -- double point
+                ends[j - nm - 1][0].append(i)
             else:                           # double point -- plus basepoint
-                ends[e.i - self.n_minus - 1][1].append(e.j)
+                ends[i - nm - 1][1].append(j)
         return ends
 
 
@@ -82,15 +73,17 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
     for v, fi in enumerate(plus_regions, n_minus + m.delta + 1):
         base[fi] = v
 
-    edges: list[GammaEdge] = []
+    lo: list[int] = []
+    hi: list[int] = []
     dart_face = faces.dart_face
     # the crossings' rotations follow the endpoints', in input order
     for d, rotation in enumerate(m.rotations[len(m.endpoints):], n_minus + 1):
         for dart in rotation:
             b = base[dart_face[dart]]
             if b:
-                i, j = (b, d) if b < d else (d, b)
-                edges.append(GammaEdge(SECTOR, i, j))
+                lo.append(b if b < d else d)
+                hi.append(d if b < d else b)
+    n_sector = len(lo)
 
     segment_darts = dart_face[:2 * m.n_divide_edges]
     for f1, f2 in zip(segment_darts[::2], segment_darts[1::2]):
@@ -101,15 +94,11 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
         if (b1 <= n_minus) == (b2 <= n_minus):
             raise DivideError("2-coloring inconsistency: a segment joins "
                               "two regions of one sign")
-        i, j = (b1, b2) if b1 < b2 else (b2, b1)    # i is the Minus one
-        edges.append(GammaEdge(SEGMENT, i, j))
+        lo.append(b1 if b1 < b2 else b2)    # the Minus one
+        hi.append(b2 if b1 < b2 else b1)
 
-    return Gamma(
-        edges=tuple(edges),
-        n_minus=n_minus,
-        n_double=m.delta,
-        n_plus=len(plus_regions),
-    )
+    return Gamma(tuple(lo), tuple(hi), n_sector=n_sector, n_minus=n_minus,
+                 n_double=m.delta, n_plus=len(plus_regions))
 
 
 def counts(gamma: Gamma) -> GammaCounts:
@@ -120,13 +109,12 @@ def counts(gamma: Gamma) -> GammaCounts:
     multiplicity.
     """
     f = sum(len(minus) * len(plus) for minus, plus in gamma._sector_ends)
-    return GammaCounts(mu=gamma.mu, e=len(gamma.edges), f=f)
+    return GammaCounts(mu=gamma.mu, e=len(gamma.lo), f=f)
 
 
 def has_multi_edge(gamma: Gamma) -> bool:
     """True if any pair of Gamma vertices is joined by several edges."""
-    pairs = {(e.i, e.j) for e in gamma.edges}
-    return len(pairs) < len(gamma.edges)
+    return len(set(zip(gamma.lo, gamma.hi))) < len(gamma.lo)
 
 
 def body_euler(m: DivideMap, faces: Faces) -> int:
@@ -152,7 +140,8 @@ def check_flag_edges(gamma: Gamma) -> list[tuple[int, int, int]]:
     Empty whenever the triangle construction underlying the Euler count
     applies (in particular on simple cellular divides).
     """
-    closed = {(e.i, e.j) for e in gamma.edges if e.species == SEGMENT}
+    ns = gamma.n_sector
+    closed = set(zip(gamma.lo[ns:], gamma.hi[ns:]))
     return sorted({(b, gamma.n_minus + d + 1, p)
                    for d, (minus, plus) in enumerate(gamma._sector_ends)
                    for b in minus for p in plus if (b, p) not in closed})
@@ -163,7 +152,7 @@ def gamma_to_dot(gamma: Gamma) -> str:
 
     Minus basepoints are boxes labeled "-", double points circles labeled
     by their vertex index, Plus basepoints boxes labeled "+".  Segment
-    edges are dashed to distinguish the two species.
+    edges are dashed; edges sort by their ends, sector edges first.
     """
     first_double = gamma.n_minus + 1
     first_plus = first_double + gamma.n_double
@@ -176,8 +165,13 @@ def gamma_to_dot(gamma: Gamma) -> str:
               for v in range(first_double, first_plus)]
     lines += [f'  p{v} [shape=box, label="+"];'
               for v in range(first_plus, gamma.mu + 1)]
-    for e in sorted(gamma.edges, key=lambda e: (e.i, e.j, e.species)):
-        style = " [style=dashed]" if e.species == SEGMENT else ""
-        lines.append(f"  {kind[e.i]}{e.i} -- {kind[e.j]}{e.j}{style};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # one int per edge, (lo, hi, is_segment) in lexicographic order
+    w, ns, lo, hi = gamma.mu + 1, gamma.n_sector, gamma.lo, gamma.hi
+    keys = sorted([(i * w + j) << 1 for i, j in zip(lo[:ns], hi[:ns])]
+                  + [(i * w + j) << 1 | 1 for i, j in zip(lo[ns:], hi[ns:])])
+    for key in keys:
+        i, j = divmod(key >> 1, w)
+        style = " [style=dashed]" if key & 1 else ""
+        lines.append(f"  {kind[i]}{i} -- {kind[j]}{j}{style};")
+    lines.append("}\n")
+    return "\n".join(lines)

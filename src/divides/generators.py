@@ -23,7 +23,7 @@ from functools import cmp_to_key
 from importlib import resources
 
 from .divide_map import DivideError, DivideMap, map_from_document, \
-    parse_divide, parse_json
+    need_int, parse_divide, parse_json
 
 # circle parameter: t = a/b as the reduced pair (a, b) with b > 0, or None
 # for the point (-1, 0)
@@ -208,8 +208,8 @@ def gen_chords(n: int, seed: int) -> ChordSet:
     most 10^4 and resamples the whole set on any violation (exact sign
     tests only).  The rejection count is recorded on the result.
     """
-    if n < 1:
-        raise DivideError("need at least one chord")
+    need_int("gen_chords", "n", n, 1)
+    need_int("gen_chords", "seed", seed)
     rng = random.Random(seed)
     for attempt in range(_RESAMPLE_BUDGET):
         params = [_grid_param(rng.randint(-_GRID + 1, _GRID))
@@ -326,8 +326,7 @@ def zigzag(n: int) -> DivideMap:
     parity dictates; the diagram comes out a path, so the Lefschetz number
     vanishes.
     """
-    if n < 1:
-        raise DivideError("zigzag needs n >= 1")
+    need_int("zigzag", "n", n, 1)
     if n % 2 == 1:
         endpoints = ["E2", "W1", "E1", "W2"]
     else:
@@ -363,8 +362,7 @@ def coil(k: int) -> DivideMap:
     delta = k, regions = k, mu = 2k; simple only for k = 1, and the
     Lefschetz number is 1 - k.
     """
-    if k < 1:
-        raise DivideError("coil needs k >= 1")
+    need_int("coil", "k", k, 1)
     crossings = [f"y{i}" for i in range(1, k + 1)]
     edges = [{"a": ["A", 0], "b": ["y1", 0]}]
     for i in range(1, k + 1):

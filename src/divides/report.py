@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from math import gcd
 
-from .divide_map import DivideError, DivideMap
+from .divide_map import DivideMap, need_int
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
 from .seifert import K_CAP, K_DEFAULT, check_k, verify_theorem
 
@@ -153,10 +153,10 @@ class CorpusSummary:
 
 def _corpus_checks(cs: ChordSet, thm, m) -> dict[str, bool]:
     """The corpus-level hard checks on one chord instance, by name."""
-    # M = N + tN off the edge list: an edge repeated k times puts k at
+    # M = N + tN off the edge arrays: an edge repeated k times puts k at
     # (i, j) and (j, i), a loop 2k at (i, i), and Tr(M^2) sums the squared
     # entries.  Chord diagrams never carry multi-edges, so Tr(M^2) = 2e
-    mult = Counter((min(x.i, x.j), max(x.i, x.j)) for x in thm.gamma.edges)
+    mult = Counter(zip(thm.gamma.lo, thm.gamma.hi))
     tr_m = 2 * sum(k for (i, j), k in mult.items() if i == j)
     tr_m2 = 2 * sum(k * k * (1 + (i == j)) for (i, j), k in mult.items())
     return {
@@ -169,10 +169,10 @@ def _corpus_checks(cs: ChordSet, thm, m) -> dict[str, bool]:
     }
 
 
-def check_corpus_args(count: int, n: int) -> None:
-    if count < 0 or n < 1:
-        raise DivideError(f"corpus needs count >= 0 and n >= 1, got count "
-                          f"{count} and n {n}")
+def check_corpus_args(count: int, n: int, seed: int) -> None:
+    need_int("corpus", "count", count, 0)
+    need_int("corpus", "n", n, 1)
+    need_int("corpus", "seed", seed)
 
 
 def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
@@ -184,7 +184,7 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
     when given, in instance order.  Arguments that ``check_corpus_args``
     rejects raise DivideError before anything is written.
     """
-    check_corpus_args(count, n)
+    check_corpus_args(count, n, seed)
     t0 = time.perf_counter()
     summary = CorpusSummary(count=count, n=n, seed=seed)
     if csv_out is not None:

@@ -68,15 +68,15 @@ def sparse_mul(a: Rows, b: Rows) -> Rows:
 
 def matrix_N(gamma: Gamma) -> Rows:
     """Strictly upper triangular edge-multiplicity matrix of the diagram
-    as sparse rows: row i maps each j > i to the multiplicity of (i, j).
+    as sparse rows: each edge k adds 1 at row lo[k] - 1, column hi[k] - 1.
 
     Under the minus/double/plus numbering the edges join minus to double,
     double to plus and minus to plus vertices; the tricoloring forces
     N^3 = 0.
     """
     n = [{} for _ in range(gamma.mu)]
-    for e in gamma.edges:
-        n[e.i - 1][e.j - 1] = n[e.i - 1].get(e.j - 1, 0) + 1
+    for i, j in zip(gamma.lo, gamma.hi):
+        n[i - 1][j - 1] = n[i - 1].get(j - 1, 0) + 1
     return n
 
 

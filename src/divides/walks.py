@@ -7,11 +7,11 @@ from .dynkin import Gamma
 
 def adjacency(gamma: Gamma) -> list[dict[int, int]]:
     """Symmetric adjacency matrix of the diagram, M = N + tN, as sparse
-    rows built from the edge list as ``seifert.matrix_N`` builds N: each
-    edge (i, j) adds 1 to M[i][j] and to M[j][i]."""
+    rows built from the edge arrays as ``seifert.matrix_N`` builds N: each
+    edge k adds 1 to M[i][j] and to M[j][i], (i, j) = (lo[k], hi[k]) - 1."""
     m = [{} for _ in range(gamma.mu)]
-    for e in gamma.edges:
-        i, j = e.i - 1, e.j - 1
+    for i, j in zip(gamma.lo, gamma.hi):
+        i, j = i - 1, j - 1
         m[i][j] = m[i].get(j, 0) + 1
         m[j][i] = m[j].get(i, 0) + 1
     return m

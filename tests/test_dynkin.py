@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -10,7 +10,8 @@ from divides import (
     map_from_document, zigzag,
 )
 from divides.divide_map import DivideError, DivideMap, Faces
-from divides.dynkin import SECTOR, SEGMENT, Gamma, GammaEdge
+from divides import dynkin
+from divides.dynkin import Gamma
 
 import gamma_oracle
 
@@ -19,25 +20,32 @@ def gamma_of(m):
     return build_gamma(m, compute_faces(m))
 
 
-def multiplicities(g, species=None):
-    """Edge multiplicity per vertex pair (i, j), optionally of one species."""
-    return Counter((e.i, e.j) for e in g.edges
-                   if species is None or e.species == species)
+def sector_edges(g):
+    return list(zip(g.lo[:g.n_sector], g.hi[:g.n_sector]))
+
+
+def segment_edges(g):
+    return list(zip(g.lo[g.n_sector:], g.hi[g.n_sector:]))
+
+
+def multiplicities(g):
+    """Edge multiplicity per vertex pair (i, j)."""
+    return Counter(zip(g.lo, g.hi))
 
 
 class TestBuildGamma:
     def test_x1_single_vertex(self):
         g = gamma_of(fixture("X1"))
         assert g.mu == 1
-        assert g.edges == ()
+        assert (g.lo, g.hi, g.n_sector) == ((), (), 0)
         assert (g.n_minus, g.n_double, g.n_plus) == (0, 1, 0)
 
     def test_loop(self):
         g = gamma_of(fixture("LOOP"))
         assert g.mu == 2
         assert (g.n_minus, g.n_double, g.n_plus) == (1, 1, 0)
-        assert len(g.edges) == 1
-        assert g.edges[0].species == SECTOR
+        assert len(g.lo) == len(g.hi) == 1
+        assert g.n_sector == 1
         assert multiplicities(g) == {(1, 2): 1}
 
     def test_lens(self):
@@ -45,9 +53,9 @@ class TestBuildGamma:
         assert g.mu == 3
         assert (g.n_minus, g.n_double, g.n_plus) == (1, 2, 0)
         assert multiplicities(g) == {(1, 2): 1, (1, 3): 1}
-        pairs = sorted((e.i, e.j) for e in g.edges)
+        pairs = sorted(zip(g.lo, g.hi))
         assert pairs == [(1, 2), (1, 3)]
-        assert all(e.species == SECTOR for e in g.edges)
+        assert g.n_sector == len(g.lo)
 
     def test_zigzag3_path(self):
         g = gamma_of(zigzag(3))
@@ -55,21 +63,20 @@ class TestBuildGamma:
         assert (c.mu, c.e, c.f) == (5, 4, 0)
         # the diagram is a 5-vertex path: every vertex has degree <= 2
         deg = {}
-        for e in g.edges:
-            deg[e.i] = deg.get(e.i, 0) + 1
-            deg[e.j] = deg.get(e.j, 0) + 1
+        for i, j in zip(g.lo, g.hi):
+            deg[i] = deg.get(i, 0) + 1
+            deg[j] = deg.get(j, 0) + 1
         assert sorted(deg.values()) == [1, 1, 2, 2, 2]
 
     def test_fig2a_multi_edge_and_segment_species(self):
         g = gamma_of(fixture("FIG2A"))
         assert has_multi_edge(g)
         # minus x double sector multiplicities 1 and 2, one segment edge
-        sectors = multiplicities(g, SECTOR)
+        sectors = Counter(sector_edges(g))
         assert sorted(k for (i, _), k in sectors.items()
                       if i <= g.n_minus) == [1, 2]
-        assert sum(multiplicities(g, SEGMENT).values()) == 1
-        species = sorted(e.species for e in g.edges)
-        assert species.count(SEGMENT) == 1
+        assert sum(Counter(segment_edges(g)).values()) == 1
+        assert len(g.lo) - g.n_sector == 1
 
     def test_numbering_contiguous(self, zoo):
         for name, m in zoo:
@@ -78,13 +85,13 @@ class TestBuildGamma:
             assert g.mu == m.delta + compute_faces(m).region_count(), name
             first_double = g.n_minus + 1
             first_plus = first_double + g.n_double
-            for e in g.edges:
-                assert 1 <= e.i < e.j <= g.mu, name
-                if e.species == SEGMENT:    # minus basepoint -- plus one
-                    assert e.i < first_double and e.j >= first_plus, name
+            for k, (i, j) in enumerate(zip(g.lo, g.hi)):
+                assert 1 <= i < j <= g.mu, name
+                if k >= g.n_sector:         # minus basepoint -- plus one
+                    assert i < first_double and j >= first_plus, name
                 else:                       # one end is a double point
-                    assert (first_double <= e.i < first_plus) != \
-                        (first_double <= e.j < first_plus), name
+                    assert (first_double <= i < first_plus) != \
+                        (first_double <= j < first_plus), name
             # the DOT node lines name m..., then d..., then p..., 1..mu
             nodes = [line.split()[0] for line in gamma_to_dot(g).splitlines()
                      if "shape=" in line]
@@ -99,7 +106,7 @@ class TestBuildGamma:
         # makes that segment join two regions of one sign
         m = fixture("FIG2A")
         faces = compute_faces(m)
-        assert any(e.species == SEGMENT for e in build_gamma(m, faces).edges)
+        assert segment_edges(build_gamma(m, faces))
         fi = faces.regions[0]
         resigned = list(faces.signs)
         resigned[fi] = -resigned[fi]
@@ -112,7 +119,7 @@ class TestBuildGamma:
         for name, m in zoo:
             g = gamma_of(m)
             at = Counter()
-            for (i, j), k in multiplicities(g, SECTOR).items():
+            for (i, j), k in Counter(sector_edges(g)).items():
                 at[j if i <= g.n_minus else i] += k
             assert set(at) <= set(range(g.n_minus + 1,
                                         g.n_minus + g.n_double + 1)), name
@@ -167,32 +174,47 @@ class TestFlagEdges:
         assert check_flag_edges(gamma_of(fixture("FIG2A"))) == []
 
     def test_detects_missing_closing_edge(self):
-        sectors = (GammaEdge(SECTOR, 1, 2), GammaEdge(SECTOR, 2, 3))
-        g = Gamma(edges=sectors, n_minus=1, n_double=1, n_plus=1)
+        # sector edges 1 -- 2 and 2 -- 3, then the closing segment 1 -- 3
+        g = Gamma(lo=(1, 2), hi=(2, 3), n_sector=2,
+                  n_minus=1, n_double=1, n_plus=1)
         assert check_flag_edges(g) == [(1, 2, 3)]
-        closing = GammaEdge(SEGMENT, 1, 3)
-        closed = Gamma(edges=sectors + (closing,),
+        closed = Gamma(lo=(1, 2, 1), hi=(2, 3, 3), n_sector=2,
                        n_minus=1, n_double=1, n_plus=1)
         assert check_flag_edges(closed) == []
 
     def test_one_sector_end_scan(self):
         # counts and check_flag_edges share one scan for the sector ends;
-        # the only other read of the edges is check_flag_edges' search for
-        # closing segment edges
-        class Reads(tuple):
-            count = 0
+        # the only other read of the edge arrays is check_flag_edges'
+        # search for closing segment edges
+        reads = []
 
+        class Reads(tuple):
             def __iter__(self):
-                Reads.count += 1
+                reads.append((self.name, "all"))
                 return super().__iter__()
 
+            def __getitem__(self, key):
+                reads.append((self.name, key))
+                return super().__getitem__(key)
+
+        def watched(name, values):
+            arr = Reads(values)
+            arr.name = name
+            return arr
+
         plain = gamma_of(fixture("FIG2A"))
-        g = Gamma(edges=Reads(plain.edges), n_minus=plain.n_minus,
+        ns = plain.n_sector
+        g = Gamma(lo=watched("lo", plain.lo), hi=watched("hi", plain.hi),
+                  n_sector=ns, n_minus=plain.n_minus,
                   n_double=plain.n_double, n_plus=plain.n_plus)
         assert counts(g) == counts(plain)
         assert check_flag_edges(g) == check_flag_edges(plain)
         assert counts(g) == counts(plain)
-        assert Reads.count == 2
+        # each array read twice: its sector part, then its segment part
+        assert len(reads) == 4
+        for read in (("lo", slice(None, ns)), ("hi", slice(None, ns)),
+                     ("lo", slice(ns, None)), ("hi", slice(ns, None))):
+            assert read in reads, read
 
 
 class TestDot:
@@ -240,6 +262,51 @@ def test_edge_list_matches_block_oracle(zoo, flip):
             == gamma_oracle.readings(m, faces), name
 
 
+def contract_cases(zoo):
+    cases = list(zoo)                   # the fixtures among them
+    cases += [(f"{family.__name__}({k})", family(k))
+              for family in (zigzag, coil) for k in (1, 2, 5, 50)]
+    cases += [(f"chords({n},{s})", from_chords(gen_chords(n, s)))
+              for n in range(1, 13) for s in range(5)]
+    return cases
+
+
+def test_edge_array_contract(zoo):
+    # two int arrays, one entry per edge and multiplicity, sector edges
+    # first; the multiplicities per species are the dense blocks' entries
+    for name, m in contract_cases(zoo):
+        faces = compute_faces(m)
+        g = build_gamma(m, faces)
+        nm, nd = g.n_minus, g.n_double
+        assert type(g.lo) is tuple and type(g.hi) is tuple, name
+        assert len(g.lo) == len(g.hi), name
+        assert 0 <= g.n_sector <= len(g.lo), name
+        assert all(type(v) is int for v in g.lo + g.hi), name
+        assert all(1 <= i < j <= g.mu for i, j in zip(g.lo, g.hi)), name
+        double = range(nm + 1, nm + nd + 1)
+        for i, j in sector_edges(g):
+            assert (i in double) != (j in double), name
+        for i, j in segment_edges(g):
+            assert i <= nm and j > nm + nd, name
+
+        bl = gamma_oracle.build_blocks(m, faces)
+        assert (bl.n_minus, bl.n_double, bl.n_plus) == \
+            (nm, nd, g.n_plus), name
+        sectors = Counter()
+        for b, row in enumerate(bl.A):
+            for d, k in enumerate(row):
+                sectors[(b + 1, nm + d + 1)] += k
+        for d, row in enumerate(bl.B):
+            for p, k in enumerate(row):
+                sectors[(nm + d + 1, nm + nd + p + 1)] += k
+        segments = Counter()
+        for b, row in enumerate(bl.C):
+            for p, k in enumerate(row):
+                segments[(b + 1, nm + nd + p + 1)] += k
+        assert Counter(sector_edges(g)) == +sectors, name
+        assert Counter(segment_edges(g)) == +segments, name
+
+
 def test_diagram_stage_at_scale():
     # mu about 2 * 10^4: quadratic blocks would hold about 10^8 entries
     k = 10000
@@ -275,29 +342,37 @@ def test_front_end_at_scale():
 
 
 class TestRecords:
-    """Faces, diagram edges and the diagram are immutable records."""
+    """Faces, the diagram and its edge arrays are immutable records."""
 
     def test_fields_cannot_be_assigned(self):
         m = fixture("LENS")
         faces = compute_faces(m)
         g = build_gamma(m, faces)
-        edge = GammaEdge(SEGMENT, 1, 3)
-        for name in GammaEdge._fields:
-            with pytest.raises(AttributeError):
-                setattr(edge, name, 0)
+        for arr in (g.lo, g.hi):
+            with pytest.raises(TypeError):
+                arr[0] = 0
         for record, names in (
                 (faces, ("signs", "dart_face", "regions")),
-                (g, ("edges", "n_minus", "n_double", "n_plus"))):
+                (g, ("lo", "hi", "n_sector", "n_minus", "n_double",
+                     "n_plus"))):
             for name in names:
                 with pytest.raises(AttributeError):
                     setattr(record, name, 0)
 
     def test_edge_defaults(self):
-        # an edge is its species and its two ends, with nothing optional
-        assert GammaEdge._fields == ("species", "i", "j")
-        assert GammaEdge._field_defaults == {}
-        e = GammaEdge(SEGMENT, 1, 3)
-        assert (e.species, e.i, e.j) == (SEGMENT, 1, 3)
+        # an edge is its two ends, an index into two int arrays, and its
+        # species is whether that index is below n_sector; nothing optional
+        assert [f.name for f in fields(Gamma)] == \
+            ["lo", "hi", "n_sector", "n_minus", "n_double", "n_plus"]
+        assert all(f.default is MISSING and f.default_factory is MISSING
+                   for f in fields(Gamma))
+        assert Gamma.__dataclass_params__.frozen
+        g = Gamma(lo=(1,), hi=(3,), n_sector=0,
+                  n_minus=1, n_double=1, n_plus=1)
+        assert (g.lo[0], g.hi[0], g.n_sector) == (1, 3, 0)
+        for name in ("GammaEdge", "SECTOR", "SEGMENT"):
+            assert not hasattr(dynkin, name), name
+            assert not hasattr(divides, name), name
 
     def test_face_fields(self):
         # a face is an index: its walk is m.face_walks[fi], its sign

@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis.strategies import integers
 
+import divides
 from divides import (
     Chord, ChordSet, DivideError, chords_document, chords_from_document,
     classify, coil, compute_faces, crossing_count, fixture, fixture_names,
-    fixtures, from_chords, gen_chords, interleaved, parse_chords,
+    fixtures, from_chords, gen_chords, interleaved, parse_chords, run_corpus,
     verify_theorem, zigzag,
 )
 from divides.generators import (
@@ -206,6 +211,59 @@ class TestFamilies:
             zigzag(0)
         with pytest.raises(DivideError):
             coil(0)
+
+
+# integer parameters no generator accepts: a bool would read as 0 or 1, a
+# float or str would fail deep inside with a bare TypeError or a document
+# error
+BAD_INT = [True, 2.0, "3", None]
+
+# every integer parameter of the generators and the corpus runner, as
+# (label, call with one parameter replaced by x, its name in the message)
+INT_PARAMS = [
+    ("gen_chords n", lambda x: gen_chords(x, 1), "int n >= 1"),
+    ("gen_chords seed", lambda x: gen_chords(2, x), "int seed"),
+    ("zigzag n", lambda x: zigzag(x), "int n >= 1"),
+    ("coil k", lambda x: coil(x), "int k >= 1"),
+    ("run_corpus count", lambda x: run_corpus(x, 5, 1), "int count >= 0"),
+    ("run_corpus n", lambda x: run_corpus(1, x, 1), "int n >= 1"),
+    ("run_corpus seed", lambda x: run_corpus(1, 5, x), "int seed"),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_INT, ids=repr)
+@pytest.mark.parametrize("label, call, what", INT_PARAMS,
+                         ids=[p[0] for p in INT_PARAMS])
+def test_integer_parameters_rejected(label, call, what, bad):
+    with pytest.raises(DivideError, match=f"needs an {what}, got {bad!r}"):
+        call(bad)
+
+
+def test_integer_parameter_guards_survive_optimize():
+    # python -O strips assert statements; the guards must still raise
+    code = ("from divides import DivideError, coil, gen_chords, run_corpus,"
+            " zigzag\n"
+            f"for x in {BAD_INT!r}:\n"
+            "    for run in (lambda: gen_chords(x, 1),\n"
+            "                lambda: gen_chords(2, x), lambda: zigzag(x),\n"
+            "                lambda: coil(x), lambda: run_corpus(x, 5, 1),\n"
+            "                lambda: run_corpus(1, x, 1),\n"
+            "                lambda: run_corpus(1, 5, x)):\n"
+            "        try:\n"
+            "            run()\n"
+            "        except DivideError as exc:\n"
+            "            print(exc)\n")
+    src = str(Path(divides.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "".join(
+        f"{who} needs an {what}, got {x!r}\n"
+        for x in BAD_INT
+        for who, what in (("gen_chords", "int n >= 1"),
+                          ("gen_chords", "int seed"), ("zigzag", "int n >= 1"),
+                          ("coil", "int k >= 1"), ("corpus", "int count >= 0"),
+                          ("corpus", "int n >= 1"), ("corpus", "int seed")))
 
 
 class TestFixtures:

@@ -108,6 +108,7 @@ def test_verify_theorem_fixed_products(monkeypatch):
         assert rep.mu == mu
         assert made == 2
         assert all(type(row) is dict for row in rep.n)
-        distinct = {(e.i - 1, e.j - 1) for e in rep.gamma.edges}
+        distinct = {(i - 1, j - 1) for i, j in zip(rep.gamma.lo,
+                                                   rep.gamma.hi)}
         assert sum(len(row) for row in rep.n) == len(distinct)
-    assert len(distinct) < len(rep.gamma.edges)
+    assert len(distinct) < len(rep.gamma.lo)

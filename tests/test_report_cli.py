@@ -103,7 +103,7 @@ class TestCorpus:
 
     def test_doubled_edge_fails_the_handshake(self, monkeypatch):
         # one edge doubled in each diagram: Tr(M^2) gains 6 over 2e, read
-        # off the edge list, and Tr(M) stays 0; seeds 101..103 at n = 6
+        # off the edge arrays, and Tr(M) stays 0; seeds 101..103 at n = 6
         # all have edges
         import divides.report as report_mod
         clean = run_corpus(3, 6, 101)
@@ -111,8 +111,8 @@ class TestCorpus:
 
         def doubled(m):
             rep = real(m)
-            rep.gamma = replace(rep.gamma,
-                                edges=rep.gamma.edges + rep.gamma.edges[:1])
+            g = rep.gamma
+            rep.gamma = replace(g, lo=g.lo + g.lo[:1], hi=g.hi + g.hi[:1])
             return rep
 
         monkeypatch.setattr(report_mod, "verify_theorem", doubled)
