@@ -22,8 +22,8 @@ from .generators import (
     gen_chords, interleaved, parse_chords, zigzag,
 )
 from .report import (
-    CorpusSummary, DivideReport, build_report, render_text,
-    report_from_json_dict, run_corpus, summary_text,
+    CorpusSummary, DivideReport, build_report, render_text, run_corpus,
+    summary_text,
 )
 from .seifert import (
     TheoremReport, WalkTable, char_poly, is_reciprocal, lefschetz_number,

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from functools import cmp_to_key
+from dataclasses import dataclass
+from functools import cached_property, cmp_to_key
 from importlib import resources
 
 from .divide_map import DivideError, DivideMap, map_from_document, \
@@ -71,9 +71,12 @@ class Chord:
 class ChordSet:
     chords: tuple[Chord, ...]
     rejections: int = 0      # resamples it took gen_chords to get here
-    # the geometry its general-position check found; None if built by hand
-    arrangement: _Arrangement | None = field(
-        default=None, compare=False, repr=False)
+
+    @cached_property
+    def arrangement(self) -> _Arrangement:
+        """The set's exact geometry, built on first read and kept, or
+        DivideError if it is not generic."""
+        return _arrangement(self.chords)
 
 
 def interleaved(a: Chord, b: Chord) -> bool:
@@ -214,12 +217,13 @@ def gen_chords(n: int, seed: int) -> ChordSet:
     for attempt in range(_RESAMPLE_BUDGET):
         params = [_grid_param(rng.randint(-_GRID + 1, _GRID))
                   for _ in range(2 * n)]
-        chords = [Chord(params[2 * i], params[2 * i + 1]) for i in range(n)]
+        cs = ChordSet(tuple(Chord(params[2 * i], params[2 * i + 1])
+                            for i in range(n)), rejections=attempt)
         try:
-            arr = _arrangement(chords)
+            cs.arrangement
         except DivideError:
             continue
-        return ChordSet(tuple(chords), rejections=attempt, arrangement=arr)
+        return cs
     raise DivideError("resample budget exhausted while seeking general position")
 
 
@@ -233,12 +237,7 @@ def from_chords(cs: ChordSet) -> DivideMap:
 
 
 def chords_to_map_document(cs: ChordSet) -> dict:
-    return _map_document(_arrangement_of(cs))
-
-
-def _arrangement_of(cs: ChordSet) -> _Arrangement:
-    """The set's kept geometry, or DivideError if it is not generic."""
-    return cs.arrangement or _arrangement(cs.chords)
+    return _map_document(cs.arrangement)
 
 
 def _map_document(arr: _Arrangement) -> dict:
@@ -311,7 +310,9 @@ def chords_from_document(doc) -> ChordSet:
         if not isinstance(c, dict) or "s" not in c or "t" not in c:
             raise DivideError(f"malformed document: bad chord {c!r}")
         chords.append(Chord(_param_from_json(c["s"]), _param_from_json(c["t"])))
-    return ChordSet(chords=tuple(chords), arrangement=_arrangement(chords))
+    cs = ChordSet(chords=tuple(chords))
+    cs.arrangement          # general position is checked at parse
+    return cs
 
 
 # ---------------------------------------------------------------------------

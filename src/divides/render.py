@@ -8,10 +8,8 @@ face walks of the map give the polygons directly.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .divide_map import compute_faces
-from .generators import ChordSet, _arrangement_of, from_chords
+from .generators import ChordSet, from_chords
 
 _SIZE = 500
 _R = 230
@@ -25,8 +23,8 @@ def _xy(p) -> tuple[float, float]:
 
 
 def render_chords_svg(cs: ChordSet) -> str:
-    arr = _arrangement_of(cs)
-    m = from_chords(replace(cs, arrangement=arr))    # no second arrangement
+    arr = cs.arrangement
+    m = from_chords(cs)
     faces = compute_faces(m)
     first = len(m.endpoints)        # crossing k is map vertex first + k
 

@@ -4,120 +4,94 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from math import gcd
 
 from .divide_map import DivideMap, need_int
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
-from .seifert import K_CAP, K_DEFAULT, check_k, verify_theorem
+from .seifert import K_DEFAULT, TheoremReport, verify_theorem
 
 LATTICE_GENUS_NOTE = (
     "(mu - r + 1)/2 computed from the lattice rank; no claim is made tying "
     "it to the fiber genus")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DivideReport:
-    """Everything computed for one divide, serializable and comparable."""
+    """One divide's report: its name, the record of its chain and the
+    traces Tr(T^k), k = 1..K, asked for.  Compare reports by their JSON."""
     source: str
-    r: int
-    delta: int
-    regions: int
-    connected: bool
-    cellular: bool
-    simple: bool
-    mu: int
-    e: int
-    f: int
-    chi_body: int
-    slalom: bool                      # N^2 == 0
-    lambda_formula: int
-    lambda_trace: int
-    char_poly: list[int]              # constant term first
-    signature: int
-    lattice_genus: list[int]          # exact rational [num, den], den > 0
-    traces: list[int]                 # Tr(T^k), k = 1..K
-    lefschetz_iterates: list[int]     # 1 - Tr(T^k)
-    checks: dict = field(default_factory=dict)
-    findings: list = field(default_factory=list)
-    lattice_genus_note: str = LATTICE_GENUS_NOTE
+    thm: TheoremReport
+    traces: list[int]
 
     def to_json_dict(self) -> dict:
-        """The fields in order, each list and dict copied one level deep:
-        their items are ints and strings."""
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = v.copy() if isinstance(v, (list, dict)) else v
-        return out
-
-
-def report_from_json_dict(d: dict) -> DivideReport:
-    return DivideReport(**d)
+        """The report's schema, in order, with fresh lists and dicts."""
+        thm, st, traces = self.thm, self.thm.stats, self.traces
+        twice_genus = thm.mu - st.r + 1
+        g = gcd(twice_genus, 2)          # the genus in lowest terms
+        return {
+            "source": self.source,
+            "r": st.r,
+            "delta": st.delta,
+            "regions": st.region_count,
+            "connected": st.connected,
+            "cellular": st.cellular,
+            "simple": st.simple,
+            "mu": thm.mu,
+            "e": thm.e,
+            "f": thm.f,
+            "chi_body": thm.chi_body,
+            "slalom": thm.n_square_zero,                # N^2 == 0
+            "lambda_formula": thm.lam,
+            "lambda_trace": thm.lam_trace,
+            "char_poly": list(thm.char_poly),           # constant term first
+            "signature": thm.signature,
+            "lattice_genus": [twice_genus // g, 2 // g],    # [num, den > 0]
+            "traces": list(traces),
+            "lefschetz_iterates": [1 - x for x in traces],
+            "checks": dict(thm.checks),
+            "findings": list(thm.findings),
+            "lattice_genus_note": LATTICE_GENUS_NOTE,
+        }
 
 
 def build_report(m: DivideMap, source: str = "",
                  k: int = K_DEFAULT) -> DivideReport:
-    """``verify_theorem`` plus the signature, with traces k = 1..K."""
-    k = max(1, min(check_k(k), K_CAP))
+    """``verify_theorem`` plus the signature, with the traces of
+    ``traces_to(k)``: every artifact of the JSON is built here."""
     thm = verify_theorem(m)
-    traces = thm.traces_to(k)
-
-    stats = thm.stats
-    twice_genus = thm.mu - m.r + 1
-    g = gcd(twice_genus, 2)          # the genus in lowest terms
-    return DivideReport(
-        source=source,
-        r=stats.r,
-        delta=stats.delta,
-        regions=stats.region_count,
-        connected=stats.connected,
-        cellular=stats.cellular,
-        simple=stats.simple,
-        mu=thm.mu,
-        e=thm.e,
-        f=thm.f,
-        chi_body=thm.chi_body,
-        slalom=thm.n_square_zero,
-        lambda_formula=thm.lam,
-        lambda_trace=thm.lam_trace,
-        char_poly=thm.char_poly,
-        signature=thm.signature,
-        lattice_genus=[twice_genus // g, 2 // g],
-        traces=traces,
-        lefschetz_iterates=[1 - x for x in traces],
-        checks=dict(thm.checks),
-        findings=list(thm.findings),
-    )
+    thm.signature                   # built now, not on the JSON's read
+    return DivideReport(source, thm, thm.traces_to(k))
 
 
 def render_text(rep: DivideReport) -> str:
     def yn(b):
         return "yes" if b else "no"
 
-    gnum, gden = rep.lattice_genus
+    d = rep.to_json_dict()
+    gnum, gden = d["lattice_genus"]
     genus = str(gnum) if gden == 1 else f"{gnum}/{gden}"
     lines = [
-        f"divide report: {rep.source}",
-        f"  branches r={rep.r}  double points delta={rep.delta}  "
-        f"regions={rep.regions}",
-        f"  connected={yn(rep.connected)}  cellular={yn(rep.cellular)}  "
-        f"simple={yn(rep.simple)}  slalom(N^2=0)={yn(rep.slalom)}",
-        f"  mu={rep.mu}  e={rep.e}  f={rep.f}  chi_body={rep.chi_body}",
-        f"  lefschetz = {rep.lambda_formula}   "
-        f"(trace route: {rep.lambda_trace})",
-        f"  char_poly (constant first): {rep.char_poly}",
-        f"  signature = {rep.signature}",
-        f"  lattice genus = {genus}   {LATTICE_GENUS_NOTE}",
-        f"  traces Tr(T^k), k=1..{len(rep.traces)}: {rep.traces}",
-        f"  lefschetz iterates 1-Tr(T^k): {rep.lefschetz_iterates}",
+        f"divide report: {d['source']}",
+        f"  branches r={d['r']}  double points delta={d['delta']}  "
+        f"regions={d['regions']}",
+        f"  connected={yn(d['connected'])}  cellular={yn(d['cellular'])}  "
+        f"simple={yn(d['simple'])}  slalom(N^2=0)={yn(d['slalom'])}",
+        f"  mu={d['mu']}  e={d['e']}  f={d['f']}  chi_body={d['chi_body']}",
+        f"  lefschetz = {d['lambda_formula']}   "
+        f"(trace route: {d['lambda_trace']})",
+        f"  char_poly (constant first): {d['char_poly']}",
+        f"  signature = {d['signature']}",
+        f"  lattice genus = {genus}   {d['lattice_genus_note']}",
+        f"  traces Tr(T^k), k=1..{len(d['traces'])}: {d['traces']}",
+        f"  lefschetz iterates 1-Tr(T^k): {d['lefschetz_iterates']}",
         "  checks:",
     ]
-    for name, status in rep.checks.items():
+    for name, status in d["checks"].items():
         lines.append(f"    {name}: {status}")
-    if rep.findings:
+    if d["findings"]:
         lines.append("  findings:")
-        for item in rep.findings:
+        for item in d["findings"]:
             lines.append(f"    {item}")
     else:
         lines.append("  findings: none")

@@ -531,7 +531,9 @@ class TheoremReport:
         return signature(self.n)
 
     def traces_to(self, k: int) -> list[int]:
-        """Tr(T^k), k = 1..K: the kept traces, or one trace_powers call."""
+        """Tr(T^k), k = 1..K for K = k clamped to 1..K_CAP: the kept
+        traces, or one trace_powers call; ValueError unless k is an int."""
+        k = max(1, min(check_k(k), K_CAP))
         if k <= min(K_DEFAULT, self.mu + 2):
             return self.traces[:k]
         return trace_powers(self.t, k, self.n)
@@ -627,9 +629,9 @@ class WalkTable:
 
 
 def walk_table(thm: TheoremReport, k: int = K_DEFAULT) -> WalkTable:
-    """The walk table of the divide whose chain ``thm`` holds, for K = k
-    clamped to 1..K_CAP; ValueError unless k is an int."""
-    k = max(1, min(check_k(k), K_CAP))
-    pairs = zip(thm.traces_to(k), trace_powers(adjacency(thm.gamma), k))
+    """The walk table of the divide whose chain ``thm`` holds, for the K
+    of ``thm.traces_to(k)``."""
+    traces = thm.traces_to(k)
+    pairs = zip(traces, trace_powers(adjacency(thm.gamma), len(traces)))
     return WalkTable(rows=tuple((i, tr_t, 1 - tr_t, tr_m)
                                 for i, (tr_t, tr_m) in enumerate(pairs, 1)))

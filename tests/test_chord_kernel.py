@@ -142,7 +142,7 @@ def test_concurrent_off_center():
 
 def test_each_caller_runs_the_kernel_once(monkeypatch):
     # the general-position check of gen_chords and chords_from_document
-    # keeps its arrangement on the set, and the map and the picture reuse it
+    # reads the set's cached arrangement, and the map and the picture reuse it
     runs = 0
     real = _arrangement
 
@@ -165,7 +165,7 @@ def test_each_caller_runs_the_kernel_once(monkeypatch):
     runs = 0
     from_chords(chords_from_document(chords_document(cs)))
     assert runs == 1
-    # a set built by hand carries none: its reader runs the kernel
+    # a set built by hand builds it on its first read
     runs = 0
     from_chords(ChordSet(chords=cs.chords))
     assert runs == 1

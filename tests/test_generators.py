@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -88,6 +89,26 @@ class TestChords:
         assert _arrangement(cs.chords).ends[0][0] == (-1, 0, 1)
         m = from_chords(cs)
         assert m.delta == 1
+
+    def test_geometry_belongs_to_the_chords(self):
+        # the arrangement is derived from the chords, never passed in, so a
+        # set cannot carry another set's geometry: the map has one branch
+        # per chord, for generated sets and for sets built by hand
+        sets = [gen_chords(n, seed) for n in (1, 3, 6) for seed in (1, 2)]
+        sets += [ChordSet(chords=gen_chords(3, 1).chords),
+                 ChordSet(chords=(Chord(None, (0, 1)),
+                                  Chord((1, 1), (-2, 1)))),
+                 ChordSet(chords=(Chord((-5, 1), (1, 1)),
+                                  Chord((-2, 1), (2, 1)),
+                                  Chord((-1, 1), (5, 1))))]
+        for cs in sets:
+            assert from_chords(cs).r == len(cs.chords)
+            assert from_chords(cs).delta == crossing_count(cs)
+        assert [f.name for f in dataclasses.fields(ChordSet)] == \
+            ["chords", "rejections"]
+        with pytest.raises(TypeError):
+            ChordSet(chords=gen_chords(3, 1).chords,
+                     arrangement=gen_chords(6, 2).arrangement)
 
     def test_document_round_trip(self):
         cs = gen_chords(4, 77)

@@ -48,7 +48,7 @@ def calls(monkeypatch):
 def test_build_report_runs_the_chain_once(calls, make):
     m = make()
     rep = build_report(m)
-    assert rep.mu >= 10     # so verify_theorem keeps K_DEFAULT traces
+    assert rep.thm.mu >= 10     # so verify_theorem keeps K_DEFAULT traces
     assert calls == dict.fromkeys(CHAIN, 1)
 
 

@@ -6,68 +6,99 @@ from fractions import Fraction
 import pytest
 
 from divides import (
-    DivideError, build_report, fixture, render_text, report_from_json_dict,
-    run_corpus, zigzag,
+    DivideError, TheoremReport, build_report, fixture, render_text,
+    run_corpus, walk_table, zigzag,
 )
 from divides.cli import main
 from divides.report import CSV_HEADER
 
 
+SCHEMA = ("source", "r", "delta", "regions", "connected", "cellular",
+          "simple", "mu", "e", "f", "chi_body", "slalom", "lambda_formula",
+          "lambda_trace", "char_poly", "signature", "lattice_genus",
+          "traces", "lefschetz_iterates", "checks", "findings",
+          "lattice_genus_note")
+
+
 class TestReport:
     def test_lens_values(self):
-        rep = build_report(fixture("LENS"), source="LENS")
-        assert rep.lambda_formula == 0
-        assert rep.lambda_trace == 0
-        assert (rep.mu, rep.e, rep.f) == (3, 2, 0)
-        assert rep.chi_body == 1
-        assert rep.char_poly == [-1, 1, -1, 1]
-        assert rep.signature == 3
-        assert rep.slalom is True
-        assert rep.lattice_genus == [1, 1]
+        d = build_report(fixture("LENS"), source="LENS").to_json_dict()
+        assert d["lambda_formula"] == 0
+        assert d["lambda_trace"] == 0
+        assert (d["mu"], d["e"], d["f"]) == (3, 2, 0)
+        assert d["chi_body"] == 1
+        assert d["char_poly"] == [-1, 1, -1, 1]
+        assert d["signature"] == 3
+        assert d["slalom"] is True
+        assert d["lattice_genus"] == [1, 1]
 
     def test_fig2a_values(self):
-        rep = build_report(fixture("FIG2A"), source="FIG2A")
-        assert rep.lambda_formula == 2
-        assert rep.cellular is False
+        d = build_report(fixture("FIG2A"), source="FIG2A").to_json_dict()
+        assert d["lambda_formula"] == 2
+        assert d["cellular"] is False
 
     def test_fig2b_values(self):
-        rep = build_report(fixture("FIG2B"), source="FIG2B")
-        assert rep.lambda_formula == -1
-        assert rep.simple is False
+        d = build_report(fixture("FIG2B"), source="FIG2B").to_json_dict()
+        assert d["lambda_formula"] == -1
+        assert d["simple"] is False
 
     def test_half_integer_lattice_genus(self):
         # two non-crossing chords: mu = 0, r = 2: genus (0 - 2 + 1)/2
         from divides import Chord, ChordSet, from_chords
         m = from_chords(ChordSet(chords=(Chord((-5, 1), (-2, 1)),
                                          Chord((1, 1), (4, 1)))))
-        rep = build_report(m, source="two chords")
-        assert rep.lattice_genus == [-1, 2]
-        assert rep.lambda_formula == 1    # mu = 0
+        d = build_report(m, source="two chords").to_json_dict()
+        assert d["lattice_genus"] == [-1, 2]
+        assert d["lambda_formula"] == 1    # mu = 0
 
     def test_json_round_trip(self):
-        rep = build_report(zigzag(3), source="zz3", k=8)
-        text = json.dumps(rep.to_json_dict())
-        back = report_from_json_dict(json.loads(text))
-        assert back == rep
+        d = build_report(zigzag(3), source="zz3", k=8).to_json_dict()
+        assert len(d["traces"]) == len(d["lefschetz_iterates"]) == 8
+        assert json.loads(json.dumps(d)) == d
 
-    def test_json_dict_matches_asdict(self):
-        # the shallow dict has asdict's keys, order and values, and its
-        # lists and dicts are copies
+    def test_json_schema(self):
+        # the 22 keys in order, and each call's lists and dicts are fresh:
+        # mutating one returned dict leaves the next call's intact
         rep = build_report(fixture("LENS"), source="LENS")
         d = rep.to_json_dict()
-        assert list(d.items()) == list(dataclasses.asdict(rep).items())
-        d["char_poly"].append(0)
-        d["checks"].clear()
-        assert rep.char_poly[-1] == 1 and rep.checks
+        assert tuple(d) == SCHEMA and len(SCHEMA) == 22
+        fresh = json.dumps(d)
+        for value in d.values():
+            if isinstance(value, (list, dict)):
+                value.clear()
+        d["mu"] = -1
+        assert json.dumps(rep.to_json_dict()) == fresh
+
+    def test_report_holds_the_record(self):
+        # the report keeps its name, the chain's record and its traces,
+        # nothing copied from the record, and has no value equality
+        rep = build_report(zigzag(4), source="zz4", k=5)
+        assert [f.name for f in dataclasses.fields(rep)] == \
+            ["source", "thm", "traces"]
+        assert (rep.source, rep.traces) == ("zz4", rep.thm.traces_to(5))
+        assert rep.to_json_dict()["mu"] == rep.thm.mu == 7
+        assert rep != build_report(zigzag(4), source="zz4", k=5)
+
+    def test_signature_built_by_build_report(self, monkeypatch):
+        # build_report builds every artifact the JSON reads, so an error in
+        # the signature is raised there, not when the JSON is put together
+        import divides.seifert as seifert_mod
+
+        def broken(n):
+            raise ArithmeticError("signature failed")
+
+        monkeypatch.setattr(seifert_mod, "signature", broken)
+        with pytest.raises(ArithmeticError, match="signature failed"):
+            build_report(fixture("LENS"), source="LENS")
 
     def test_lattice_genus_in_lowest_terms(self, zoo):
         # [num, den] of (mu - r + 1)/2 as Fraction gives it, zero and
         # negatives included
         for name, m in zoo:
-            rep = build_report(m)
-            genus = Fraction(rep.mu - rep.r + 1, 2)
-            assert rep.lattice_genus == [genus.numerator,
-                                         genus.denominator], name
+            d = build_report(m).to_json_dict()
+            genus = Fraction(d["mu"] - d["r"] + 1, 2)
+            assert d["lattice_genus"] == [genus.numerator,
+                                          genus.denominator], name
 
     def test_deterministic(self):
         a = build_report(zigzag(4), source="zz", k=10)
@@ -80,6 +111,15 @@ class TestReport:
         assert "lefschetz = 0" in text
         assert "mu=3  e=2  f=0" in text
         assert "simple_cellular_lambda_zero: pass" in text
+
+    @pytest.mark.parametrize("k, kept", [(0, 1), (-3, 1), (1, 1), (12, 12),
+                                         (64, 64), (65, 64), (1000, 64)])
+    def test_k_clamped_to_1_through_64(self, k, kept):
+        # the report and the walk table clamp K alike, in traces_to
+        m = fixture("LENS")
+        rep = build_report(m, k=k)
+        assert len(rep.traces) == len(rep.to_json_dict()["traces"]) == kept
+        assert len(walk_table(TheoremReport(m), k).rows) == kept
 
 
 class TestCorpus:
@@ -223,6 +263,13 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["mu"] == 1
         assert data["lambda_formula"] == 0
+
+    def test_report_traces_clamped(self, tmp_path, capsys):
+        path = self.write(tmp_path, "x1.json", self.x1_doc())
+        assert main(["report", path, "--traces", "100",
+                     "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["traces"]) == len(data["lefschetz_iterates"]) == 64
 
     def test_report_text_on_chords(self, tmp_path, capsys):
         cpath = str(tmp_path / "c.json")

@@ -143,6 +143,7 @@ class TestMonodromy:
         for guarded in (lambda k: trace_powers(t, k),
                         lambda k: trace_powers(t, k, matrix_N(g)),
                         lambda k: build_report(m, k=k),
+                        thm.traces_to,
                         lambda k: walk_table(thm, k)):
             with pytest.raises(ValueError, match=f"k = {k!r} is not an int"):
                 guarded(k)

@@ -7,7 +7,8 @@ library module, and ``fractions`` is never imported: exact arithmetic in
 the library runs on Python ints.  The modules that compute invariants
 hold no true division, no float literal and no call of ``float`` or
 ``round``.  No module holds an ``assert`` statement, since ``python -O``
-strips them: invariant guards raise real errors.
+strips them: invariant guards raise real errors.  Every name a module
+imports is read in it.
 """
 
 import ast
@@ -51,6 +52,31 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} asserts on lines {lines}"
+
+
+def bound_imports(tree):
+    """(line, name) of every name an import binds, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    # a module reads each name it imports: no leftover import outlives the
+    # code that used it (__init__.py imports to re-export)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = [(line, name) for line, name in bound_imports(tree)
+              if name not in read]
+    assert unread == [], f"{path.name} imports names it never reads: {unread}"
 
 
 EXACT = ["divide_map.py", "dynkin.py", "packed.py", "seifert.py", "walks.py"]
