@@ -46,6 +46,19 @@ def need_int(who: str, name: str, x, least: int | None = None) -> None:
         raise DivideError(f"{who} needs an int {name}{bound}, got {x!r}")
 
 
+class lazy:
+    """``functools.cached_property`` without the lock it takes on Python
+    3.11: built on first read and kept in the instance ``__dict__``."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.fn(obj))
+
+
 # ---------------------------------------------------------------------------
 # the map
 # ---------------------------------------------------------------------------
@@ -65,9 +78,10 @@ class DivideMap:
     rotations: tuple[tuple[int, ...], ...]   # per vertex, darts ccw
     dart_vertex: tuple[int, ...]             # dart -> vertex id
     dart_pos: tuple[int, ...]                # dart -> index in its rotation
-    # every face of the augmented map as its dart walk, traced once while
-    # validating and read by compute_faces; determined by the rotations
+    # every face of the augmented map as its dart walk, and dart -> walk
+    # index, traced once while validating; determined by the rotations
     face_walks: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    dart_walk: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -124,11 +138,12 @@ def map_from_document(doc) -> DivideMap:
     """Validate a divide-map/1 document and build its augmented map.
 
     One pass over the edges puts dart ``2k`` (the ``a`` end of edge ``k``)
-    and ``2k + 1`` (its ``b`` end) in their slots: position ``s`` of a
-    crossing's rotation, or between an endpoint's two boundary arcs.  Of
-    several faults the first raised is the first in this order: document
-    shape and labels; each edge in turn (shape, attachment, slot); unused
-    slots by vertex; closed branches; planarity.
+    and ``2k + 1`` (its ``b`` end) in their slots, position ``s`` of a
+    crossing's rotation or between an endpoint's two boundary arcs, and
+    records each dart's vertex and position as it goes.  Of several
+    faults the first raised is the first in this order: document shape and
+    labels; each edge in turn (shape, attachment, slot); unused slots by
+    vertex; closed branches; planarity.
     """
     if not isinstance(doc, dict):
         raise DivideError("malformed document: expected a JSON object")
@@ -164,6 +179,13 @@ def map_from_document(doc) -> DivideMap:
     rotations = [[2 * (n_edge + j), None, 2 * (n_edge + (j - 1) % n_end) + 1]
                  for j in range(n_end)]
     rotations += [[None] * 4 for _ in crossings]
+    n_darts = 2 * (n_edge + n_end)
+    dart_vertex = [0] * n_darts
+    dart_pos = [0] * n_darts
+    boundary = 2 * n_edge      # the first boundary-arc dart
+    dart_vertex[boundary::2] = range(n_end)
+    dart_vertex[boundary + 1::2] = [*range(1, n_end), 0]
+    dart_pos[boundary + 1::2] = [2] * n_end
 
     d = 0              # the dart each attachment puts in its slot
     for e in edges:
@@ -172,11 +194,11 @@ def map_from_document(doc) -> DivideMap:
         for pair in (e["a"], e["b"]):
             # type() rather than isinstance(): JSON true is not slot 1
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not isinstance(pair[0], str) or pair[0] not in index
+                    or not isinstance(pair[0], str)
+                    or (v := index.get(pair[0])) is None
                     or type(pair[1]) is not int):
                 raise DivideError(f"malformed document: bad attachment {pair!r}")
             lab, s = pair
-            v = index[lab]
             rot = rotations[v]
             if v < n_end:
                 if s != 0:
@@ -184,7 +206,7 @@ def map_from_document(doc) -> DivideMap:
                         f"endpoint {lab!r} only exposes slot 0, got {s}")
                 if rot[1] is not None:
                     raise DivideError(f"slot reuse at endpoint {lab!r}")
-                rot[1] = d
+                s = 1          # its position between the two arcs
             else:
                 if not 0 <= s <= 3:
                     raise DivideError(
@@ -192,24 +214,28 @@ def map_from_document(doc) -> DivideMap:
                 if rot[s] is not None:
                     raise DivideError(
                         f"slot reuse at crossing {lab!r} slot {s}")
-                rot[s] = d
+            rot[s] = d
+            dart_vertex[d] = v
+            dart_pos[d] = s
             d += 1
 
-    # a face walk steps from d to the dart clockwise of d ^ 1 at its vertex
-    n_darts = 2 * (n_edge + n_end)
-    dart_vertex = [0] * n_darts
-    dart_pos = [0] * n_darts
-    step = [0] * n_darts
-    for v, rot in enumerate(rotations):
-        for i, d in enumerate(rot):
-            if d is None:
-                raise DivideError(
-                    f"unused slot at endpoint {labels[v]!r}" if v < n_end
-                    else f"unused slot at crossing {labels[v]!r} slot {i}")
-            dart_vertex[d] = v
-            dart_pos[d] = i
-            step[d ^ 1] = rot[i - 1]
+    # the d darts sit in distinct slots: none is unused iff d is the count
+    if d != n_end + 4 * len(crossings):
+        v = next(v for v, rot in enumerate(rotations) if None in rot)
+        raise DivideError(
+            f"unused slot at endpoint {labels[v]!r}" if v < n_end else
+            f"unused slot at crossing {labels[v]!r} slot "
+            f"{rotations[v].index(None)}")
 
+    # a face walk steps from d to the dart clockwise of d ^ 1 at its vertex
+    step = [0] * n_darts
+    for rot in rotations:
+        prev = rot[-1]
+        for d in rot:
+            step[d ^ 1] = prev
+            prev = d
+
+    face_walks, dart_walk = _trace_all_faces(step)
     # tuple(list), not tuple(iterator): resizing fills CPython's free lists
     rotations = tuple([tuple(rot) for rot in rotations])
     m = DivideMap(
@@ -218,7 +244,8 @@ def map_from_document(doc) -> DivideMap:
         rotations=rotations,
         dart_vertex=tuple(dart_vertex),
         dart_pos=tuple(dart_pos),
-        face_walks=_trace_all_faces(step),
+        face_walks=face_walks,
+        dart_walk=dart_walk,
     )
     trace_branches(m)          # rejects closed components
     _check_planarity(m)        # Euler count + unique all-arc face
@@ -238,24 +265,26 @@ def trace_branches(m: DivideMap) -> list[tuple[int, ...]]:
     (circular) component.
     """
     n_end = len(m.endpoints)
-    used_edges: set[int] = set()
+    rotations, dart_vertex, dart_pos = m.rotations, m.dart_vertex, m.dart_pos
+    reached = [False] * n_end       # the far endpoint of a traced branch
+    walked = 0                      # no edge lies on two branches
     branches = []
     for j in range(n_end):
-        d0 = m.rotations[j][1]          # the endpoint's divide dart
-        if d0 // 2 in used_edges:
+        if reached[j]:
             continue
         walk = []
-        d = d0
+        d = rotations[j][1]             # the endpoint's divide dart
         while True:
             walk.append(d)
-            used_edges.add(d // 2)
             t = d ^ 1
-            v = m.dart_vertex[t]
+            v = dart_vertex[t]
             if v < n_end:
                 break
-            d = m.rotations[v][(m.dart_pos[t] + 2) % 4]
+            d = rotations[v][dart_pos[t] ^ 2]
+        reached[v] = True
+        walked += len(walk)
         branches.append(tuple(walk))
-    if len(used_edges) != m.n_divide_edges:
+    if walked != m.n_divide_edges:
         raise DivideError("closed branch detected (circular component)")
     if len(branches) != m.r:
         raise DivideError(f"{len(branches)} branches traced, expected {m.r}")
@@ -267,24 +296,25 @@ def trace_branches(m: DivideMap) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 def _trace_all_faces(step: list[int]) -> tuple:
-    """All faces of the augmented map, each as its boundary dart walk.
+    """All faces of the augmented map as dart walks, and dart -> walk index.
 
     ``step[d]`` is the dart after ``d`` on its face walk.  Every walk
     starts at its smallest dart, and walks come in the order of those darts.
     """
-    seen = [False] * len(step)
+    dart_walk = [None] * len(step)
     walks = []
     for d0 in range(len(step)):
-        if seen[d0]:
+        if dart_walk[d0] is not None:
             continue
+        fi = len(walks)
         walk = []
         d = d0
-        while not seen[d]:
-            seen[d] = True
+        while dart_walk[d] is None:
+            dart_walk[d] = fi
             walk.append(d)
             d = step[d]
         walks.append(tuple(walk))
-    return tuple(walks)
+    return tuple(walks), tuple(dart_walk)
 
 
 def _check_planarity(m: DivideMap) -> None:
@@ -333,7 +363,8 @@ class Faces:
 
 
 def compute_faces(m: DivideMap) -> Faces:
-    """Classify and 2-color the inside-disk faces, from ``m.face_walks``.
+    """Classify and 2-color the inside-disk faces, from ``m.face_walks``
+    and ``m.dart_walk``.
 
     Signs come from breadth-first 2-coloring of face adjacency across
     divide segments, normalized so that the face holding the lowest
@@ -342,29 +373,26 @@ def compute_faces(m: DivideMap) -> Faces:
     opposite normalization.
     """
     boundary = 2 * m.n_divide_edges      # the first boundary-arc dart
+    dart_walk = m.dart_walk
     # the last walk is the outside of the disk (see Faces); of the rest, a
     # face with no boundary-arc dart is a region
     inside = m.face_walks[:-1]
-    regions = tuple([fi for fi, w in enumerate(inside) if max(w) < boundary])
+    outer = set(dart_walk[boundary:])
+    regions = tuple([fi for fi in range(len(inside)) if fi not in outer])
 
     # region walks stay clear of the boundary circle
-    endpoint_darts = {m.rotations[j][1] for j in range(len(m.endpoints))}
-    if any(not endpoint_darts.isdisjoint(inside[fi]) for fi in regions):
+    if any(dart_walk[m.rotations[j][1]] not in outer
+           for j in range(len(m.endpoints))):
         raise DivideError("a region walk touches an endpoint")
 
-    dart_face = [-1] * m.n_darts
-    for fi, w in enumerate(inside):
-        for d in w:
-            dart_face[d] = fi
-
-    # adjacency across divide segments only
-    adj: list[list[int]] = [[] for _ in inside]
+    dart_face = list(dart_walk)
+    for d in m.face_walks[-1]:
+        dart_face[d] = -1
+    # segment k has dart 2k on one side and 2k + 1 on the other
     for f1, f2 in zip(dart_face[0:boundary:2], dart_face[1:boundary:2]):
         if f1 == f2:
             raise DivideError("2-coloring inconsistency: a segment has the "
                               "same face on both sides")
-        adj[f1].append(f2)
-        adj[f2].append(f1)
 
     if regions:
         seed = regions[0]
@@ -381,7 +409,11 @@ def compute_faces(m: DivideMap) -> Faces:
         queue = [start]
         for fi in queue:                 # the queue grows while it is read
             opposite = -signs[fi]
-            for fj in adj[fi]:
+            # across each divide segment on the walk of fi
+            for d in inside[fi]:
+                if d >= boundary:
+                    continue
+                fj = dart_face[d ^ 1]
                 if signs[fj] == 0:
                     signs[fj] = opposite
                     queue.append(fj)

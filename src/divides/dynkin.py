@@ -14,9 +14,7 @@ intersection matrix assembled downstream; nothing here is quadratic in mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-
-from .divide_map import MINUS, PLUS, DivideError, DivideMap, Faces
+from .divide_map import MINUS, PLUS, DivideError, DivideMap, Faces, lazy
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,7 @@ class Gamma:
     def mu(self) -> int:
         return self.n_minus + self.n_double + self.n_plus
 
-    @cached_property
+    @lazy
     def _sector_ends(self) -> list[tuple[list[int], list[int]]]:
         """Per double point, its Minus and its Plus sector ends.
 
@@ -156,14 +154,15 @@ def gamma_to_dot(gamma: Gamma) -> str:
     """
     first_double = gamma.n_minus + 1
     first_plus = first_double + gamma.n_double
-    # kind[v]: the name prefix of vertex v (kind[0] is unused)
-    kind = "m" * first_double + "d" * gamma.n_double + "p" * gamma.n_plus
+    # name[v]: the node name of vertex v (name[0] is unused)
+    name = [f"{kind}{v}" for v, kind in enumerate(
+        "m" * first_double + "d" * gamma.n_double + "p" * gamma.n_plus)]
     lines = ["graph gamma {", "  node [fontsize=10];"]
-    lines += [f'  m{v} [shape=box, label="-"];'
+    lines += [f'  {name[v]} [shape=box, label="-"];'
               for v in range(1, first_double)]
-    lines += [f'  d{v} [shape=circle, label="{v}"];'
+    lines += [f'  {name[v]} [shape=circle, label="{v}"];'
               for v in range(first_double, first_plus)]
-    lines += [f'  p{v} [shape=box, label="+"];'
+    lines += [f'  {name[v]} [shape=box, label="+"];'
               for v in range(first_plus, gamma.mu + 1)]
     # one int per edge, (lo, hi, is_segment) in lexicographic order
     w, ns, lo, hi = gamma.mu + 1, gamma.n_sector, gamma.lo, gamma.hi
@@ -172,6 +171,6 @@ def gamma_to_dot(gamma: Gamma) -> str:
     for key in keys:
         i, j = divmod(key >> 1, w)
         style = " [style=dashed]" if key & 1 else ""
-        lines.append(f"  {kind[i]}{i} -- {kind[j]}{j}{style};")
+        lines.append(f"  {name[i]} -- {name[j]}{style};")
     lines.append("}\n")
     return "\n".join(lines)

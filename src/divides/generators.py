@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from importlib import resources
 
-from .divide_map import DivideError, DivideMap, map_from_document, \
+from .divide_map import DivideError, DivideMap, lazy, map_from_document, \
     need_int, parse_divide, parse_json
 
 # circle parameter: t = a/b as the reduced pair (a, b) with b > 0, or None
@@ -72,7 +72,7 @@ class ChordSet:
     chords: tuple[Chord, ...]
     rejections: int = 0      # resamples it took gen_chords to get here
 
-    @cached_property
+    @lazy
     def arrangement(self) -> _Arrangement:
         """The set's exact geometry, built on first read and kept, or
         DivideError if it is not generic."""

@@ -34,13 +34,12 @@ grow with every pivot, also across parts of the form that never interact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from math import gcd, isqrt, prod
 
 from . import packed
-from .divide_map import DivideMap, classify, compute_faces
+from .divide_map import DivideMap, classify, compute_faces, lazy
 from .dynkin import (
     Gamma, body_euler, build_gamma, check_flag_edges, counts,
     has_multi_edge,
@@ -518,15 +517,15 @@ class TheoremReport:
         self.lam, self.lam_trace = _lefschetz_routes(
             cnt.mu, *self.flag_traces, self.t)
 
-    @cached_property
+    @lazy
     def char_poly(self) -> list[int]:
         return char_poly(self.t, self.n)
 
-    @cached_property
+    @lazy
     def traces(self) -> list[int]:
         return trace_powers(self.t, min(K_DEFAULT, self.mu + 2), self.n)
 
-    @cached_property
+    @lazy
     def signature(self) -> int:
         return signature(self.n)
 
@@ -538,7 +537,7 @@ class TheoremReport:
             return self.traces[:k]
         return trace_powers(self.t, k, self.n)
 
-    @cached_property
+    @lazy
     def checks(self) -> dict[str, str]:
         cp, traces, n, lam = self.char_poly, self.traces, self.n, self.lam
         mu, e, f, st = self.mu, self.e, self.f, self.stats
@@ -575,7 +574,7 @@ class TheoremReport:
         return {name: (PASS if ok else FAIL) if applicable else NA
                 for name, (applicable, ok) in graded.items()}
 
-    @cached_property
+    @lazy
     def findings(self) -> list[str]:
         # the multi-edge criterion against the walk test, compared without
         # the connectivity conjunct on either side

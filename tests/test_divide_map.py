@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,8 @@ from divides.generators import chords_to_map_document
 
 import classify_oracle
 import gamma_oracle
+import map_oracle
+from test_slot_fuzz import slot_matchings
 
 
 def doc(endpoints, crossings, edges):
@@ -220,12 +223,16 @@ GUARDS = {"format is", "endpoints/crossings/edges", "bad label",
           "slot reuse", "unused slot"}
 
 
+def junk_bases():
+    bases = [m.to_document() for m in fixtures().values()]
+    return bases + [zigzag(3).to_document(), coil(2).to_document(),
+                    chords_to_map_document(gen_chords(5, 7))]
+
+
 def test_junk_values_raise_divide_error():
     # the parser meets input from outside the program: it returns a map or
     # raises DivideError, never another exception
-    bases = [m.to_document() for m in fixtures().values()]
-    bases += [zigzag(3).to_document(), coil(2).to_document(),
-              chords_to_map_document(gen_chords(5, 7))]
+    bases = junk_bases()
     reached = set()
 
     @settings(max_examples=1000, deadline=None, derandomize=True,
@@ -239,6 +246,106 @@ def test_junk_values_raise_divide_error():
 
     check()
     assert reached == GUARDS     # the junk gets past each earlier guard
+
+
+def front_end(build_map, faces_of, doc):
+    """(DivideError message or None, map, faces or their error message)."""
+    try:
+        m = build_map(doc)
+    except DivideError as exc:
+        return str(exc), None, None
+    try:
+        return None, m, faces_of(m)
+    except DivideError as exc:
+        return None, m, str(exc)
+
+
+def check_against_oracle(doc):
+    """Returns the map's DivideError message, or None once it is built."""
+    error, m, faces = front_end(map_from_document, compute_faces, doc)
+    o_error, o, o_faces = front_end(map_oracle.map_from_document,
+                                    map_oracle.compute_faces, doc)
+    assert error == o_error, doc
+    if m is None:
+        return error
+    assert [getattr(m, f.name) for f in fields(o)] == \
+        [getattr(o, f.name) for f in fields(o)], doc
+    assert faces == o_faces, doc
+    assert trace_branches(m) == map_oracle.trace_branches(o), doc
+    assert len(m.dart_walk) == m.n_darts
+    assert all(m.dart_walk[d] == fi
+               for fi, w in enumerate(m.face_walks) for d in w), doc
+    return None
+
+
+class TestTwoScanOracle:
+    """The one-trace map build and faces against the two-scan front end:
+    the same map, walks and faces, or the same first DivideError."""
+
+    def test_junk_documents(self):
+        bases = junk_bases()
+
+        @settings(max_examples=1000, deadline=None, derandomize=True,
+                  database=None)
+        @given(junk_documents(bases))
+        def check(doc):
+            check_against_oracle(doc)
+
+        check()
+
+    def test_slot_matchings(self):
+        # random matchings reach the branch and planarity checks
+        reached = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        @given(slot_matchings())
+        def check(doc):
+            error = check_against_oracle(doc)
+            reached.add(error and error.split(" ")[0])
+
+        check()
+        assert reached == {None, "closed", "planarity"}
+
+    def test_families(self, zoo):
+        maps = [m for _, m in zoo]
+        maps += [zigzag(n) for n in range(1, 10)]
+        maps += [coil(k) for k in range(1, 10)]
+        for m in maps:
+            check_against_oracle(m.to_document())
+        for seed in range(200):
+            check_against_oracle(chords_to_map_document(gen_chords(5, seed)))
+
+
+def moved(m, d, fi):
+    """m with dart d taken off its walk and put at the end of walk fi."""
+    walks = [list(w) for w in m.face_walks]
+    walks[m.dart_walk[d]].remove(d)
+    walks[fi].append(d)
+    dart_walk = list(m.dart_walk)
+    dart_walk[d] = fi
+    return replace(m, face_walks=tuple(map(tuple, walks)),
+                   dart_walk=tuple(dart_walk))
+
+
+# LENS: dart 0 is the divide dart at an endpoint, on walk 0; walk 1 holds
+# its twin, walk 2 is Outer, walk 3 the one region
+@pytest.mark.parametrize("walk, message", [
+    (3, "a region walk touches an endpoint"),
+    (1, "2-coloring inconsistency: a segment has the same face on both "
+        "sides"),
+    (2, "2-coloring inconsistency across a divide segment"),
+], ids=["endpoint", "same_face", "odd_cycle"])
+def test_compute_faces_guards(walk, message):
+    # no document reaches these guards; a corrupted map keeps each live
+    m = fixture("LENS")
+    assert (m.dart_walk[0], m.dart_walk[1]) == (0, 1)
+    assert m.dart_vertex[0] < len(m.endpoints)
+    assert compute_faces(m).regions == (3,)
+    bad = moved(m, 0, walk)
+    for faces_of in (compute_faces, map_oracle.compute_faces):
+        with pytest.raises(DivideError, match=exact(message)):
+            faces_of(bad)
 
 
 class TestBranches:

@@ -381,7 +381,7 @@ class TestRecords:
             ["signs", "dart_face", "regions"]
         assert [f.name for f in fields(DivideMap)] == \
             ["endpoints", "crossings", "rotations", "dart_vertex",
-             "dart_pos", "face_walks"]
+             "dart_pos", "face_walks", "dart_walk"]
         assert Faces.__dataclass_params__.frozen
         for name in ("Face", "OUTER", "REGION"):
             assert not hasattr(divides, name), name

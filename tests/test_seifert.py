@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,7 @@ from divides import (
     matrix_N, monodromy_matrix, newton_power_sums, seifert, signature,
     trace_powers, verify_theorem, walk_table,
 )
+from divides.divide_map import lazy
 from divides.seifert import (
     _flag_traces, det_from_char_poly, sparse_mul, sparse_signature,
 )
@@ -187,17 +187,17 @@ class TestRecordGuards:
     the record's artifacts built on first read."""
 
     def test_lazy_artifacts(self):
-        lazy = {name for name, v in vars(TheoremReport).items()
-                if isinstance(v, cached_property)}
-        assert lazy == {"char_poly", "traces", "signature", "checks",
-                        "findings"}
+        names = {name for name, v in vars(TheoremReport).items()
+                 if isinstance(v, lazy)}
+        assert names == {"char_poly", "traces", "signature", "checks",
+                         "findings"}
 
     @pytest.mark.parametrize("n, message", CORRUPT_N,
                              ids=["diagonal", "cube"])
     def test_constructor_guards_n(self, monkeypatch, n, message):
         read = []
         for name, v in list(vars(TheoremReport).items()):
-            if isinstance(v, cached_property):
+            if isinstance(v, lazy):
                 monkeypatch.setattr(TheoremReport, name, property(
                     lambda self, name=name: read.append(name)))
         monkeypatch.setattr(seifert, "matrix_N", lambda gamma: n)
@@ -209,12 +209,12 @@ class TestRecordGuards:
         assert read == []
 
     def test_constructor_guards_survive_optimize(self):
-        code = ("from functools import cached_property\n"
-                "from divides import (TheoremReport, fixture, seifert,\n"
+        code = ("from divides import (TheoremReport, fixture, seifert,\n"
                 "                     verify_theorem, walk_table)\n"
+                "from divides.divide_map import lazy\n"
                 "read = []\n"
                 "for name, v in list(vars(TheoremReport).items()):\n"
-                "    if isinstance(v, cached_property):\n"
+                "    if isinstance(v, lazy):\n"
                 "        setattr(TheoremReport, name, property(\n"
                 "            lambda self, name=name: read.append(name)))\n"
                 f"for n in {[n for n, _ in CORRUPT_N]!r}:\n"
