@@ -337,26 +337,25 @@ def _check_planarity(m: DivideMap) -> None:
 class Faces:
     """All inside-disk faces of a divide, signed.
 
-    Face fi is the walk ``m.face_walks[fi]`` and its sign is ``signs[fi]``.
-    The inside faces are ``m.face_walks[:-1]``: walks come in order of
-    their smallest dart, divide darts are numbered below boundary-arc
-    darts, and every walk but the one all-arc walk (the outside of the
-    disk, unique by the planarity check) holds a divide dart, so that walk
-    is the last.  ``dart_face[d]`` is the face whose walk holds dart d (-1
-    for the outside).  The face in the corner between rotation positions
-    i and i+1 (ccw) at vertex v is ``dart_face[m.rotations[v][i]]``; for a
+    Face fi is the walk ``m.face_walks[fi]`` and its sign is ``signs[fi]``;
+    the face of dart d is ``m.dart_walk[d]``.  The inside faces are
+    ``m.face_walks[:-1]``: walks come in order of their smallest dart,
+    divide darts are numbered below boundary-arc darts, and every walk but
+    the one all-arc walk (the outside of the disk, unique by the planarity
+    check) holds a divide dart, so that walk is the last, index
+    ``len(signs)``.  The face in the corner between rotation positions i
+    and i+1 (ccw) at vertex v is ``m.dart_walk[m.rotations[v][i]]``; for a
     crossing that is exactly the sector between slots i and (i+1) mod 4.
     ``regions`` lists the faces whose walk holds no boundary-arc dart, in
     face index order; the other inside faces are Outer.
     """
     signs: tuple[int, ...]                   # face index -> MINUS or PLUS
-    dart_face: tuple[int, ...]               # dart -> face index (-1: outside)
     regions: tuple[int, ...]
 
     def flipped(self) -> "Faces":
         """The same faces under the reversed sign normalization."""
         return Faces(signs=tuple([-s for s in self.signs]),
-                     dart_face=self.dart_face, regions=self.regions)
+                     regions=self.regions)
 
     def region_count(self) -> int:
         return len(self.regions)
@@ -364,7 +363,7 @@ class Faces:
 
 def compute_faces(m: DivideMap) -> Faces:
     """Classify and 2-color the inside-disk faces, from ``m.face_walks``
-    and ``m.dart_walk``.
+    and ``m.dart_walk``; the faces keep no dart table of their own.
 
     Signs come from breadth-first 2-coloring of face adjacency across
     divide segments, normalized so that the face holding the lowest
@@ -377,6 +376,7 @@ def compute_faces(m: DivideMap) -> Faces:
     # the last walk is the outside of the disk (see Faces); of the rest, a
     # face with no boundary-arc dart is a region
     inside = m.face_walks[:-1]
+    outside = len(inside)
     outer = set(dart_walk[boundary:])
     regions = tuple([fi for fi in range(len(inside)) if fi not in outer])
 
@@ -385,11 +385,8 @@ def compute_faces(m: DivideMap) -> Faces:
            for j in range(len(m.endpoints))):
         raise DivideError("a region walk touches an endpoint")
 
-    dart_face = list(dart_walk)
-    for d in m.face_walks[-1]:
-        dart_face[d] = -1
     # segment k has dart 2k on one side and 2k + 1 on the other
-    for f1, f2 in zip(dart_face[0:boundary:2], dart_face[1:boundary:2]):
+    for f1, f2 in zip(dart_walk[0:boundary:2], dart_walk[1:boundary:2]):
         if f1 == f2:
             raise DivideError("2-coloring inconsistency: a segment has the "
                               "same face on both sides")
@@ -399,7 +396,7 @@ def compute_faces(m: DivideMap) -> Faces:
     else:
         # inside dart of the first boundary arc
         d = boundary
-        seed = dart_face[d] if dart_face[d] != -1 else dart_face[d ^ 1]
+        seed = dart_walk[d] if dart_walk[d] != outside else dart_walk[d ^ 1]
 
     signs = [0] * len(inside)
     for start in (seed, *range(len(inside))):
@@ -413,15 +410,14 @@ def compute_faces(m: DivideMap) -> Faces:
             for d in inside[fi]:
                 if d >= boundary:
                     continue
-                fj = dart_face[d ^ 1]
+                fj = dart_walk[d ^ 1]
                 if signs[fj] == 0:
                     signs[fj] = opposite
                     queue.append(fj)
                 elif signs[fj] != opposite:
                     raise DivideError("2-coloring inconsistency across a "
                                       "divide segment")
-    return Faces(signs=tuple(signs), dart_face=tuple(dart_face),
-                 regions=regions)
+    return Faces(signs=tuple(signs), regions=regions)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +467,9 @@ def classify(m: DivideMap, faces: Faces) -> DivideStats:
 
     n_end = len(m.endpoints)
     region = set(faces.regions)
-    dart_face = faces.dart_face
+    dart_walk = m.dart_walk
     # segment k joins the vertices of darts 2k and 2k + 1
-    splits = (dart_face[d] not in region and dart_face[d + 1] not in region
+    splits = (dart_walk[d] not in region and dart_walk[d + 1] not in region
               and dart_vertex[d] >= n_end and dart_vertex[d + 1] >= n_end
               for d in range(0, 2 * m.n_divide_edges, 2))
     simple = connected and m.delta >= 1 and not any(splits)

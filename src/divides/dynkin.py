@@ -14,13 +14,15 @@ intersection matrix assembled downstream; nothing here is quadratic in mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .divide_map import MINUS, PLUS, DivideError, DivideMap, Faces, lazy
+from operator import mul
+from .divide_map import MINUS, PLUS, DivideError, DivideMap, Faces
 
 
 @dataclass(frozen=True)
 class Gamma:
     """Edge k joins vertex lo[k] to hi[k] > lo[k], once per multiplicity;
-    edges 0..n_sector-1 are the sector edges, the rest the segment edges."""
+    edges 0..n_sector-1 are the sector edges, the rest the segment edges.
+    Readers scan the two arrays themselves; nothing is cached beside them."""
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     n_sector: int
@@ -31,23 +33,6 @@ class Gamma:
     @property
     def mu(self) -> int:
         return self.n_minus + self.n_double + self.n_plus
-
-    @lazy
-    def _sector_ends(self) -> list[tuple[list[int], list[int]]]:
-        """Per double point, its Minus and its Plus sector ends.
-
-        Each list holds basepoint vertex indices with multiplicity: a region
-        meeting a double point in two sectors appears twice.  Built on first
-        use and kept, so ``counts`` and ``check_flag_edges`` share one scan.
-        """
-        nm, ns = self.n_minus, self.n_sector
-        ends = [([], []) for _ in range(self.n_double)]
-        for i, j in zip(self.lo[:ns], self.hi[:ns]):
-            if i <= nm:                     # minus basepoint -- double point
-                ends[j - nm - 1][0].append(i)
-            else:                           # double point -- plus basepoint
-                ends[i - nm - 1][1].append(j)
-        return ends
 
 
 @dataclass(frozen=True)
@@ -65,7 +50,8 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
     n_minus = len(minus_regions)
 
     # base[fi]: vertex index of region fi's basepoint, 0 for an Outer face
-    base = [0] * len(signs)
+    # and for the outside of the disk, the last walk
+    base = [0] * (len(signs) + 1)
     for v, fi in enumerate(minus_regions, 1):
         base[fi] = v
     for v, fi in enumerate(plus_regions, n_minus + m.delta + 1):
@@ -73,17 +59,17 @@ def build_gamma(m: DivideMap, faces: Faces) -> Gamma:
 
     lo: list[int] = []
     hi: list[int] = []
-    dart_face = faces.dart_face
+    dart_walk = m.dart_walk
     # the crossings' rotations follow the endpoints', in input order
     for d, rotation in enumerate(m.rotations[len(m.endpoints):], n_minus + 1):
         for dart in rotation:
-            b = base[dart_face[dart]]
+            b = base[dart_walk[dart]]
             if b:
                 lo.append(b if b < d else d)
                 hi.append(d if b < d else b)
     n_sector = len(lo)
 
-    segment_darts = dart_face[:2 * m.n_divide_edges]
+    segment_darts = dart_walk[:2 * m.n_divide_edges]
     for f1, f2 in zip(segment_darts[::2], segment_darts[1::2]):
         b1, b2 = base[f1], base[f2]
         if not (b1 and b2):
@@ -103,10 +89,18 @@ def counts(gamma: Gamma) -> GammaCounts:
     """mu, edge count e (with multiplicity), and flag count f.
 
     A flag is a pair of sector edges at one double point, one to a Minus
-    basepoint and one to a Plus basepoint; f is the total with
-    multiplicity.
+    basepoint and one to a Plus basepoint: f is the sum over double points
+    of (Minus sector edges) * (Plus sector edges), with multiplicity.
     """
-    f = sum(len(minus) * len(plus) for minus, plus in gamma._sector_ends)
+    nm, ns = gamma.n_minus, gamma.n_sector
+    # per vertex index: a double point's Minus and its Plus sector edges
+    minus, plus = [0] * (gamma.mu + 1), [0] * (gamma.mu + 1)
+    for i, j in zip(gamma.lo[:ns], gamma.hi[:ns]):
+        if i <= nm:                         # minus basepoint -- double point
+            minus[j] += 1
+        else:                               # double point -- plus basepoint
+            plus[i] += 1
+    f = sum(map(mul, minus, plus))
     return GammaCounts(mu=gamma.mu, e=len(gamma.lo), f=f)
 
 
@@ -124,8 +118,8 @@ def body_euler(m: DivideMap, faces: Faces) -> int:
     """
     region = set(faces.regions)
     n_segment_darts = 2 * m.n_divide_edges
-    sides = zip(faces.dart_face[0:n_segment_darts:2],
-                faces.dart_face[1:n_segment_darts:2])
+    sides = zip(m.dart_walk[0:n_segment_darts:2],
+                m.dart_walk[1:n_segment_darts:2])
     region_sides = sum(1 for f1, f2 in sides if f1 in region or f2 in region)
     return m.delta - region_sides + faces.region_count()
 
@@ -138,11 +132,16 @@ def check_flag_edges(gamma: Gamma) -> list[tuple[int, int, int]]:
     Empty whenever the triangle construction underlying the Euler count
     applies (in particular on simple cellular divides).
     """
-    ns = gamma.n_sector
+    nm, ns = gamma.n_minus, gamma.n_sector
     closed = set(zip(gamma.lo[ns:], gamma.hi[ns:]))
-    return sorted({(b, gamma.n_minus + d + 1, p)
-                   for d, (minus, plus) in enumerate(gamma._sector_ends)
-                   for b in minus for p in plus if (b, p) not in closed})
+    lo, hi = gamma.lo[:ns], gamma.hi[:ns]      # the sector edges
+    plus: dict[int, list[int]] = {}     # double point -> its Plus ends
+    for d, p in zip(lo, hi):
+        if d > nm:
+            plus.setdefault(d, []).append(p)
+    # each Minus sector edge (b, d) makes a flag with each Plus end at d
+    return sorted({(b, d, p) for b, d in zip(lo, hi) if b <= nm
+                   for p in plus.get(d, ()) if (b, p) not in closed})
 
 
 def gamma_to_dot(gamma: Gamma) -> str:

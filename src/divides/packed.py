@@ -25,19 +25,21 @@ entries of T M itself have to lie in it to decode.
 
 from __future__ import annotations
 
+from itertools import chain
+
 
 def row_terms(t: list[dict[int, int]]) -> list:
     """Per sparse row {j: entry} of t: the columns of its 1s and of its
     -1s, and its other nonzeros as (column, entry), in one pass over the
-    row's items.  Only int entries pack exactly; a stored zero of any type
-    packs as nothing."""
+    row's items.  Only int entries pack exactly, and a bool is no int here;
+    a stored zero of any type packs as nothing."""
     terms = []
     for row in t:
         plus, minus, other = [], [], []
         for j, x in row.items():
             if not x:
                 continue
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise ArithmeticError(
                     "packed rows are not exact for a non-integer")
             if x == 1:
@@ -53,15 +55,12 @@ def row_terms(t: list[dict[int, int]]) -> list:
 def row_norm(t: list[dict[int, int]]) -> int:
     """|T|, the largest absolute row sum of T given as sparse rows.  As in
     ``row_terms``, a stored zero of any type counts for nothing and any
-    other non-integer raises: then its row sum is not an int."""
-    norm = 0
-    for row in t:
-        x = sum(map(abs, filter(None, row.values())))
-        if type(x) is not int:
-            raise ArithmeticError(
-                "packed rows are not exact for a non-integer")
-        norm = max(norm, x)
-    return norm
+    other entry that is not an int raises."""
+    rows = [row.values() for row in t]
+    entries = filter(None, chain.from_iterable(rows))
+    if not {int}.issuperset(map(type, entries)):
+        raise ArithmeticError("packed rows are not exact for a non-integer")
+    return max([sum(map(abs, filter(None, row))) for row in rows], default=0)
 
 
 def factored_terms(n: list[dict[int, int]]) -> list:
@@ -82,7 +81,7 @@ def factored_terms(n: list[dict[int, int]]) -> list:
         for j, x in row.items():
             if not x:
                 continue
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise ArithmeticError(
                     "packed rows are not exact for a non-integer")
             if x == 1:

@@ -59,7 +59,7 @@ def classify(m, faces):
     if simple:
         n_end = len(m.endpoints)
         for k in range(m.n_divide_edges):
-            f1, f2 = faces.dart_face[2 * k], faces.dart_face[2 * k + 1]
+            f1, f2 = m.dart_walk[2 * k], m.dart_walk[2 * k + 1]
             if f1 in faces.regions or f2 in faces.regions:
                 continue    # not Outer on both sides
             cut = _UnionFind(n_vertices)

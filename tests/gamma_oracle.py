@@ -76,7 +76,7 @@ def build_blocks(m, faces):
             else:
                 B[c][plus_col[fi]] += 1
     for k in range(m.n_divide_edges):
-        f1, f2 = faces.dart_face[2 * k], faces.dart_face[2 * k + 1]
+        f1, f2 = m.dart_walk[2 * k], m.dart_walk[2 * k + 1]
         if f1 not in faces.regions or f2 not in faces.regions:
             continue
         if faces.signs[f1] != MINUS:

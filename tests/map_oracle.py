@@ -215,5 +215,4 @@ def compute_faces(m) -> Faces:
                 elif signs[fj] != opposite:
                     raise DivideError("2-coloring inconsistency across a "
                                       "divide segment")
-    return Faces(signs=tuple(signs), dart_face=tuple(dart_face),
-                 regions=regions)
+    return Faces(signs=tuple(signs), regions=regions)

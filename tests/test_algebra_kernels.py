@@ -316,6 +316,17 @@ def test_factored_terms_take_any_int_entry():
         packed.factored_terms([{1: 0.5}, {}])
 
 
+@pytest.mark.parametrize("kernel", [packed.row_terms, packed.row_norm,
+                                    packed.factored_terms])
+def test_packed_rows_take_no_bool(kernel):
+    # True == 1 and abs(True) is the int 1, but a bool is no int entry;
+    # False is a stored zero like any other
+    assert kernel([{0: 1, 1: False}, {}]) == kernel([{0: 1}, {}])
+    for bad in (True, 0.5):
+        with pytest.raises(ArithmeticError, match="non-integer"):
+            kernel([{0: 1, 1: bad}, {}])
+
+
 @st.composite
 def square_matrices(draw):
     mu = draw(st.integers(0, 6))

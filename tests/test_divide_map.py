@@ -4,7 +4,7 @@ import re
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divides import (
     MINUS, DivideError, build_gamma, classify, coil,
@@ -223,6 +223,29 @@ GUARDS = {"format is", "endpoints/crossings/edges", "bad label",
           "slot reuse", "unused slot"}
 
 
+def guard_examples():
+    """Per guard in GUARDS, an X1 document that fails that guard first."""
+    x1 = json.loads(X1_DOC)
+
+    def edges(*pairs):
+        return {**x1, "edges": [{"a": list(a), "b": list(b)}
+                                for a, b in pairs]}
+
+    return {
+        "format is": {**x1, "format": "divide-map/2"},
+        "endpoints/crossings/edges": {**x1, "edges": None},
+        "bad label": {**x1, "crossings": [""]},
+        "duplicate label": {**x1, "crossings": ["e1"]},
+        "odd endpoint count": {**x1, "endpoints": ["e1", "e2", "e3"]},
+        "bad edge": {**x1, "edges": [{"a": ["e1", 0]}]},
+        "bad attachment": edges((("zz", 0), ("c1", 0))),
+        "only exposes slot 0": edges((("e1", 1), ("c1", 0))),
+        "out of range": edges((("e1", 0), ("c1", 4))),
+        "slot reuse": edges((("e1", 0), ("c1", 0)), (("e2", 0), ("c1", 0))),
+        "unused slot": edges(),
+    }
+
+
 def junk_bases():
     bases = [m.to_document() for m in fixtures().values()]
     return bases + [zigzag(3).to_document(), coil(2).to_document(),
@@ -235,17 +258,25 @@ def test_junk_values_raise_divide_error():
     bases = junk_bases()
     reached = set()
 
-    @settings(max_examples=1000, deadline=None, derandomize=True,
-              database=None)
-    @given(junk_documents(bases))
     def check(doc):
         try:
             map_from_document(doc)
         except DivideError as exc:
             reached.update(g for g in GUARDS if g in str(exc))
 
-    check()
-    assert reached == GUARDS     # the junk gets past each earlier guard
+    # one explicit document per guard, so that every guard is reached
+    # whatever the draws; each must fail the guard it is named for
+    examples = guard_examples()
+    assert set(examples) == GUARDS
+    for guard, d in examples.items():
+        with pytest.raises(DivideError, match=re.escape(guard)):
+            map_from_document(d)
+    check = given(junk_documents(bases))(check)
+    for d in examples.values():
+        check = example(d)(check)
+    settings(max_examples=1000, deadline=None, derandomize=True,
+             database=None)(check)()
+    assert reached == GUARDS
 
 
 def front_end(build_map, faces_of, doc):
@@ -426,14 +457,14 @@ class TestFaces:
             assert all_arc == [m.face_walks[-1]], name
             faces = compute_faces(m)
             assert len(faces.signs) == len(m.face_walks) - 1, name
-            assert all(faces.dart_face[d] == -1
+            assert all(m.dart_walk[d] == len(faces.signs)
                        for d in m.face_walks[-1]), name
 
     def test_sign_alternation_across_segments(self, zoo):
         for name, m in zoo:
             faces = compute_faces(m)
             for k in range(m.n_divide_edges):
-                f1, f2 = faces.dart_face[2 * k], faces.dart_face[2 * k + 1]
+                f1, f2 = m.dart_walk[2 * k], m.dart_walk[2 * k + 1]
                 assert f1 != f2, name
                 assert faces.signs[f1] == -faces.signs[f2], name
 
@@ -442,7 +473,7 @@ class TestFaces:
             faces = compute_faces(m)
             for c in range(m.delta):
                 v = len(m.endpoints) + c
-                signs = [faces.signs[faces.dart_face[d]]
+                signs = [faces.signs[m.dart_walk[d]]
                          for d in m.rotations[v]]
                 assert signs[0] == -signs[1] == signs[2] == -signs[3], name
 
@@ -459,7 +490,7 @@ class TestFaces:
             a = compute_faces(m)
             b = compute_faces(m).flipped()
             assert a.regions == b.regions, name
-            assert a.dart_face == b.dart_face, name
+            assert b.flipped() == a, name
             assert b.signs == tuple(-s for s in a.signs), name
 
     def test_corner_face_is_the_face_of_its_rotation_dart(self, zoo):
@@ -477,8 +508,8 @@ class TestFaces:
             for v, rot in enumerate(m.rotations):
                 for i, d in enumerate(rot):
                     expected = oracle[(v, i)]
-                    assert faces.dart_face[d] == \
-                        (-1 if expected is None else expected)
+                    assert m.dart_walk[d] == \
+                        (len(faces.signs) if expected is None else expected)
             corners += len(oracle)
             assert len(oracle) == m.n_darts
         assert corners > 10000

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from dataclasses import MISSING, fields
 
@@ -110,8 +111,7 @@ class TestBuildGamma:
         fi = faces.regions[0]
         resigned = list(faces.signs)
         resigned[fi] = -resigned[fi]
-        bad = Faces(signs=tuple(resigned), dart_face=faces.dart_face,
-                    regions=faces.regions)
+        bad = Faces(signs=tuple(resigned), regions=faces.regions)
         with pytest.raises(DivideError, match="two regions of one sign"):
             build_gamma(m, bad)
 
@@ -183,9 +183,9 @@ class TestFlagEdges:
         assert check_flag_edges(closed) == []
 
     def test_one_sector_end_scan(self):
-        # counts and check_flag_edges share one scan for the sector ends;
-        # the only other read of the edge arrays is check_flag_edges'
-        # search for closing segment edges
+        # each call scans the sector ends once, from the two arrays, and
+        # keeps nothing for the next call; check_flag_edges also reads the
+        # segment edges once, for the closing edges
         reads = []
 
         class Reads(tuple):
@@ -202,19 +202,38 @@ class TestFlagEdges:
             arr.name = name
             return arr
 
+        def calls(fn):
+            reads.clear()
+            result = fn(g)
+            return result, sorted(reads, key=repr)
+
         plain = gamma_of(fixture("FIG2A"))
         ns = plain.n_sector
         g = Gamma(lo=watched("lo", plain.lo), hi=watched("hi", plain.hi),
                   n_sector=ns, n_minus=plain.n_minus,
                   n_double=plain.n_double, n_plus=plain.n_plus)
-        assert counts(g) == counts(plain)
-        assert check_flag_edges(g) == check_flag_edges(plain)
-        assert counts(g) == counts(plain)
-        # each array read twice: its sector part, then its segment part
-        assert len(reads) == 4
-        for read in (("lo", slice(None, ns)), ("hi", slice(None, ns)),
-                     ("lo", slice(ns, None)), ("hi", slice(ns, None))):
-            assert read in reads, read
+        sector = [("hi", slice(None, ns)), ("lo", slice(None, ns))]
+        segment = [("hi", slice(ns, None)), ("lo", slice(ns, None))]
+        assert calls(counts) == (counts(plain), sector)
+        assert calls(check_flag_edges) == \
+            (check_flag_edges(plain), sorted(sector + segment, key=repr))
+        assert calls(counts) == (counts(plain), sector)
+
+    def test_no_containers_left_behind(self):
+        # counts and check_flag_edges keep no per-double-point lists: with
+        # the collector off, the tracked objects grow by their two results
+        g = gamma_of(zigzag(1000))
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            c, missing = counts(g), check_flag_edges(g)
+            after = len(gc.get_objects())
+        finally:
+            gc.enable()
+        assert c.f == 0 and missing == []
+        assert after - before <= 2
+        assert set(vars(g)) == {f.name for f in fields(Gamma)}
 
 
 class TestDot:
@@ -352,7 +371,7 @@ class TestRecords:
             with pytest.raises(TypeError):
                 arr[0] = 0
         for record, names in (
-                (faces, ("signs", "dart_face", "regions")),
+                (faces, ("signs", "regions")),
                 (g, ("lo", "hi", "n_sector", "n_minus", "n_double",
                      "n_plus"))):
             for name in names:
@@ -376,9 +395,9 @@ class TestRecords:
 
     def test_face_fields(self):
         # a face is an index: its walk is m.face_walks[fi], its sign
-        # faces.signs[fi]; an edge is a dart pair, with no end tuples
-        assert [f.name for f in fields(Faces)] == \
-            ["signs", "dart_face", "regions"]
+        # faces.signs[fi], and the face of dart d is m.dart_walk[d]; an edge
+        # is a dart pair, with no end tuples
+        assert [f.name for f in fields(Faces)] == ["signs", "regions"]
         assert [f.name for f in fields(DivideMap)] == \
             ["endpoints", "crossings", "rotations", "dart_vertex",
              "dart_pos", "face_walks", "dart_walk"]

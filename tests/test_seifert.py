@@ -302,10 +302,19 @@ class TestCharPoly:
 
     def test_stored_zero_packs_as_nothing(self):
         # a zero of any type stored in a row is no entry, not a non-integer
-        for zero in (0, Fraction(0)):
+        for zero in (0, Fraction(0), False):
             t = [{0: 1, 1: zero}, {0: zero, 1: 2}]
             assert char_poly(t) == char_poly([{0: 1}, {1: 2}]) == [2, -3, 1]
             assert trace_powers(t, 3) == [3, 5, 9]
+
+    def test_bool_entry_raises(self):
+        # True would pack as 1; like signature and the guards on N, the
+        # kernels on T take no bool for an int
+        for t in ([{0: True, 1: 1}, {1: 1}], [{0: 1}, {0: True, 1: 2}]):
+            with pytest.raises(ArithmeticError, match="non-integer"):
+                char_poly(t)
+            with pytest.raises(ArithmeticError, match="non-integer"):
+                trace_powers(t, 3)
 
     def test_oracle_checks_survive_optimize(self):
         # python -O strips assert statements; the dense oracle must still
