@@ -8,7 +8,9 @@ J. Symb. Comput. 2009).  A slot holds its entry exactly on the signed
 window [-2^(w-1), 2^(w-1)), but ``left_mul`` reads a diagonal entry
 exactly only while every entry of its row is within +-(2^(w-1) - 1): a
 lower digit at -2^(w-1) puts it one off.  Callers choose w to suit.
-Every function here is exact for int entries only.
+Every function here takes rows that ``seifert._check_rows`` passed: a dict
+per row, int columns in 0..mu-1 and int entries, which alone pack exactly.
+Nothing here checks them again.
 
 A product T M is run by a row program of T: per row i, the rows it adds,
 subtracts and scales.  A term names row j of M for j < mu and, for
@@ -25,72 +27,53 @@ entries of T M itself have to lie in it to decode.
 
 from __future__ import annotations
 
-from itertools import chain
-
 
 def row_terms(t: list[dict[int, int]]) -> list:
     """Per sparse row {j: entry} of t: the columns of its 1s and of its
     -1s, and its other nonzeros as (column, entry), in one pass over the
-    row's items.  Only int entries pack exactly, and a bool is no int here;
-    a stored zero of any type packs as nothing."""
+    row's items; a stored 0 is no term."""
     terms = []
     for row in t:
         plus, minus, other = [], [], []
         for j, x in row.items():
-            if not x:
-                continue
-            if type(x) is not int:
-                raise ArithmeticError(
-                    "packed rows are not exact for a non-integer")
             if x == 1:
                 plus.append(j)
             elif x == -1:
                 minus.append(j)
-            else:
+            elif x:
                 other.append((j, x))
         terms.append((plus, minus, other))
     return terms
 
 
 def row_norm(t: list[dict[int, int]]) -> int:
-    """|T|, the largest absolute row sum of T given as sparse rows.  As in
-    ``row_terms``, a stored zero of any type counts for nothing and any
-    other entry that is not an int raises."""
-    rows = [row.values() for row in t]
-    entries = filter(None, chain.from_iterable(rows))
-    if not {int}.issuperset(map(type, entries)):
-        raise ArithmeticError("packed rows are not exact for a non-integer")
-    return max([sum(map(abs, filter(None, row))) for row in rows], default=0)
+    """|T|, the largest absolute row sum of T given as sparse rows."""
+    return max([sum(map(abs, row.values())) for row in t], default=0)
 
 
 def factored_terms(n: list[dict[int, int]]) -> list:
     """The row program of T = (Id + tN)^-1 (Id + N) from the sparse rows of
-    a strictly upper triangular N, as its callers check.  (Id + tN) T M =
-    (Id + N) M gives row i of T M as
+    a strictly upper triangular N.  (Id + tN) T M = (Id + N) M gives row i
+    of T M as
 
         M_i + sum_j N_ij M_j - sum_(k<i) N_ki (T M)_k,
 
     so row i reads row mu + k for each entry N_ki above it: row k of T M,
     formed earlier since k < i.  Entries of any sign and size are
-    coefficients, a multi-edge too; as in ``row_terms``, a non-integer
-    raises and a stored zero is no term."""
+    coefficients, a multi-edge too; as in ``row_terms``, a stored 0 is no
+    term."""
     mu = len(n)
     terms = [([i], [], []) for i in range(mu)]
     for k, row in enumerate(n):
         plus, minus, other = terms[k]
         for j, x in row.items():
-            if not x:
-                continue
-            if type(x) is not int:
-                raise ArithmeticError(
-                    "packed rows are not exact for a non-integer")
             if x == 1:
                 plus.append(j)
                 terms[j][1].append(mu + k)
             elif x == -1:
                 minus.append(j)
                 terms[j][0].append(mu + k)
-            else:
+            elif x:
                 other.append((j, x))
                 terms[j][2].append((mu + k, -x))
     return terms

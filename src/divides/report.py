@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -127,12 +126,11 @@ class CorpusSummary:
 
 def _corpus_checks(cs: ChordSet, thm, m) -> dict[str, bool]:
     """The corpus-level hard checks on one chord instance, by name."""
-    # M = N + tN off the edge arrays: an edge repeated k times puts k at
-    # (i, j) and (j, i), a loop 2k at (i, i), and Tr(M^2) sums the squared
-    # entries.  Chord diagrams never carry multi-edges, so Tr(M^2) = 2e
-    mult = Counter(zip(thm.gamma.lo, thm.gamma.hi))
-    tr_m = 2 * sum(k for (i, j), k in mult.items() if i == j)
-    tr_m2 = 2 * sum(k * k * (1 + (i == j)) for (i, j), k in mult.items())
+    # M = N + tN: Tr(M) = 2 sum_i N_ii, and Tr(M^2), the sum of M's squared
+    # entries, is 2 Tr(tN N) since N has no diagonal.  Chord diagrams never
+    # carry multi-edges, so Tr(M^2) = 2e
+    tr_m = 2 * sum(row.get(i, 0) for i, row in enumerate(thm.n))
+    tr_m2 = 2 * thm.flag_traces[0]
     return {
         "delta_matches_interleaving_oracle": m.delta == crossing_count(cs),
         # chord regions are convex, so connected chord divides are cellular

@@ -4,11 +4,12 @@ Every quantity here is an exact integer identity, which floating point would
 make meaningless.  One ``TheoremReport`` holds the chain of a divide,
 ``verify_theorem`` grades it and ``walk_table`` reads it.
 Every matrix is held as sparse rows, row i a dict {j: value} of its
-nonzero entries.  N^2, N^3, the flag traces and the signature form are read
-off the rows of N; T = (Id + tN)^-1 (Id + N) is one forward substitution
-on them, since N is strictly upper triangular and Id + tN unit lower
-triangular.  The dimension mu may be 0: then every trace is 0 and the
-Lefschetz number is 1.
+nonzero entries, and is checked once, by ``_check_rows``, where it enters
+a public kernel; the kernels behind that take checked ints.  N^2, N^3,
+the flag traces and the signature form are read off the rows of N;
+T = (Id + tN)^-1 (Id + N) is one forward substitution on them, since N
+is strictly upper triangular and Id + tN unit lower triangular.  The
+dimension mu may be 0: then every trace is 0 and the Lefschetz number is 1.
 The characteristic polynomial and the traces Tr(T^k) hold row i as the int
 sum_j v_j 2^(w j), so a row operation is one big-integer add.  Both first
 run on narrow slots and keep the invariant that every entry of the matrix
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, repeat
 from math import gcd, isqrt, prod
 
 from . import packed
@@ -81,8 +81,9 @@ def matrix_N(gamma: Gamma) -> Rows:
 
 def nilpotent_square(n: Rows) -> Rows:
     """N^2 on sparse rows, after the guards against a corrupted N:
-    ValueError wherever ``_check_upper`` rejects N, or unless N^3 = 0."""
-    _check_upper(n)
+    ValueError wherever ``_check_rows(n, upper=True)`` rejects N, or unless
+    N^3 = 0."""
+    _check_rows(n, upper=True)
     n2 = sparse_mul(n, n)
     if any(sparse_mul(n2, n)):
         raise ValueError("nilpotency violation: (tN)^3 != 0")
@@ -157,9 +158,10 @@ def check_k(k: int) -> int:
 
 def trace_powers(t: Rows, k_max: int, n: Rows | None = None) -> list[int]:
     """Exact traces Tr(T^k) for k = 1..k_max of T given as sparse rows, on
-    packed rows; ValueError unless k_max is an int.  The products climb
-    ``char_poly``'s ladder (``_rung``).  On a narrow rung T^k lies in
-    [-2^b, 2^b): |T|^k < 2^b while k s <= b, s = |T|.bit_length(), and
+    packed rows; ValueError unless k_max is an int, and wherever
+    ``_program`` rejects T or N.  The products climb ``char_poly``'s
+    ladder (``_rung``).  On a narrow rung T^k lies in [-2^b, 2^b):
+    |T|^k < 2^b while k s <= b, s = |T|.bit_length(), and
     then ``packed.fits`` tests it, so T^(k+1) is below |T| 2^b < 2^(w-2).
     When the test fails, T^k decoded, so it is below 2^(w-2): the next rung
     takes b = max(2 b, w - 2).  The last, (|T|^k_max).bit_length() + 1,
@@ -179,18 +181,21 @@ def trace_powers(t: Rows, k_max: int, n: Rows | None = None) -> list[int]:
 
 
 def _program(t: Rows, n: Rows | None) -> list:
-    """The row program that ``char_poly`` and ``trace_powers`` multiply by:
+    """The row program that ``char_poly`` and ``trace_powers`` multiply by,
+    after ``_check_rows`` on T, and on a given N as ``nilpotent_square``
+    checks it, without the N^2 and N^3 products: ValueError wherever they
+    reject either, so every ``packed`` kernel behind it reads checked ints.
     T's own rows, unless N is given and its factored program (``packed.
     factored_terms``) has fewer terms, mu + 2 nnz(N), than T has stored
     entries.  That holds on almost every chord divide from mu of about 12
     on, where T has 1.6 to 2.3 times as many, and not on coil(k).  A
-    given N must be the N of T, and is checked as ``nilpotent_square``
-    checks it, without the N^2 and N^3 products, whichever program runs."""
+    given N must be the N of T."""
+    nnz_t = _check_rows(t)
     if n is not None:
-        nnz = _check_upper(n)
+        nnz = _check_rows(n, upper=True)
         if len(n) != len(t):
             raise ValueError(f"N has {len(n)} rows and T {len(t)}")
-        if len(t) + 2 * nnz < sum(map(len, t)):
+        if len(t) + 2 * nnz < nnz_t:
             return packed.factored_terms(n)
     return packed.row_terms(t)
 
@@ -204,11 +209,12 @@ FIRST_RUNG_BITS = 12     # b of the first narrow rung; doubled per rung
 
 def char_poly(t: Rows, n: Rows | None = None) -> list[int]:
     """Monic characteristic polynomial of T, given as sparse rows, constant
-    term first.  Given the N of T, the products T M may run on N's rows
-    (``_program``).  Every width, bound and check below still comes from
-    T: only the rows of T M are decoded, and their entries keep the bound
-    |T| 2^b whichever program formed them, while a row of (Id + N) M or a
-    partial back-substitution sum may leave the slot window.
+    term first; ValueError wherever ``_program`` rejects T or N.  Given
+    the N of T, the products T M may run on N's rows (``_program``).
+    Every width, bound and check below still comes from T: only the rows
+    of T M are decoded, and their entries keep the bound |T| 2^b whichever
+    program formed them, while a row of (Id + N) M or a partial
+    back-substitution sum may leave the slot window.
 
     Faddeev-LeVerrier on packed rows: M_k = T M_(k-1) + a_k Id from M_0 = Id
     with a_k = -Tr(T M_(k-1))/k, checked for exact division and for M_mu = 0
@@ -275,13 +281,11 @@ def _faddeev(terms, rows: list[int], w: int, coeffs_desc: list[int],
 
 
 def _faddeev_width(t: Rows) -> int:
-    """Slots for 2H, with c_j the norm of column j of |Id| + |T|, from
-    the nonzeros of T: a stored zero of any type adds nothing."""
+    """Slots for 2H, with c_j the norm of column j of |Id| + |T|."""
     col_sq = [1] * len(t)
     for i, row in enumerate(t):
         for j, x in row.items():
-            if x:
-                col_sq[j] += x * x + 2 * abs(x) * (i == j)
+            col_sq[j] += x * x + 2 * abs(x) * (i == j)
     return (2 * isqrt(prod(col_sq)) + 2).bit_length() + 1
 
 
@@ -304,9 +308,13 @@ def newton_power_sums(coeffs: list[int], k_max: int) -> list[int]:
 
         s_k = -k a_k - sum_{i<k} a_i s_{k-i}        (k <= mu)
         s_k = -sum_{i<=mu} a_i s_{k-i}              (k > mu)
+
+    ValueError unless k_max is an int and the coefficients, constant term
+    first, end in 1.
     """
+    check_k(k_max)
     mu = len(coeffs) - 1
-    if coeffs[-1] != 1:
+    if not coeffs or coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     a = [0] + [coeffs[mu - j] for j in range(1, mu + 1)]   # a[1..mu]
     s: list[int] = []
@@ -353,50 +361,33 @@ def sparse_signature(rows: Rows) -> int:
     numerators and its denominator.  ValueError wherever ``_check_rows``
     rejects the rows, or on a form that is not symmetric.
     """
-    cols = _check_rows(rows)
-    # the mirror of entry (i, j) is rows[j].get(i, 0)
-    owners = chain.from_iterable(map(repeat, range(len(rows)),
-                                     map(len, rows)))
-    mirrors = map(dict.get, map(rows.__getitem__, cols), owners, repeat(0))
-    if list(mirrors) != list(chain.from_iterable(map(dict.values, rows))):
+    _check_rows(rows)
+    if any(rows[j].get(i, 0) != x
+           for i, row in enumerate(rows) for j, x in row.items()):
         raise ValueError("the form is not symmetric")
     return _signature(rows)
 
 
-def _check_rows(rows: Rows) -> list[int]:
-    """ValueError unless every row is a dict, every column an int in
-    0..mu-1 and every entry an int (``type(x) is int``: no bool); returns
-    the columns, row after row.  Each check is one pass over all rows or
-    entries at once."""
-    mu = len(rows)
-    if not set(map(type, rows)) <= {dict}:
-        raise ValueError("a row is not a dict")
-    cols = list(chain.from_iterable(rows))
-    if cols and not (set(map(type, cols)) == {int}
-                     and 0 <= min(cols) and max(cols) < mu):
-        raise ValueError(f"a column is outside 0..{mu - 1}")
-    values = chain.from_iterable(map(dict.values, rows))
-    if not set(map(type, values)) <= {int}:
-        raise ValueError("an entry is not an int")
-    return cols
-
-
-def _check_upper(n: Rows) -> int:
-    """The checks of ``_check_rows`` on N, with every column of row k in
-    k+1..mu-1: strictly upper triangular; returns the number of entries.
-    One loop over the entries, which at mu of about 4 takes less time than
-    setting up the passes of ``_check_rows``."""
-    mu, nnz = len(n), 0
-    for k, row in enumerate(n):
+def _check_rows(rows: Rows, upper: bool = False) -> int:
+    """The one guard on every matrix that enters a public kernel: ValueError
+    unless every row is a dict, every column an int in 0..mu-1 (in
+    k+1..mu-1 for row k when ``upper``: N strictly upper triangular) and
+    every entry an int (``type(x) is int``: no bool, float or Fraction).
+    Returns the number of stored entries; a stored int 0 is no entry to
+    any kernel behind it."""
+    mu, nnz = len(rows), 0
+    name, where = ("N", "not above the diagonal") if upper else (
+        "M", f"outside columns 0..{mu - 1}")
+    for k, row in enumerate(rows):
         if type(row) is not dict:
-            raise ValueError("a row is not a dict")
+            raise ValueError(f"{name}[{k}] is not a dict")
         nnz += len(row)
+        lo = k + 1 if upper else 0
         for i, x in row.items():
-            if type(i) is not int or not k < i < mu:
-                raise ValueError(f"N[{k}][{i!r}] = {x!r} is not above the "
-                                 "diagonal")
+            if type(i) is not int or not lo <= i < mu:
+                raise ValueError(f"{name}[{k}][{i!r}] = {x!r} is {where}")
             if type(x) is not int:
-                raise ValueError(f"N[{k}][{i}] = {x!r} is not an int")
+                raise ValueError(f"{name}[{k}][{i}] = {x!r} is not an int")
     return nnz
 
 

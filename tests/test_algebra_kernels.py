@@ -303,8 +303,8 @@ def test_program_choice_reads_the_input(monkeypatch):
 
 
 def test_factored_terms_take_any_int_entry():
-    # signs, multi-edges and a stored zero; a non-integer raises as in
-    # row_terms
+    # signs, multi-edges and a stored int 0, which is no term; a
+    # non-integer never reaches the kernel: the public entry rejects it
     n = [{1: 2, 2: -1, 3: 0}, {3: -3}, {3: 1}, {}]
     assert packed.factored_terms(n) == [
         ([0], [2], [(1, 2)]),
@@ -312,19 +312,32 @@ def test_factored_terms_take_any_int_entry():
         ([2, 4, 3], [], []),
         ([3], [6], [(5, 3)]),
     ]
-    with pytest.raises(ArithmeticError, match="non-integer"):
-        packed.factored_terms([{1: 0.5}, {}])
+    t = monodromy_matrix([{1: 1}, {}])
+    for run in (lambda n: char_poly(t, n), lambda n: trace_powers(t, 3, n)):
+        with pytest.raises(ValueError, match=r"N\[0\]\[1\] = 0.5 is not"):
+            run([{1: 0.5}, {}])
 
 
-@pytest.mark.parametrize("kernel", [packed.row_terms, packed.row_norm,
-                                    packed.factored_terms])
+# each packed kernel with a public entry whose rows reach it: rows of T
+# for row_terms and row_norm, rows of N for factored_terms
+PACKED_ENTRIES = {
+    "row_terms": (packed.row_terms, lambda rows: char_poly(rows)),
+    "row_norm": (packed.row_norm, lambda rows: trace_powers(rows, 3)),
+    "factored_terms": (packed.factored_terms,
+                       lambda rows: char_poly([{0: 1, 1: 1}, {1: 1}], rows)),
+}
+
+
+@pytest.mark.parametrize("kernel", PACKED_ENTRIES)
 def test_packed_rows_take_no_bool(kernel):
-    # True == 1 and abs(True) is the int 1, but a bool is no int entry;
-    # False is a stored zero like any other
-    assert kernel([{0: 1, 1: False}, {}]) == kernel([{0: 1}, {}])
-    for bad in (True, 0.5):
-        with pytest.raises(ArithmeticError, match="non-integer"):
-            kernel([{0: 1, 1: bad}, {}])
+    # True == 1 and abs(True) is the int 1, but a bool is no int entry, and
+    # neither is False or 0.5: the public entry raises before any packed
+    # kernel reads the rows, and a stored int 0 is no entry to the kernel
+    pack, entry = PACKED_ENTRIES[kernel]
+    assert pack([{1: 1, 2: 0}, {}, {}]) == pack([{1: 1}, {}, {}])
+    for bad in (True, False, 0.5):
+        with pytest.raises(ValueError, match=f"= {bad!r} is not an int"):
+            entry([{1: bad}, {}])
 
 
 @st.composite

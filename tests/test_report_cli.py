@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -142,17 +141,19 @@ class TestCorpus:
         assert summary.slalom == 10
 
     def test_doubled_edge_fails_the_handshake(self, monkeypatch):
-        # one edge doubled in each diagram: Tr(M^2) gains 6 over 2e, read
-        # off the edge arrays, and Tr(M) stays 0; seeds 101..103 at n = 6
-        # all have edges
+        # one edge doubled in each record's N after grading, with the flag
+        # traces read off that N: Tr(M^2) = 2 Tr(tN N) gains 6 over 2e and
+        # Tr(M) stays 0; seeds 101..103 at n = 6 all have edges
         import divides.report as report_mod
+        from divides.seifert import _flag_traces, sparse_mul
         clean = run_corpus(3, 6, 101)
         real = report_mod.verify_theorem
 
         def doubled(m):
             rep = real(m)
-            g = rep.gamma
-            rep.gamma = replace(g, lo=g.lo + g.lo[:1], hi=g.hi + g.hi[:1])
+            row = next(row for row in rep.n if row)
+            row[next(iter(row))] *= 2
+            rep.flag_traces = _flag_traces(rep.n, sparse_mul(rep.n, rep.n))
             return rep
 
         monkeypatch.setattr(report_mod, "verify_theorem", doubled)

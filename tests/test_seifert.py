@@ -15,7 +15,8 @@ from divides import (
 )
 from divides.divide_map import lazy
 from divides.seifert import (
-    _flag_traces, det_from_char_poly, sparse_mul, sparse_signature,
+    _flag_traces, det_from_char_poly, nilpotent_square, sparse_mul,
+    sparse_signature,
 )
 
 import algebra_oracle
@@ -105,12 +106,16 @@ class TestMonodromy:
                 monodromy_matrix(n)
 
     def test_guards_survive_optimize(self):
-        # python -O strips assert statements; both guards must still raise
-        code = ("from divides import monodromy_matrix\n"
-                "for n in ([{}, {0: 1}], [{1: True}, {}],\n"
-                "          [{1: 1}, {2: 1}, {3: 1}, {}]):\n"
+        # python -O strips assert statements; the guards on N, and on T,
+        # must still raise
+        code = ("from divides import char_poly, monodromy_matrix\n"
+                "for run, rows in ((monodromy_matrix, [{}, {0: 1}]),\n"
+                "                  (monodromy_matrix, [{1: True}, {}]),\n"
+                "                  (monodromy_matrix,\n"
+                "                   [{1: 1}, {2: 1}, {3: 1}, {}]),\n"
+                "                  (char_poly, [{0: 1, -1: 1}, {1: 1}])):\n"
                 "    try:\n"
-                "        monodromy_matrix(n)\n"
+                "        run(rows)\n"
                 "    except ValueError as exc:\n"
                 "        print(exc)\n")
         src = str(Path(divides.__file__).resolve().parents[1])
@@ -119,7 +124,8 @@ class TestMonodromy:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout == ("N[1][0] = 1 is not above the diagonal\n"
                               "N[0][1] = True is not an int\n"
-                              "nilpotency violation: (tN)^3 != 0\n")
+                              "nilpotency violation: (tN)^3 != 0\n"
+                              "M[0][-1] = 1 is outside columns 0..1\n")
 
     @pytest.mark.parametrize("n", BAD_N)
     def test_every_guard_on_n_checks_types(self, n):
@@ -234,6 +240,69 @@ class TestRecordGuards:
                                      for _, message in CORRUPT_N) + "[]\n"
 
 
+# LENS: N, T = monodromy_matrix(N) and the form 2 Id + N + tN, each also
+# with a stored int 0 where it has no entry
+N3 = [{1: 1, 2: 1}, {}, {}]
+N3_ZERO = [{1: 1, 2: 1}, {2: 0}, {}]
+T3 = [{0: 1, 1: 1, 2: 1}, {0: -1, 2: -1}, {0: -1, 1: -1}]
+T3_ZERO = [{0: 1, 1: 1, 2: 1}, {0: -1, 1: 0, 2: -1}, {0: -1, 1: -1}]
+FORM3 = [{0: 2, 1: 1, 2: 1}, {0: 1, 1: 2}, {0: 1, 2: 2}]
+FORM3_ZERO = [{0: 2, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 0}, {0: 1, 1: 0, 2: 2}]
+
+# every public kernel that takes a matrix: (the kernel on the rows of one
+# of its matrices, the other being LENS's, those rows, and with a 0)
+MATRIX_ENTRIES = {
+    "signature": (signature, N3, N3_ZERO),
+    "sparse_signature": (sparse_signature, FORM3, FORM3_ZERO),
+    "nilpotent_square": (nilpotent_square, N3, N3_ZERO),
+    "monodromy_matrix": (monodromy_matrix, N3, N3_ZERO),
+    "lefschetz_number": (lefschetz_number, N3, N3_ZERO),
+    "char_poly(t)": (char_poly, T3, T3_ZERO),
+    "char_poly(t, n) on t": (lambda t: char_poly(t, N3), T3, T3_ZERO),
+    "char_poly(t, n) on n": (lambda n: char_poly(T3, n), N3, N3_ZERO),
+    "trace_powers(t, k)": (lambda t: trace_powers(t, 5), T3, T3_ZERO),
+    "trace_powers(t, k, n) on t":
+        (lambda t: trace_powers(t, 5, N3), T3, T3_ZERO),
+    "trace_powers(t, k, n) on n":
+        (lambda n: trace_powers(T3, 5, n), N3, N3_ZERO),
+}
+
+# one junk table for all of them, mu = 3: a row not a dict, a column not
+# an int, outside 0..mu-1 on either side, and entries that are no int
+JUNK_ROWS = {
+    "list row": [[0, 1, 1], {}, {}],
+    "str column": [{"1": 1}, {}, {}],
+    "column -1": [{-1: 1}, {}, {}],
+    "column mu": [{3: 1}, {}, {}],
+    **{f"entry {x!r}": [{1: x}, {}, {}]
+       for x in (True, 0.5, Fraction(1, 2), False, 0.0)},
+}
+
+
+class TestMatrixGuards:
+    """One guard, ``_check_rows``, takes every matrix at the public entry
+    of its kernel, so every kernel meets junk with ValueError, and a stored
+    int 0 is no entry to any of them."""
+
+    @pytest.mark.parametrize("junk", JUNK_ROWS)
+    @pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+    def test_junk_raises_value_error(self, entry, junk):
+        run = MATRIX_ENTRIES[entry][0]
+        with pytest.raises(ValueError):
+            run(JUNK_ROWS[junk])
+
+    @pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+    def test_stored_int_zero_changes_nothing(self, entry):
+        run, rows, zeroed = MATRIX_ENTRIES[entry]
+        assert run(zeroed) == run(rows)
+
+    def test_lens_tables(self):
+        n = n_of("LENS")
+        assert n == N3
+        assert monodromy_matrix(n) == T3
+        assert sparse_signature(FORM3) == signature(n) == 3
+
+
 class TestLefschetz:
     def test_loop(self):
         assert lefschetz_number(n_of("LOOP")) == 0
@@ -296,24 +365,31 @@ class TestCharPoly:
         assert char_poly(monodromy_matrix(n_of("LENS"))) == [-1, 1, -1, 1]
 
     def test_inexact_division_raises(self):
-        # a rational input makes the first division by k = 1 inexact
-        with pytest.raises(ArithmeticError, match="not exact"):
-            char_poly([{0: Fraction(1, 2)}])
+        # a rational input would make the first division by k = 1 inexact;
+        # the guard on T rejects it before any division
+        for run in (char_poly, lambda t: trace_powers(t, 3)):
+            with pytest.raises(ValueError,
+                               match=r"M\[0\]\[0\] = Fraction\(1, 2\) is not"):
+                run([{0: Fraction(1, 2)}])
 
     def test_stored_zero_packs_as_nothing(self):
-        # a zero of any type stored in a row is no entry, not a non-integer
-        for zero in (0, Fraction(0), False):
+        # a stored int 0 is no entry; a zero of another type is no int
+        t = [{0: 1, 1: 0}, {0: 0, 1: 2}]
+        assert char_poly(t) == char_poly([{0: 1}, {1: 2}]) == [2, -3, 1]
+        assert trace_powers(t, 3) == [3, 5, 9]
+        for zero in (Fraction(0), False, 0.0):
             t = [{0: 1, 1: zero}, {0: zero, 1: 2}]
-            assert char_poly(t) == char_poly([{0: 1}, {1: 2}]) == [2, -3, 1]
-            assert trace_powers(t, 3) == [3, 5, 9]
+            for run in (char_poly, lambda t: trace_powers(t, 3)):
+                with pytest.raises(ValueError, match="is not an int"):
+                    run(t)
 
     def test_bool_entry_raises(self):
         # True would pack as 1; like signature and the guards on N, the
         # kernels on T take no bool for an int
         for t in ([{0: True, 1: 1}, {1: 1}], [{0: 1}, {0: True, 1: 2}]):
-            with pytest.raises(ArithmeticError, match="non-integer"):
+            with pytest.raises(ValueError, match="True is not an int"):
                 char_poly(t)
-            with pytest.raises(ArithmeticError, match="non-integer"):
+            with pytest.raises(ValueError, match="True is not an int"):
                 trace_powers(t, 3)
 
     def test_oracle_checks_survive_optimize(self):
@@ -376,6 +452,14 @@ class TestNewton:
         assert newton_power_sums([2, 1], 3) == [-2, 4, -8]
         with pytest.raises(ValueError, match="monic"):
             newton_power_sums([1, 2], 3)
+
+    @pytest.mark.parametrize("coeffs, k", [
+        ([1], True), ([1], 2.0), ([-1, 1], "3"),     # k is no int
+        ([], 3),                                    # no leading 1
+    ], ids=["bool k", "float k", "str k", "empty"])
+    def test_inputs_checked(self, coeffs, k):
+        with pytest.raises(ValueError, match="is not an int|monic"):
+            newton_power_sums(coeffs, k)
 
     def test_non_monic_rejected_under_optimize(self):
         # python -O strips assert statements; the guard must survive it

@@ -8,7 +8,8 @@ the library runs on Python ints.  The modules that compute invariants
 hold no true division, no float literal and no call of ``float`` or
 ``round``.  No module holds an ``assert`` statement, since ``python -O``
 strips them: invariant guards raise real errors.  Every name a module
-imports is read in it.
+imports is read in it.  ``packed`` raises nothing and tests no type: its
+rows are checked once, by ``seifert._check_rows`` at the public entry.
 """
 
 import ast
@@ -99,3 +100,15 @@ def test_no_floating_point_in_exact_modules(name):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if floating(node)]
     assert lines == [], f"{name} has floating point on lines {lines}"
+
+
+def test_packed_checks_nothing():
+    # the packed kernels take rows that seifert._check_rows passed; a type
+    # test or a raise here would be a second guard on the same input
+    path = SRC / "packed.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [(node.lineno, type(node).__name__) for node in ast.walk(tree)
+             if isinstance(node, ast.Raise)
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("type", "isinstance")]
+    assert found == [], f"packed.py checks its input at {found}"
