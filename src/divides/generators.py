@@ -1,5 +1,11 @@
 """Divide generators: random chord arrangements, families, fixtures.
 
+Every generated divide-map/1 document is a list of branch walks, built by
+``_branch_document``: a branch runs from one boundary endpoint to another,
+visiting crossings on the way, each visit a (crossing, in slot, out slot).
+A chord is one branch, ``zigzag`` two and ``coil`` one.  The named
+fixtures are packaged files, ``fixtures/<name in lower case>.json``.
+
 A circle parameter t = a/b stands for the point of the unit circle with
 homogeneous integer coordinates (b^2 - a^2, 2ab, a^2 + b^2), the tangent
 half-angle parameterization; t = infinity is (-1, 0, 1).  Sorting the
@@ -237,34 +243,40 @@ def from_chords(cs: ChordSet) -> DivideMap:
 
 
 def chords_to_map_document(cs: ChordSet) -> dict:
-    return _map_document(cs.arrangement)
-
-
-def _map_document(arr: _Arrangement) -> dict:
-    """Endpoints labeled in ccw order, crossings by lexicographic pair.
+    """Each chord as one branch from s to t: endpoints labeled in ccw
+    order, crossings by lexicographic pair.
 
     Slots at a crossing run ccw from the forward direction of the
-    lower-indexed chord.
+    lower-indexed chord, so that chord passes 2 -> 0, and the other 3 -> 1
+    when it crosses from right to left, else 1 -> 3.
     """
-    def slot(k, c, forward):
-        if c == arr.pairs[k][0]:
-            return 0 if forward else 2
-        return 1 if (arr.signs[k] > 0) == forward else 3
+    arr = cs.arrangement
+    pairs, rank = arr.pairs, arr.rank
+    ends = [f"e{r}" for r in range(1, len(rank) + 1)]
+    labels = [f"c{k}" for k in range(1, len(pairs) + 1)]
+    visits = [((c, 2, 0), (c, 3, 1) if sign > 0 else (c, 1, 3))
+              for c, sign in zip(labels, arr.signs)]
+    return _branch_document(ends, labels, [
+        (ends[rank[2 * c]], [visits[k][c != pairs[k][0]] for k in ks],
+         ends[rank[2 * c + 1]]) for c, ks in enumerate(arr.along)])
 
+
+def _branch_document(endpoints, crossings, branches) -> dict:
+    """The divide-map/1 document of branch walks.
+
+    A branch is (start endpoint, visits, end endpoint), each visit a
+    (crossing, in slot, out slot); the document has one edge per step of
+    each walk, in walk order.
+    """
     edges = []
-    for c, ks in enumerate(arr.along):
-        start = [f"e{arr.rank[2 * c] + 1}", 0]
-        for k in ks:
-            edges.append({"a": start, "b": [f"c{k + 1}", slot(k, c, False)]})
-            start = [f"c{k + 1}", slot(k, c, True)]
-        edges.append({"a": start, "b": [f"e{arr.rank[2 * c + 1] + 1}", 0]})
-
-    return {
-        "format": "divide-map/1",
-        "endpoints": [f"e{r + 1}" for r in range(len(arr.rank))],
-        "crossings": [f"c{k + 1}" for k in range(len(arr.pairs))],
-        "edges": edges,
-    }
+    for start, visits, end in branches:
+        a = [start, 0]
+        for c, s_in, s_out in visits:
+            edges.append({"a": a, "b": [c, s_in]})
+            a = [c, s_out]
+        edges.append({"a": a, "b": [end, 0]})
+    return {"format": "divide-map/1", "endpoints": endpoints,
+            "crossings": crossings, "edges": edges}
 
 
 # ---------------------------------------------------------------------------
@@ -322,127 +334,58 @@ def chords_from_document(doc) -> ChordSet:
 def zigzag(n: int) -> DivideMap:
     """Base chord crossed n times by a wiggle: simple and cellular.
 
-    delta = n, regions = n - 1, mu = 2n - 1.  The wiggle starts above the
-    base, alternates sides at each crossing, and exits on the side its
-    parity dictates; the diagram comes out a path, so the Lefschetz number
-    vanishes.
+    delta = n, regions = n - 1, mu = 2n - 1.  The base E1 -> E2 passes
+    each crossing by slots 2 -> 0; the wiggle W1 -> W2 starts above it and
+    alternates sides (1 -> 3 at odd crossings, 3 -> 1 at even ones).  The
+    diagram comes out a path, so the Lefschetz number vanishes.
     """
     need_int("zigzag", "n", n, 1)
-    if n % 2 == 1:
-        endpoints = ["E2", "W1", "E1", "W2"]
-    else:
-        endpoints = ["E2", "W2", "W1", "E1"]
-    crossings = [f"x{i}" for i in range(1, n + 1)]
-
-    def wf(i):      # wiggle forward slot leaving crossing i
-        return 3 if i % 2 == 1 else 1
-
-    def wb(i):      # wiggle backward slot entering crossing i
-        return 1 if i % 2 == 1 else 3
-
-    edges = [{"a": ["E1", 0], "b": ["x1", 2]}]
-    for i in range(1, n):
-        edges.append({"a": [f"x{i}", 0], "b": [f"x{i + 1}", 2]})
-    edges.append({"a": [f"x{n}", 0], "b": ["E2", 0]})
-    edges.append({"a": ["W1", 0], "b": ["x1", wb(1)]})
-    for i in range(1, n):
-        edges.append({"a": [f"x{i}", wf(i)], "b": [f"x{i + 1}", wb(i + 1)]})
-    edges.append({"a": [f"x{n}", wf(n)], "b": ["W2", 0]})
-
-    return map_from_document({
-        "format": "divide-map/1",
-        "endpoints": endpoints,
-        "crossings": crossings,
-        "edges": edges,
-    })
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    return map_from_document(_branch_document(
+        ["E2", "W1", "E1", "W2"] if n % 2 else ["E2", "W2", "W1", "E1"], xs,
+        [("E1", [(x, 2, 0) for x in xs], "E2"),
+         ("W1", [(x, 1, 3) if i % 2 else (x, 3, 1)
+                 for i, x in enumerate(xs, 1)], "W2")]))
 
 
 def coil(k: int) -> DivideMap:
     """One branch making k consecutive disjoint curls.
 
-    delta = k, regions = k, mu = 2k; simple only for k = 1, and the
-    Lefschetz number is 1 - k.
+    The branch runs A -> B and passes each crossing twice, by slots
+    0 -> 1 and then 2 -> 3.  delta = k, regions = k, mu = 2k; simple only
+    for k = 1, and the Lefschetz number is 1 - k.
     """
     need_int("coil", "k", k, 1)
-    crossings = [f"y{i}" for i in range(1, k + 1)]
-    edges = [{"a": ["A", 0], "b": ["y1", 0]}]
-    for i in range(1, k + 1):
-        edges.append({"a": [f"y{i}", 1], "b": [f"y{i}", 2]})
-        if i < k:
-            edges.append({"a": [f"y{i}", 3], "b": [f"y{i + 1}", 0]})
-    edges.append({"a": [f"y{k}", 3], "b": ["B", 0]})
-    return map_from_document({
-        "format": "divide-map/1",
-        "endpoints": ["A", "B"],
-        "crossings": crossings,
-        "edges": edges,
-    })
+    ys = [f"y{i}" for i in range(1, k + 1)]
+    return map_from_document(_branch_document(
+        ["A", "B"], ys,
+        [("A", [v for y in ys for v in ((y, 0, 1), (y, 2, 3))], "B")]))
 
 
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
 
-_BUILTINS = {
-    "X1": {
-        "format": "divide-map/1",
-        "endpoints": ["e1", "e2", "e3", "e4"],
-        "crossings": ["c1"],
-        "edges": [
-            {"a": ["e1", 0], "b": ["c1", 0]},
-            {"a": ["e2", 0], "b": ["c1", 1]},
-            {"a": ["e3", 0], "b": ["c1", 2]},
-            {"a": ["e4", 0], "b": ["c1", 3]},
-        ],
-    },
-    "LOOP": {
-        "format": "divide-map/1",
-        "endpoints": ["e1", "e2"],
-        "crossings": ["c1"],
-        "edges": [
-            {"a": ["e1", 0], "b": ["c1", 0]},
-            {"a": ["c1", 1], "b": ["c1", 2]},
-            {"a": ["c1", 3], "b": ["e2", 0]},
-        ],
-    },
-    # two branches crossing twice, enclosing one lens-shaped region
-    "LENS": {
-        "format": "divide-map/1",
-        "endpoints": ["e1", "e2", "e3", "e4"],
-        "crossings": ["c1", "c2"],
-        "edges": [
-            {"a": ["e4", 0], "b": ["c1", 2]},
-            {"a": ["c1", 0], "b": ["c2", 2]},
-            {"a": ["c2", 0], "b": ["e1", 0]},
-            {"a": ["e3", 0], "b": ["c1", 1]},
-            {"a": ["c1", 3], "b": ["c2", 3]},
-            {"a": ["c2", 1], "b": ["e2", 0]},
-        ],
-    },
-}
-
-_FIGURE_FILES = {"FIG1": "fig1.json", "FIG2A": "fig2a.json", "FIG2B": "fig2b.json"}
+_FIXTURES = ("LENS", "LOOP", "X1", "FIG1", "FIG2A", "FIG2B")
 
 
 def fixture_names() -> list[str]:
-    return sorted(_BUILTINS) + sorted(_FIGURE_FILES)
+    return list(_FIXTURES)
 
 
 def fixture(name: str) -> DivideMap:
-    """One named fixture map; figure fixtures load from packaged files."""
-    if name in _BUILTINS:
-        return map_from_document(_BUILTINS[name])
-    if name in _FIGURE_FILES:
-        try:
-            text = (resources.files("divides") / "fixtures"
-                    / _FIGURE_FILES[name]).read_text(encoding="utf-8")
-        except (FileNotFoundError, ModuleNotFoundError) as exc:
-            raise DivideError(
-                f"missing transcription file for {name}: {exc}") from None
-        return parse_divide(text)
-    raise DivideError(f"unknown fixture {name!r}")
+    """One named fixture map, loaded from its packaged file
+    ``fixtures/<name in lower case>.json``."""
+    if name not in _FIXTURES:
+        raise DivideError(f"unknown fixture {name!r}")
+    try:
+        text = (resources.files("divides") / "fixtures"
+                / f"{name.lower()}.json").read_text(encoding="utf-8")
+    except (FileNotFoundError, ModuleNotFoundError) as exc:
+        raise DivideError(f"missing fixture file for {name}: {exc}") from None
+    return parse_divide(text)
 
 
 def fixtures() -> dict[str, DivideMap]:
-    """All named fixtures: the built-ins plus the figure transcriptions."""
+    """All named fixtures, in the order of ``fixture_names``."""
     return {name: fixture(name) for name in fixture_names()}

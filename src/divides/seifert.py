@@ -97,11 +97,13 @@ def monodromy_matrix(n: Rows, n2: Rows | None = None) -> Rows:
     Id + tN is unit lower triangular, so (Id + tN) T = Id + N gives row i
     of T as row i of Id + N minus N[k][i] T[k] over the entries N[k][i],
     k < i; entries that cancel to zero are dropped.  ``nilpotent_square``
-    guards N first, unless its N^2 is passed in.  T is integral with
-    det 1.
+    guards N first; when its N^2 is passed in, ``_check_rows`` still
+    checks N's rows, columns and entries.  T is integral with det 1.
     """
     if n2 is None:
         nilpotent_square(n)
+    else:
+        _check_rows(n, upper=True)
     above = [[] for _ in n]         # above[i]: the (k, N[k][i]), k < i
     for k, row in enumerate(n):
         for i, x in row.items():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -14,8 +15,8 @@ import divides
 from divides import (
     Chord, ChordSet, DivideError, chords_document, chords_from_document,
     classify, coil, compute_faces, crossing_count, fixture, fixture_names,
-    fixtures, from_chords, gen_chords, interleaved, parse_chords, run_corpus,
-    verify_theorem, zigzag,
+    fixtures, from_chords, gen_chords, interleaved, map_from_document,
+    parse_chords, run_corpus, verify_theorem, zigzag,
 )
 from divides.generators import (
     _arrangement, _param_from_json, chords_to_map_document,
@@ -233,6 +234,28 @@ class TestFamilies:
         with pytest.raises(DivideError):
             coil(0)
 
+    def test_family_scale_inputs_pinned(self):
+        # the benchmark's family_scale workload runs on these two documents
+        for make, digest in (
+                (zigzag, "09a61c781d26b1ea4febe9acbed3e8ea"
+                         "33fd6761256bfabdf3256865993642c6"),
+                (coil, "b23da101f9915a05fa0a5a3f2f76b3b4"
+                       "3071641362c46ab7276f72df1fbe4b36")):
+            text = json.dumps(make(1000).to_document())
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, make
+
+
+def test_branch_documents_round_trip():
+    # each generator's document is already in the canonical form that
+    # to_document emits: one edge per step of each branch, in walk order
+    for k in range(1, 41):
+        for doc in (zigzag(k).to_document(), coil(k).to_document()):
+            assert map_from_document(doc).to_document() == doc, k
+    for n in (2, 5, 12):
+        for seed in range(100):
+            doc = chords_to_map_document(gen_chords(n, seed))
+            assert map_from_document(doc).to_document() == doc, (n, seed)
+
 
 # integer parameters no generator accepts: a bool would read as 0 or 1, a
 # float or str would fail deep inside with a bare TypeError or a document
@@ -289,8 +312,8 @@ def test_integer_parameter_guards_survive_optimize():
 
 class TestFixtures:
     def test_names(self):
-        assert set(fixture_names()) == {
-            "X1", "LOOP", "LENS", "FIG1", "FIG2A", "FIG2B"}
+        assert fixture_names() == [
+            "LENS", "LOOP", "X1", "FIG1", "FIG2A", "FIG2B"]
 
     def test_all_load_and_validate(self):
         fx = fixtures()
@@ -299,8 +322,11 @@ class TestFixtures:
             assert m.r >= 1, name
 
     def test_unknown_fixture(self):
-        with pytest.raises(DivideError, match="unknown"):
-            fixture("NOPE")
+        # a name outside the list is unknown, whatever its type or case
+        for name in ("NOPE", [], {}, None, "x1"):
+            with pytest.raises(DivideError) as info:
+                fixture(name)
+            assert str(info.value) == f"unknown fixture {name!r}", name
 
     def test_figure_invariants(self):
         f1 = verify_theorem(fixture("FIG1"))

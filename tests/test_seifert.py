@@ -127,6 +127,24 @@ class TestMonodromy:
                               "nilpotency violation: (tN)^3 != 0\n"
                               "M[0][-1] = 1 is outside columns 0..1\n")
 
+    def test_passed_square_still_checks_n(self):
+        # a caller that passes N^2 skips the nilpotency guard, not the
+        # check of N's rows, columns and entries, also under python -O
+        code = ("from divides import monodromy_matrix\n"
+                "for rows in ([{1: True}, {}], [{1: 0.5}, {}], [{0: 1}]):\n"
+                "    try:\n"
+                "        print(monodromy_matrix(rows, []))\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        src = str(Path(divides.__file__).resolve().parents[1])
+        for flags in ([], ["-O"]):
+            out = subprocess.run([sys.executable, *flags, "-c", code],
+                                 capture_output=True, text=True, check=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+            assert out.stdout == ("N[0][1] = True is not an int\n"
+                                  "N[0][1] = 0.5 is not an int\n"
+                                  "N[0][0] = 1 is not above the diagonal\n")
+
     @pytest.mark.parametrize("n", BAD_N)
     def test_every_guard_on_n_checks_types(self, n):
         # the guard of monodromy_matrix, lefschetz_number and verify_theorem
