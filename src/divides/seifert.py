@@ -11,7 +11,11 @@ T = (Id + tN)^-1 (Id + N) is one forward substitution on them, since N
 is strictly upper triangular and Id + tN unit lower triangular.  The
 dimension mu may be 0: then every trace is 0 and the Lefschetz number is 1.
 The characteristic polynomial and the traces Tr(T^k) hold row i as the int
-sum_j v_j 2^(w j), so a row operation is one big-integer add.  Both first
+sum_j v_j 2^(w j), so a row operation is one big-integer add.  A product
+T M adds each of its rows by an index loop over a row program of T, then
+reads its trace in one pass over the rows (``packed.left_mul``): on the
+narrow rungs the rows are a few hundred bits, and the interpreter's cost
+per operation, not big-integer arithmetic, sets the time.  Both first
 run on narrow slots and keep the invariant that every entry of the matrix
 multiplied, M_(k-1) or T^(k-1), lies in [-2^b, 2^b), which bounds its
 product with T by 2^(w-2): one add and one AND per row test it, exactly,
@@ -167,7 +171,9 @@ def trace_powers(t: Rows, k_max: int, n: Rows | None = None) -> list[int]:
     then ``packed.fits`` tests it, so T^(k+1) is below |T| 2^b < 2^(w-2).
     When the test fails, T^k decoded, so it is below 2^(w-2): the next rung
     takes b = max(2 b, w - 2).  The last, (|T|^k_max).bit_length() + 1,
-    needs no test.  Given N, the products may run on its rows, ``_program``."""
+    needs no test.  Given N, the products may run on its rows, ``_program``.
+    Every product is one ``packed.left_mul``: an index loop per row, then
+    one pass for the trace."""
     check_k(k_max)
     terms, mu, norm = _program(t, n), len(t), packed.row_norm(t)
     s, w_top = norm.bit_length(), (norm ** max(k_max, 0)).bit_length() + 1
@@ -220,8 +226,10 @@ def char_poly(t: Rows, n: Rows | None = None) -> list[int]:
 
     Faddeev-LeVerrier on packed rows: M_k = T M_(k-1) + a_k Id from M_0 = Id
     with a_k = -Tr(T M_(k-1))/k, checked for exact division and for M_mu = 0
-    (Cayley-Hamilton).  The steps run on a ladder of slot widths, resuming
-    from the last M_(k-1) kept when a rung gives out:
+    (Cayley-Hamilton).  Per step, ``packed.left_mul`` forms T M_(k-1) and
+    reads its trace, adding a_k Id is one pass, a_k 2^(w i) onto row i,
+    and ``packed.fits`` one more.  The steps run on a ladder of slot
+    widths, resuming from the last M_(k-1) kept when a rung gives out:
 
     * Narrow rungs, b = 12, 24, 48, ...: w = b + |T|.bit_length() + 2 with
       |T| the largest absolute row sum.  If every entry of M_(k-1) lies in

@@ -16,10 +16,15 @@ through N^2, the nilpotency guard, the flag traces, the signature and the
 monodromy, against the same routines on the dense N.  The slot test of
 ``char_poly``'s narrow rungs is checked on its own at the edges of its
 range, and the ladder of rungs on chord sets, the families and a first
-rung forced down to one bit.  ``trace_powers`` climbs the same ladder: its
-K_CAP traces must equal Newton's power sums of the exact characteristic
-polynomial on the zoo, the families and chord sets, some of which must
-leave the first rung, and on gen_chords(30, 100), mu 255, its slots must
+rung forced down to one bit.  ``packed.left_mul`` meets the dense product
+on its own: row programs of random strictly upper N (signed, multi-edge,
+a stored 0, back references) and of random T (a row with no +1 entry, an
+all-zero row), with the product's entries at its window's ends, must
+give the packed rows and the trace of the dense product.
+``trace_powers`` climbs the same ladder: its K_CAP traces must equal
+Newton's power sums of the exact characteristic polynomial on the zoo,
+the families and chord sets, some of which must leave the first rung, and
+on gen_chords(30, 100), mu 255, its slots must
 stay within 64 bits for K_CAP traces and 24 bits for twelve, where
 |T|^k alone gives 330 and 63.  Known answers pin the signature and the
 characteristic polynomial on the zigzag and coil families, and the
@@ -307,10 +312,10 @@ def test_factored_terms_take_any_int_entry():
     # non-integer never reaches the kernel: the public entry rejects it
     n = [{1: 2, 2: -1, 3: 0}, {3: -3}, {3: 1}, {}]
     assert packed.factored_terms(n) == [
-        ([0], [2], [(1, 2)]),
-        ([1], [], [(4, -2), (3, -3)]),
-        ([2, 4, 3], [], []),
-        ([3], [6], [(5, 3)]),
+        (0, [], [2], [(1, 2)]),
+        (1, [], [], [(4, -2), (3, -3)]),
+        (2, [4, 3], [], []),
+        (3, [], [6], [(5, 3)]),
     ]
     t = monodromy_matrix([{1: 1}, {}])
     for run in (lambda n: char_poly(t, n), lambda n: trace_powers(t, 3, n)):
@@ -457,6 +462,116 @@ def test_left_mul_reads_the_diagonal_on_its_window(drawn):
     out, trace = packed.left_mul(identity, packed_rows, w)
     assert out == packed_rows
     assert trace == mat_trace(rows), drawn
+
+
+def _solve_upper(n, r):
+    """M with (Id + N) M = R, N strictly upper triangular, by back
+    substitution on dense rows."""
+    m = [None] * len(r)
+    for i in reversed(range(len(r))):
+        m[i] = [x - sum(n[i][j] * m[j][c] for j in range(i + 1, len(r)))
+                for c, x in enumerate(r[i])]
+    return m
+
+
+@st.composite
+def row_programs(draw):
+    """(kind, program, N or T, M, P, w): a row program of T, the dense M,
+    the dense product P = T M and a slot width w whose diagonal read
+    window +-(2^(w-1) - 1) holds every entry of P.
+
+    "factored": the program of a random strictly upper N with signed
+    entries, multi-edge coefficients and stored 0s, T = (Id + tN)^-1
+    (Id + N); P is drawn first, often at the window's ends, and M solved
+    from (Id + N) M = (Id + tN) P, so its entries may leave the window.
+    "rows": the program of a random T's own rows, one of them with no +1
+    entry and one all zero (a stored 0 at most); M is drawn, w is the
+    narrowest window of at least 2 bits holding P, or one bit more, and one
+    column of M, s e_c with s = +-(2^(w-1) - 1), puts s times column c of
+    T into P: the window's ends when that column's entries are 0 and +-1."""
+    mu = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        coeff = st.sampled_from((0, 1, -1, 2, -2, 3))
+        n = [{j: draw(coeff) for j in range(i + 1, mu)
+              if draw(st.booleans())} for i in range(mu)]
+        w = draw(st.integers(2, 9))
+        top = (1 << (w - 1)) - 1
+        entry = st.one_of(st.sampled_from((top, -top)),
+                          st.integers(-top, top))
+        p = [[draw(entry) for _ in range(mu)] for _ in range(mu)]
+        id_nt = algebra_oracle.mat_add(algebra_oracle.identity(mu),
+                                       transpose(dense(n)))
+        m = _solve_upper(dense(n), mat_mul(id_nt, p))
+        return "factored", packed.factored_terms(n), n, m, p, w
+    t = [{j: x for j in range(mu) if (x := draw(small))} for _ in range(mu)]
+    m = [[draw(st.integers(-4, 4)) for _ in range(mu)] for _ in range(mu)]
+    if not mu:
+        return "rows", [], t, m, [], draw(st.integers(1, 3))
+    t[draw(st.integers(0, mu - 1))] = draw(st.sampled_from(({}, {0: 0})))
+    bare = st.sampled_from((0, -1, 2, -3))
+    t[draw(st.integers(0, mu - 1))] = {
+        j: x for j in range(mu) if (x := draw(bare))}
+    probe = draw(st.integers(0, mu - 1))
+    for row in m:
+        row[probe] = 0
+    p = mat_mul(dense(t), m)
+    w = max(max(abs(x) for r in p for x in r).bit_length() + 1, 2)
+    w += draw(st.integers(0, 1))
+    t_dense = dense(t)
+    for c in range(mu):
+        column = [row[c] for row in t_dense]
+        if max(map(abs, column)) == 1:
+            top = (1 << (w - 1)) - 1
+            m[c][probe] = draw(st.sampled_from((top, -top)))
+            p = mat_mul(t_dense, m)
+            break
+    return "rows", packed.row_terms(t), t, m, p, w
+
+
+def test_left_mul_matches_dense_product():
+    # every row of T M, formed from its terms and back references, is the
+    # packed row of the dense product, and the one-pass diagonal read its
+    # trace; the draws must reach every shape of program and both ends of
+    # the read's window
+    seen = set()
+
+    @PROPERTY
+    @given(row_programs())
+    def check(drawn):
+        kind, terms, a, m, p, w = drawn
+        mu = len(m)
+        if kind == "factored":
+            # (Id + N) M = (Id + tN) P against the dense products
+            assert mat_mul(algebra_oracle.mat_add(
+                algebra_oracle.identity(mu), dense(a)), m) == mat_mul(
+                algebra_oracle.mat_add(algebra_oracle.identity(mu),
+                                       transpose(dense(a))), p), drawn
+            xs = [x for r in a for x in r.values()]
+            seen.update(name for name, hit in (
+                ("signed", any(x < 0 for x in xs)),
+                ("multi-edge", any(abs(x) > 1 for x in xs)),
+                ("stored 0", 0 in xs),
+                ("back reference", any(
+                    j >= mu for first, rest, minus, other in terms
+                    for j in rest + minus + [j for j, _ in other])),
+            ) if hit)
+        else:
+            seen.update(name for name, hit in (
+                ("no +1 entry", any(any(r.values()) and 1 not in r.values()
+                                     for r in a)),
+                ("zero row", any(not any(r.values()) for r in a)),
+            ) if hit)
+        top = (1 << (w - 1)) - 1
+        ends = {x for r in p for x in r} & {top, -top} - {0}
+        seen.update((kind, end > 0) for end in ends)
+        out, trace = packed.left_mul(terms, [_pack(r, w) for r in m], w)
+        assert out == [_pack(r, w) for r in p], drawn
+        assert trace == mat_trace(p), drawn
+
+    check()
+    assert seen == {"signed", "multi-edge", "stored 0", "back reference",
+                    "no +1 entry", "zero row", ("factored", True),
+                    ("factored", False), ("rows", True), ("rows", False)}
 
 
 @FEWER

@@ -654,7 +654,7 @@ class TestVerifyTheorem:
         def drop_one(n):
             terms, t = real(n), monodromy_matrix(n)
             mu = len(n)
-            for lst in terms[-1]:
+            for lst in terms[-1][1:]:       # [0]: the row's own row of M
                 for term in lst:
                     k = (term if isinstance(term, int) else term[0]) - mu
                     if k >= 0 and t[k].get(mu - 1):

@@ -10,6 +10,10 @@ hold no true division, no float literal and no call of ``float`` or
 strips them: invariant guards raise real errors.  Every name a module
 imports is read in it.  ``packed`` raises nothing and tests no type: its
 rows are checked once, by ``seifert._check_rows`` at the public entry.
+No module memoizes through ``functools.cache`` or ``lru_cache``: every
+workload repeats its inputs, so a process-wide cache would let one call
+reuse another's work.  State per divide belongs to its record
+(``divide_map.lazy``), and state per slot width to the kernel call.
 """
 
 import ast
@@ -112,3 +116,28 @@ def test_packed_checks_nothing():
              or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("type", "isinstance")]
     assert found == [], f"packed.py checks its input at {found}"
+
+
+def process_caches(tree):
+    """(line, name) of every ``functools.cache`` or ``lru_cache`` a module
+    imports or reads: ``from functools import cache``, or an attribute
+    read off a name that ``import functools`` binds, under any alias."""
+    caches = {"cache", "lru_cache"}
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if alias.name in caches)
+        elif (isinstance(node, ast.Attribute) and node.attr in caches
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            yield node.lineno, node.attr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_process_wide_cache(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = list(process_caches(tree))
+    assert found == [], f"{path.name} caches across calls at {found}"
