@@ -4,12 +4,12 @@ Every quantity here is an exact integer identity, which floating point would
 make meaningless.  One ``TheoremReport`` holds the chain of a divide,
 ``verify_theorem`` grades it and ``walk_table`` reads it.
 Every matrix is held as sparse rows, row i a dict {j: value} of its
-nonzero entries, and is checked once, by ``_check_rows``, where it enters
-a public kernel; the kernels behind that take checked ints.  N^2, N^3,
-the flag traces and the signature form are read off the rows of N;
-T = (Id + tN)^-1 (Id + N) is one forward substitution on them, since N
-is strictly upper triangular and Id + tN unit lower triangular.  The
-dimension mu may be 0: then every trace is 0 and the Lefschetz number is 1.
+nonzero entries, and is checked by ``_check_rows`` where it enters a public
+kernel; the kernels behind that take checked ints.  Each has one builder:
+N^2 and the flag traces come off the rows of N, the forward substitution
+``_monodromy`` gives T = (Id + tN)^-1 (Id + N), the record and
+``lefschetz_number`` share that chain (``_chain``), and ``_symmetrized``
+builds d Id + N + tN.  mu may be 0: every trace is 0, the Lefschetz number 1.
 The characteristic polynomial and the traces Tr(T^k) hold row i as the int
 sum_j v_j 2^(w j), so a row operation is one big-integer add.  A product
 T M adds each of its rows by an index loop over a row program of T, then
@@ -48,7 +48,6 @@ from .dynkin import (
     Gamma, body_euler, build_gamma, check_flag_edges, counts,
     has_multi_edge,
 )
-from .walks import adjacency
 
 Rows = list[dict[int, int]]
 
@@ -94,20 +93,18 @@ def nilpotent_square(n: Rows) -> Rows:
     return n2
 
 
-def monodromy_matrix(n: Rows, n2: Rows | None = None) -> Rows:
-    """T = (Id + tN)^-1 (Id + N) as sparse rows, from those of N, by one
-    forward substitution.
+def monodromy_matrix(n: Rows) -> Rows:
+    """T = (Id + tN)^-1 (Id + N) as sparse rows, from those of N, after
+    ``nilpotent_square``'s guards; T is integral with det 1."""
+    nilpotent_square(n)
+    return _monodromy(n)
 
-    Id + tN is unit lower triangular, so (Id + tN) T = Id + N gives row i
-    of T as row i of Id + N minus N[k][i] T[k] over the entries N[k][i],
-    k < i; entries that cancel to zero are dropped.  ``nilpotent_square``
-    guards N first; when its N^2 is passed in, ``_check_rows`` still
-    checks N's rows, columns and entries.  T is integral with det 1.
-    """
-    if n2 is None:
-        nilpotent_square(n)
-    else:
-        _check_rows(n, upper=True)
+
+def _monodromy(n: Rows) -> Rows:
+    """T from the rows of a checked N by one forward substitution: Id + tN
+    is unit lower triangular, so (Id + tN) T = Id + N gives row i of T as
+    row i of Id + N minus N[k][i] T[k] over the entries N[k][i], k < i;
+    entries that cancel to zero are dropped."""
     above = [[] for _ in n]         # above[i]: the (k, N[k][i]), k < i
     for k, row in enumerate(n):
         for i, x in row.items():
@@ -127,13 +124,21 @@ def lefschetz_number(n: Rows) -> int:
     """Lefschetz number 1 - mu + Tr(tN N) - Tr((tN)^2 N), checked on every
     call against the trace route 1 - Tr(T): ArithmeticError when the two
     routes disagree."""
-    n2 = nilpotent_square(n)
-    lam, lam_trace = _lefschetz_routes(len(n), *_flag_traces(n, n2),
-                                       monodromy_matrix(n, n2))
+    *_, lam, lam_trace = _chain(n)
     if lam != lam_trace:
         raise ArithmeticError(
             f"lefschetz routes disagree: formula {lam}, trace {lam_trace}")
     return lam
+
+
+def _chain(n: Rows) -> tuple[Rows, Rows, tuple[int, int], int, int]:
+    """N^2, T, the flag traces and the Lefschetz number by the formula
+    route, from those traces, and by the trace route 1 - Tr(T), after
+    ``nilpotent_square``'s guards on N."""
+    n2 = nilpotent_square(n)
+    t, flags = _monodromy(n), _flag_traces(n, n2)
+    return (n2, t, flags, 1 - len(n) + flags[0] - flags[1],
+            1 - sum(row.get(i, 0) for i, row in enumerate(t)))
 
 
 def _flag_traces(n: Rows, n2: Rows) -> tuple[int, int]:
@@ -141,14 +146,6 @@ def _flag_traces(n: Rows, n2: Rows) -> tuple[int, int]:
     return (sum(x * x for row in n for x in row.values()),
             sum(x * r2.get(j, 0) for r, r2 in zip(n, n2)
                 for j, x in r.items()))
-
-
-def _lefschetz_routes(mu: int, tr_ntn: int, tr_nt2n: int,
-                      t: Rows) -> tuple[int, int]:
-    """The Lefschetz number by the formula route, from its traces, and by
-    the trace route 1 - Tr(T)."""
-    return (1 - mu + tr_ntn - tr_nt2n,
-            1 - sum(row.get(i, 0) for i, row in enumerate(t)))
 
 
 K_DEFAULT = 12   # traces Tr(T^k), k = 1..K, that reports and tables give
@@ -320,10 +317,12 @@ def newton_power_sums(coeffs: list[int], k_max: int) -> list[int]:
         s_k = -sum_{i<=mu} a_i s_{k-i}              (k > mu)
 
     ValueError unless k_max is an int and the coefficients, constant term
-    first, end in 1.
+    first, are ints (``type(x) is int``, as ``check_k``) ending in 1.
     """
     check_k(k_max)
     mu = len(coeffs) - 1
+    if any(type(x) is not int for x in coeffs):
+        raise ValueError(f"a coefficient of {coeffs!r} is not an int")
     if not coeffs or coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     a = [0] + [coeffs[mu - j] for j in range(1, mu + 1)]   # a[1..mu]
@@ -345,12 +344,17 @@ def signature(n: Rows) -> int:
     elimination on the form's sparse rows, built from the sparse rows of N.
     ValueError wherever ``_check_rows`` rejects N."""
     _check_rows(n)
-    rows = [{i: 2} for i in range(len(n))]
+    return _signature(_symmetrized(n, 2))
+
+
+def _symmetrized(n: Rows, d: int) -> Rows:
+    """d Id + N + tN as fresh sparse rows, from the checked rows of N."""
+    rows = [{i: d} if d else {} for i in range(len(n))]
     for i, row in enumerate(n):
         for j, x in row.items():
             rows[i][j] = rows[i].get(j, 0) + x
             rows[j][i] = rows[j].get(i, 0) + x
-    return _signature(rows)
+    return rows
 
 
 def sparse_signature(rows: Rows) -> int:
@@ -363,19 +367,19 @@ def sparse_signature(rows: Rows) -> int:
     nonzero b adds +1 - 1 (Bunch and Kaufman, 1977); an all-zero row adds
     nothing.
 
-    Row u of the current Schur complement is held as integer numerators
-    over one positive denominator den[u], the diagonal numerator in dg[u]
-    and the others in adj[u], and each entry is stored in both of its
-    rows, over each row's own denominator.  A pivot rewrites only the
-    rows it touches, and each rewritten row is divided by the gcd of its
-    numerators and its denominator.  ValueError wherever ``_check_rows``
-    rejects the rows, or on a form that is not symmetric.
+    Row u of the current Schur complement, on a copy of the caller's rows,
+    is held as integer numerators over one positive denominator den[u], the
+    diagonal numerator in dg[u] and the others in adj[u], and each entry is
+    stored in both of its rows, over each row's own denominator.  A pivot
+    rewrites only the rows it touches, and each rewritten row is divided by
+    the gcd of its numerators and its denominator.  ValueError wherever
+    ``_check_rows`` rejects the rows, or on a form that is not symmetric.
     """
     _check_rows(rows)
     if any(rows[j].get(i, 0) != x
            for i, row in enumerate(rows) for j, x in row.items()):
         raise ValueError("the form is not symmetric")
-    return _signature(rows)
+    return _signature([dict(row) for row in rows])
 
 
 def _check_rows(rows: Rows, upper: bool = False) -> int:
@@ -402,12 +406,13 @@ def _check_rows(rows: Rows, upper: bool = False) -> int:
 
 
 def _signature(rows: Rows) -> int:
-    """The elimination of ``sparse_signature`` on checked, symmetric rows.
-    The queue and the parked rows are heaps of the keys degree mu + index,
-    so heappop takes the least degree, then the least index: one int
-    compares faster than a (degree, index) pair."""
+    """``sparse_signature``'s elimination on checked, symmetric rows, which
+    it rewrites.  The queue and the parked rows are heaps of the keys
+    degree mu + index, so heappop takes the least degree, then the least
+    index: one int compares faster than a (degree, index) pair."""
     mu = len(rows)
-    adj = [{j: x for j, x in r.items() if x} for r in rows]
+    adj = [{j: x for j, x in r.items() if x} if 0 in r.values() else r
+           for r in rows]
     dg, den = [r.pop(i, 0) for i, r in enumerate(adj)], [1] * mu
     queue = [len(r) * mu + i for i, r in enumerate(adj)]
     heapify(queue)
@@ -511,12 +516,8 @@ class TheoremReport:
         self.mu, self.e, self.f = cnt.mu, cnt.e, cnt.f
         self.chi_body = body_euler(m, faces)
         self.n = n = matrix_N(gamma)
-        n2 = nilpotent_square(n)
-        self.t = monodromy_matrix(n, n2)
+        n2, self.t, self.flag_traces, self.lam, self.lam_trace = _chain(n)
         self.n_square_zero = not any(n2)
-        self.flag_traces = _flag_traces(n, n2)      # Tr(tN N), Tr((tN)^2 N)
-        self.lam, self.lam_trace = _lefschetz_routes(
-            cnt.mu, *self.flag_traces, self.t)
 
     @lazy
     def char_poly(self) -> list[int]:
@@ -632,6 +633,6 @@ def walk_table(thm: TheoremReport, k: int = K_DEFAULT) -> WalkTable:
     """The walk table of the divide whose chain ``thm`` holds, for the K
     of ``thm.traces_to(k)``."""
     traces = thm.traces_to(k)
-    pairs = zip(traces, trace_powers(adjacency(thm.gamma), len(traces)))
+    pairs = zip(traces, trace_powers(_symmetrized(thm.n, 0), len(traces)))
     return WalkTable(rows=tuple((i, tr_t, 1 - tr_t, tr_m)
                                 for i, (tr_t, tr_m) in enumerate(pairs, 1)))

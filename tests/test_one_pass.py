@@ -2,27 +2,32 @@
 
 Calls are counted by rebinding every ``divides.*`` module attribute that
 holds a function, so calls through any ``from .x import f`` binding are
-seen.
+seen.  ``_monodromy`` is the one builder of T, behind both
+``monodromy_matrix`` and the record's chain step.
 """
 
 import sys
 
 import pytest
 
-import divides
 from divides import (
     TheoremReport, build_report, fixture, from_chords, gen_chords,
-    run_corpus, seifert, verify_theorem, walk_table, zigzag,
+    lefschetz_number, run_corpus, seifert, verify_theorem, walk_table,
+    zigzag,
 )
 
 CHAIN = ("compute_faces", "classify", "build_gamma", "counts", "matrix_N",
-         "monodromy_matrix", "char_poly", "signature", "trace_powers")
+         "_monodromy", "char_poly", "signature", "trace_powers")
+
+REPORTS = pytest.mark.parametrize(
+    "make", [lambda: zigzag(6), lambda: from_chords(gen_chords(8, 101))],
+    ids=["zigzag6", "chords8"])
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Install call counters for CHAIN; returns name -> count so far."""
-    counted = dict.fromkeys(CHAIN, 0)
+def count_calls(monkeypatch, names):
+    """Install call counters for the ``divides.seifert`` functions named;
+    returns name -> count so far."""
+    counted = dict.fromkeys(names, 0)
 
     def counter(name, real):
         def wrapper(*args, **kwargs):
@@ -32,8 +37,8 @@ def calls(monkeypatch):
 
     modules = [mod for key, mod in list(sys.modules.items())
                if key == "divides" or key.startswith("divides.")]
-    for name in CHAIN:
-        real = getattr(divides, name)
+    for name in names:
+        real = getattr(seifert, name)
         wrapper = counter(name, real)
         for mod in modules:
             for attr, value in list(vars(mod).items()):
@@ -42,9 +47,12 @@ def calls(monkeypatch):
     return counted
 
 
-@pytest.mark.parametrize("make", [lambda: zigzag(6),
-                                  lambda: from_chords(gen_chords(8, 101))],
-                         ids=["zigzag6", "chords8"])
+@pytest.fixture
+def calls(monkeypatch):
+    return count_calls(monkeypatch, CHAIN)
+
+
+@REPORTS
 def test_build_report_runs_the_chain_once(calls, make):
     m = make()
     rep = build_report(m)
@@ -57,7 +65,7 @@ def test_build_report_extends_short_traces(calls):
     rep = build_report(zigzag(1))
     assert len(rep.traces) == 12
     assert calls["trace_powers"] == 2
-    assert calls["char_poly"] == calls["monodromy_matrix"] == 1
+    assert calls["char_poly"] == calls["_monodromy"] == 1
 
 
 def test_run_corpus_runs_the_chain_once_per_instance(calls):
@@ -66,7 +74,7 @@ def test_run_corpus_runs_the_chain_once_per_instance(calls):
     # trace_powers once, in verify_theorem: the walk sanity checks read
     # Tr(M) and Tr(M^2) off the edge list
     for name in ("compute_faces", "build_gamma", "matrix_N",
-                 "monodromy_matrix", "char_poly", "trace_powers"):
+                 "_monodromy", "char_poly", "trace_powers"):
         assert calls[name] == count, name
 
 
@@ -76,14 +84,32 @@ def test_walk_table_reads_the_record(calls):
     thm = verify_theorem(from_chords(gen_chords(8, 101)))
     walk_table(thm, 12)
     for name in ("compute_faces", "build_gamma", "matrix_N",
-                 "monodromy_matrix", "char_poly"):
+                 "_monodromy", "char_poly"):
         assert calls[name] == 1, name
 
 
 def test_walk_table_needs_no_char_poly_or_signature(calls):
     walk_table(TheoremReport(from_chords(gen_chords(8, 101))), 12)
     assert calls["char_poly"] == calls["signature"] == 0
-    assert calls["matrix_N"] == calls["monodromy_matrix"] == 1
+    assert calls["matrix_N"] == calls["_monodromy"] == 1
+
+
+@REPORTS
+def test_build_report_checks_rows_six_times(monkeypatch, make):
+    # N once at the chain step, T and N in char_poly and again in
+    # trace_powers, N in signature
+    m = make()
+    checks = count_calls(monkeypatch, ("_check_rows",))
+    build_report(m)
+    assert checks["_check_rows"] == 6
+
+
+def test_run_corpus_checks_rows_five_times_per_instance(monkeypatch):
+    # as a report, without the signature
+    count = 20
+    checks = count_calls(monkeypatch, ("_check_rows",))
+    assert run_corpus(count, 5, 7).ok()
+    assert checks["_check_rows"] == 5 * count
 
 
 def test_verify_theorem_fixed_products(monkeypatch):
@@ -106,6 +132,9 @@ def test_verify_theorem_fixed_products(monkeypatch):
         made = 0
         rep = verify_theorem(m)
         assert rep.mu == mu
+        assert made == 2
+        made = 0
+        assert lefschetz_number(rep.n) == rep.lam
         assert made == 2
         assert all(type(row) is dict for row in rep.n)
         distinct = {(i - 1, j - 1) for i, j in zip(rep.gamma.lo,

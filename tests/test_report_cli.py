@@ -165,17 +165,18 @@ class TestCorpus:
         assert summary.checks_passed == clean.checks_passed - 3
 
     def test_lefschetz_disagreement_is_graded(self, monkeypatch):
-        # a monodromy off by one on its diagonal makes the trace route
-        # disagree with the formula route: the check fails, the run goes on
+        # a monodromy off by one on its diagonal makes the trace route the
+        # chain step works out from T disagree with the formula route: the
+        # check fails, the run goes on
         import divides.seifert as seifert_mod
-        real = seifert_mod.monodromy_matrix
+        real = seifert_mod._monodromy
 
-        def off_by_one(*args):
-            t = real(*args)
+        def off_by_one(n):
+            t = real(n)
             t[0][0] = t[0].get(0, 0) + 1
             return t
 
-        monkeypatch.setattr(seifert_mod, "monodromy_matrix", off_by_one)
+        monkeypatch.setattr(seifert_mod, "_monodromy", off_by_one)
         summary = run_corpus(3, 6, 101)
         assert (101, "lefschetz_two_routes") in summary.discrepancies
         assert summary.checks_failed > 0

@@ -127,23 +127,23 @@ class TestMonodromy:
                               "nilpotency violation: (tN)^3 != 0\n"
                               "M[0][-1] = 1 is outside columns 0..1\n")
 
-    def test_passed_square_still_checks_n(self):
-        # a caller that passes N^2 skips the nilpotency guard, not the
-        # check of N's rows, columns and entries, also under python -O
-        code = ("from divides import monodromy_matrix\n"
-                "for rows in ([{1: True}, {}], [{1: 0.5}, {}], [{0: 1}]):\n"
+    def test_nilpotency_guard_cannot_be_skipped(self):
+        # monodromy_matrix takes N alone: no caller can hand it an N^2 and
+        # so pass over the N^3 = 0 guard, also under python -O
+        code = ("import inspect\n"
+                "from divides import monodromy_matrix\n"
+                "print(len(inspect.signature(monodromy_matrix).parameters))\n"
+                f"for args in (({CHAIN4!r}, []), ({CHAIN4!r},)):\n"
                 "    try:\n"
-                "        print(monodromy_matrix(rows, []))\n"
-                "    except ValueError as exc:\n"
-                "        print(exc)\n")
+                "        print(monodromy_matrix(*args))\n"
+                "    except (TypeError, ValueError) as exc:\n"
+                "        print(type(exc).__name__, 'nilpotency' in str(exc))\n")
         src = str(Path(divides.__file__).resolve().parents[1])
         for flags in ([], ["-O"]):
             out = subprocess.run([sys.executable, *flags, "-c", code],
                                  capture_output=True, text=True, check=True,
                                  env={**os.environ, "PYTHONPATH": src})
-            assert out.stdout == ("N[0][1] = True is not an int\n"
-                                  "N[0][1] = 0.5 is not an int\n"
-                                  "N[0][0] = 1 is not above the diagonal\n")
+            assert out.stdout == "1\nTypeError False\nValueError True\n"
 
     @pytest.mark.parametrize("n", BAD_N)
     def test_every_guard_on_n_checks_types(self, n):
@@ -335,9 +335,9 @@ class TestLefschetz:
         assert lefschetz_number(n_of("FIG1")) == 0
 
     def test_routes_disagree_raises(self, monkeypatch):
-        # formula 1 - 1 + 0 - 0 = 0 against trace route 1 - Tr([[5]]) = -4
-        monkeypatch.setattr(seifert, "monodromy_matrix",
-                            lambda n, n2: [{0: 5}])
+        # formula 1 - 1 + 0 - 0 = 0 against trace route 1 - Tr([[5]]) = -4,
+        # which the chain step works out from the T it builds
+        monkeypatch.setattr(seifert, "_monodromy", lambda n: [{0: 5}])
         with pytest.raises(ArithmeticError, match="disagree"):
             lefschetz_number([{}])
 
@@ -474,7 +474,12 @@ class TestNewton:
     @pytest.mark.parametrize("coeffs, k", [
         ([1], True), ([1], 2.0), ([-1, 1], "3"),     # k is no int
         ([], 3),                                    # no leading 1
-    ], ids=["bool k", "float k", "str k", "empty"])
+        ([0.5, 1], 3), ([Fraction(1, 2), 1], 3),    # inexact coefficients
+        ([1, True], 3), ([None, 1], 3),             # True == 1, None
+        ([1, 1.0], 3),
+    ], ids=["bool k", "float k", "str k", "empty", "float coefficient",
+            "Fraction coefficient", "bool leading 1", "None coefficient",
+            "float leading 1"])
     def test_inputs_checked(self, coeffs, k):
         with pytest.raises(ValueError, match="is not an int|monic"):
             newton_power_sums(coeffs, k)
@@ -482,15 +487,16 @@ class TestNewton:
     def test_non_monic_rejected_under_optimize(self):
         # python -O strips assert statements; the guard must survive it
         code = ("from divides.seifert import newton_power_sums\n"
-                "try:\n"
-                "    newton_power_sums([1, 2], 3)\n"
-                "except ValueError:\n"
-                "    print('raised')\n")
+                "for coeffs in ([1, 2], [0.5, 1]):\n"
+                "    try:\n"
+                "        newton_power_sums(coeffs, 3)\n"
+                "    except ValueError:\n"
+                "        print('raised')\n")
         src = str(Path(divides.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout == "raised\n"
+        assert out.stdout == "raised\n" * 2
 
 
 class TestSignature:
@@ -524,6 +530,14 @@ class TestSignature:
             assert algebra_oracle.rows_of(q) == rows, q
         # a stored zero is no entry, so never the b of a 2x2 block
         assert sparse_signature([{1: 0, 2: 1}, {0: 0}, {0: 1}]) == 0
+
+    def test_sparse_signature_leaves_the_rows(self):
+        # the elimination pops the diagonal, drops stored zeros and rewrites
+        # rows: it runs on a copy, never on the caller's rows
+        rows = [{0: 2, 1: 1, 2: 0}, {0: 1, 1: -3}, {0: 0, 2: 5}]
+        kept = [dict(row) for row in rows]
+        assert sparse_signature(rows) == 1
+        assert rows == kept
 
     @pytest.mark.parametrize("rows", [
         [{5: 1}],                   # a column outside 0..mu-1
@@ -601,7 +615,7 @@ def _det_int(a):
 class TestVerifyTheorem:
     def test_n_cube_zero_rests_on_the_nilpotency_guard(self, monkeypatch):
         # n_cube_zero is graded pass without a product of its own, which
-        # holds only because a nonzero N^3 never gets past monodromy_matrix
+        # holds only because a nonzero N^3 never gets past nilpotent_square
         monkeypatch.setattr(divides.seifert, "matrix_N",
                             lambda gamma: [dict(row) for row in CHAIN4])
         with pytest.raises(ValueError, match="nilpotency"):
