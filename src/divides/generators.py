@@ -379,8 +379,8 @@ def fixture(name: str) -> DivideMap:
     if name not in _FIXTURES:
         raise DivideError(f"unknown fixture {name!r}")
     try:
-        text = (resources.files("divides") / "fixtures"
-                / f"{name.lower()}.json").read_text(encoding="utf-8")
+        text = resources.files("divides").joinpath(
+            "fixtures", f"{name.lower()}.json").read_text(encoding="utf-8")
     except (FileNotFoundError, ModuleNotFoundError) as exc:
         raise DivideError(f"missing fixture file for {name}: {exc}") from None
     return parse_divide(text)

@@ -8,7 +8,7 @@ from math import gcd
 
 from .divide_map import DivideMap, need_int
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
-from .seifert import K_DEFAULT, TheoremReport, verify_theorem
+from .seifert import K_DEFAULT, NA, TheoremReport, verify_theorem
 
 LATTICE_GENUS_NOTE = (
     "(mu - r + 1)/2 computed from the lattice rank; no claim is made tying "
@@ -171,7 +171,7 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
         failed = thm.failed() + [k for k, ok in corpus.items() if not ok]
 
         # theorem checks graded applicable, plus the corpus-level hard checks
-        n_applicable = (sum(1 for v in thm.checks.values() if v != "n/a")
+        n_applicable = (sum(1 for v in thm.checks.values() if v != NA)
                         + len(corpus))
         summary.checks_passed += n_applicable - len(failed)
         summary.checks_failed += len(failed)

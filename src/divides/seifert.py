@@ -15,16 +15,12 @@ sum_j v_j 2^(w j), so a row operation is one big-integer add.  A product
 T M adds each of its rows by an index loop over a row program of T, then
 reads its trace in one pass over the rows (``packed.left_mul``): on the
 narrow rungs the rows are a few hundred bits, and the interpreter's cost
-per operation, not big-integer arithmetic, sets the time.  Both first
-run on narrow slots and keep the invariant that every entry of the matrix
-multiplied, M_(k-1) or T^(k-1), lies in [-2^b, 2^b), which bounds its
-product with T by 2^(w-2): one add and one AND per row test it, exactly,
-since base-2^w digits drawn from a window of 2^w consecutive integers are
-unique.  When the test fails, the products resume on wider slots, up to a
-bound from T alone.
-Given N as well, both form each product T M as (Id + tN)^-1 (Id + N) M
-from the rows of N when that takes fewer row terms than T's own rows
-(``_program``); every bound still comes from T.
+per operation, not big-integer arithmetic, sets the time.  Both run one
+loop, P_k = T P_(k-1) + c_k Id, on one ladder of slot widths by one climb
+rule, argued at ``_climb``; every product it forms is kept.  Given N as
+well, both form each product T M as (Id + tN)^-1 (Id + N) M from the rows
+of N when that takes fewer row terms than T's own rows (``_program``);
+every bound still comes from T, and N is not checked to be T's.
 The signature form 2 Id + N + tN has the diagram's sparsity and is
 eliminated on sparse rows of ints, the only input format, in a
 minimum-degree order: by Sylvester's law of inertia each pivot adds its
@@ -160,29 +156,15 @@ def check_k(k: int) -> int:
 
 
 def trace_powers(t: Rows, k_max: int, n: Rows | None = None) -> list[int]:
-    """Exact traces Tr(T^k) for k = 1..k_max of T given as sparse rows, on
-    packed rows; ValueError unless k_max is an int, and wherever
-    ``_program`` rejects T or N.  The products climb ``char_poly``'s
-    ladder (``_rung``).  On a narrow rung T^k lies in [-2^b, 2^b):
-    |T|^k < 2^b while k s <= b, s = |T|.bit_length(), and
-    then ``packed.fits`` tests it, so T^(k+1) is below |T| 2^b < 2^(w-2).
-    When the test fails, T^k decoded, so it is below 2^(w-2): the next rung
-    takes b = max(2 b, w - 2).  The last, (|T|^k_max).bit_length() + 1,
-    needs no test.  Given N, the products may run on its rows, ``_program``.
-    Every product is one ``packed.left_mul``: an index loop per row, then
-    one pass for the trace."""
+    """Exact traces Tr(T^k) for k = 1..k_max of T given as sparse rows:
+    ``_climb`` with every c_k = 0, so P_k = T^k, on a last rung of
+    (|T|^k_max).bit_length() + 1 bits, which holds every T^k.  ValueError
+    unless k_max is an int, and wherever ``_program`` rejects T or N.  A
+    given N must be the N of T and is not checked."""
     check_k(k_max)
-    terms, mu, norm = _program(t, n), len(t), packed.row_norm(t)
-    s, w_top = norm.bit_length(), (norm ** max(k_max, 0)).bit_length() + 1
-    b, out = FIRST_RUNG_BITS, []
-    rows, w, masks = _rung(mu, [], 0, b, s + 2, w_top)
-    for k in range(k_max):          # rows: T^k
-        if masks and k * s > b and not packed.fits(rows, *masks):
-            b = max(2 * b, w - 2)
-            rows, w, masks = _rung(mu, rows, w, b, s + 2, w_top)
-        rows, trace = packed.left_mul(terms, rows, w)
-        out.append(trace)
-    return out
+    terms, norm = _program(t, n), packed.row_norm(t)
+    w_top = (norm ** max(k_max, 0)).bit_length() + 1
+    return _climb(terms, norm, k_max, w_top, lambda k, trace: 0)[1]
 
 
 def _program(t: Rows, n: Rows | None) -> list:
@@ -209,50 +191,79 @@ def _program(t: Rows, n: Rows | None) -> list:
 # characteristic polynomial
 # ---------------------------------------------------------------------------
 
-FIRST_RUNG_BITS = 12     # b of the first narrow rung; doubled per rung
+FIRST_RUNG_BITS = 12     # b of the first narrow rung
 
 
 def char_poly(t: Rows, n: Rows | None = None) -> list[int]:
     """Monic characteristic polynomial of T, given as sparse rows, constant
-    term first; ValueError wherever ``_program`` rejects T or N.  Given
-    the N of T, the products T M may run on N's rows (``_program``).
-    Every width, bound and check below still comes from T: only the rows
-    of T M are decoded, and their entries keep the bound |T| 2^b whichever
-    program formed them, while a row of (Id + N) M or a partial
-    back-substitution sum may leave the slot window.
+    term first; ValueError wherever ``_program`` rejects T or N.  A given
+    N must be the N of T and is not checked: the N of another T of the
+    same size may give that T's polynomial, with no error.
 
-    Faddeev-LeVerrier on packed rows: M_k = T M_(k-1) + a_k Id from M_0 = Id
-    with a_k = -Tr(T M_(k-1))/k, checked for exact division and for M_mu = 0
-    (Cayley-Hamilton).  Per step, ``packed.left_mul`` forms T M_(k-1) and
-    reads its trace, adding a_k Id is one pass, a_k 2^(w i) onto row i,
-    and ``packed.fits`` one more.  The steps run on a ladder of slot
-    widths, resuming from the last M_(k-1) kept when a rung gives out:
-
-    * Narrow rungs, b = 12, 24, 48, ...: w = b + |T|.bit_length() + 2 with
-      |T| the largest absolute row sum.  If every entry of M_(k-1) lies in
-      [-2^b, 2^b), every entry of T M_(k-1) is below |T| 2^b < 2^(w-2), so
-      it and a_k decode exactly.  The step is kept when |a_k| < 2^(w-2),
-      which keeps every entry of M_k in the signed window [-2^(w-1),
-      2^(w-1)), and when M_k passes ``packed.fits``: that certifies the
-      invariant for the next step, or the rung ends.
-    * The last rung: the minors of lambda Id - T, the entries of adj(lambda
-      Id - T) and det(lambda Id - T), are at most H = isqrt(prod_j c_j^2)
-      + 1 on |lambda| = 1 by Hadamard's inequality (``_faddeev_width``),
-      and by Cauchy's estimate so are their coefficients, the M_k and a_k:
-      each T M_(k-1) is within 2H whatever the start.  A narrow rung runs
-      only while its width is below this one.
+    Faddeev-LeVerrier on ``_climb``: M_k = T M_(k-1) + a_k Id from M_0 = Id
+    with a_k = -Tr(T M_(k-1))/k, checked for exact division and for
+    M_mu = 0 (Cayley-Hamilton).  The last rung: the minors of lambda Id -
+    T, the entries of adj(lambda Id - T) and det(lambda Id - T), are at
+    most H = isqrt(prod_j c_j^2) + 1 on |lambda| = 1 by Hadamard's
+    inequality (``_faddeev_width``), and by Cauchy's estimate so are their
+    coefficients, the M_k and a_k: each T M_(k-1) is within 2H.
     """
-    terms, mu = _program(t, n), len(t)
-    lift, w_top = packed.row_norm(t).bit_length() + 2, _faddeev_width(t)
     coeffs_desc = [1]       # leading first while building
-    rows, w, b = [], 0, FIRST_RUNG_BITS
-    while len(coeffs_desc) <= mu:
-        rows, w, masks = _rung(mu, rows, w, b, lift, w_top)
-        rows = _faddeev(terms, rows, w, coeffs_desc, masks)
-        b *= 2
+
+    def leverrier(k: int, trace: int) -> int:
+        a_k, r = divmod(-trace, k)
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier division is not exact")
+        coeffs_desc.append(a_k)
+        return a_k
+
+    rows, _ = _climb(_program(t, n), packed.row_norm(t), len(t),
+                     _faddeev_width(t), leverrier)
     if any(rows):
         raise ArithmeticError("Cayley-Hamilton: T M_(mu-1) + a_mu Id != 0")
     return list(reversed(coeffs_desc))
+
+
+def _climb(terms, norm: int, k_max: int, w_top: int,
+           coeff) -> tuple[list[int], list[int]]:
+    """The packed rows of P_k_max and the traces Tr(T P_(k-1)), k = 1 to
+    k_max, of P_k = T P_(k-1) + c_k Id from P_0 = Id, where T has the row
+    program ``terms`` and |T| = norm, its largest absolute row sum, and
+    c_k = coeff(k, Tr(T P_(k-1))).  Each product is one ``packed.left_mul``
+    and is kept.  The products run on a ladder of slot widths: narrow
+    rungs of w = b + s + 2 bits, s = norm.bit_length(), from
+    b = FIRST_RUNG_BITS while below w_top, then w_top, which the caller's
+    bound certifies for every P_k and T P_(k-1); a climb past w_top stops
+    there.  On a narrow rung:
+
+    * Before each product ``packed.fits`` certifies that P_(k-1) lies in
+      [-2^b, 2^b), so every entry of T P_(k-1) is below |T| 2^b < 2^(w-2)
+      and it and its trace decode exactly.
+    * If that test fails, P_(k-1) still lies in the slot window
+      [-2^(w-1), 2^(w-1)): it is Id, or T P_(k-2) plus c_(k-1) Id, each
+      below 2^(w-2).  So it moves up to b = max(2 b, w - 1), which holds
+      the window, with no second test.
+    * A c_k with |c_k| >= 2^(w-2) first moves T P_(k-1) up to
+      b' = max(2 b, |c_k|.bit_length()) >= w - 1, where adding c_k Id
+      leaves every entry below 2^(w-2) + 2^b' < 2^(b'+1), inside the new
+      window.
+    """
+    mu, lift = len(terms), norm.bit_length() + 2
+    b, traces = FIRST_RUNG_BITS, []
+    rows, w, masks = _rung(mu, [], 0, b, lift, w_top)
+    for k in range(1, k_max + 1):       # rows: P_(k-1)
+        if masks and not packed.fits(rows, *masks):
+            b = max(2 * b, w - 1)
+            rows, w, masks = _rung(mu, rows, w, b, lift, w_top)
+        rows, trace = packed.left_mul(terms, rows, w)
+        traces.append(trace)
+        c = coeff(k, trace)
+        if c:
+            if masks and abs(c) >= 1 << (w - 2):
+                b = max(2 * b, c.bit_length())
+                rows, w, masks = _rung(mu, rows, w, b, lift, w_top)
+            rows = [x + (c << s) for x, s in zip(rows, range(0, w * mu, w))]
+    return rows, traces
 
 
 def _rung(mu: int, rows: list[int], w: int, b: int, lift: int,
@@ -265,26 +276,6 @@ def _rung(mu: int, rows: list[int], w: int, b: int, lift: int,
     rows = (packed.respace(rows, w, w2) if w
             else [1 << (w2 * i) for i in range(mu)])
     return rows, w2, packed.slot_masks(mu, w2, b) if narrow else None
-
-
-def _faddeev(terms, rows: list[int], w: int, coeffs_desc: list[int],
-             masks: tuple | None) -> list[int]:
-    """Steps k = len(coeffs_desc).. from the packed rows of M_(k-1) at slot
-    width w, appending each a_k to coeffs_desc; the rows of the last M_k
-    kept.  With the masks of a narrow rung, a step is kept only while
-    |a_k| < 2^(w-2) and M_k ``packed.fits`` in [-2^b, 2^b)."""
-    slots, cap = range(0, w * len(rows), w), 1 << (w - 2)
-    for k in range(len(coeffs_desc), len(rows) + 1):
-        out, trace = packed.left_mul(terms, rows, w)
-        a_k, r = divmod(-trace, k)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier division is not exact")
-        out = [x + (a_k << s) for x, s in zip(out, slots)]
-        if masks and (abs(a_k) >= cap or not packed.fits(out, *masks)):
-            break
-        coeffs_desc.append(a_k)
-        rows = out
-    return rows
 
 
 def _faddeev_width(t: Rows) -> int:

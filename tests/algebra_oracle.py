@@ -21,7 +21,7 @@ from bisect import insort
 from fractions import Fraction
 from operator import mul, neg
 
-from divides import seifert
+from divides import packed, seifert
 
 
 def dense(rows):
@@ -285,35 +285,58 @@ class BlockPivots:
 
 
 class Rungs:
-    """Records each run of Faddeev-LeVerrier steps the library's char_poly
-    makes, as (b, first k, first k not kept, mu); b is None on the a-priori
-    slot width."""
+    """Records the rungs of the library's shared product loop, one run per
+    ``char_poly`` or ``trace_powers`` call: the first rung's b (None on the
+    last rung), the number of products and each climb as (k, old b, new b,
+    cause), new b None on the last rung.  The cause is "fits" when P_(k-1)
+    failed the slot test before product k, and "coefficient" when c_k
+    outgrew the rung after it."""
 
     def __init__(self, monkeypatch):
-        self.runs = []
-        real = seifert._faddeev
+        self.runs = []          # [first b, products, climbs]
+        self._failed = False
+        rung, left_mul, fits = seifert._rung, packed.left_mul, packed.fits
 
-        def faddeev(terms, rows, w, coeffs_desc, masks):
-            first = len(coeffs_desc)
-            out = real(terms, rows, w, coeffs_desc, masks)
-            # a narrow rung's masks start with OFF_b, 2^b in each slot
-            b = masks and (masks[0] & -masks[0]).bit_length() - 1
-            self.runs.append((b, first, len(coeffs_desc), len(rows)))
-            return out
+        def record_rung(mu, rows, w, b, lift, w_top):
+            new = b if b + lift < w_top else None
+            if not w:
+                self.runs.append([new, 0, []])
+            else:
+                run = self.runs[-1]
+                # a failed slot test climbs before product k, a wide c_k
+                # after it
+                k, cause = ((run[1] + 1, "fits") if self._failed
+                            else (run[1], "coefficient"))
+                run[2].append((k, w - lift, new, cause))
+            self._failed = False
+            return rung(mu, rows, w, b, lift, w_top)
 
-        monkeypatch.setattr(seifert, "_faddeev", faddeev)
+        def record_left_mul(terms, rows, w):
+            self.runs[-1][1] += 1
+            return left_mul(terms, rows, w)
 
-    def whole(self):
-        """Runs in which one narrow rung kept every step."""
-        return [r for r in self.runs
-                if r[0] is not None and r[1] == 1 and r[2] == r[3] + 1]
+        def record_fits(rows, off, high):
+            self._failed = not fits(rows, off, high)
+            return not self._failed
 
-    def resumed(self, narrow):
-        """Runs that started from the M_(k-1) a narrower rung kept, on a
-        narrow rung or on the a-priori width."""
-        return [r for r in self.runs
-                if r[1] > 1 and (r[0] is not None) == narrow]
+        monkeypatch.setattr(seifert, "_rung", record_rung)
+        monkeypatch.setattr(packed, "left_mul", record_left_mul)
+        monkeypatch.setattr(packed, "fits", record_fits)
 
-    def gave_out(self, b):
-        """Runs on rung b that stopped before M_mu."""
-        return [r for r in self.runs if r[0] == b and r[2] <= r[3]]
+    def climbs(self):
+        return [c for _, _, climbs in self.runs for c in climbs]
+
+    def seen(self):
+        """Which of these the runs took: "stayed", a run that made every
+        product on its first, narrow rung; "narrow" and "last", a climb
+        onto a narrow or the last rung; "coefficient", a climb forced by
+        a wide c_k."""
+        out = set()
+        for first, products, climbs in self.runs:
+            if first is not None and products and not climbs:
+                out.add("stayed")
+            for _, _, new, cause in climbs:
+                out.add("narrow" if new is not None else "last")
+                if cause == "coefficient":
+                    out.add(cause)
+        return out

@@ -14,13 +14,15 @@ versions, whose intermediate matrices must also respect the certified
 slot bounds.  Random strictly upper triangular N, on sparse rows, go
 through N^2, the nilpotency guard, the flag traces, the signature and the
 monodromy, against the same routines on the dense N.  The slot test of
-``char_poly``'s narrow rungs is checked on its own at the edges of its
-range, and the ladder of rungs on chord sets, the families and a first
-rung forced down to one bit.  ``packed.left_mul`` meets the dense product
-on its own: row programs of random strictly upper N (signed, multi-edge,
-a stored 0, back references) and of random T (a row with no +1 entry, an
-all-zero row), with the product's entries at its window's ends, must
-give the packed rows and the trace of the dense product.
+the narrow rungs is checked on its own at the edges of its range, and the
+ladder of rungs on chord sets, the families and a first rung forced down
+to one bit: each kind of climb, and no product formed twice, mu per
+characteristic polynomial and k per k traces.  ``packed.left_mul`` meets
+the dense product on its own: row programs of random strictly upper N
+(signed, multi-edge, a stored 0, back references) and of random T (a row
+with no +1 entry, an all-zero row), with the product's entries at its
+window's ends, must give the packed rows and the trace of the dense
+product.
 ``trace_powers`` climbs the same ladder: its K_CAP traces must equal
 Newton's power sums of the exact characteristic polynomial on the zoo,
 the families and chord sets, some of which must leave the first rung, and
@@ -592,8 +594,9 @@ def _monodromies(maps):
 
 
 def test_char_poly_rungs_match_dense_oracle(monkeypatch):
-    # chord sets whose narrow rungs keep every step, or give out and
-    # resume; coil(k), whose coefficients outgrow every narrow rung
+    # chord sets that stay on their first rung, or climb from it when
+    # the slot test fails or a coefficient is too wide for the rung;
+    # coil(k), whose coefficients outgrow every narrow rung
     rungs = algebra_oracle.Rungs(monkeypatch)
     ts = _monodromies([(f"zigzag({k})", zigzag(k)) for k in range(1, 31)]
                       + [(f"coil({k})", coil(k)) for k in range(1, 31)])
@@ -604,12 +607,12 @@ def test_char_poly_rungs_match_dense_oracle(monkeypatch):
         for n in range(10, 16) for s in range(20)) if len(t) <= 32]
     for name, t in ts:
         assert char_poly(t) == algebra_oracle.char_poly(dense(t)), name
-    assert rungs.whole() and rungs.resumed(True) and rungs.resumed(False)
+    assert rungs.seen() == {"stayed", "narrow", "last", "coefficient"}
 
 
 def test_first_rung_at_one_bit_falls_through(monkeypatch, zoo):
     # at b = 1 the first rung gives out on almost any T; the ladder must
-    # resume wider and still reach the dense oracle's answer
+    # climb and still reach the dense oracle's answer
     monkeypatch.setattr(seifert, "FIRST_RUNG_BITS", 1)
     rungs = algebra_oracle.Rungs(monkeypatch)
 
@@ -625,8 +628,34 @@ def test_first_rung_at_one_bit_falls_through(monkeypatch, zoo):
     check()
     for name, t in _monodromies(zoo):
         assert char_poly(t) == algebra_oracle.char_poly(dense(t)), name
-    assert rungs.gave_out(1) and rungs.resumed(True) \
-        and rungs.resumed(False)
+    assert rungs.seen() == {"stayed", "narrow", "last", "coefficient"}
+    # -Id at mu 16: w = 4 and a_1 = 16 moves T M_0 to b = 5 before it is
+    # added
+    assert (1, 1, 5, "coefficient") in rungs.climbs()
+
+
+@pytest.mark.parametrize("bits", [12, 1])
+def test_ladder_keeps_every_product(monkeypatch, zoo, bits):
+    # one packed product per Faddeev-LeVerrier step and per trace, on any
+    # rung, at any first rung: no product is formed twice
+    monkeypatch.setattr(seifert, "FIRST_RUNG_BITS", bits)
+    calls = []
+    real = packed.left_mul
+    monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w:
+                        calls.append(w) or real(terms, rows, w))
+    maps = list(zoo) + [(f"{f.__name__}({k})", f(k)) for f in (zigzag, coil)
+                        for k in range(1, 31)]
+    maps.append(("chords(30, 100)", from_chords(gen_chords(30, 100))))
+    for name, m in maps:
+        n = n_of(m)
+        t = monodromy_matrix(n)
+        for run, count in ((lambda: char_poly(t), len(t)),
+                           (lambda: char_poly(t, n), len(t)),
+                           (lambda: trace_powers(t, 12), 12),
+                           (lambda: trace_powers(t, K_CAP, n), K_CAP)):
+            calls.clear()
+            run()
+            assert len(calls) == count, name
 
 
 def _zigzag_poly(k):
