@@ -27,7 +27,25 @@ a partial sum, or a row of (Id + N) M, may leave the slot window, and only
 the entries of T M itself have to lie in it to decode.
 
 The trace of T M is read off its rows x_i in one pass once they are
-formed.  With z_i = x_i >> (w i - 1), entry i of row i plus 2^(w-1) is
+formed, every entry of T M within +-(2^(w-1) - 1).  Given the masks of
+``slot_masks`` for a b <= w - 2, the pass also tests whether every entry
+lies in [-2^b, 2^b): each row is lifted once, X_i = x_i + OFF_b, ORed
+into an accumulator, and (X_i >> w i) & (2^w - 1) is added to the trace.
+If no bit of HIGH_b is set in the OR, none is in any X_i, so every entry
+is in range, each digit read is entry i of row i plus 2^b, and the trace
+is their sum less mu 2^b.  The test is exact: X = sum_j d_j 2^(w j) with
+each d_j = v_j + 2^b in the window [2^b - 2^(w-1), 2^b + 2^(w-1)) of 2^w
+consecutive integers.  If every v_j is in range, the d_j in [0, 2^(b+1))
+are X's own base-2^w digits: X >= 0 and no bit of HIGH_b is set.
+Conversely, such an X is below 2^(w mu) and its own digits lie in
+[0, 2^(b+1)), inside that window; base-2^w digits from one window are
+unique, so they are the d_j.  No sign test is needed: each d_j >=
+1 - 2^(w-1), so X > -2^(w mu - 1), and if X < 0 its top slot's bit w-1,
+one of HIGH_b, is set, in the OR as well.
+
+When the test fails, or no masks are given, the trace comes from the
+signed read.  With z_i = x_i >> (w i - 1), entry i of row i plus
+2^(w-1) is
 
     (((z_i & (2^(w+1) - 1)) + 2^w + 1) >> 1) & (2^w - 1),
 
@@ -36,9 +54,9 @@ mu 2^(w-1).  It is exact while every entry of T M is within
 +-(2^(w-1) - 1): the digits below slot i then sum to L with
 |L| < 2^(w i - 1), so z_i = 2 d_i + e + 2^(w+1) H with d_i the entry,
 e in {-1, 0} and H the digits above, and adding 1 before halving rounds
-e off.  A lower digit at -2^(w-1) may put the read one off.  The shift
-comes first, so the AND leaves w + 1 bits and the add and the halving
-act on a small int, not on the whole row.
+e off.  A lower digit at -2^(w-1) may put the read one off.  In both
+reads the shift comes first, so the AND leaves a few bits and the rest
+of the read acts on a small int, not on the whole row.
 """
 
 from __future__ import annotations
@@ -95,13 +113,17 @@ def factored_terms(n: list[dict[int, int]]) -> list:
     return terms
 
 
-def left_mul(terms, rows: list[int], w: int) -> tuple[list[int], int]:
-    """The packed rows of T M from those of M, by a row program of T, and
-    the trace of T M.  The rows are formed in order, each by an index loop
-    over its terms, so a term may name row mu + k, k < i: row k of T M.
-    Only the rows of T M have to decode.  The trace is then read in one
-    pass, one big shift and one AND per row, exact while every entry of
-    T M is within +-(2^(w-1) - 1) (see the module notes)."""
+def left_mul(terms, rows: list[int], w: int,
+             masks: tuple[int, int] | None = None
+             ) -> tuple[list[int], int, bool]:
+    """The packed rows of T M from those of M, by a row program of T, its
+    trace, and whether every entry of T M lies in [-2^b, 2^b), given the
+    masks of ``slot_masks`` for b; True when masks is None, where nothing
+    is tested.  The rows are formed in order, each by an index loop over
+    its terms, so a term may name row mu + k, k < i: row k of T M.  Only
+    the rows of T M have to decode, each entry within +-(2^(w-1) - 1).
+    The trace and the test then take one pass over the rows, and a failed
+    test a second, the signed read (see the module notes)."""
     mu = len(rows)
     src = rows.copy()       # row mu + k: row k of T M, once formed
     push = src.append
@@ -117,13 +139,23 @@ def left_mul(terms, rows: list[int], w: int) -> tuple[list[int], int]:
                 x += c * src[j]
         push(x)
     del src[:mu]
+    mask = (1 << w) - 1
+    if masks:
+        off, high = masks
+        acc = trace = 0
+        for x, s in zip(src, range(0, w * mu, w)):
+            x += off
+            acc |= x
+            trace += (x >> s) & mask
+        if not acc & high:
+            return src, trace - mu * (off & mask), True
     if not mu:
-        return src, 0
-    low, odd, mask = (2 << w) - 1, (1 << w) + 1, (1 << w) - 1
+        return src, 0, True
+    low, odd = (2 << w) - 1, (1 << w) + 1
     trace = (src[0] + (1 << (w - 1))) & mask
     for x, s in zip(src[1:], range(w - 1, w * mu, w)):
         trace += ((((x >> s) & low) + odd) >> 1) & mask
-    return src, trace - (mu << (w - 1))
+    return src, trace - (mu << (w - 1)), masks is None
 
 
 def slot_masks(mu: int, w: int, b: int) -> tuple[int, int]:
@@ -131,24 +163,6 @@ def slot_masks(mu: int, w: int, b: int) -> tuple[int, int]:
     b+1..w-1 of each slot."""
     unit = _ones(mu, w)
     return unit << b, unit * ((1 << w) - (2 << b))
-
-
-def fits(rows: list[int], off: int, high: int) -> bool:
-    """Whether every entry v_j of the packed rows lies in [-2^b, 2^b),
-    given the masks of ``slot_masks`` and every v_j in the signed window
-    [-2^(w-1), 2^(w-1)).  X = P + OFF_b = sum_j d_j 2^(w j) with each
-    d_j = v_j + 2^b in the window [2^b - 2^(w-1), 2^b + 2^(w-1)) of 2^w
-    consecutive integers.  If every v_j is in range, the d_j in
-    [0, 2^(b+1)) are X's own base-2^w digits: X >= 0 and no bit of HIGH_b
-    is set.  Conversely, such an X is below 2^(w mu) and its own digits lie
-    in [0, 2^(b+1)), inside that window; base-2^w digits from one window
-    are unique, so they are the d_j.  One add and one AND per row, and no
-    sign test: each d_j >= 1 - 2^(w-1), so X > -2^(w mu - 1), and if
-    X < 0 its top slot's bit w-1, one of HIGH_b, is set."""
-    for x in rows:
-        if (x + off) & high:
-            return False
-    return True
 
 
 def respace(rows: list[int], w: int, w2: int) -> list[int]:

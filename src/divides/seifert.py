@@ -13,11 +13,12 @@ builds d Id + N + tN.  mu may be 0: every trace is 0, the Lefschetz number 1.
 The characteristic polynomial and the traces Tr(T^k) hold row i as the int
 sum_j v_j 2^(w j), so a row operation is one big-integer add.  A product
 T M adds each of its rows by an index loop over a row program of T, then
-reads its trace in one pass over the rows (``packed.left_mul``): on the
-narrow rungs the rows are a few hundred bits, and the interpreter's cost
-per operation, not big-integer arithmetic, sets the time.  Both run one
-loop, P_k = T P_(k-1) + c_k Id, on one ladder of slot widths by one climb
-rule, argued at ``_climb``; every product it forms is kept.  Given N as
+reads its trace, and on a narrow rung whether its entries still fit the
+rung, in one pass over the rows (``packed.left_mul``): there the rows are
+a few hundred bits, and the interpreter's cost per operation, not
+big-integer arithmetic, sets the time.  Both run one loop,
+P_k = T P_(k-1) + c_k Id, on one ladder of slot widths by one climb rule,
+argued at ``_climb``; every product it forms is kept.  Given N as
 well, both form each product T M as (Id + tN)^-1 (Id + N) M from the rows
 of N when that takes fewer row terms than T's own rows (``_program``);
 every bound still comes from T, and N is not checked to be T's.
@@ -234,34 +235,29 @@ def _climb(terms, norm: int, k_max: int, w_top: int,
     rungs of w = b + s + 2 bits, s = norm.bit_length(), from
     b = FIRST_RUNG_BITS while below w_top, then w_top, which the caller's
     bound certifies for every P_k and T P_(k-1); a climb past w_top stops
-    there.  On a narrow rung:
-
-    * Before each product ``packed.fits`` certifies that P_(k-1) lies in
-      [-2^b, 2^b), so every entry of T P_(k-1) is below |T| 2^b < 2^(w-2)
-      and it and its trace decode exactly.
-    * If that test fails, P_(k-1) still lies in the slot window
-      [-2^(w-1), 2^(w-1)): it is Id, or T P_(k-2) plus c_(k-1) Id, each
-      below 2^(w-2).  So it moves up to b = max(2 b, w - 1), which holds
-      the window, with no second test.
-    * A c_k with |c_k| >= 2^(w-2) first moves T P_(k-1) up to
-      b' = max(2 b, |c_k|.bit_length()) >= w - 1, where adding c_k Id
-      leaves every entry below 2^(w-2) + 2^b' < 2^(b'+1), inside the new
-      window.
+    there.  On a narrow rung P_(k-1) lies in [-2^(b+1), 2^(b+1)), P_0 = Id
+    too, so every entry of T P_(k-1) is at most
+    (2^s - 1) 2^(b+1) = 2^(w-1) - 2^(b+1) in size: its rows and its trace
+    decode exactly, and the product's flag says whether it lies in
+    [-2^b, 2^b).
+    * If it does and |c_k| <= 2^b, P_k = T P_(k-1) + c_k Id lies in
+      [-2^(b+1), 2^(b+1)) and the rung holds.
+    * Otherwise T P_(k-1), inside its slot window, first moves up to
+      b' = max(2 b, w - 1, |c_k|.bit_length()).  Its entries and c_k are
+      below 2^b' in size, so every entry of P_k is below 2^(b'+1): the
+      new rung holds, and so does w_top.
     """
     mu, lift = len(terms), norm.bit_length() + 2
     b, traces = FIRST_RUNG_BITS, []
     rows, w, masks = _rung(mu, [], 0, b, lift, w_top)
     for k in range(1, k_max + 1):       # rows: P_(k-1)
-        if masks and not packed.fits(rows, *masks):
-            b = max(2 * b, w - 1)
-            rows, w, masks = _rung(mu, rows, w, b, lift, w_top)
-        rows, trace = packed.left_mul(terms, rows, w)
+        rows, trace, inside = packed.left_mul(terms, rows, w, masks)
         traces.append(trace)
         c = coeff(k, trace)
+        if masks and (not inside or abs(c) > 1 << b):
+            b = max(2 * b, w - 1, abs(c).bit_length())
+            rows, w, masks = _rung(mu, rows, w, b, lift, w_top)
         if c:
-            if masks and abs(c) >= 1 << (w - 2):
-                b = max(2 * b, c.bit_length())
-                rows, w, masks = _rung(mu, rows, w, b, lift, w_top)
             rows = [x + (c << s) for x, s in zip(rows, range(0, w * mu, w))]
     return rows, traces
 
@@ -548,8 +544,9 @@ class TheoremReport:
                 prod(1 + row.get(i, 0) for i, row in enumerate(n)) == 1),
             "det_monodromy_one": (True, det_from_char_poly(cp) == 1),
             "charpoly_reciprocal": (True, is_reciprocal(cp)),
-            "newton_matches_traces":
-                (True, newton_power_sums(cp, len(traces)) == traces),
+            # a corrupted polynomial that is not monic fails, not raises
+            "newton_matches_traces": (True, cp[-1:] == [1] and
+                newton_power_sums(cp, len(traces)) == traces),
             "cellular_entries_01": (st.cellular, all(
                 x in (0, 1) for row in n for x in row.values())),
             "cellular_trace_nn_eq_e": (st.cellular, tr_ntn == e),

@@ -288,14 +288,14 @@ class Rungs:
     """Records the rungs of the library's shared product loop, one run per
     ``char_poly`` or ``trace_powers`` call: the first rung's b (None on the
     last rung), the number of products and each climb as (k, old b, new b,
-    cause), new b None on the last rung.  The cause is "fits" when P_(k-1)
-    failed the slot test before product k, and "coefficient" when c_k
-    outgrew the rung after it."""
+    cause), new b None on the last rung.  Every climb follows product k:
+    the cause is "window" when T P_(k-1) left [-2^b, 2^b), as the product's
+    flag says, and "coefficient" when only c_k outgrew the rung."""
 
     def __init__(self, monkeypatch):
         self.runs = []          # [first b, products, climbs]
-        self._failed = False
-        rung, left_mul, fits = seifert._rung, packed.left_mul, packed.fits
+        self._inside = True
+        rung, left_mul = seifert._rung, packed.left_mul
 
         def record_rung(mu, rows, w, b, lift, w_top):
             new = b if b + lift < w_top else None
@@ -303,25 +303,18 @@ class Rungs:
                 self.runs.append([new, 0, []])
             else:
                 run = self.runs[-1]
-                # a failed slot test climbs before product k, a wide c_k
-                # after it
-                k, cause = ((run[1] + 1, "fits") if self._failed
-                            else (run[1], "coefficient"))
-                run[2].append((k, w - lift, new, cause))
-            self._failed = False
+                cause = "coefficient" if self._inside else "window"
+                run[2].append((run[1], w - lift, new, cause))
             return rung(mu, rows, w, b, lift, w_top)
 
-        def record_left_mul(terms, rows, w):
+        def record_left_mul(terms, rows, w, masks=None):
             self.runs[-1][1] += 1
-            return left_mul(terms, rows, w)
-
-        def record_fits(rows, off, high):
-            self._failed = not fits(rows, off, high)
-            return not self._failed
+            out = left_mul(terms, rows, w, masks)
+            self._inside = out[2]
+            return out
 
         monkeypatch.setattr(seifert, "_rung", record_rung)
         monkeypatch.setattr(packed, "left_mul", record_left_mul)
-        monkeypatch.setattr(packed, "fits", record_fits)
 
     def climbs(self):
         return [c for _, _, climbs in self.runs for c in climbs]

@@ -13,11 +13,12 @@ the packed-row ``char_poly`` and ``trace_powers`` and their dense
 versions, whose intermediate matrices must also respect the certified
 slot bounds.  Random strictly upper triangular N, on sparse rows, go
 through N^2, the nilpotency guard, the flag traces, the signature and the
-monodromy, against the same routines on the dense N.  The slot test of
-the narrow rungs is checked on its own at the edges of its range, and the
-ladder of rungs on chord sets, the families and a first rung forced down
-to one bit: each kind of climb, and no product formed twice, mu per
-characteristic polynomial and k per k traces.  ``packed.left_mul`` meets
+monodromy, against the same routines on the dense N.  The one-pass read
+of the narrow rungs, its range test and its trace, is checked on its own
+at the edges of that range, and the ladder of rungs on chord sets, the
+families and a first rung forced down to one bit: each kind of climb, no
+product formed twice, mu per characteristic polynomial and k per k
+traces, and wrong answers once the range test is forced to pass.  ``packed.left_mul`` meets
 the dense product on its own: row programs of random strictly upper N
 (signed, multi-edge, a stored 0, back references) and of random T (a row
 with no +1 entry, an all-zero row), with the product's entries at its
@@ -402,19 +403,20 @@ def test_narrow_slots_are_caught(monkeypatch, m, width, guard):
 
 @st.composite
 def slot_rows(draw):
-    """Packed rows of a narrow rung, w = b + |T|.bit_length() + 2, with
-    entries in the signed window [-2^(w-1), 2^(w-1)): drawn inside
-    [-2^b, 2^b), a few set at or next to +-2^b, +-2^(w-2) (the bound on
-    T M_(k-1)) or the window's ends."""
+    """Rows of a narrow rung, w = b + |T|.bit_length() + 2, with entries
+    within +-(2^(w-1) - 1), the window of ``left_mul``'s signed read:
+    drawn inside [-2^b, 2^b), a few set at or next to +-2^b, +-2^(w-2)
+    or the window's ends, and the top entry of a row often negative, so
+    that its packed int is."""
     b = draw(st.integers(1, 40))
     w = b + draw(st.integers(2, 12))
     mu = draw(st.integers(0, 6))
     rows = [[draw(st.integers(-(1 << b), (1 << b) - 1)) for _ in range(mu)]
             for _ in range(mu)]
+    top = (1 << (w - 1)) - 1
     edges = sorted({s * e + d for e in (1 << b, 1 << (w - 2))
-                    for s in (1, -1) for d in (-1, 0, 1)}
-                   | {-(1 << (w - 1)), (1 << (w - 1)) - 1})
-    for _ in range(draw(st.integers(0, 2)) if mu else 0):
+                    for s in (1, -1) for d in (-1, 0, 1)} | {top, -top})
+    for _ in range(draw(st.integers(0, 3)) if mu else 0):
         i, j = draw(st.integers(0, mu - 1)), draw(st.integers(0, mu - 1))
         rows[i][j] = draw(st.sampled_from(edges))
     return b, w, rows
@@ -425,21 +427,41 @@ def _pack(row, w):
 
 
 def test_slot_certificate_is_exact():
-    # fits accepts exactly when every entry lies in [-2^b, 2^b)
+    # left_mul's one-pass read on a narrow rung: the flag says exactly
+    # whether every entry of T M lies in [-2^b, 2^b), and the trace is the
+    # dense one whichever way the flag goes; the draws must reach the four
+    # entries at the range's ends and rows whose packed int is negative,
+    # with the flag either way
     seen = set()
 
     @FEWER
     @given(slot_rows())
+    # the four ends at b = 1, then the two inner ones at b = 40
+    @example((1, 3, [[-3, 1], [2, -2]]))
+    @example((40, 42, [[(1 << 40) - 1, 0], [0, -(1 << 40)]]))
     def check(drawn):
         b, w, rows = drawn
-        off, high = packed.slot_masks(len(rows), w, b)
-        inside = all(-(1 << b) <= v < 1 << b for row in rows for v in row)
-        assert packed.fits([_pack(r, w) for r in rows], off, high) \
-            == inside, drawn
+        mu = len(rows)
+        packed_rows = [_pack(r, w) for r in rows]
+        identity = packed.row_terms([{i: 1} for i in range(mu)])
+        out, trace, inside = packed.left_mul(
+            identity, packed_rows, w, packed.slot_masks(mu, w, b))
+        entries = {v for row in rows for v in row}
+        assert out == packed_rows
+        assert inside == all(-(1 << b) <= v < 1 << b for v in entries), \
+            drawn
+        assert trace == mat_trace(rows), drawn
         seen.add(inside)
+        seen.update(("negative row", inside)
+                    for x in packed_rows if x < 0)
+        seen.update(name for name, v in (
+            ("-2^b - 1", -(1 << b) - 1), ("-2^b", -(1 << b)),
+            ("2^b - 1", (1 << b) - 1), ("2^b", 1 << b)) if v in entries)
 
     check()
-    assert seen == {True, False}
+    assert seen == {True, False, ("negative row", True),
+                    ("negative row", False), "-2^b - 1", "-2^b",
+                    "2^b - 1", "2^b"}
 
 
 @st.composite
@@ -462,8 +484,8 @@ def test_left_mul_reads_the_diagonal_on_its_window(drawn):
     mu = len(rows)
     packed_rows = [_pack(r, w) for r in rows]
     identity = packed.row_terms([{i: 1} for i in range(mu)])
-    out, trace = packed.left_mul(identity, packed_rows, w)
-    assert out == packed_rows
+    out, trace, inside = packed.left_mul(identity, packed_rows, w)
+    assert out == packed_rows and inside
     assert trace == mat_trace(rows), drawn
 
 
@@ -567,14 +589,25 @@ def test_left_mul_matches_dense_product():
         top = (1 << (w - 1)) - 1
         ends = {x for r in p for x in r} & {top, -top} - {0}
         seen.update((kind, end > 0) for end in ends)
-        out, trace = packed.left_mul(terms, [_pack(r, w) for r in m], w)
+        rows = [_pack(r, w) for r in m]
+        out, trace, inside = packed.left_mul(terms, rows, w)
+        assert out == [_pack(r, w) for r in p] and inside, drawn
+        assert trace == mat_trace(p), drawn
+        # the narrow read at b = w - 2 tests [-2^(w-2), 2^(w-2)), which
+        # the window's ends leave (w may be 1 at mu = 0)
+        b = max(w - 2, 0)
+        out, trace, inside = packed.left_mul(
+            terms, rows, w, packed.slot_masks(mu, w, b))
+        assert inside == all(-(1 << b) <= x < 1 << b for r in p for x in r)
         assert out == [_pack(r, w) for r in p], drawn
         assert trace == mat_trace(p), drawn
+        seen.add(("inside", inside))
 
     check()
     assert seen == {"signed", "multi-edge", "stored 0", "back reference",
                     "no +1 entry", "zero row", ("factored", True),
-                    ("factored", False), ("rows", True), ("rows", False)}
+                    ("factored", False), ("rows", True), ("rows", False),
+                    ("inside", True), ("inside", False)}
 
 
 @FEWER
@@ -641,8 +674,8 @@ def test_ladder_keeps_every_product(monkeypatch, zoo, bits):
     monkeypatch.setattr(seifert, "FIRST_RUNG_BITS", bits)
     calls = []
     real = packed.left_mul
-    monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w:
-                        calls.append(w) or real(terms, rows, w))
+    monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w, masks:
+                        calls.append(w) or real(terms, rows, w, masks))
     maps = list(zoo) + [(f"{f.__name__}({k})", f(k)) for f in (zigzag, coil)
                         for k in range(1, 31)]
     maps.append(("chords(30, 100)", from_chords(gen_chords(30, 100))))
@@ -656,6 +689,27 @@ def test_ladder_keeps_every_product(monkeypatch, zoo, bits):
             calls.clear()
             run()
             assert len(calls) == count, name
+
+
+def test_window_flag_has_teeth(monkeypatch):
+    # with HIGH_b = 0 every product's flag says "inside": the narrow read
+    # is trusted past its range and only a wide c_k climbs.  On a chord
+    # set at a one-bit first rung, char_poly must then fail its exact
+    # division, and trace_powers, with no c_k to climb on, give wrong
+    # traces; the true flag gives both right.  (-Id at mu 16 and coil(k) would not
+    # show it: their coefficients outgrow their Faddeev matrices, so the
+    # coefficient climbs alone keep them exact.)
+    t = monodromy_matrix(n_of(from_chords(gen_chords(12, 0))))
+    want = (algebra_oracle.char_poly(dense(t)),
+            algebra_oracle.trace_powers(dense(t), K_CAP))
+    monkeypatch.setattr(seifert, "FIRST_RUNG_BITS", 1)
+    assert (char_poly(t), trace_powers(t, K_CAP)) == want
+    real = packed.slot_masks
+    monkeypatch.setattr(packed, "slot_masks",
+                        lambda mu, w, b: (real(mu, w, b)[0], 0))
+    with pytest.raises(ArithmeticError, match="not exact"):
+        char_poly(t)
+    assert trace_powers(t, K_CAP) != want[1]
 
 
 def _zigzag_poly(k):
@@ -724,8 +778,8 @@ def test_trace_widths_stay_narrow(monkeypatch):
     # products ran at 330 bits (k = 64) and 63 bits (k = 12)
     widths = []
     real = packed.left_mul
-    monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w:
-                        widths.append(w) or real(terms, rows, w))
+    monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w, masks:
+                        widths.append(w) or real(terms, rows, w, masks))
     n = n_of(from_chords(gen_chords(30, 100)))
     t = monodromy_matrix(n)
     for k, cap in ((64, 64), (12, 24)):

@@ -658,6 +658,23 @@ class TestVerifyTheorem:
         rep = verify_theorem(m)
         assert rep.all_pass()
 
+    def test_corrupted_char_poly_grades_fail(self, monkeypatch):
+        # constant term + 2: no longer monic at mu 0, where Newton's
+        # identities cannot take it; the record and the corpus must grade
+        # the fault, not raise it
+        real = seifert.char_poly
+        monkeypatch.setattr(seifert, "char_poly",
+                            lambda t, n=None: [c + 2 * (i == 0) for i, c
+                                               in enumerate(real(t, n))])
+        thm = TheoremReport(from_chords(gen_chords(1, 1)))
+        assert thm.mu == 0 and thm.char_poly == [3]
+        assert thm.checks["newton_matches_traces"] == "fail"
+        assert thm.checks["det_monodromy_one"] == "fail"
+        summary = divides.run_corpus(1, 1, 1)
+        assert (1, "newton_matches_traces") in summary.discrepancies
+        rep = verify_theorem(from_chords(gen_chords(5, 7)))
+        assert "det_monodromy_one" in rep.failed()
+
     def test_factored_program_is_tied_to_t(self, monkeypatch):
         # a factored program that drops the back-substitution term N_ki of
         # its last row multiplies by a T' with T'_ii = T_ii + N_ki T_ki:
