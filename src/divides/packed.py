@@ -57,6 +57,14 @@ e in {-1, 0} and H the digits above, and adding 1 before halving rounds
 e off.  A lower digit at -2^(w-1) may put the read one off.  In both
 reads the shift comes first, so the AND leaves a few bits and the rest
 of the read acts on a small int, not on the whole row.
+
+A row may hold two matrices side by side, M_0 in slots 0..mu-1 and M_1
+in slots mu..2 mu - 1: row i is row i of M_0 plus 2^(w mu) times row i of
+M_1, so a row program moves both with the same adds.  To the test and
+both reads that is one row of 2 mu slots, so all of the above holds with
+2 mu for mu, and the trace of M_1 reads slot mu + i of row i.  With every
+entry in the signed window, block 0 is the low w mu bits of the row once
+each of its slots is lifted by 2^(w-1) (``low_block``).
 """
 
 from __future__ import annotations
@@ -114,15 +122,19 @@ def factored_terms(n: list[dict[int, int]]) -> list:
 
 
 def left_mul(terms, rows: list[int], w: int,
-             masks: tuple[int, int] | None = None
-             ) -> tuple[list[int], int, bool]:
-    """The packed rows of T M from those of M, by a row program of T, its
-    trace, and whether every entry of T M lies in [-2^b, 2^b), given the
-    masks of ``slot_masks`` for b; True when masks is None, where nothing
-    is tested.  The rows are formed in order, each by an index loop over
-    its terms, so a term may name row mu + k, k < i: row k of T M.  Only
-    the rows of T M have to decode, each entry within +-(2^(w-1) - 1).
-    The trace and the test then take one pass over the rows, and a failed
+             masks: tuple[int, int] | None = None, blocks: int = 1
+             ) -> tuple[list[int], tuple[int, ...], bool]:
+    """The packed rows of T [M_0 | M_1 ...] from those of [M_0 | M_1 ...],
+    by a row program of T: each row holds ``blocks`` (1 or 2) blocks of
+    mu = len(rows) slots, block j in slots j mu to (j + 1) mu - 1, so each
+    term is one add that moves every block.  Also the trace of each block
+    of the product, and whether every entry of every block lies in
+    [-2^b, 2^b), given the masks of ``slot_masks`` for b over all
+    blocks mu slots; True when masks is None, where nothing is tested.
+    The rows are formed in order, each by an index loop over its terms, so
+    a term may name row mu + k, k < i: row k of the product.  Only the
+    rows of the product have to decode, each entry within +-(2^(w-1) - 1).
+    The traces and the test then take one pass over the rows, and a failed
     test a second, the signed read (see the module notes)."""
     mu = len(rows)
     src = rows.copy()       # row mu + k: row k of T M, once formed
@@ -139,48 +151,63 @@ def left_mul(terms, rows: list[int], w: int,
                 x += c * src[j]
         push(x)
     del src[:mu]
-    mask = (1 << w) - 1
+    mask, wm = (1 << w) - 1, w * mu
     if masks:
         off, high = masks
-        acc = trace = 0
-        for x, s in zip(src, range(0, w * mu, w)):
-            x += off
-            acc |= x
-            trace += (x >> s) & mask
+        acc = t0 = t1 = 0
+        if blocks == 1:
+            for x, s in zip(src, range(0, wm, w)):
+                x += off
+                acc |= x
+                t0 += (x >> s) & mask
+        else:
+            for x, s in zip(src, range(0, wm, w)):
+                x += off
+                acc |= x
+                t0 += (x >> s) & mask
+                t1 += (x >> (s + wm)) & mask
         if not acc & high:
-            return src, trace - mu * (off & mask), True
+            lift = mu * (off & mask)
+            return src, (t0 - lift, t1 - lift)[:blocks], True
     if not mu:
-        return src, 0, True
+        return src, (0,) * blocks, True
     low, odd = (2 << w) - 1, (1 << w) + 1
-    trace = (src[0] + (1 << (w - 1))) & mask
-    for x, s in zip(src[1:], range(w - 1, w * mu, w)):
-        trace += ((((x >> s) & low) + odd) >> 1) & mask
-    return src, trace - (mu << (w - 1)), masks is None
+    reads = []
+    for o in range(0, blocks * wm, wm):     # bit o: the block's first slot
+        xs, shifts, trace = src, range(o - 1, o + wm - 1, w), 0
+        if not o:           # slot 0 of the row has no digit below it
+            xs, shifts = src[1:], shifts[1:]
+            trace = (src[0] + (1 << (w - 1))) & mask
+        for x, s in zip(xs, shifts):
+            trace += ((((x >> s) & low) + odd) >> 1) & mask
+        reads.append(trace - (mu << (w - 1)))
+    return src, tuple(reads), masks is None
 
 
-def slot_masks(mu: int, w: int, b: int) -> tuple[int, int]:
-    """OFF_b, 2^b in each of mu slots of width w, and HIGH_b, the bits
-    b+1..w-1 of each slot."""
-    unit = _ones(mu, w)
+def slot_masks(slots: int, w: int, b: int) -> tuple[int, int]:
+    """OFF_b, 2^b in each of ``slots`` slots of width w (mu, or 2 mu for
+    two-block rows), and HIGH_b, the bits b+1..w-1 of each slot."""
+    unit = _ones(slots, w)
     return unit << b, unit * ((1 << w) - (2 << b))
 
 
-def respace(rows: list[int], w: int, w2: int) -> list[int]:
-    """Packed rows with entries in [-2^(w-1), 2^(w-1)) moved from slot
-    width w to w2 > w.  Lifted by 2^(w-1), every slot holds a digit in
-    [0, 2^w); slot j has to move up by j (w2 - w) bits, so for each bit l
-    of j, the highest first, the slots with that bit set move up by
-    2^l (w2 - w).  The slots stay disjoint and in order after every level,
-    so a row costs a few big-integer operations per bit of mu."""
-    mu, d = len(rows), w2 - w
+def respace(rows: list[int], w: int, w2: int, slots: int) -> list[int]:
+    """Packed rows of ``slots`` slots (mu, or 2 mu for two blocks), with
+    entries in [-2^(w-1), 2^(w-1)), moved from slot width w to w2 > w.
+    Lifted by 2^(w-1), every slot holds a digit in [0, 2^w); slot j has to
+    move up by j (w2 - w) bits, so for each bit l of j, the highest first,
+    the slots with that bit set move up by 2^l (w2 - w).  The slots stay
+    disjoint and in order after every level, so a row costs a few
+    big-integer operations per bit of the slot count."""
+    d = w2 - w
     full, levels = (1 << w) - 1, []
-    for l in reversed(range((mu - 1).bit_length())):
+    for l in reversed(range((slots - 1).bit_length())):
         done, move = -2 << l, 0         # done: the levels above l
-        for j in range(mu):
+        for j in range(slots):
             if j >> l & 1:
                 move |= full << (w * j + d * (j & done))
         levels.append((move, d << l))
-    up, down = _ones(mu, w) << (w - 1), _ones(mu, w2) << (w - 1)
+    up, down = _ones(slots, w) << (w - 1), _ones(slots, w2) << (w - 1)
     out = []
     for x in rows:
         x += up
@@ -190,6 +217,17 @@ def respace(rows: list[int], w: int, w2: int) -> list[int]:
             x |= y << shift
         out.append(x - down)
     return out
+
+
+def low_block(rows: list[int], w: int) -> list[int]:
+    """Block 0 of two-block rows, its mu = len(rows) slots of width w, by
+    one masked pass; exact whenever its entries lie in [-2^(w-1),
+    2^(w-1)), whatever block 1 holds.  Lifted by 2^(w-1) in each of its
+    slots, block 0 has digits in [0, 2^w), so it is the low w mu bits of
+    the lifted row, and the row less block 0 is block 1 times 2^(w mu)."""
+    mu = len(rows)
+    up, low = _ones(mu, w) << (w - 1), (1 << (w * mu)) - 1
+    return [((x + up) & low) - up for x in rows]
 
 
 def _ones(mu: int, w: int) -> int:

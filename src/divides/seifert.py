@@ -22,6 +22,16 @@ argued at ``_climb``; every product it forms is kept.  Given N as
 well, both form each product T M as (Id + tN)^-1 (Id + N) M from the rows
 of N when that takes fewer row terms than T's own rows (``_program``);
 every bound still comes from T, and N is not checked to be T's.
+The record runs both climbs at once (``TheoremReport._spectrum``): for
+the first min(mu, K) products each packed row holds two blocks of mu
+slots side by side, Faddeev-LeVerrier's M_(k-1) in block 0 and T^(k-1)
+in block 1, so each term of the row program is one add that moves both
+and the read returns both diagonals.  One flag covers both blocks, and
+c_k Id goes into block 0 only.  At product K, where the kept traces end,
+block 0 alone decides a climb, and one masked pass drops block 1; that
+is exact because every entry of the rows lies in the signed window.  So
+a report makes max(mu, K) products, where ``char_poly`` and
+``trace_powers``, which run the same loop on one block, make mu + K.
 The signature form 2 Id + N + tN has the diagram's sparsity and is
 eliminated on sparse rows of ints, the only input format, in a
 minimum-degree order: by Sylvester's law of inertia each pivot adds its
@@ -158,14 +168,19 @@ def check_k(k: int) -> int:
 
 def trace_powers(t: Rows, k_max: int, n: Rows | None = None) -> list[int]:
     """Exact traces Tr(T^k) for k = 1..k_max of T given as sparse rows:
-    ``_climb`` with every c_k = 0, so P_k = T^k, on a last rung of
-    (|T|^k_max).bit_length() + 1 bits, which holds every T^k.  ValueError
-    unless k_max is an int, and wherever ``_program`` rejects T or N.  A
-    given N must be the N of T and is not checked."""
+    ``_climb`` of T^k alone, on a last rung of ``_power_width`` bits, which
+    holds every T^k.  ValueError unless k_max is an int, and wherever
+    ``_program`` rejects T or N.  A given N must be the N of T and is not
+    checked."""
     check_k(k_max)
     terms, norm = _program(t, n), packed.row_norm(t)
-    w_top = (norm ** max(k_max, 0)).bit_length() + 1
-    return _climb(terms, norm, k_max, w_top, lambda k, trace: 0)[1]
+    return _climb(terms, norm, _power_width(norm, k_max), 0, None, k_max)[2]
+
+
+def _power_width(norm: int, k_max: int) -> int:
+    """Slots for every T^k, k <= k_max, where |T| = norm: (|T|^k_max).
+    bit_length() + 1 bits."""
+    return (norm ** max(k_max, 0)).bit_length() + 1
 
 
 def _program(t: Rows, n: Rows | None) -> list:
@@ -173,18 +188,24 @@ def _program(t: Rows, n: Rows | None) -> list:
     after ``_check_rows`` on T, and on a given N as ``nilpotent_square``
     checks it, without the N^2 and N^3 products: ValueError wherever they
     reject either, so every ``packed`` kernel behind it reads checked ints.
-    T's own rows, unless N is given and its factored program (``packed.
-    factored_terms``) has fewer terms, mu + 2 nnz(N), than T has stored
-    entries.  That holds on almost every chord divide from mu of about 12
-    on, where T has 1.6 to 2.3 times as many, and not on coil(k).  A
-    given N must be the N of T."""
+    A given N must be the N of T; ``_terms`` chooses."""
     nnz_t = _check_rows(t)
-    if n is not None:
-        nnz = _check_rows(n, upper=True)
-        if len(n) != len(t):
-            raise ValueError(f"N has {len(n)} rows and T {len(t)}")
-        if len(t) + 2 * nnz < nnz_t:
-            return packed.factored_terms(n)
+    if n is None:
+        return packed.row_terms(t)
+    nnz = _check_rows(n, upper=True)
+    if len(n) != len(t):
+        raise ValueError(f"N has {len(n)} rows and T {len(t)}")
+    return _terms(t, n, nnz_t, nnz)
+
+
+def _terms(t: Rows, n: Rows, nnz_t: int, nnz: int) -> list:
+    """The row program of T from checked rows of T and of its N, with nnz_t
+    and nnz stored entries: T's own rows, unless N's factored program
+    (``packed.factored_terms``) has fewer terms, mu + 2 nnz(N).  That
+    holds on almost every chord divide from mu of about 12 on, where T has
+    1.6 to 2.3 times as many, and not on coil(k)."""
+    if len(t) + 2 * nnz < nnz_t:
+        return packed.factored_terms(n)
     return packed.row_terms(t)
 
 
@@ -201,14 +222,24 @@ def char_poly(t: Rows, n: Rows | None = None) -> list[int]:
     N must be the N of T and is not checked: the N of another T of the
     same size may give that T's polynomial, with no error.
 
-    Faddeev-LeVerrier on ``_climb``: M_k = T M_(k-1) + a_k Id from M_0 = Id
-    with a_k = -Tr(T M_(k-1))/k, checked for exact division and for
-    M_mu = 0 (Cayley-Hamilton).  The last rung: the minors of lambda Id -
-    T, the entries of adj(lambda Id - T) and det(lambda Id - T), are at
-    most H = isqrt(prod_j c_j^2) + 1 on |lambda| = 1 by Hadamard's
-    inequality (``_faddeev_width``), and by Cauchy's estimate so are their
-    coefficients, the M_k and a_k: each T M_(k-1) is within 2H.
+    Faddeev-LeVerrier on ``_climb`` (``_leverrier``).  The last rung: the
+    minors of lambda Id - T, the entries of adj(lambda Id - T) and
+    det(lambda Id - T), are at most H = isqrt(prod_j c_j^2) + 1 on
+    |lambda| = 1 by Hadamard's inequality (``_faddeev_width``), and by
+    Cauchy's estimate so are their coefficients, the M_k and a_k: each
+    T M_(k-1) is within 2H.
     """
+    return _leverrier(_program(t, n), packed.row_norm(t), len(t),
+                      _faddeev_width(t))[0]
+
+
+def _leverrier(terms, norm: int, mu: int, w_top: int,
+               k_pow: int = 0) -> tuple[list[int], list[int]]:
+    """The characteristic polynomial, constant term first, of the T with
+    row program ``terms`` and |T| = norm, and Tr(T^k), k = 1..k_pow, from
+    one ``_climb`` on a last rung of w_top bits: M_k = T M_(k-1) + a_k Id
+    from M_0 = Id with a_k = -Tr(T M_(k-1))/k, checked for exact division
+    and for M_mu = 0 (Cayley-Hamilton)."""
     coeffs_desc = [1]       # leading first while building
 
     def leverrier(k: int, trace: int) -> int:
@@ -218,60 +249,100 @@ def char_poly(t: Rows, n: Rows | None = None) -> list[int]:
         coeffs_desc.append(a_k)
         return a_k
 
-    rows, _ = _climb(_program(t, n), packed.row_norm(t), len(t),
-                     _faddeev_width(t), leverrier)
+    rows, _, powers = _climb(terms, norm, w_top, mu, leverrier, k_pow)
     if any(rows):
         raise ArithmeticError("Cayley-Hamilton: T M_(mu-1) + a_mu Id != 0")
-    return list(reversed(coeffs_desc))
+    return list(reversed(coeffs_desc)), powers
 
 
-def _climb(terms, norm: int, k_max: int, w_top: int,
-           coeff) -> tuple[list[int], list[int]]:
-    """The packed rows of P_k_max and the traces Tr(T P_(k-1)), k = 1 to
-    k_max, of P_k = T P_(k-1) + c_k Id from P_0 = Id, where T has the row
-    program ``terms`` and |T| = norm, its largest absolute row sum, and
-    c_k = coeff(k, Tr(T P_(k-1))).  Each product is one ``packed.left_mul``
-    and is kept.  The products run on a ladder of slot widths: narrow
-    rungs of w = b + s + 2 bits, s = norm.bit_length(), from
-    b = FIRST_RUNG_BITS while below w_top, then w_top, which the caller's
-    bound certifies for every P_k and T P_(k-1); a climb past w_top stops
-    there.  On a narrow rung P_(k-1) lies in [-2^(b+1), 2^(b+1)), P_0 = Id
-    too, so every entry of T P_(k-1) is at most
-    (2^s - 1) 2^(b+1) = 2^(w-1) - 2^(b+1) in size: its rows and its trace
-    decode exactly, and the product's flag says whether it lies in
-    [-2^b, 2^b).
+def _climb(terms, norm: int, w_top: int, k_max: int, coeff,
+           k_pow: int = 0) -> tuple[list[int], list[int], list[int]]:
+    """The packed rows of P_k_max, the traces Tr(T P_(k-1)), k = 1 to
+    k_max, of P_k = T P_(k-1) + c_k Id from P_0 = Id, and Tr(T^k), k = 1 to
+    k_pow, where T has the row program ``terms`` and |T| = norm, its
+    largest absolute row sum, and c_k = coeff(k, Tr(T P_(k-1))).  Each
+    product is one ``packed.left_mul`` and is kept.  While both climbs
+    run, each row holds two blocks (``packed.left_mul``): P_(k-1) in block
+    0 and T^(k-1) in block 1, so one product moves both, and c_k Id goes
+    into block 0 only.  A climb that ends drops its block: block 1 by
+    ``packed.low_block``, block 0 by that and a shift.  One climb alone
+    sits in block 0: max(k_max, k_pow) products in all.
+
+    The products run on a ladder of slot widths: narrow rungs of w = b +
+    s + 2 bits, s = norm.bit_length(), from b = FIRST_RUNG_BITS while
+    below w_top, then w_top, which the caller's bound certifies for every
+    P_k, T P_(k-1) and T^k; a climb past w_top stops there.  On a narrow
+    rung every entry of the rows lies in [-2^(b+1), 2^(b+1)), Id too, so
+    every entry of the product is at most (2^s - 1) 2^(b+1) = 2^(w-1) -
+    2^(b+1) in size: its rows and traces decode exactly, and its one flag
+    says whether every entry of both blocks lies in [-2^b, 2^b).
     * If it does and |c_k| <= 2^b, P_k = T P_(k-1) + c_k Id lies in
-      [-2^(b+1), 2^(b+1)) and the rung holds.
-    * Otherwise T P_(k-1), inside its slot window, first moves up to
+      [-2^(b+1), 2^(b+1)), T^k in [-2^b, 2^b), and the rung holds.
+    * Otherwise the product, inside its slot window, first moves up to
       b' = max(2 b, w - 1, |c_k|.bit_length()).  Its entries and c_k are
-      below 2^b' in size, so every entry of P_k is below 2^(b'+1): the
-      new rung holds, and so does w_top.
+      below 2^b' in size, so every entry of the new rows is below
+      2^(b'+1): the new rung holds, and so does w_top.
+    One flag covers both blocks, and it asks only about what runs on.  At
+    product k_pow < k_max block 0 alone decides: block 1 is dropped, which
+    is exact because every entry of the rows, block 0's too, lies in the
+    signed window (``packed.low_block``), and when the flag failed, block
+    0 is tested again on its own (``packed.left_mul``'s argument, on mu
+    slots), so a T^k_pow that left the rung moves nothing.  After the last
+    product of all, only |c_k| > 2^b climbs, so that the caller's test of
+    P_k_max for zero reads rows that decode: a product inside its window
+    plus a c_k within 2^b stays inside it.
     """
     mu, lift = len(terms), norm.bit_length() + 2
-    b, traces = FIRST_RUNG_BITS, []
-    rows, w, masks = _rung(mu, [], 0, b, lift, w_top)
-    for k in range(1, k_max + 1):       # rows: P_(k-1)
-        rows, trace, inside = packed.left_mul(terms, rows, w, masks)
-        traces.append(trace)
-        c = coeff(k, trace)
-        if masks and (not inside or abs(c) > 1 << b):
+    b, traces, powers = FIRST_RUNG_BITS, [], []
+    blocks = 1 + (min(k_max, k_pow) > 0)
+    rows, w, masks = _rung(mu, blocks, [], 0, b, lift, w_top)
+    end = rows                          # P_k_max, Id when k_max is 0
+    for k in range(1, max(k_max, k_pow) + 1):    # rows: P_(k-1), T^(k-1)
+        rows, reads, inside = packed.left_mul(terms, rows, w, masks, blocks)
+        c = 0
+        if k <= k_max:
+            traces.append(reads[0])
+            c = coeff(k, reads[0])
+        if k <= k_pow:
+            powers.append(reads[-1])
+        if blocks == 2 and k == k_pow < k_max:      # T^k ends: drop it
+            rows, blocks = packed.low_block(rows, w), 1
+            if masks:
+                masks = packed.slot_masks(mu, w, b)
+                if not inside:
+                    acc, (off, high) = 0, masks
+                    for x in rows:
+                        acc |= x + off
+                    inside = not acc & high
+        if masks and (abs(c) > 1 << b or not inside and (
+                k < k_max or k < k_pow)):
             b = max(2 * b, w - 1, abs(c).bit_length())
-            rows, w, masks = _rung(mu, rows, w, b, lift, w_top)
+            rows, w, masks = _rung(mu, blocks, rows, w, b, lift, w_top)
         if c:
             rows = [x + (c << s) for x, s in zip(rows, range(0, w * mu, w))]
-    return rows, traces
+        if k == k_max:
+            end = rows
+            if blocks == 2:         # T^k runs on alone: drop P_k_max
+                end, blocks = packed.low_block(rows, w), 1
+                rows = [(x - y) >> (w * mu) for x, y in zip(rows, end)]
+                masks = masks and packed.slot_masks(mu, w, b)
+    return end, traces, powers
 
 
-def _rung(mu: int, rows: list[int], w: int, b: int, lift: int,
+def _rung(mu: int, blocks: int, rows: list[int], w: int, b: int, lift: int,
           w_top: int) -> tuple[list[int], int, tuple | None]:
-    """The rows moved from width w (Id when w is 0) to the next rung for
-    entries in [-2^b, 2^b): width b + lift while below w_top, with its
-    ``packed.slot_masks``, else w_top and None."""
+    """The rows of ``blocks`` blocks of mu slots moved from width w (Id in
+    each block when w is 0) to the next rung for entries in [-2^b, 2^b):
+    width b + lift while below w_top, with its ``packed.slot_masks``, else
+    w_top and None."""
     narrow = b + lift < w_top
     w2 = b + lift if narrow else w_top
-    rows = (packed.respace(rows, w, w2) if w
-            else [1 << (w2 * i) for i in range(mu)])
-    return rows, w2, packed.slot_masks(mu, w2, b) if narrow else None
+    if w:
+        rows = packed.respace(rows, w, w2, blocks * mu)
+    else:
+        unit = 1 if blocks == 1 else 1 + (1 << (w2 * mu))
+        rows = [unit << (w2 * i) for i in range(mu)]
+    return rows, w2, packed.slot_masks(blocks * mu, w2, b) if narrow else None
 
 
 def _faddeev_width(t: Rows) -> int:
@@ -490,9 +561,10 @@ class TheoremReport:
     ``nilpotent_square``'s guards), ``n_square_zero``, ``flag_traces`` and the
     Lefschetz number by the formula and trace routes, ``lam`` and
     ``lam_trace``.  Built on first read and kept: ``char_poly``, ``traces``
-    (Tr(T^k), k = 1..min(K_DEFAULT, mu + 2)), ``signature`` and the grades,
-    ``checks`` (pass/fail/n/a by name) and ``findings`` (where the multi-edge
-    and cellularity tests disagree; never a failure).
+    (Tr(T^k), k = 1..min(K_DEFAULT, mu + 2)), the two from one climb
+    (``_spectrum``), ``signature`` and the grades, ``checks`` (pass/fail/n/a
+    by name) and ``findings`` (where the multi-edge and cellularity tests
+    disagree; never a failure).
     """
 
     def __init__(self, m: DivideMap):
@@ -508,11 +580,29 @@ class TheoremReport:
 
     @lazy
     def char_poly(self) -> list[int]:
-        return char_poly(self.t, self.n)
+        cp, self.traces = self._spectrum(True)      # the kept traces too
+        return cp
 
     @lazy
     def traces(self) -> list[int]:
-        return trace_powers(self.t, min(K_DEFAULT, self.mu + 2), self.n)
+        return self._spectrum(False)[1]
+
+    def _spectrum(self, poly: bool) -> tuple[list[int] | None, list[int]]:
+        """The characteristic polynomial (None unless ``poly``) and the
+        kept traces, by one climb from the record's own N and T: N passed
+        the guards in the constructor and T was built from it, so nothing
+        is checked again.  The row program, |T| and the last rung, which
+        holds both climbs, are built once, and each product of the
+        Faddeev-LeVerrier climb carries T^k alongside (``_climb``):
+        max(mu, K) products for both, K for the traces alone."""
+        t, n, k = self.t, self.n, min(K_DEFAULT, self.mu + 2)
+        terms = _terms(t, n, sum(map(len, t)), sum(map(len, n)))
+        norm = packed.row_norm(t)
+        w_top = _power_width(norm, k)
+        if not poly:
+            return None, _climb(terms, norm, w_top, 0, None, k)[2]
+        return _leverrier(terms, norm, self.mu,
+                          max(w_top, _faddeev_width(t)), k)
 
     @lazy
     def signature(self) -> int:

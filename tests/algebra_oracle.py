@@ -286,31 +286,32 @@ class BlockPivots:
 
 class Rungs:
     """Records the rungs of the library's shared product loop, one run per
-    ``char_poly`` or ``trace_powers`` call: the first rung's b (None on the
-    last rung), the number of products and each climb as (k, old b, new b,
-    cause), new b None on the last rung.  Every climb follows product k:
-    the cause is "window" when T P_(k-1) left [-2^b, 2^b), as the product's
-    flag says, and "coefficient" when only c_k outgrew the rung."""
+    ``_climb``: the first rung's b (None on the last rung), the number of
+    products and each climb as (k, old b, new b, cause), new b None on the
+    last rung.  Every climb follows product k: the cause is "window" when
+    the product left [-2^b, 2^b), as its flag says, and "coefficient" when
+    only c_k outgrew the rung.  ``products`` holds the (w, blocks, flag) of
+    every product, in order."""
 
     def __init__(self, monkeypatch):
         self.runs = []          # [first b, products, climbs]
-        self._inside = True
+        self.products = []
         rung, left_mul = seifert._rung, packed.left_mul
 
-        def record_rung(mu, rows, w, b, lift, w_top):
+        def record_rung(mu, blocks, rows, w, b, lift, w_top):
             new = b if b + lift < w_top else None
             if not w:
                 self.runs.append([new, 0, []])
             else:
                 run = self.runs[-1]
-                cause = "coefficient" if self._inside else "window"
+                cause = "coefficient" if self.products[-1][2] else "window"
                 run[2].append((run[1], w - lift, new, cause))
-            return rung(mu, rows, w, b, lift, w_top)
+            return rung(mu, blocks, rows, w, b, lift, w_top)
 
-        def record_left_mul(terms, rows, w, masks=None):
+        def record_left_mul(terms, rows, w, masks=None, blocks=1):
             self.runs[-1][1] += 1
-            out = left_mul(terms, rows, w, masks)
-            self._inside = out[2]
+            out = left_mul(terms, rows, w, masks, blocks)
+            self.products.append((w, blocks, out[2]))
             return out
 
         monkeypatch.setattr(seifert, "_rung", record_rung)

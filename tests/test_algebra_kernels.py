@@ -14,16 +14,18 @@ versions, whose intermediate matrices must also respect the certified
 slot bounds.  Random strictly upper triangular N, on sparse rows, go
 through N^2, the nilpotency guard, the flag traces, the signature and the
 monodromy, against the same routines on the dense N.  The one-pass read
-of the narrow rungs, its range test and its trace, is checked on its own
-at the edges of that range, and the ladder of rungs on chord sets, the
-families and a first rung forced down to one bit: each kind of climb, no
-product formed twice, mu per characteristic polynomial and k per k
-traces, and wrong answers once the range test is forced to pass.  ``packed.left_mul`` meets
-the dense product on its own: row programs of random strictly upper N
-(signed, multi-edge, a stored 0, back references) and of random T (a row
-with no +1 entry, an all-zero row), with the product's entries at its
-window's ends, must give the packed rows and the trace of the dense
-product.
+of the narrow rungs, its range test and its traces, is checked on its own
+at the edges of that range, on rows of one block and of two side by side,
+and the ladder of rungs on chord sets, the families and a first rung
+forced down to one bit: each kind of climb, no product formed twice, mu
+per characteristic polynomial and k per k traces, no climb after the
+last product but a coefficient's, and wrong answers once the range test
+is forced to pass.  ``packed.left_mul`` meets the dense product on its
+own: row programs of random strictly upper N (signed, multi-edge, a
+stored 0, back references) and of random T (a row with no +1 entry, an
+all-zero row), with the product's entries at its window's ends, must give
+the packed rows and the trace of the dense product, and on two blocks,
+[M | -M], both.  ``packed.respace`` moves rows of mu and of 2 mu slots.
 ``trace_powers`` climbs the same ladder: its K_CAP traces must equal
 Newton's power sums of the exact characteristic polynomial on the zoo,
 the families and chord sets, some of which must leave the first rung, and
@@ -403,23 +405,25 @@ def test_narrow_slots_are_caught(monkeypatch, m, width, guard):
 
 @st.composite
 def slot_rows(draw):
-    """Rows of a narrow rung, w = b + |T|.bit_length() + 2, with entries
-    within +-(2^(w-1) - 1), the window of ``left_mul``'s signed read:
-    drawn inside [-2^b, 2^b), a few set at or next to +-2^b, +-2^(w-2)
-    or the window's ends, and the top entry of a row often negative, so
-    that its packed int is."""
+    """Rows of a narrow rung, w = b + |T|.bit_length() + 2, one block of mu
+    slots or two side by side, with entries within +-(2^(w-1) - 1), the
+    window of ``left_mul``'s signed read: drawn inside [-2^b, 2^b), a few
+    set at or next to +-2^b, +-2^(w-2) or the window's ends, and the top
+    entry of a row often negative, so that its packed int is."""
     b = draw(st.integers(1, 40))
     w = b + draw(st.integers(2, 12))
     mu = draw(st.integers(0, 6))
-    rows = [[draw(st.integers(-(1 << b), (1 << b) - 1)) for _ in range(mu)]
-            for _ in range(mu)]
+    blocks = draw(st.integers(1, 2))
+    rows = [[draw(st.integers(-(1 << b), (1 << b) - 1))
+             for _ in range(blocks * mu)] for _ in range(mu)]
     top = (1 << (w - 1)) - 1
     edges = sorted({s * e + d for e in (1 << b, 1 << (w - 2))
                     for s in (1, -1) for d in (-1, 0, 1)} | {top, -top})
     for _ in range(draw(st.integers(0, 3)) if mu else 0):
-        i, j = draw(st.integers(0, mu - 1)), draw(st.integers(0, mu - 1))
+        i = draw(st.integers(0, mu - 1))
+        j = draw(st.integers(0, blocks * mu - 1))
         rows[i][j] = draw(st.sampled_from(edges))
-    return b, w, rows
+    return b, w, blocks, rows
 
 
 def _pack(row, w):
@@ -428,29 +432,45 @@ def _pack(row, w):
 
 def test_slot_certificate_is_exact():
     # left_mul's one-pass read on a narrow rung: the flag says exactly
-    # whether every entry of T M lies in [-2^b, 2^b), and the trace is the
-    # dense one whichever way the flag goes; the draws must reach the four
-    # entries at the range's ends and rows whose packed int is negative,
-    # with the flag either way
+    # whether every entry of T M, of both blocks on two-block rows, lies in
+    # [-2^b, 2^b), and each block's trace is the dense one whichever way
+    # the flag goes; ``low_block`` gives block 0, and the same test on it
+    # alone says whether block 0 lies in range, whatever block 1 holds.
+    # The draws must reach the four entries at the range's ends, rows
+    # whose packed int is negative, with the flag either way, and two-block
+    # rows whose block 0 is in range and block 1 is not, and the reverse
     seen = set()
 
     @FEWER
     @given(slot_rows())
     # the four ends at b = 1, then the two inner ones at b = 40
-    @example((1, 3, [[-3, 1], [2, -2]]))
-    @example((40, 42, [[(1 << 40) - 1, 0], [0, -(1 << 40)]]))
+    @example((1, 3, 1, [[-3, 1], [2, -2]]))
+    @example((40, 42, 1, [[(1 << 40) - 1, 0], [0, -(1 << 40)]]))
+    # block 0 in range, block 1 not, its top entry negative
+    @example((2, 5, 2, [[3, -4, 5, 0], [0, 1, 0, -15]]))
     def check(drawn):
-        b, w, rows = drawn
+        b, w, blocks, rows = drawn
         mu = len(rows)
         packed_rows = [_pack(r, w) for r in rows]
         identity = packed.row_terms([{i: 1} for i in range(mu)])
-        out, trace, inside = packed.left_mul(
-            identity, packed_rows, w, packed.slot_masks(mu, w, b))
-        entries = {v for row in rows for v in row}
+        out, traces, inside = packed.left_mul(
+            identity, packed_rows, w, packed.slot_masks(blocks * mu, w, b),
+            blocks)
+        parts = [[r[j * mu:(j + 1) * mu] for r in rows]
+                 for j in range(blocks)]
+        fit = [all(-(1 << b) <= v < 1 << b for r in part for v in r)
+               for part in parts]
         assert out == packed_rows
-        assert inside == all(-(1 << b) <= v < 1 << b for v in entries), \
-            drawn
-        assert trace == mat_trace(rows), drawn
+        assert inside == all(fit), drawn
+        assert traces == tuple(map(mat_trace, parts)), drawn
+        if blocks == 2:
+            low = packed.low_block(packed_rows, w)
+            assert low == [_pack(r, w) for r in parts[0]], drawn
+            _, (trace,), inside0 = packed.left_mul(
+                identity, low, w, packed.slot_masks(mu, w, b))
+            assert (inside0, trace) == (fit[0], mat_trace(parts[0])), drawn
+            seen.add(("blocks in range", *fit))
+        entries = {v for row in rows for v in row}
         seen.add(inside)
         seen.update(("negative row", inside)
                     for x in packed_rows if x < 0)
@@ -461,32 +481,38 @@ def test_slot_certificate_is_exact():
     check()
     assert seen == {True, False, ("negative row", True),
                     ("negative row", False), "-2^b - 1", "-2^b",
-                    "2^b - 1", "2^b"}
+                    "2^b - 1", "2^b", ("blocks in range", True, True),
+                    ("blocks in range", True, False),
+                    ("blocks in range", False, True),
+                    ("blocks in range", False, False)}
 
 
 @st.composite
 def window_rows(draw):
-    """Rows of mu slots at width w = 3..8, each entry within +-(2^(w-1) -
-    1), the window of ``left_mul``'s diagonal read, often at its ends."""
+    """Rows of one or two blocks of mu slots at width w = 3..8, each entry
+    within +-(2^(w-1) - 1), the window of ``left_mul``'s diagonal read,
+    often at its ends."""
     w = draw(st.integers(3, 8))
     top = (1 << (w - 1)) - 1
-    mu = draw(st.integers(1, 6))
+    mu, blocks = draw(st.integers(1, 6)), draw(st.integers(1, 2))
     entry = st.one_of(st.sampled_from((top, -top)), st.integers(-top, top))
-    row = st.lists(entry, min_size=mu, max_size=mu)
-    return w, draw(st.lists(row, min_size=mu, max_size=mu))
+    row = st.lists(entry, min_size=blocks * mu, max_size=blocks * mu)
+    return w, blocks, draw(st.lists(row, min_size=mu, max_size=mu))
 
 
 @PROPERTY
 @given(window_rows())
 def test_left_mul_reads_the_diagonal_on_its_window(drawn):
-    # the identity program: T M = M, so the trace read is M's own
-    w, rows = drawn
+    # the identity program: T M = M, so each block's trace read is its own
+    w, blocks, rows = drawn
     mu = len(rows)
     packed_rows = [_pack(r, w) for r in rows]
     identity = packed.row_terms([{i: 1} for i in range(mu)])
-    out, trace, inside = packed.left_mul(identity, packed_rows, w)
+    out, traces, inside = packed.left_mul(identity, packed_rows, w,
+                                          None, blocks)
     assert out == packed_rows and inside
-    assert trace == mat_trace(rows), drawn
+    assert traces == tuple(mat_trace([r[j * mu:(j + 1) * mu] for r in rows])
+                           for j in range(blocks)), drawn
 
 
 def _solve_upper(n, r):
@@ -590,18 +616,27 @@ def test_left_mul_matches_dense_product():
         ends = {x for r in p for x in r} & {top, -top} - {0}
         seen.update((kind, end > 0) for end in ends)
         rows = [_pack(r, w) for r in m]
-        out, trace, inside = packed.left_mul(terms, rows, w)
+        out, (trace,), inside = packed.left_mul(terms, rows, w)
         assert out == [_pack(r, w) for r in p] and inside, drawn
         assert trace == mat_trace(p), drawn
         # the narrow read at b = w - 2 tests [-2^(w-2), 2^(w-2)), which
         # the window's ends leave (w may be 1 at mu = 0)
         b = max(w - 2, 0)
-        out, trace, inside = packed.left_mul(
+        out, (trace,), inside = packed.left_mul(
             terms, rows, w, packed.slot_masks(mu, w, b))
         assert inside == all(-(1 << b) <= x < 1 << b for r in p for x in r)
         assert out == [_pack(r, w) for r in p], drawn
         assert trace == mat_trace(p), drawn
         seen.add(("inside", inside))
+        # two blocks, [M | -M] into [T M | -T M]: one add per term moves
+        # both, and each block keeps its own trace
+        pair = [_pack(r + [-x for x in r], w) for r in m]
+        out, traces, inside2 = packed.left_mul(
+            terms, pair, w, packed.slot_masks(2 * mu, w, b), 2)
+        assert out == [_pack(r + [-x for x in r], w) for r in p], drawn
+        assert traces == (mat_trace(p), -mat_trace(p)), drawn
+        assert inside2 == (inside and all(
+            -(1 << b) <= -x < 1 << b for r in p for x in r)), drawn
 
     check()
     assert seen == {"signed", "multi-edge", "stored 0", "back reference",
@@ -614,12 +649,18 @@ def test_left_mul_matches_dense_product():
 @given(st.integers(2, 40).flatmap(lambda w: st.tuples(
     st.just(w), st.integers(w + 1, w + 60),
     st.lists(st.lists(st.integers(-(1 << (w - 1)), (1 << (w - 1)) - 1),
-                      min_size=9, max_size=9), max_size=9))))
+                      min_size=18, max_size=18), max_size=9))))
+# two blocks: block 0 small, block 1 at the window's ends, its top entry
+# negative
+@example((3, 5, [[1, 0, -4, 3] + [0] * 14, [0, 2, 3, -4] + [0] * 14]))
 def test_respace_matches_packing(drawn):
+    # mu rows of mu slots, then of 2 mu slots: two blocks side by side
     w, w2, rows = drawn
-    rows = [r[:len(rows)] for r in rows]       # mu rows of mu slots
-    assert packed.respace([_pack(r, w) for r in rows], w, w2) \
-        == [_pack(r, w2) for r in rows]
+    mu = len(rows)
+    for slots in (mu, 2 * mu):
+        cut = [r[:slots] for r in rows]
+        assert packed.respace([_pack(r, w) for r in cut], w, w2, slots) \
+            == [_pack(r, w2) for r in cut], slots
 
 
 def _monodromies(maps):
@@ -674,8 +715,8 @@ def test_ladder_keeps_every_product(monkeypatch, zoo, bits):
     monkeypatch.setattr(seifert, "FIRST_RUNG_BITS", bits)
     calls = []
     real = packed.left_mul
-    monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w, masks:
-                        calls.append(w) or real(terms, rows, w, masks))
+    monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w, *rest:
+                        calls.append(w) or real(terms, rows, w, *rest))
     maps = list(zoo) + [(f"{f.__name__}({k})", f(k)) for f in (zigzag, coil)
                         for k in range(1, 31)]
     maps.append(("chords(30, 100)", from_chords(gen_chords(30, 100))))
@@ -689,6 +730,29 @@ def test_ladder_keeps_every_product(monkeypatch, zoo, bits):
             calls.clear()
             run()
             assert len(calls) == count, name
+
+
+def test_no_climb_after_the_last_product(monkeypatch, zoo):
+    # a climb after the last product respaces rows that nothing reads,
+    # unless char_poly's Cayley-Hamilton test reads them: there a_mu wider
+    # than the rung still climbs, and only that.  On chords(12, 17), T^12
+    # leaves the first rung at the last product of trace_powers(t, 12): the
+    # flag fails and nothing moves
+    t = monodromy_matrix(n_of(from_chords(gen_chords(12, 17))))
+    rungs = algebra_oracle.Rungs(monkeypatch)
+    assert trace_powers(t, 12) == algebra_oracle.trace_powers(dense(t), 12)
+    assert rungs.runs == [[seifert.FIRST_RUNG_BITS, 12, []]]
+    assert not rungs.products[-1][2]
+    monkeypatch.setattr(seifert, "FIRST_RUNG_BITS", 1)
+    for name, t in _monodromies(list(zoo) + [
+            (f"{f.__name__}({k})", f(k)) for f in (zigzag, coil)
+            for k in (5, 8, 13)]):
+        rungs.runs.clear()
+        char_poly(t)
+        trace_powers(t, K_CAP)
+        for _, products, climbs in rungs.runs:
+            assert [cause for k, _, _, cause in climbs if k == products] \
+                in ([], ["coefficient"]), name
 
 
 def test_window_flag_has_teeth(monkeypatch):
@@ -748,8 +812,8 @@ def test_trace_ladder_matches_newton(monkeypatch, zoo):
     # matrix; some inputs must leave the first rung
     climbed = []
     real = packed.respace
-    monkeypatch.setattr(packed, "respace", lambda rows, w, w2:
-                        climbed.append(w2) or real(rows, w, w2))
+    monkeypatch.setattr(packed, "respace", lambda rows, w, w2, slots:
+                        climbed.append(w2) or real(rows, w, w2, slots))
     maps = list(zoo)
     maps += [(f"{f.__name__}({k})", f(k)) for f in (zigzag, coil)
              for k in (1, 2, 5, 8, 50)]
@@ -778,8 +842,8 @@ def test_trace_widths_stay_narrow(monkeypatch):
     # products ran at 330 bits (k = 64) and 63 bits (k = 12)
     widths = []
     real = packed.left_mul
-    monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w, masks:
-                        widths.append(w) or real(terms, rows, w, masks))
+    monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w, *rest:
+                        widths.append(w) or real(terms, rows, w, *rest))
     n = n_of(from_chords(gen_chords(30, 100)))
     t = monodromy_matrix(n)
     for k, cap in ((64, 64), (12, 24)):

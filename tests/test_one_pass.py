@@ -3,21 +3,26 @@
 Calls are counted by rebinding every ``divides.*`` module attribute that
 holds a function, so calls through any ``from .x import f`` binding are
 seen.  ``_monodromy`` is the one builder of T, behind both
-``monodromy_matrix`` and the record's chain step.
+``monodromy_matrix`` and the record's chain step.  The record's spectral
+step, ``TheoremReport._spectrum``, gives the characteristic polynomial and
+the kept traces from one climb, with no call of the public ``char_poly``
+or ``trace_powers``: max(mu, K) packed products, K = min(12, mu + 2).
 """
 
+import io
 import sys
 
 import pytest
 
 from divides import (
     TheoremReport, build_report, fixture, from_chords, gen_chords,
-    lefschetz_number, run_corpus, seifert, verify_theorem, walk_table,
-    zigzag,
+    lefschetz_number, packed, run_corpus, seifert, verify_theorem,
+    walk_table, zigzag,
 )
 
 CHAIN = ("compute_faces", "classify", "build_gamma", "counts", "matrix_N",
-         "_monodromy", "char_poly", "signature", "trace_powers")
+         "_monodromy", "signature")
+KERNELS = ("char_poly", "trace_powers")
 
 REPORTS = pytest.mark.parametrize(
     "make", [lambda: zigzag(6), lambda: from_chords(gen_chords(8, 101))],
@@ -49,67 +54,107 @@ def count_calls(monkeypatch, names):
 
 @pytest.fixture
 def calls(monkeypatch):
-    return count_calls(monkeypatch, CHAIN)
+    return count_calls(monkeypatch, CHAIN + KERNELS)
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """The ``poly`` argument of every ``TheoremReport._spectrum`` call and
+    the number of ``packed.left_mul`` products, as {"poly": [...],
+    "products": n}."""
+    seen = {"poly": [], "products": 0}
+    spectrum, left_mul = TheoremReport._spectrum, packed.left_mul
+
+    def counted_spectrum(self, poly):
+        seen["poly"].append(poly)
+        return spectrum(self, poly)
+
+    def counted_left_mul(*args):
+        seen["products"] += 1
+        return left_mul(*args)
+
+    monkeypatch.setattr(TheoremReport, "_spectrum", counted_spectrum)
+    monkeypatch.setattr(packed, "left_mul", counted_left_mul)
+    return seen
+
+
+def kept(mu):
+    return min(seifert.K_DEFAULT, mu + 2)
 
 
 @REPORTS
-def test_build_report_runs_the_chain_once(calls, make):
+def test_build_report_runs_the_chain_once(calls, steps, make):
     m = make()
     rep = build_report(m)
-    assert rep.thm.mu >= 10     # so verify_theorem keeps K_DEFAULT traces
-    assert calls == dict.fromkeys(CHAIN, 1)
+    mu = rep.thm.mu
+    assert mu >= 10     # so verify_theorem keeps K_DEFAULT traces
+    # one step, no public kernel: the polynomial and the traces share
+    # every product
+    assert calls == {**dict.fromkeys(CHAIN, 1), **dict.fromkeys(KERNELS, 0)}
+    assert steps == {"poly": [True], "products": max(mu, kept(mu))}
 
 
-def test_build_report_extends_short_traces(calls):
-    # mu = 1: verify_theorem keeps 3 traces, the report asks for 12
+def test_build_report_extends_short_traces(calls, steps):
+    # mu = 1: verify_theorem keeps 3 traces, the report asks for 12, which
+    # one trace_powers call gives
     rep = build_report(zigzag(1))
     assert len(rep.traces) == 12
-    assert calls["trace_powers"] == 2
-    assert calls["char_poly"] == calls["_monodromy"] == 1
+    assert calls["trace_powers"] == 1
+    assert calls["char_poly"] == 0 and calls["_monodromy"] == 1
+    assert steps == {"poly": [True], "products": kept(1) + 12}
 
 
-def test_run_corpus_runs_the_chain_once_per_instance(calls):
-    count = 20
-    assert run_corpus(count, 5, 7).ok()
-    # trace_powers once, in verify_theorem: the walk sanity checks read
-    # Tr(M) and Tr(M^2) off the edge list
-    for name in ("compute_faces", "build_gamma", "matrix_N",
-                 "_monodromy", "char_poly", "trace_powers"):
+def test_run_corpus_runs_the_chain_once_per_instance(calls, steps):
+    count, csv = 20, io.StringIO()
+    assert run_corpus(count, 5, 7, csv_out=csv).ok()
+    # the step once, in verify_theorem: the walk sanity checks read Tr(M)
+    # and Tr(M^2) off the edge list
+    for name in ("compute_faces", "build_gamma", "matrix_N", "_monodromy"):
         assert calls[name] == count, name
+    assert calls["char_poly"] == calls["trace_powers"] == 0
+    assert steps["poly"] == [True] * count
+    mus = [int(row.split(",")[9]) for row in csv.getvalue().split()[1:]]
+    assert len(mus) == count
+    assert steps["products"] == sum(max(mu, kept(mu)) for mu in mus)
 
 
-def test_walk_table_reads_the_record(calls):
+def test_walk_table_reads_the_record(calls, steps):
     # the table reads N, T and the traces off the record verify_theorem
-    # built, and builds none of them again
+    # built, and builds none of them again; its one trace_powers call is
+    # Tr(M^k) of the adjacency matrix
     thm = verify_theorem(from_chords(gen_chords(8, 101)))
     walk_table(thm, 12)
-    for name in ("compute_faces", "build_gamma", "matrix_N",
-                 "_monodromy", "char_poly"):
+    for name in ("compute_faces", "build_gamma", "matrix_N", "_monodromy"):
         assert calls[name] == 1, name
+    assert calls["char_poly"] == 0 and calls["trace_powers"] == 1
+    assert steps["poly"] == [True]
 
 
-def test_walk_table_needs_no_char_poly_or_signature(calls):
+def test_walk_table_needs_no_char_poly_or_signature(calls, steps):
+    # the step climbs for the kept traces alone: K products, then K for
+    # Tr(M^k)
     walk_table(TheoremReport(from_chords(gen_chords(8, 101))), 12)
     assert calls["char_poly"] == calls["signature"] == 0
     assert calls["matrix_N"] == calls["_monodromy"] == 1
+    assert steps == {"poly": [False], "products": 12 + 12}
 
 
 @REPORTS
-def test_build_report_checks_rows_six_times(monkeypatch, make):
-    # N once at the chain step, T and N in char_poly and again in
-    # trace_powers, N in signature
+def test_build_report_checks_rows_twice(monkeypatch, make):
+    # N once at the chain step and once in signature; the spectral step
+    # reads the record's own checked N and T
     m = make()
     checks = count_calls(monkeypatch, ("_check_rows",))
     build_report(m)
-    assert checks["_check_rows"] == 6
+    assert checks["_check_rows"] == 2
 
 
-def test_run_corpus_checks_rows_five_times_per_instance(monkeypatch):
+def test_run_corpus_checks_rows_once_per_instance(monkeypatch):
     # as a report, without the signature
     count = 20
     checks = count_calls(monkeypatch, ("_check_rows",))
     assert run_corpus(count, 5, 7).ok()
-    assert checks["_check_rows"] == 5 * count
+    assert checks["_check_rows"] == count
 
 
 def test_verify_theorem_fixed_products(monkeypatch):

@@ -1,0 +1,176 @@
+"""The record's spectral step against the public kernels.
+
+``TheoremReport._spectrum`` gives the characteristic polynomial and the
+kept traces Tr(T^k), k = 1..K with K = min(12, mu + 2), from one climb:
+each product carries Faddeev-LeVerrier's M_(k-1) in block 0 and T^(k-1)
+in block 1 of the same packed rows.  The public ``char_poly`` and
+``trace_powers`` run the same loop with one block each and are its slow
+twin: both pairs must be equal on the zoo, the zigzag and coil families,
+chord sets and the 25 documents of the benchmark's chord_report workload,
+at the default first rung and at first rungs of 1, 2 and 5 bits.  Known
+shapes are pinned on their own: K > mu, where block 0 ends first and T^k
+runs on alone, K = mu, mu = 0, and a chord set whose T^K leaves the rung
+at product K while Faddeev's product stays on it, where the rung must not
+widen.  A fault in block 1's read must fail the Newton grade while the
+polynomial stays right: the two blocks are two routes.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import divides
+from divides import (
+    TheoremReport, char_poly, chords_from_document, coil, from_chords,
+    gen_chords, packed, seifert, trace_powers, verify_theorem, zigzag,
+)
+from divides.seifert import sparse_mul
+
+import algebra_oracle
+from algebra_oracle import dense
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def chord_report_documents():
+    """The 25 documents of the benchmark's chord_report workload, as
+    bench/workloads.py samples them."""
+    spec = importlib.util.spec_from_file_location(
+        "chord_report_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ChordReport(divides, 1, {}).docs
+
+
+@pytest.fixture(scope="module")
+def records(zoo):
+    """(name, record, public char_poly and kept traces) per divide."""
+    maps = list(zoo)
+    maps += [(f"{f.__name__}({k})", f(k)) for f in (zigzag, coil)
+             for k in range(1, 31)]
+    maps += [(f"chords({n}, {s})", from_chords(gen_chords(n, s)))
+             for n in (2, 3, 5, 8, 12, 16, 20) for s in range(20)]
+    docs = chord_report_documents()
+    assert len(docs) == 25
+    maps += [(f"chord_report[{i}]", from_chords(chords_from_document(d)))
+             for i, d in enumerate(docs)]
+    out = []
+    for name, m in maps:
+        thm = TheoremReport(m)
+        k = min(seifert.K_DEFAULT, thm.mu + 2)
+        out.append((name, thm, (char_poly(thm.t, thm.n),
+                                trace_powers(thm.t, k, thm.n))))
+    return out
+
+
+@pytest.mark.parametrize("bits", [seifert.FIRST_RUNG_BITS, 1, 2, 5])
+def test_step_matches_public_kernels(monkeypatch, records, bits):
+    monkeypatch.setattr(seifert, "FIRST_RUNG_BITS", bits)
+    shapes = set()
+    for name, thm, want in records:
+        assert thm._spectrum(True) == want, name
+        assert thm._spectrum(False) == (None, want[1]), name
+        if bits != seifert.FIRST_RUNG_BITS:
+            assert (char_poly(thm.t, thm.n),
+                    trace_powers(thm.t, len(want[1]), thm.n)) == want, name
+        k = len(want[1])
+        shapes.add("K > mu" if k > thm.mu else "K = mu" if k == thm.mu
+                   else "K < mu")
+    assert shapes == {"K > mu", "K = mu", "K < mu"}
+
+
+@pytest.mark.parametrize("m, mu", [(zigzag(3), 5), (coil(6), 12),
+                                   (zigzag(7), 13)],
+                         ids=["K>mu", "K=mu", "K<mu"])
+def test_step_products(monkeypatch, m, mu):
+    # two blocks while both climbs run, then the one that runs on alone:
+    # max(mu, K) products, min(mu, K) of them on two blocks
+    thm = TheoremReport(m)
+    k = min(seifert.K_DEFAULT, mu + 2)
+    assert thm.mu == mu
+    rungs = algebra_oracle.Rungs(monkeypatch)
+    cp, traces = thm.char_poly, thm.traces
+    blocks = [blocks for _, blocks, _ in rungs.products]
+    assert blocks == [2] * min(mu, k) + [1] * abs(mu - k)
+    assert (cp, traces) == (char_poly(thm.t), trace_powers(thm.t, k))
+
+
+def test_step_at_mu_zero(monkeypatch):
+    # no Faddeev product at all: Id_0 is M_0 = M_mu, and T^k runs alone
+    thm = TheoremReport(from_chords(gen_chords(1, 1)))
+    rungs = algebra_oracle.Rungs(monkeypatch)
+    assert thm.mu == 0
+    assert (thm.char_poly, thm.traces) == ([1], [0, 0])
+    assert [blocks for _, blocks, _ in rungs.products] == [1, 1]
+    assert verify_theorem(from_chords(gen_chords(1, 1))).all_pass()
+
+
+def faddeev_head(t, k_max):
+    """T M_(k-1) and a_k, k = 1..k_max, of Faddeev-LeVerrier, and T^k_max,
+    on sparse rows."""
+    m = power = [{i: 1} for i in range(len(t))]
+    out = []
+    for k in range(1, k_max + 1):
+        tm, power = sparse_mul(t, m), sparse_mul(t, power)
+        a = -sum(row.get(i, 0) for i, row in enumerate(tm)) // k
+        out.append((tm, a))
+        m = [{**row, i: row.get(i, 0) + a} for i, row in enumerate(tm)]
+    return out, power
+
+
+@pytest.mark.parametrize("n, seed, mu, climbs", [(12, 17, 28, False),
+                                                 (20, 0, 79, True)],
+                         ids=["stays", "climbs"])
+def test_block_zero_alone_decides_at_k(monkeypatch, n, seed, mu, climbs):
+    # at product K = 12, still on the first rung [-2^b, 2^b), the
+    # product's flag fails and |a_12| <= 2^b, so block 0 alone decides.
+    # On chords(12, 17) T^12 leaves the rung and T M_11 stays on it: the
+    # climb goes on at the same width.  On chords(20, 0) T M_11 leaves it:
+    # block 0's own test widens the rung before a_12 Id is added
+    thm = TheoremReport(from_chords(gen_chords(n, seed)))
+    assert thm.mu == mu
+    b = seifert.FIRST_RUNG_BITS
+    head, power = faddeev_head(thm.t, 12)
+    (tm, a), = head[11:]
+
+    def on_rung(rows):
+        return all(-(1 << b) <= x < 1 << b for r in rows for x in r.values())
+
+    assert abs(a) <= 1 << b and on_rung(tm) != climbs
+    assert not on_rung(power) or climbs
+    rungs = algebra_oracle.Rungs(monkeypatch)
+    assert (thm.char_poly, thm.traces) == (
+        char_poly(thm.t), trace_powers(thm.t, 12))
+    (first, _, climbs_at), *_ = rungs.runs     # the record's own climb
+    assert first == b and all(k >= 12 for k, *_ in climbs_at)
+    kth, nxt = rungs.products[11:13]
+    assert kth[1:] == (2, False)            # the flag of both blocks
+    assert [k for k, *_ in climbs_at if k == 12] == [12] * climbs
+    assert nxt[1] == 1 and (nxt[0] > kth[0]) == climbs
+
+
+@pytest.mark.parametrize("m", [zigzag(5), from_chords(gen_chords(12, 3))],
+                         ids=["zigzag5", "chords12"])
+def test_block_one_is_its_own_route(monkeypatch, m):
+    # +1 on block 1's read at product 3: the kept traces are wrong, the
+    # polynomial from block 0 is not, so Newton's identities on it catch
+    # the fault
+    clean = verify_theorem(m)
+    assert clean.all_pass()
+    left_mul, made = packed.left_mul, []
+
+    def faulty(terms, rows, w, masks=None, blocks=1):
+        rows, reads, inside = left_mul(terms, rows, w, masks, blocks)
+        if blocks == 2:
+            made.append(reads)
+            if len(made) == 3:
+                reads = (reads[0], reads[1] + 1)
+        return rows, reads, inside
+
+    monkeypatch.setattr(packed, "left_mul", faulty)
+    rep = verify_theorem(m)
+    assert len(made) >= 3
+    assert rep.char_poly == clean.char_poly
+    assert rep.traces[2] == clean.traces[2] + 1
+    assert rep.failed() == ["newton_matches_traces"]

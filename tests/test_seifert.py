@@ -661,11 +661,15 @@ class TestVerifyTheorem:
     def test_corrupted_char_poly_grades_fail(self, monkeypatch):
         # constant term + 2: no longer monic at mu 0, where Newton's
         # identities cannot take it; the record and the corpus must grade
-        # the fault, not raise it
-        real = seifert.char_poly
-        monkeypatch.setattr(seifert, "char_poly",
-                            lambda t, n=None: [c + 2 * (i == 0) for i, c
-                                               in enumerate(real(t, n))])
+        # the fault, not raise it.  The record's polynomial comes from its
+        # spectral step, not from the public char_poly
+        real = TheoremReport._spectrum
+
+        def corrupted(self, poly):
+            cp, traces = real(self, poly)
+            return [c + 2 * (i == 0) for i, c in enumerate(cp)], traces
+
+        monkeypatch.setattr(TheoremReport, "_spectrum", corrupted)
         thm = TheoremReport(from_chords(gen_chords(1, 1)))
         assert thm.mu == 0 and thm.char_poly == [3]
         assert thm.checks["newton_matches_traces"] == "fail"
