@@ -18,20 +18,21 @@ rung, in one pass over the rows (``packed.left_mul``): there the rows are
 a few hundred bits, and the interpreter's cost per operation, not
 big-integer arithmetic, sets the time.  Both run one loop,
 P_k = T P_(k-1) + c_k Id, on one ladder of slot widths by one climb rule,
-argued at ``_climb``; every product it forms is kept.  Given N as
-well, both form each product T M as (Id + tN)^-1 (Id + N) M from the rows
-of N when that takes fewer row terms than T's own rows (``_program``);
-every bound still comes from T, and N is not checked to be T's.
-The record runs both climbs at once (``TheoremReport._spectrum``): for
-the first min(mu, K) products each packed row holds two blocks of mu
-slots side by side, Faddeev-LeVerrier's M_(k-1) in block 0 and T^(k-1)
-in block 1, so each term of the row program is one add that moves both
-and the read returns both diagonals.  One flag covers both blocks, and
-c_k Id goes into block 0 only.  At product K, where the kept traces end,
-block 0 alone decides a climb, and one masked pass drops block 1; that
-is exact because every entry of the rows lies in the signed window.  So
-a report makes max(mu, K) products, where ``char_poly`` and
-``trace_powers``, which run the same loop on one block, make mu + K.
+argued at ``_climb``; every product it forms is kept.  The public
+``char_poly`` and ``trace_powers`` take T alone and multiply by its own
+rows.  The record runs both climbs at once (``TheoremReport._spectrum``)
+and forms each product T M as (Id + tN)^-1 (Id + N) M from the rows of
+its own N when that takes fewer row terms than T's rows; every bound
+still comes from T.  For the first min(mu, K) products each packed row
+holds two blocks of mu slots side by side, Faddeev-LeVerrier's M_(k-1) in
+block 0 and T^(k-1) in block 1, so each term of the row program is one
+add that moves both and the read returns both diagonals.  One flag
+covers both blocks, and c_k Id goes into block 0 only.  At product K,
+where the kept traces end, block 0 alone decides a climb, and one masked
+pass drops block 1; that is exact because every entry of the rows lies in
+the signed window.  So a report makes max(mu, K) products, where
+``char_poly`` and ``trace_powers``, which run the same loop on one block,
+make mu + K.
 The signature form 2 Id + N + tN has the diagram's sparsity and is
 eliminated on sparse rows of ints, the only input format, in a
 minimum-degree order: by Sylvester's law of inertia each pivot adds its
@@ -166,47 +167,22 @@ def check_k(k: int) -> int:
     return k
 
 
-def trace_powers(t: Rows, k_max: int, n: Rows | None = None) -> list[int]:
+def trace_powers(t: Rows, k_max: int) -> list[int]:
     """Exact traces Tr(T^k) for k = 1..k_max of T given as sparse rows:
-    ``_climb`` of T^k alone, on a last rung of ``_power_width`` bits, which
-    holds every T^k.  ValueError unless k_max is an int, and wherever
-    ``_program`` rejects T or N.  A given N must be the N of T and is not
-    checked."""
+    ``_climb`` of T^k alone on T's own rows, on a last rung of
+    ``_power_width`` bits, which holds every T^k.  ValueError unless k_max
+    is an int, and wherever ``_check_rows`` rejects T."""
     check_k(k_max)
-    terms, norm = _program(t, n), packed.row_norm(t)
-    return _climb(terms, norm, _power_width(norm, k_max), 0, None, k_max)[2]
+    _check_rows(t)
+    norm = packed.row_norm(t)
+    return _climb(packed.row_terms(t), norm, _power_width(norm, k_max), 0,
+                  None, k_max)[2]
 
 
 def _power_width(norm: int, k_max: int) -> int:
     """Slots for every T^k, k <= k_max, where |T| = norm: (|T|^k_max).
     bit_length() + 1 bits."""
     return (norm ** max(k_max, 0)).bit_length() + 1
-
-
-def _program(t: Rows, n: Rows | None) -> list:
-    """The row program that ``char_poly`` and ``trace_powers`` multiply by,
-    after ``_check_rows`` on T, and on a given N as ``nilpotent_square``
-    checks it, without the N^2 and N^3 products: ValueError wherever they
-    reject either, so every ``packed`` kernel behind it reads checked ints.
-    A given N must be the N of T; ``_terms`` chooses."""
-    nnz_t = _check_rows(t)
-    if n is None:
-        return packed.row_terms(t)
-    nnz = _check_rows(n, upper=True)
-    if len(n) != len(t):
-        raise ValueError(f"N has {len(n)} rows and T {len(t)}")
-    return _terms(t, n, nnz_t, nnz)
-
-
-def _terms(t: Rows, n: Rows, nnz_t: int, nnz: int) -> list:
-    """The row program of T from checked rows of T and of its N, with nnz_t
-    and nnz stored entries: T's own rows, unless N's factored program
-    (``packed.factored_terms``) has fewer terms, mu + 2 nnz(N).  That
-    holds on almost every chord divide from mu of about 12 on, where T has
-    1.6 to 2.3 times as many, and not on coil(k)."""
-    if len(t) + 2 * nnz < nnz_t:
-        return packed.factored_terms(n)
-    return packed.row_terms(t)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +192,10 @@ def _terms(t: Rows, n: Rows, nnz_t: int, nnz: int) -> list:
 FIRST_RUNG_BITS = 12     # b of the first narrow rung
 
 
-def char_poly(t: Rows, n: Rows | None = None) -> list[int]:
+def char_poly(t: Rows) -> list[int]:
     """Monic characteristic polynomial of T, given as sparse rows, constant
-    term first; ValueError wherever ``_program`` rejects T or N.  A given
-    N must be the N of T and is not checked: the N of another T of the
-    same size may give that T's polynomial, with no error.
+    term first, on T's own rows; ValueError wherever ``_check_rows``
+    rejects T.
 
     Faddeev-LeVerrier on ``_climb`` (``_leverrier``).  The last rung: the
     minors of lambda Id - T, the entries of adj(lambda Id - T) and
@@ -229,7 +204,8 @@ def char_poly(t: Rows, n: Rows | None = None) -> list[int]:
     Cauchy's estimate so are their coefficients, the M_k and a_k: each
     T M_(k-1) is within 2H.
     """
-    return _leverrier(_program(t, n), packed.row_norm(t), len(t),
+    _check_rows(t)
+    return _leverrier(packed.row_terms(t), packed.row_norm(t), len(t),
                       _faddeev_width(t))[0]
 
 
@@ -580,23 +556,35 @@ class TheoremReport:
 
     @lazy
     def char_poly(self) -> list[int]:
-        cp, self.traces = self._spectrum(True)      # the kept traces too
+        cp, self.traces = self._spectrum(self._kept, True)  # the traces too
         return cp
 
     @lazy
     def traces(self) -> list[int]:
-        return self._spectrum(False)[1]
+        return self._spectrum(self._kept)[1]
 
-    def _spectrum(self, poly: bool) -> tuple[list[int] | None, list[int]]:
-        """The characteristic polynomial (None unless ``poly``) and the
-        kept traces, by one climb from the record's own N and T: N passed
-        the guards in the constructor and T was built from it, so nothing
-        is checked again.  The row program, |T| and the last rung, which
-        holds both climbs, are built once, and each product of the
+    @property
+    def _kept(self) -> int:
+        return min(K_DEFAULT, self.mu + 2)
+
+    def _spectrum(self, k: int, poly: bool = False
+                  ) -> tuple[list[int] | None, list[int]]:
+        """The characteristic polynomial (None unless ``poly``) and Tr(T^j),
+        j = 1..k, by one climb from the record's own N and T: N passed the
+        guards in the constructor and T was built from it, so nothing is
+        checked again.  The row program, |T| and the last rung, which holds
+        both climbs, are built once, and each product of the
         Faddeev-LeVerrier climb carries T^k alongside (``_climb``):
-        max(mu, K) products for both, K for the traces alone."""
-        t, n, k = self.t, self.n, min(K_DEFAULT, self.mu + 2)
-        terms = _terms(t, n, sum(map(len, t)), sum(map(len, n)))
+        max(mu, k) products for both, k for the traces alone."""
+        t, n = self.t, self.n
+        # N's factored program (packed.factored_terms) has mu + 2 nnz(N)
+        # row terms against nnz(T): fewer on almost every chord divide from
+        # mu of about 12 on, where T has 1.6 to 2.3 times as many, and not
+        # on coil(k)
+        if self.mu + 2 * sum(map(len, n)) < sum(map(len, t)):
+            terms = packed.factored_terms(n)
+        else:
+            terms = packed.row_terms(t)
         norm = packed.row_norm(t)
         w_top = _power_width(norm, k)
         if not poly:
@@ -610,11 +598,12 @@ class TheoremReport:
 
     def traces_to(self, k: int) -> list[int]:
         """Tr(T^k), k = 1..K for K = k clamped to 1..K_CAP: the kept
-        traces, or one trace_powers call; ValueError unless k is an int."""
+        traces, or one climb of the record's step; ValueError unless k is
+        an int."""
         k = max(1, min(check_k(k), K_CAP))
-        if k <= min(K_DEFAULT, self.mu + 2):
+        if k <= self._kept:
             return self.traces[:k]
-        return trace_powers(self.t, k, self.n)
+        return self._spectrum(k)[1]
 
     @lazy
     def checks(self) -> dict[str, str]:

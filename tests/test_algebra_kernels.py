@@ -38,10 +38,10 @@ number by both routes at mu of about 2 * 10^4, where no dense matrix can
 go; the signature alone must take under 2 s there.  The monodromy's
 forward substitution equals the series (Id - tN + (tN)^2)(Id + N) on the
 zoo, the families and chord sets, and A'Campo's product of three
-multi-twists on fewer of them.  Given N, ``char_poly`` and
-``trace_powers`` must give what they give on T's rows alone, on every N
-above that passes the guard and on the zoo, the families and chord sets,
-and must take the factored program of N exactly where it has fewer terms.
+multi-twists on fewer of them.  The record's spectral step, which runs
+N's factored program where it has fewer terms than T's rows, must give
+what ``char_poly`` and ``trace_powers`` give on T's rows, on the zoo, the
+families and chord sets, and must take that program exactly there.
 """
 
 import time
@@ -52,10 +52,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from divides import (
-    adjacency, build_gamma, char_poly, classify, coil, compute_faces,
-    counts, fixture, from_chords, gen_chords, lefschetz_number, matrix_N,
-    monodromy_matrix, newton_power_sums, packed, seifert, signature,
-    trace_powers, zigzag,
+    TheoremReport, adjacency, build_gamma, char_poly, classify, coil,
+    compute_faces, counts, fixture, from_chords, gen_chords,
+    lefschetz_number, matrix_N, monodromy_matrix, newton_power_sums, packed,
+    seifert, signature, trace_powers, zigzag,
 )
 from divides.seifert import (
     K_CAP, _flag_traces, nilpotent_square, sparse_mul, sparse_signature,
@@ -261,26 +261,21 @@ def test_sparse_n_matches_dense_oracle():
             == algebra_oracle.monodromy_series(n), rows
         # the record's chain step builds the same N^2 and T
         assert seifert._chain(rows)[:2] == (sq, monodromy_matrix(rows)), rows
-        if _factored(rows):
-            seen.add("factored")
-        _assert_twins(rows, rows)
 
     check()
-    assert seen == {"raises", "passes", "cancelled", "factored"}
+    assert seen == {"raises", "passes", "cancelled"}
 
 
-def _factored(n):
-    """Whether the kernels given N run on its factored program."""
-    t = monodromy_matrix(n)
-    return len(t) + 2 * sum(map(len, n)) < sum(map(len, t))
-
-
-def _assert_twins(n, name):
-    # the kernels given N equal the kernels on T's rows alone
-    t = monodromy_matrix(n)
-    assert char_poly(t, n) == char_poly(t), name
-    for k in range(13):
-        assert trace_powers(t, k, n) == trace_powers(t, k), (name, k)
+def _assert_twins(m, name):
+    # the record's step, on N's factored program wherever that is the
+    # shorter, equals the public kernels on T's own rows
+    thm = TheoremReport(m)
+    t = thm.t
+    assert thm.char_poly == char_poly(t), name
+    for k in [*range(1, 13), K_CAP]:
+        assert thm.traces_to(k) == thm._spectrum(k)[1] \
+            == trace_powers(t, k), (name, k)
+    return len(t) + 2 * sum(map(len, thm.n)) < sum(map(len, t))
 
 
 def test_factored_program_matches_rows(zoo):
@@ -288,34 +283,30 @@ def test_factored_program_matches_rows(zoo):
     maps += [(f"coil({k})", coil(k)) for k in range(1, 9)]
     maps += [(f"chords({n}, {s})", from_chords(gen_chords(n, s)))
              for n in range(2, 13) for s in range(15)]
-    for name, m in maps:
-        _assert_twins(n_of(m), name)
+    factored = [name for name, m in maps if _assert_twins(m, name)]
+    assert len(factored) >= 20, factored
 
 
 def test_program_choice_reads_the_input(monkeypatch):
     # coil keeps T's rows; a chord divide with mu >= 12 takes the factored
-    # program, in both kernels
+    # program, once per climb of the record's step
     built = []
     real = packed.factored_terms
     monkeypatch.setattr(packed, "factored_terms",
                         lambda n: built.append(len(n)) or real(n))
     for k in range(1, 9):
-        n = n_of(coil(k))
-        t = monodromy_matrix(n)
-        char_poly(t, n)
-        trace_powers(t, 12, n)
+        thm = TheoremReport(coil(k))
+        thm.char_poly, thm.traces_to(K_CAP)
     assert built == []
-    n = n_of(from_chords(gen_chords(10, 0)))
-    t = monodromy_matrix(n)
-    assert len(n) >= 12
-    char_poly(t, n)
-    trace_powers(t, 12, n)
-    assert built == [len(n), len(n)]
+    thm = TheoremReport(from_chords(gen_chords(10, 0)))
+    assert thm.mu >= 12
+    thm.char_poly, thm.traces_to(K_CAP)
+    assert built == [thm.mu, thm.mu]
 
 
 def test_factored_terms_take_any_int_entry():
-    # signs, multi-edges and a stored int 0, which is no term; a
-    # non-integer never reaches the kernel: the public entry rejects it
+    # signs, multi-edges and a stored int 0, which is no term; the N of a
+    # record, the program's only input, passed the chain step's guard
     n = [{1: 2, 2: -1, 3: 0}, {3: -3}, {3: 1}, {}]
     assert packed.factored_terms(n) == [
         (0, [], [2], [(1, 2)]),
@@ -323,19 +314,15 @@ def test_factored_terms_take_any_int_entry():
         (2, [4, 3], [], []),
         (3, [], [6], [(5, 3)]),
     ]
-    t = monodromy_matrix([{1: 1}, {}])
-    for run in (lambda n: char_poly(t, n), lambda n: trace_powers(t, 3, n)):
-        with pytest.raises(ValueError, match=r"N\[0\]\[1\] = 0.5 is not"):
-            run([{1: 0.5}, {}])
 
 
-# each packed kernel with a public entry whose rows reach it: rows of T
-# for row_terms and row_norm, rows of N for factored_terms
+# each packed kernel with the public entry whose guard its rows pass:
+# rows of T for row_terms and row_norm, rows of N for factored_terms, which
+# only the record runs, on the N its chain step checked
 PACKED_ENTRIES = {
     "row_terms": (packed.row_terms, lambda rows: char_poly(rows)),
     "row_norm": (packed.row_norm, lambda rows: trace_powers(rows, 3)),
-    "factored_terms": (packed.factored_terms,
-                       lambda rows: char_poly([{0: 1, 1: 1}, {1: 1}], rows)),
+    "factored_terms": (packed.factored_terms, nilpotent_square),
 }
 
 
@@ -711,7 +698,8 @@ def test_first_rung_at_one_bit_falls_through(monkeypatch, zoo):
 @pytest.mark.parametrize("bits", [12, 1])
 def test_ladder_keeps_every_product(monkeypatch, zoo, bits):
     # one packed product per Faddeev-LeVerrier step and per trace, on any
-    # rung, at any first rung: no product is formed twice
+    # rung, at any first rung: no product is formed twice, and the record's
+    # step shares them, max(mu, K) for the polynomial and K = 12 traces
     monkeypatch.setattr(seifert, "FIRST_RUNG_BITS", bits)
     calls = []
     real = packed.left_mul
@@ -721,12 +709,13 @@ def test_ladder_keeps_every_product(monkeypatch, zoo, bits):
                         for k in range(1, 31)]
     maps.append(("chords(30, 100)", from_chords(gen_chords(30, 100))))
     for name, m in maps:
-        n = n_of(m)
-        t = monodromy_matrix(n)
-        for run, count in ((lambda: char_poly(t), len(t)),
-                           (lambda: char_poly(t, n), len(t)),
+        thm = TheoremReport(m)
+        t, mu = thm.t, thm.mu
+        shared = max(mu, min(12, mu + 2))
+        for run, count in ((lambda: char_poly(t), mu),
                            (lambda: trace_powers(t, 12), 12),
-                           (lambda: trace_powers(t, K_CAP, n), K_CAP)):
+                           (lambda: thm.char_poly, shared),
+                           (lambda: thm.traces_to(K_CAP), K_CAP)):
             calls.clear()
             run()
             assert len(calls) == count, name
@@ -808,8 +797,8 @@ def test_trace_powers_at_mu_200():
 def test_trace_ladder_matches_newton(monkeypatch, zoo):
     # the traces up to K_CAP climb the ladder of slot widths; Newton's
     # identities on the exact characteristic polynomial are their oracle,
-    # with N and without, and the dense powers are that of an adjacency
-    # matrix; some inputs must leave the first rung
+    # for the record's step and for T's rows, and the dense powers are that
+    # of an adjacency matrix; some inputs must leave the first rung
     climbed = []
     real = packed.respace
     monkeypatch.setattr(packed, "respace", lambda rows, w, w2, slots:
@@ -821,14 +810,13 @@ def test_trace_ladder_matches_newton(monkeypatch, zoo):
              for n in range(2, 21, 2) for s in range(5)]
     left = []
     for name, m in maps:
-        n = n_of(m)
-        t = monodromy_matrix(n)
-        sums = newton_power_sums(char_poly(t, n), K_CAP)
+        thm = TheoremReport(m)
+        sums = newton_power_sums(thm.char_poly, K_CAP)
         climbed.clear()
-        assert trace_powers(t, K_CAP, n) == sums, name
+        assert thm.traces_to(K_CAP) == sums, name
         if climbed:
             left.append(name)
-        assert trace_powers(t, K_CAP) == sums, name
+        assert trace_powers(thm.t, K_CAP) == sums, name
     assert len(left) >= 20, left
     m = from_chords(gen_chords(12, 0))
     a = adjacency(build_gamma(m, compute_faces(m)))
@@ -844,11 +832,11 @@ def test_trace_widths_stay_narrow(monkeypatch):
     real = packed.left_mul
     monkeypatch.setattr(packed, "left_mul", lambda terms, rows, w, *rest:
                         widths.append(w) or real(terms, rows, w, *rest))
-    n = n_of(from_chords(gen_chords(30, 100)))
-    t = monodromy_matrix(n)
+    # on the record's step, the 12 kept traces last
+    thm = TheoremReport(from_chords(gen_chords(30, 100)))
     for k, cap in ((64, 64), (12, 24)):
         widths.clear()
-        trace_powers(t, k, n)
+        thm.traces_to(k)
         assert len(widths) == k and max(widths) <= cap, (k, widths)
 
 

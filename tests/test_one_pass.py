@@ -6,7 +6,9 @@ seen.  ``_monodromy`` is the one builder of T, behind both
 ``monodromy_matrix`` and the record's chain step.  The record's spectral
 step, ``TheoremReport._spectrum``, gives the characteristic polynomial and
 the kept traces from one climb, with no call of the public ``char_poly``
-or ``trace_powers``: max(mu, K) packed products, K = min(12, mu + 2).
+or ``trace_powers``: max(mu, K) packed products, K = min(12, mu + 2).  A
+report or table that asks for k > K traces climbs once more on the same
+step, k products, and checks no matrix again.
 """
 
 import io
@@ -59,15 +61,15 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """The ``poly`` argument of every ``TheoremReport._spectrum`` call and
-    the number of ``packed.left_mul`` products, as {"poly": [...],
+    """The (k, poly) arguments of every ``TheoremReport._spectrum`` call
+    and the number of ``packed.left_mul`` products, as {"spectrum": [...],
     "products": n}."""
-    seen = {"poly": [], "products": 0}
+    seen = {"spectrum": [], "products": 0}
     spectrum, left_mul = TheoremReport._spectrum, packed.left_mul
 
-    def counted_spectrum(self, poly):
-        seen["poly"].append(poly)
-        return spectrum(self, poly)
+    def counted_spectrum(self, k, poly=False):
+        seen["spectrum"].append((k, poly))
+        return spectrum(self, k, poly)
 
     def counted_left_mul(*args):
         seen["products"] += 1
@@ -91,17 +93,34 @@ def test_build_report_runs_the_chain_once(calls, steps, make):
     # one step, no public kernel: the polynomial and the traces share
     # every product
     assert calls == {**dict.fromkeys(CHAIN, 1), **dict.fromkeys(KERNELS, 0)}
-    assert steps == {"poly": [True], "products": max(mu, kept(mu))}
+    assert steps == {"spectrum": [(kept(mu), True)],
+                     "products": max(mu, kept(mu))}
+
+
+@REPORTS
+def test_long_report_climbs_on_the_step(monkeypatch, calls, steps, make):
+    # 64 traces, past the kept 12: one more climb of the step, 64
+    # products, on the record's checked N and T
+    m = make()
+    checks = count_calls(monkeypatch, ("_check_rows",))
+    rep = build_report(m, k=64)
+    mu = rep.thm.mu
+    assert len(rep.traces) == 64
+    assert calls == {**dict.fromkeys(CHAIN, 1), **dict.fromkeys(KERNELS, 0)}
+    assert checks["_check_rows"] == 2
+    assert steps == {"spectrum": [(kept(mu), True), (64, False)],
+                     "products": max(mu, kept(mu)) + 64}
 
 
 def test_build_report_extends_short_traces(calls, steps):
     # mu = 1: verify_theorem keeps 3 traces, the report asks for 12, which
-    # one trace_powers call gives
+    # a second climb of the step gives
     rep = build_report(zigzag(1))
     assert len(rep.traces) == 12
-    assert calls["trace_powers"] == 1
-    assert calls["char_poly"] == 0 and calls["_monodromy"] == 1
-    assert steps == {"poly": [True], "products": kept(1) + 12}
+    assert calls["trace_powers"] == calls["char_poly"] == 0
+    assert calls["_monodromy"] == 1
+    assert steps == {"spectrum": [(kept(1), True), (12, False)],
+                     "products": kept(1) + 12}
 
 
 def test_run_corpus_runs_the_chain_once_per_instance(calls, steps):
@@ -112,7 +131,7 @@ def test_run_corpus_runs_the_chain_once_per_instance(calls, steps):
     for name in ("compute_faces", "build_gamma", "matrix_N", "_monodromy"):
         assert calls[name] == count, name
     assert calls["char_poly"] == calls["trace_powers"] == 0
-    assert steps["poly"] == [True] * count
+    assert [poly for _, poly in steps["spectrum"]] == [True] * count
     mus = [int(row.split(",")[9]) for row in csv.getvalue().split()[1:]]
     assert len(mus) == count
     assert steps["products"] == sum(max(mu, kept(mu)) for mu in mus)
@@ -127,7 +146,7 @@ def test_walk_table_reads_the_record(calls, steps):
     for name in ("compute_faces", "build_gamma", "matrix_N", "_monodromy"):
         assert calls[name] == 1, name
     assert calls["char_poly"] == 0 and calls["trace_powers"] == 1
-    assert steps["poly"] == [True]
+    assert steps["spectrum"] == [(12, True)]
 
 
 def test_walk_table_needs_no_char_poly_or_signature(calls, steps):
@@ -136,7 +155,18 @@ def test_walk_table_needs_no_char_poly_or_signature(calls, steps):
     walk_table(TheoremReport(from_chords(gen_chords(8, 101))), 12)
     assert calls["char_poly"] == calls["signature"] == 0
     assert calls["matrix_N"] == calls["_monodromy"] == 1
-    assert steps == {"poly": [False], "products": 12 + 12}
+    assert steps == {"spectrum": [(12, False)], "products": 12 + 12}
+
+
+def test_long_walk_table_checks_rows_twice(monkeypatch, calls, steps):
+    # N at the chain step and M in the table's trace_powers: 64 traces of
+    # T on the step, 64 of M
+    m = from_chords(gen_chords(8, 101))
+    checks = count_calls(monkeypatch, ("_check_rows",))
+    walk_table(TheoremReport(m), 64)
+    assert checks["_check_rows"] == 2
+    assert calls["char_poly"] == 0 and calls["trace_powers"] == 1
+    assert steps == {"spectrum": [(64, False)], "products": 64 + 64}
 
 
 @REPORTS

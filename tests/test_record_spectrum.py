@@ -3,9 +3,10 @@
 ``TheoremReport._spectrum`` gives the characteristic polynomial and the
 kept traces Tr(T^k), k = 1..K with K = min(12, mu + 2), from one climb:
 each product carries Faddeev-LeVerrier's M_(k-1) in block 0 and T^(k-1)
-in block 1 of the same packed rows.  The public ``char_poly`` and
-``trace_powers`` run the same loop with one block each and are its slow
-twin: both pairs must be equal on the zoo, the zigzag and coil families,
+in block 1 of the same packed rows, by N's factored program wherever it
+is the shorter.  The public ``char_poly`` and ``trace_powers`` run the
+same loop with one block each, on T's own rows, and are its slow twin:
+both pairs must be equal on the zoo, the zigzag and coil families,
 chord sets and the 25 documents of the benchmark's chord_report workload,
 at the default first rung and at first rungs of 1, 2 and 5 bits.  Known
 shapes are pinned on their own: K > mu, where block 0 ends first and T^k
@@ -59,8 +60,7 @@ def records(zoo):
     for name, m in maps:
         thm = TheoremReport(m)
         k = min(seifert.K_DEFAULT, thm.mu + 2)
-        out.append((name, thm, (char_poly(thm.t, thm.n),
-                                trace_powers(thm.t, k, thm.n))))
+        out.append((name, thm, (char_poly(thm.t), trace_powers(thm.t, k))))
     return out
 
 
@@ -69,12 +69,11 @@ def test_step_matches_public_kernels(monkeypatch, records, bits):
     monkeypatch.setattr(seifert, "FIRST_RUNG_BITS", bits)
     shapes = set()
     for name, thm, want in records:
-        assert thm._spectrum(True) == want, name
-        assert thm._spectrum(False) == (None, want[1]), name
-        if bits != seifert.FIRST_RUNG_BITS:
-            assert (char_poly(thm.t, thm.n),
-                    trace_powers(thm.t, len(want[1]), thm.n)) == want, name
         k = len(want[1])
+        assert thm._spectrum(k, True) == want, name
+        assert thm._spectrum(k) == (None, want[1]), name
+        if bits != seifert.FIRST_RUNG_BITS:
+            assert (char_poly(thm.t), trace_powers(thm.t, k)) == want, name
         shapes.add("K > mu" if k > thm.mu else "K = mu" if k == thm.mu
                    else "K < mu")
     assert shapes == {"K > mu", "K = mu", "K < mu"}

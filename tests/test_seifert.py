@@ -148,12 +148,8 @@ class TestMonodromy:
     @pytest.mark.parametrize("n", BAD_N)
     def test_every_guard_on_n_checks_types(self, n):
         # the guard of monodromy_matrix, lefschetz_number and verify_theorem
-        # checks types as well as positions, and so do char_poly and
-        # trace_powers when given N, whichever program they run on
-        t = [{i: 1} for i in range(len(n))]
-        for guarded in (monodromy_matrix, lefschetz_number,
-                        lambda n: char_poly(t, n),
-                        lambda n: trace_powers(t, 3, n)):
+        # checks types as well as positions
+        for guarded in (monodromy_matrix, lefschetz_number):
             with pytest.raises(ValueError):
                 guarded(n)
 
@@ -165,7 +161,6 @@ class TestMonodromy:
         t = monodromy_matrix(matrix_N(g))
         thm = TheoremReport(m)
         for guarded in (lambda k: trace_powers(t, k),
-                        lambda k: trace_powers(t, k, matrix_N(g)),
                         lambda k: build_report(m, k=k),
                         thm.traces_to,
                         lambda k: walk_table(thm, k)):
@@ -267,8 +262,8 @@ T3_ZERO = [{0: 1, 1: 1, 2: 1}, {0: -1, 1: 0, 2: -1}, {0: -1, 1: -1}]
 FORM3 = [{0: 2, 1: 1, 2: 1}, {0: 1, 1: 2}, {0: 1, 2: 2}]
 FORM3_ZERO = [{0: 2, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 0}, {0: 1, 1: 0, 2: 2}]
 
-# every public kernel that takes a matrix: (the kernel on the rows of one
-# of its matrices, the other being LENS's, those rows, and with a 0)
+# every public kernel that takes a matrix: (the kernel, LENS's rows of
+# that matrix, and those rows with a stored 0)
 MATRIX_ENTRIES = {
     "signature": (signature, N3, N3_ZERO),
     "sparse_signature": (sparse_signature, FORM3, FORM3_ZERO),
@@ -276,13 +271,7 @@ MATRIX_ENTRIES = {
     "monodromy_matrix": (monodromy_matrix, N3, N3_ZERO),
     "lefschetz_number": (lefschetz_number, N3, N3_ZERO),
     "char_poly(t)": (char_poly, T3, T3_ZERO),
-    "char_poly(t, n) on t": (lambda t: char_poly(t, N3), T3, T3_ZERO),
-    "char_poly(t, n) on n": (lambda n: char_poly(T3, n), N3, N3_ZERO),
     "trace_powers(t, k)": (lambda t: trace_powers(t, 5), T3, T3_ZERO),
-    "trace_powers(t, k, n) on t":
-        (lambda t: trace_powers(t, 5, N3), T3, T3_ZERO),
-    "trace_powers(t, k, n) on n":
-        (lambda n: trace_powers(T3, 5, n), N3, N3_ZERO),
 }
 
 # one junk table for all of them, mu = 3: a row not a dict, a column not
@@ -665,8 +654,8 @@ class TestVerifyTheorem:
         # spectral step, not from the public char_poly
         real = TheoremReport._spectrum
 
-        def corrupted(self, poly):
-            cp, traces = real(self, poly)
+        def corrupted(self, k, poly=False):
+            cp, traces = real(self, k, poly)
             return [c + 2 * (i == 0) for i, c in enumerate(cp)], traces
 
         monkeypatch.setattr(TheoremReport, "_spectrum", corrupted)

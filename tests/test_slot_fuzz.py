@@ -8,8 +8,10 @@ must rebuild from its own document and end its face walks with the
 outside of the disk.  Every document the chain accepts must pass every
 hard check of the theorem, and its edge-list diagram and its
 classification must read the same as the dense block and union-find
-oracles under both sign normalizations, and its signature the dense
-elimination's.  Unlike chord arrangements, these maps include multi-edge
+oracles under both sign normalizations, its signature the dense
+elimination's, and its traces Tr(T^k) up to K_CAP, past the kept ones,
+Newton's power sums of its polynomial and the dense powers of T.  Unlike
+chord arrangements, these maps include multi-edge
 and non-cellular diagrams; one explicit example adds a form whose
 elimination needs a 2x2 block.
 """
@@ -18,8 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from divides import (
     DivideError, classify, compute_faces, has_multi_edge, map_from_document,
-    signature, verify_theorem,
+    newton_power_sums, signature, verify_theorem,
 )
+from divides.seifert import K_CAP
 
 import algebra_oracle
 import classify_oracle
@@ -111,6 +114,10 @@ def test_slot_matchings_are_rejected_or_pass_every_check(monkeypatch):
             algebra_oracle.dense(thm.n)), doc
         if blocks.count > before:
             seen.add("2x2 block")
+        # mu <= 14 here, so K_CAP traces take the record's long climb
+        assert thm.traces_to(K_CAP) == newton_power_sums(
+            thm.char_poly, K_CAP) == algebra_oracle.trace_powers(
+            algebra_oracle.dense(thm.t), K_CAP), doc
         seen.add("valid")
         if has_multi_edge(thm.gamma):
             seen.add("multi-edge")
