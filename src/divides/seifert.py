@@ -42,6 +42,14 @@ numerators over its own positive denominator, and a row the elimination
 rewrites is divided by the gcd of its numerators and denominator.  A
 single determinant shared by all rows, as in Bareiss's elimination, would
 grow with every pivot, also across parts of the form that never interact.
+The record eliminates less.  N joins no two double points, so Q = 2 Id +
+N + tN has the block Q_DD = 2 Id on the delta double points D, and by
+Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968), In(Q) =
+In(Q_DD) + In(Q/Q_DD) with Q/Q_DD = R/2 and R = 2 Q_BB - Q_BD Q_DB on the
+mu - delta region basepoints B: the signature is delta + sig(R), and the
+nullity of Q is that of R.  R is built in one pass over the record's
+checked N (``_regions_form``), each double point adding the outer product
+of its at most 4 region neighbours, and is the one form eliminated.
 """
 
 from __future__ import annotations
@@ -391,6 +399,44 @@ def _symmetrized(n: Rows, d: int) -> Rows:
     return rows
 
 
+def _regions_form(n: Rows, lo: int, delta: int) -> Rows:
+    """R = 2 Q_BB - Q_BD Q_DB as fresh sparse rows, for Q = 2 Id + N + tN
+    and the checked rows of an N whose double points D are the indices
+    lo..lo + delta - 1.  R lives on the region basepoints B, the Plus ones
+    moved down by delta: R_ij = 2 Q_ij - sum_d Q_id Q_jd, so each double
+    point adds minus the outer product of its at most 4 region
+    neighbours, a multi-edge by its multiplicity.  ValueError on an entry
+    of N that joins two double points: then Q_DD = 2 Id, on which sig(Q) =
+    delta + sig(R) rests, fails."""
+    hi = lo + delta
+    rows = [{i: 4} for i in range(len(n) - delta)]
+    star = [[] for _ in range(delta)]   # star[d - lo]: the (b, Q_bd) of d
+    for i, row in enumerate(n):
+        if lo <= i < hi:
+            s = star[i - lo]
+            for j, x in row.items():
+                if j >= hi:
+                    s.append((j - delta, x))
+                elif x:
+                    raise ValueError(
+                        f"N[{i}][{j}] = {x} joins two double points")
+            continue
+        b = i if i < lo else i - delta
+        for j, x in row.items():
+            if lo <= j < hi:
+                star[j - lo].append((b, x))
+            else:
+                c = j if j < lo else j - delta
+                rows[b][c] = rows[b].get(c, 0) + 2 * x
+                rows[c][b] = rows[c].get(b, 0) + 2 * x
+    for s in star:
+        for b, x in s:
+            row = rows[b]
+            for c, y in s:
+                row[c] = row.get(c, 0) - x * y
+    return rows
+
+
 def sparse_signature(rows: Rows) -> int:
     """Signature of a symmetric integer form given as rows {j: value}.
 
@@ -538,9 +584,11 @@ class TheoremReport:
     Lefschetz number by the formula and trace routes, ``lam`` and
     ``lam_trace``.  Built on first read and kept: ``char_poly``, ``traces``
     (Tr(T^k), k = 1..min(K_DEFAULT, mu + 2)), the two from one climb
-    (``_spectrum``), ``signature`` and the grades, ``checks`` (pass/fail/n/a
-    by name) and ``findings`` (where the multi-edge and cellularity tests
-    disagree; never a failure).
+    (``_spectrum``), ``signature``, delta + sig(R) on the regions form R of
+    the checked N (``_regions_form``), and the grades, ``checks``
+    (pass/fail/n/a by name) and ``findings`` (where the multi-edge and
+    cellularity tests disagree; never a failure).  No step after the
+    constructor checks N or T again.
     """
 
     def __init__(self, m: DivideMap):
@@ -594,7 +642,9 @@ class TheoremReport:
 
     @lazy
     def signature(self) -> int:
-        return signature(self.n)
+        gamma = self.gamma
+        return gamma.n_double + _signature(
+            _regions_form(self.n, gamma.n_minus, gamma.n_double))
 
     def traces_to(self, k: int) -> list[int]:
         """Tr(T^k), k = 1..K for K = k clamped to 1..K_CAP: the kept

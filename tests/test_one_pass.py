@@ -8,7 +8,9 @@ step, ``TheoremReport._spectrum``, gives the characteristic polynomial and
 the kept traces from one climb, with no call of the public ``char_poly``
 or ``trace_powers``: max(mu, K) packed products, K = min(12, mu + 2).  A
 report or table that asks for k > K traces climbs once more on the same
-step, k products, and checks no matrix again.
+step, k products, and checks no matrix again.  The record's signature
+calls no public ``signature`` either: it eliminates the mu - delta rows of
+its regions form, built from the checked N, so a report checks N once.
 """
 
 import io
@@ -23,8 +25,8 @@ from divides import (
 )
 
 CHAIN = ("compute_faces", "classify", "build_gamma", "counts", "matrix_N",
-         "_monodromy", "signature")
-KERNELS = ("char_poly", "trace_powers")
+         "_monodromy")
+KERNELS = ("char_poly", "trace_powers", "signature")
 
 REPORTS = pytest.mark.parametrize(
     "make", [lambda: zigzag(6), lambda: from_chords(gen_chords(8, 101))],
@@ -107,7 +109,7 @@ def test_long_report_climbs_on_the_step(monkeypatch, calls, steps, make):
     mu = rep.thm.mu
     assert len(rep.traces) == 64
     assert calls == {**dict.fromkeys(CHAIN, 1), **dict.fromkeys(KERNELS, 0)}
-    assert checks["_check_rows"] == 2
+    assert checks["_check_rows"] == 1
     assert steps == {"spectrum": [(kept(mu), True), (64, False)],
                      "products": max(mu, kept(mu)) + 64}
 
@@ -170,13 +172,33 @@ def test_long_walk_table_checks_rows_twice(monkeypatch, calls, steps):
 
 
 @REPORTS
-def test_build_report_checks_rows_twice(monkeypatch, make):
-    # N once at the chain step and once in signature; the spectral step
-    # reads the record's own checked N and T
+def test_build_report_checks_rows_once(monkeypatch, make):
+    # N once, at the chain step; the spectral step and the signature read
+    # the record's own checked N and T
     m = make()
     checks = count_calls(monkeypatch, ("_check_rows",))
     build_report(m)
-    assert checks["_check_rows"] == 2
+    assert checks["_check_rows"] == 1
+
+
+@REPORTS
+@pytest.mark.parametrize("k", [seifert.K_DEFAULT, 64])
+def test_report_signature_eliminates_the_regions(monkeypatch, make, k):
+    # the double points leave in one step: one elimination, on the mu -
+    # delta region basepoints, and no public signature
+    sizes, real = [], seifert._signature
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(seifert, "_signature", counted)
+    m = make()
+    calls = count_calls(monkeypatch, ("signature",))
+    thm = build_report(m, k=k).thm
+    assert thm.gamma.n_double > 0
+    assert sizes == [thm.mu - thm.gamma.n_double]
+    assert calls["signature"] == 0
 
 
 def test_run_corpus_checks_rows_once_per_instance(monkeypatch):

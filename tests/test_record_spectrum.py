@@ -14,9 +14,19 @@ runs on alone, K = mu, mu = 0, and a chord set whose T^K leaves the rung
 at product K while Faddeev's product stays on it, where the rung must not
 widen.  A fault in block 1's read must fail the Newton grade while the
 polynomial stays right: the two blocks are two routes.
+
+The record's signature is delta + sig(R), R = 2 Q_BB - Q_BD Q_DB the
+regions form on the mu - delta region basepoints B of Q = 2 Id + N + tN,
+whose block on the double points D is 2 Id.  The public ``signature``
+eliminates all of Q and is its slow twin on the same inputs and on
+``gen_chords(100, 1)``.  An N edited to join two double points must raise
+``ValueError``, also under ``python -O``.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,7 +34,8 @@ import pytest
 import divides
 from divides import (
     TheoremReport, char_poly, chords_from_document, coil, from_chords,
-    gen_chords, packed, seifert, trace_powers, verify_theorem, zigzag,
+    gen_chords, packed, seifert, signature, trace_powers, verify_theorem,
+    zigzag,
 )
 from divides.seifert import sparse_mul
 
@@ -46,7 +57,9 @@ def chord_report_documents():
 
 @pytest.fixture(scope="module")
 def records(zoo):
-    """(name, record, public char_poly and kept traces) per divide."""
+    """(name, record, public char_poly and kept traces) per divide: the
+    zoo, zigzag and coil(1..30), gen_chords(n, 0..19) for n in 2, 3, 5, 8,
+    12, 16, 20 and the 25 chord_report documents."""
     maps = list(zoo)
     maps += [(f"{f.__name__}({k})", f(k)) for f in (zigzag, coil)
              for k in range(1, 31)]
@@ -173,3 +186,55 @@ def test_block_one_is_its_own_route(monkeypatch, m):
     assert rep.char_poly == clean.char_poly
     assert rep.traces[2] == clean.traces[2] + 1
     assert rep.failed() == ["newton_matches_traces"]
+
+
+def test_record_signature_matches_public_kernel(records):
+    # the regions form against the elimination of all mu rows, where R is
+    # Q's own double (no double point), empty (no region) and neither
+    shapes = set()
+    for name, thm, _ in records:
+        assert thm.signature == signature(thm.n), name
+        delta = thm.gamma.n_double
+        shapes.add("no double point" if not delta else
+                   "no region" if delta == thm.mu else "both")
+    assert shapes == {"no double point", "no region", "both"}
+
+
+def test_record_signature_at_scale():
+    # 1850 of the 3601 rows leave in the one step
+    thm = TheoremReport(from_chords(gen_chords(100, 1)))
+    assert (thm.mu, thm.gamma.n_double) == (3601, 1850)
+    assert thm.signature == signature(thm.n)
+
+
+def test_joined_double_points_raise():
+    # Q_DD = 2 Id is what lets the double points leave in one step: an N
+    # edited to join two of them raises, a stored 0 there is no entry
+    clean = TheoremReport(zigzag(6))
+    lo = clean.gamma.n_minus
+    assert clean.gamma.n_double >= 2
+    for x in (0, 1, -2):
+        thm = TheoremReport(zigzag(6))
+        thm.n[lo][lo + 1] = x
+        if not x:
+            assert thm.signature == clean.signature
+            continue
+        with pytest.raises(ValueError, match="joins two double points"):
+            thm.signature
+
+
+def test_joined_double_points_raise_under_o():
+    # python -O strips assert statements; the step's guard must still raise
+    code = ("from divides import TheoremReport, zigzag\n"
+            "thm = TheoremReport(zigzag(6))\n"
+            "lo = thm.gamma.n_minus\n"
+            "thm.n[lo][lo + 1] = 1\n"
+            "try:\n"
+            "    print(thm.signature)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(divides.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.endswith("joins two double points\n"), out.stdout

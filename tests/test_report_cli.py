@@ -83,10 +83,10 @@ class TestReport:
         # the signature is raised there, not when the JSON is put together
         import divides.seifert as seifert_mod
 
-        def broken(n):
+        def broken(rows):
             raise ArithmeticError("signature failed")
 
-        monkeypatch.setattr(seifert_mod, "signature", broken)
+        monkeypatch.setattr(seifert_mod, "_signature", broken)
         with pytest.raises(ArithmeticError, match="signature failed"):
             build_report(fixture("LENS"), source="LENS")
 

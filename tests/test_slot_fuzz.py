@@ -8,12 +8,12 @@ must rebuild from its own document and end its face walks with the
 outside of the disk.  Every document the chain accepts must pass every
 hard check of the theorem, and its edge-list diagram and its
 classification must read the same as the dense block and union-find
-oracles under both sign normalizations, its signature the dense
-elimination's, and its traces Tr(T^k) up to K_CAP, past the kept ones,
-Newton's power sums of its polynomial and the dense powers of T.  Unlike
-chord arrangements, these maps include multi-edge
-and non-cellular diagrams; one explicit example adds a form whose
-elimination needs a 2x2 block.
+oracles under both sign normalizations, its signature from the record's
+regions form the public kernel's and the dense elimination's, and its
+traces Tr(T^k) up to K_CAP, past the kept ones, Newton's power sums of its
+polynomial and the dense powers of T.  Unlike chord arrangements, these
+maps include multi-edge and non-cellular diagrams; one explicit example
+adds a regions form whose elimination ends on a 2x2 block.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -33,9 +33,11 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
 
 
 # One immersed arc with 7 self-crossings (mu = 14), found by drawing
-# matchings of that size: its signature elimination ends on a 2x2 block.
-# Matchings within the drawn sizes never need one (none in 20000 draws
-# with 4 crossings), so it rides along as an explicit example.
+# matchings of that size: the elimination of its signature form, and of
+# the record's regions form, ends on a 2x2 block.
+# Matchings within the drawn sizes never needed one on the signature form
+# (none in 20000 draws with 4 crossings), so it rides along as an
+# explicit example.
 BLOCK_DOC = {
     "format": "divide-map/1",
     "endpoints": ["e1", "e2"],
@@ -109,11 +111,13 @@ def test_slot_matchings_are_rejected_or_pass_every_check(monkeypatch):
             assert gamma_oracle.library_readings(m, signed) \
                 == gamma_oracle.readings(m, signed), doc
             assert classify(m, signed) == classify_oracle.classify(m, signed), doc
+        # a 2x2 block counts only when the record's regions form takes one
         before = blocks.count
-        assert signature(thm.n) == algebra_oracle.signature(
-            algebra_oracle.dense(thm.n)), doc
+        sig = thm.signature
         if blocks.count > before:
             seen.add("2x2 block")
+        assert sig == signature(thm.n) == algebra_oracle.signature(
+            algebra_oracle.dense(thm.n)), doc
         # mu <= 14 here, so K_CAP traces take the record's long climb
         assert thm.traces_to(K_CAP) == newton_power_sums(
             thm.char_poly, K_CAP) == algebra_oracle.trace_powers(
