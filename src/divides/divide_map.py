@@ -5,8 +5,10 @@ the boundary circle, interior intersections are transversal double points.
 We encode one as a rotation system: endpoints expose a single attachment
 slot, double points expose four slots in counterclockwise order, and every
 slot is used by exactly one edge.  ``map_from_document`` builds it in one
-pass over the edges, putting each dart in its slot as it reads it.  The
-*augmented* map adds the boundary arcs between cyclically consecutive
+pass over the edges of a document, putting each dart in its slot as it
+reads it; ``map_from_walks`` builds it from integer branch walks, which is
+how the generators hand over their divides, and both end in ``_finish``.
+The *augmented* map adds the boundary arcs between cyclically consecutive
 endpoints; tracing its faces both certifies that the rotation system
 embeds in the disk (Euler count) and yields the complement components
 needed downstream.
@@ -168,25 +170,8 @@ def map_from_document(doc) -> DivideMap:
         raise DivideError("malformed document: duplicate label")
 
     n_end = len(endpoints)
-    if n_end % 2 != 0 or n_end < 2:
-        raise DivideError(
-            f"odd endpoint count: {n_end} endpoints (need an even "
-            "number, at least 2)")
-
-    # arc j: dart 2 * (n_edge + j) at endpoint j, its twin at j + 1.  Ccw
-    # from inside the disk an endpoint holds: arc out, divide dart, arc in.
-    n_edge = len(edges)
-    rotations = [[2 * (n_edge + j), None, 2 * (n_edge + (j - 1) % n_end) + 1]
-                 for j in range(n_end)]
-    rotations += [[None] * 4 for _ in crossings]
-    n_darts = 2 * (n_edge + n_end)
-    dart_vertex = [0] * n_darts
-    dart_pos = [0] * n_darts
-    boundary = 2 * n_edge      # the first boundary-arc dart
-    dart_vertex[boundary::2] = range(n_end)
-    dart_vertex[boundary + 1::2] = [*range(1, n_end), 0]
-    dart_pos[boundary + 1::2] = [2] * n_end
-
+    rotations, dart_vertex, dart_pos = _empty_slots(
+        n_end, len(crossings), len(edges))
     d = 0              # the dart each attachment puts in its slot
     for e in edges:
         if not isinstance(e, dict) or "a" not in e or "b" not in e:
@@ -218,17 +203,101 @@ def map_from_document(doc) -> DivideMap:
             dart_vertex[d] = v
             dart_pos[d] = s
             d += 1
+    return _finish(endpoints, crossings, rotations, dart_vertex, dart_pos, d)
 
-    # the d darts sit in distinct slots: none is unused iff d is the count
-    if d != n_end + 4 * len(crossings):
+
+def map_from_walks(endpoints, crossings, branches) -> DivideMap:
+    """Build the augmented map of a divide given as integer branch walks.
+
+    ``endpoints`` and ``crossings`` are the labels, taken as given.  A
+    branch is (start, visits, end), its ends endpoint indices and each
+    visit a (crossing index, in slot, out slot); edges are numbered in walk
+    order, so dart ``2k`` is the ``a`` end of edge ``k``, as in the
+    document with one edge per step of each walk.  The darts go in their
+    slots in that order, with the checks and messages of
+    ``map_from_document``, and an index or slot out of range is a
+    DivideError too.
+    """
+    n_end = len(endpoints)
+    n_cross = len(crossings)
+    rotations, dart_vertex, dart_pos = _empty_slots(
+        n_end, n_cross,
+        sum([len(visits) for _, visits, _ in branches]) + len(branches))
+
+    def at_endpoint(j, d):
+        if not 0 <= j < n_end:
+            raise DivideError(f"endpoint index {j!r} out of range")
+        rot = rotations[j]
+        if rot[1] is not None:
+            raise DivideError(f"slot reuse at endpoint {endpoints[j]!r}")
+        rot[1] = d
+        dart_vertex[d] = j
+        dart_pos[d] = 1
+
+    d = 0              # the dart each step puts in its slot
+    for start, visits, end in branches:
+        at_endpoint(start, d)
+        for c, s_in, s_out in visits:
+            if not 0 <= c < n_cross:
+                raise DivideError(f"crossing index {c!r} out of range")
+            v = n_end + c
+            rot = rotations[v]
+            for s in (s_in, s_out):
+                d += 1
+                if not 0 <= s <= 3:
+                    raise DivideError(f"crossing {crossings[c]!r} slot {s} "
+                                      "out of range 0..3")
+                if rot[s] is not None:
+                    raise DivideError(
+                        f"slot reuse at crossing {crossings[c]!r} slot {s}")
+                rot[s] = d
+                dart_vertex[d] = v
+                dart_pos[d] = s
+        d += 1
+        at_endpoint(end, d)
+        d += 1
+    return _finish(endpoints, crossings, rotations, dart_vertex, dart_pos, d)
+
+
+def _empty_slots(n_end: int, n_cross: int, n_edge: int) -> tuple:
+    """The rotations of a map with n_edge divide edges, every divide slot
+    empty (None) and the boundary arcs in place, and its dart -> vertex and
+    dart -> position tables with the arcs' entries filled in."""
+    if n_end % 2 != 0 or n_end < 2:
+        raise DivideError(
+            f"odd endpoint count: {n_end} endpoints (need an even "
+            "number, at least 2)")
+    # arc j: dart 2 * (n_edge + j) at endpoint j, its twin at j + 1.  Ccw
+    # from inside the disk an endpoint holds: arc out, divide dart, arc in.
+    rotations = [[2 * (n_edge + j), None, 2 * (n_edge + (j - 1) % n_end) + 1]
+                 for j in range(n_end)]
+    rotations += [[None] * 4 for _ in range(n_cross)]
+    n_darts = 2 * (n_edge + n_end)
+    dart_vertex = [0] * n_darts
+    dart_pos = [0] * n_darts
+    boundary = 2 * n_edge      # the first boundary-arc dart
+    dart_vertex[boundary::2] = range(n_end)
+    dart_vertex[boundary + 1::2] = [*range(1, n_end), 0]
+    dart_pos[boundary + 1::2] = [2] * n_end
+    return rotations, dart_vertex, dart_pos
+
+
+def _finish(endpoints, crossings, rotations, dart_vertex, dart_pos,
+            placed: int) -> DivideMap:
+    """The map once ``placed`` darts sit in distinct divide slots, with
+    its faces, after the checks that need the whole map: unused slots by
+    vertex, closed branches, then planarity."""
+    n_end = len(endpoints)
+    # the darts sit in distinct slots: none is unused iff placed is the count
+    if placed != n_end + 4 * len(crossings):
+        labels = [*endpoints, *crossings]
         v = next(v for v, rot in enumerate(rotations) if None in rot)
         raise DivideError(
             f"unused slot at endpoint {labels[v]!r}" if v < n_end else
             f"unused slot at crossing {labels[v]!r} slot "
             f"{rotations[v].index(None)}")
-
     # a face walk steps from d to the dart clockwise of d ^ 1 at its vertex
-    step = [0] * n_darts
+    step = [0] * len(dart_vertex)
     for rot in rotations:
         prev = rot[-1]
         for d in rot:
@@ -236,12 +305,14 @@ def map_from_document(doc) -> DivideMap:
             prev = d
 
     face_walks, dart_walk = _trace_all_faces(step)
-    # tuple(list), not tuple(iterator): resizing fills CPython's free lists
-    rotations = tuple([tuple(rot) for rot in rotations])
+    # tuple(list), not tuple(iterator): resizing fills CPython's free lists.
+    # The builder's frame still holds the lists: clearing frees them now.
+    frozen = tuple([tuple(rot) for rot in rotations])
+    rotations.clear()
     m = DivideMap(
         endpoints=tuple(endpoints),
         crossings=tuple(crossings),
-        rotations=rotations,
+        rotations=frozen,
         dart_vertex=tuple(dart_vertex),
         dart_pos=tuple(dart_pos),
         face_walks=face_walks,

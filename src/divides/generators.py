@@ -1,10 +1,12 @@
 """Divide generators: random chord arrangements, families, fixtures.
 
-Every generated divide-map/1 document is a list of branch walks, built by
-``_branch_document``: a branch runs from one boundary endpoint to another,
-visiting crossings on the way, each visit a (crossing, in slot, out slot).
-A chord is one branch, ``zigzag`` two and ``coil`` one.  The named
-fixtures are packaged files, ``fixtures/<name in lower case>.json``.
+Every generated divide is a list of integer branch walks, which
+``divide_map.map_from_walks`` builds into its map with no document in
+between: a branch runs from one boundary endpoint to another, visiting
+crossings on the way, each visit a (crossing, in slot, out slot) and each
+end an endpoint index.  A chord is one branch, ``zigzag`` two and ``coil``
+one.  The named fixtures are packaged files, ``fixtures/<name in lower
+case>.json``.
 
 A circle parameter t = a/b stands for the point of the unit circle with
 homogeneous integer coordinates (b^2 - a^2, 2ab, a^2 + b^2), the tangent
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from importlib import resources
 
-from .divide_map import DivideError, DivideMap, lazy, map_from_document, \
+from .divide_map import DivideError, DivideMap, lazy, map_from_walks, \
     need_int, parse_divide, parse_json
 
 # circle parameter: t = a/b as the reduced pair (a, b) with b > 0, or None
@@ -215,10 +217,12 @@ def gen_chords(n: int, seed: int) -> ChordSet:
 
     Samples 2n parameters from a fixed rational grid with denominators at
     most 10^4 and resamples the whole set on any violation (exact sign
-    tests only).  The rejection count is recorded on the result.
+    tests only).  The rejection count is recorded on the result.  The seed
+    is at least 0: ``random.Random`` seeds with |seed|, so -s would give
+    the set of s.
     """
     need_int("gen_chords", "n", n, 1)
-    need_int("gen_chords", "seed", seed)
+    need_int("gen_chords", "seed", seed, 0)
     rng = random.Random(seed)
     for attempt in range(_RESAMPLE_BUDGET):
         params = [_grid_param(rng.randint(-_GRID + 1, _GRID))
@@ -236,47 +240,28 @@ def gen_chords(n: int, seed: int) -> ChordSet:
 def from_chords(cs: ChordSet) -> DivideMap:
     """Build the combinatorial map of a chord arrangement, exactly.
 
-    The kernel orders the crossings along each chord and orients each
-    crossing; the result goes through full map validation.
-    """
-    return map_from_document(chords_to_map_document(cs))
-
-
-def chords_to_map_document(cs: ChordSet) -> dict:
-    """Each chord as one branch from s to t: endpoints labeled in ccw
-    order, crossings by lexicographic pair.
-
-    Slots at a crossing run ccw from the forward direction of the
-    lower-indexed chord, so that chord passes 2 -> 0, and the other 3 -> 1
-    when it crosses from right to left, else 1 -> 3.
+    Each chord is one branch from s to t: endpoints labeled in ccw order,
+    crossings by lexicographic pair.  Slots at a crossing run ccw from the
+    forward direction of the lower-indexed chord, so that chord passes
+    2 -> 0, and the other 3 -> 1 when it crosses from right to left, else
+    1 -> 3.  The kernel gives the order and the sides, and
+    ``map_from_walks`` builds and validates the map from those walks, with
+    no document in between.
     """
     arr = cs.arrangement
     pairs, rank = arr.pairs, arr.rank
-    ends = [f"e{r}" for r in range(1, len(rank) + 1)]
-    labels = [f"c{k}" for k in range(1, len(pairs) + 1)]
-    visits = [((c, 2, 0), (c, 3, 1) if sign > 0 else (c, 1, 3))
-              for c, sign in zip(labels, arr.signs)]
-    return _branch_document(ends, labels, [
-        (ends[rank[2 * c]], [visits[k][c != pairs[k][0]] for k in ks],
-         ends[rank[2 * c + 1]]) for c, ks in enumerate(arr.along)])
+    visits = [((k, 2, 0), (k, 3, 1) if sign > 0 else (k, 1, 3))
+              for k, sign in enumerate(arr.signs)]
+    return map_from_walks(
+        [f"e{r}" for r in range(1, len(rank) + 1)],
+        [f"c{k}" for k in range(1, len(pairs) + 1)],
+        [(rank[2 * c], [visits[k][c != pairs[k][0]] for k in ks],
+          rank[2 * c + 1]) for c, ks in enumerate(arr.along)])
 
 
-def _branch_document(endpoints, crossings, branches) -> dict:
-    """The divide-map/1 document of branch walks.
-
-    A branch is (start endpoint, visits, end endpoint), each visit a
-    (crossing, in slot, out slot); the document has one edge per step of
-    each walk, in walk order.
-    """
-    edges = []
-    for start, visits, end in branches:
-        a = [start, 0]
-        for c, s_in, s_out in visits:
-            edges.append({"a": a, "b": [c, s_in]})
-            a = [c, s_out]
-        edges.append({"a": a, "b": [end, 0]})
-    return {"format": "divide-map/1", "endpoints": endpoints,
-            "crossings": crossings, "edges": edges}
+def chords_to_map_document(cs: ChordSet) -> dict:
+    """The divide-map/1 document of ``from_chords(cs)``."""
+    return from_chords(cs).to_document()
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +325,12 @@ def zigzag(n: int) -> DivideMap:
     diagram comes out a path, so the Lefschetz number vanishes.
     """
     need_int("zigzag", "n", n, 1)
-    xs = [f"x{i}" for i in range(1, n + 1)]
-    return map_from_document(_branch_document(
-        ["E2", "W1", "E1", "W2"] if n % 2 else ["E2", "W2", "W1", "E1"], xs,
-        [("E1", [(x, 2, 0) for x in xs], "E2"),
-         ("W1", [(x, 1, 3) if i % 2 else (x, 3, 1)
-                 for i, x in enumerate(xs, 1)], "W2")]))
+    ends = ["E2", "W1", "E1", "W2"] if n % 2 else ["E2", "W2", "W1", "E1"]
+    e1, e2, w1, w2 = map(ends.index, ("E1", "E2", "W1", "W2"))
+    return map_from_walks(
+        ends, [f"x{i}" for i in range(1, n + 1)],
+        [(e1, [(x, 2, 0) for x in range(n)], e2),
+         (w1, [(x, 3, 1) if x % 2 else (x, 1, 3) for x in range(n)], w2)])
 
 
 def coil(k: int) -> DivideMap:
@@ -356,10 +341,9 @@ def coil(k: int) -> DivideMap:
     for k = 1, and the Lefschetz number is 1 - k.
     """
     need_int("coil", "k", k, 1)
-    ys = [f"y{i}" for i in range(1, k + 1)]
-    return map_from_document(_branch_document(
-        ["A", "B"], ys,
-        [("A", [v for y in ys for v in ((y, 0, 1), (y, 2, 3))], "B")]))
+    return map_from_walks(
+        ["A", "B"], [f"y{i}" for i in range(1, k + 1)],
+        [(0, [v for y in range(k) for v in ((y, 0, 1), (y, 2, 3))], 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def _corpus_checks(cs: ChordSet, thm, m) -> dict[str, bool]:
 def check_corpus_args(count: int, n: int, seed: int) -> None:
     need_int("corpus", "count", count, 0)
     need_int("corpus", "n", n, 1)
-    need_int("corpus", "seed", seed)
+    need_int("corpus", "seed", seed, 0)
 
 
 def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:

@@ -18,6 +18,7 @@ from divides import (
     fixtures, from_chords, gen_chords, interleaved, map_from_document,
     parse_chords, run_corpus, verify_theorem, zigzag,
 )
+from divides.cli import main
 from divides.generators import (
     _arrangement, _param_from_json, chords_to_map_document,
 )
@@ -266,12 +267,12 @@ BAD_INT = [True, 2.0, "3", None]
 # (label, call with one parameter replaced by x, its name in the message)
 INT_PARAMS = [
     ("gen_chords n", lambda x: gen_chords(x, 1), "int n >= 1"),
-    ("gen_chords seed", lambda x: gen_chords(2, x), "int seed"),
+    ("gen_chords seed", lambda x: gen_chords(2, x), "int seed >= 0"),
     ("zigzag n", lambda x: zigzag(x), "int n >= 1"),
     ("coil k", lambda x: coil(x), "int k >= 1"),
     ("run_corpus count", lambda x: run_corpus(x, 5, 1), "int count >= 0"),
     ("run_corpus n", lambda x: run_corpus(1, x, 1), "int n >= 1"),
-    ("run_corpus seed", lambda x: run_corpus(1, 5, x), "int seed"),
+    ("run_corpus seed", lambda x: run_corpus(1, 5, x), "int seed >= 0"),
 ]
 
 
@@ -305,9 +306,25 @@ def test_integer_parameter_guards_survive_optimize():
         f"{who} needs an {what}, got {x!r}\n"
         for x in BAD_INT
         for who, what in (("gen_chords", "int n >= 1"),
-                          ("gen_chords", "int seed"), ("zigzag", "int n >= 1"),
+                          ("gen_chords", "int seed >= 0"),
+                          ("zigzag", "int n >= 1"),
                           ("coil", "int k >= 1"), ("corpus", "int count >= 0"),
-                          ("corpus", "int n >= 1"), ("corpus", "int seed")))
+                          ("corpus", "int n >= 1"),
+                          ("corpus", "int seed >= 0")))
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    # random.Random seeds with |seed|, so seed -1 would repeat seed 1 under
+    # another name
+    for run in (lambda: gen_chords(5, -1), lambda: run_corpus(3, 5, -1)):
+        with pytest.raises(DivideError,
+                           match=r"needs an int seed >= 0, got -1"):
+            run()
+    assert main(["gen-chords", "--n", "5", "--seed", "-1",
+                 "-o", str(tmp_path / "chords.json")]) == 1
+    assert main(["corpus", "--count", "3", "--n", "5", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.count("int seed >= 0, got -1") == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestFixtures:

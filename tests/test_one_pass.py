@@ -33,8 +33,8 @@ REPORTS = pytest.mark.parametrize(
     ids=["zigzag6", "chords8"])
 
 
-def count_calls(monkeypatch, names):
-    """Install call counters for the ``divides.seifert`` functions named;
+def count_calls(monkeypatch, names, module=seifert):
+    """Install call counters for the functions of ``module`` named;
     returns name -> count so far."""
     counted = dict.fromkeys(names, 0)
 
@@ -47,7 +47,7 @@ def count_calls(monkeypatch, names):
     modules = [mod for key, mod in list(sys.modules.items())
                if key == "divides" or key.startswith("divides.")]
     for name in names:
-        real = getattr(seifert, name)
+        real = getattr(module, name)
         wrapper = counter(name, real)
         for mod in modules:
             for attr, value in list(vars(mod).items()):
