@@ -16,23 +16,16 @@ T M adds each of its rows by an index loop over a row program of T, then
 reads its trace, and on a narrow rung whether its entries still fit the
 rung, in one pass over the rows (``packed.left_mul``): there the rows are
 a few hundred bits, and the interpreter's cost per operation, not
-big-integer arithmetic, sets the time.  Both run one loop,
-P_k = T P_(k-1) + c_k Id, on one ladder of slot widths by one climb rule,
-argued at ``_climb``; every product it forms is kept.  The public
-``char_poly`` and ``trace_powers`` take T alone and multiply by its own
-rows.  The record runs both climbs at once (``TheoremReport._spectrum``)
-and forms each product T M as (Id + tN)^-1 (Id + N) M from the rows of
-its own N when that takes fewer row terms than T's rows; every bound
-still comes from T.  For the first min(mu, K) products each packed row
-holds two blocks of mu slots side by side, Faddeev-LeVerrier's M_(k-1) in
-block 0 and T^(k-1) in block 1, so each term of the row program is one
-add that moves both and the read returns both diagonals.  One flag
-covers both blocks, and c_k Id goes into block 0 only.  At product K,
-where the kept traces end, block 0 alone decides a climb, and one masked
-pass drops block 1; that is exact because every entry of the rows lies in
-the signed window.  So a report makes max(mu, K) products, where
-``char_poly`` and ``trace_powers``, which run the same loop on one block,
-make mu + K.
+big-integer arithmetic, sets the time.  Every climb runs through
+``_spectrum``, which sets its bounds and checks Faddeev-LeVerrier's exact
+division and Cayley-Hamilton; its one loop, ``_climb``, argues the
+ladder of slot widths and the two-block rows on which one climb gives
+both the polynomial and the traces.  The public ``char_poly`` and
+``trace_powers`` take T alone and multiply by its own rows.  The record
+forms each product T M as (Id + tN)^-1 (Id + N) M from the rows of its
+own N when that takes fewer row terms than T's rows, and makes max(mu, K)
+products for the polynomial and K traces, where the public kernels make
+mu + K.
 The signature form 2 Id + N + tN has the diagram's sparsity and is
 eliminated on sparse rows of ints, the only input format, in a
 minimum-degree order: by Sylvester's law of inertia each pivot adds its
@@ -176,21 +169,12 @@ def check_k(k: int) -> int:
 
 
 def trace_powers(t: Rows, k_max: int) -> list[int]:
-    """Exact traces Tr(T^k) for k = 1..k_max of T given as sparse rows:
-    ``_climb`` of T^k alone on T's own rows, on a last rung of
-    ``_power_width`` bits, which holds every T^k.  ValueError unless k_max
-    is an int, and wherever ``_check_rows`` rejects T."""
+    """Exact traces Tr(T^k) for k = 1..k_max of T given as sparse rows, by
+    ``_spectrum`` on T's own rows.  ValueError unless k_max is an int, and
+    wherever ``_check_rows`` rejects T."""
     check_k(k_max)
     _check_rows(t)
-    norm = packed.row_norm(t)
-    return _climb(packed.row_terms(t), norm, _power_width(norm, k_max), 0,
-                  None, k_max)[2]
-
-
-def _power_width(norm: int, k_max: int) -> int:
-    """Slots for every T^k, k <= k_max, where |T| = norm: (|T|^k_max).
-    bit_length() + 1 bits."""
-    return (norm ** max(k_max, 0)).bit_length() + 1
+    return _spectrum(t, packed.row_terms(t), k_max)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,55 +186,64 @@ FIRST_RUNG_BITS = 12     # b of the first narrow rung
 
 def char_poly(t: Rows) -> list[int]:
     """Monic characteristic polynomial of T, given as sparse rows, constant
-    term first, on T's own rows; ValueError wherever ``_check_rows``
-    rejects T.
-
-    Faddeev-LeVerrier on ``_climb`` (``_leverrier``).  The last rung: the
-    minors of lambda Id - T, the entries of adj(lambda Id - T) and
-    det(lambda Id - T), are at most H = isqrt(prod_j c_j^2) + 1 on
-    |lambda| = 1 by Hadamard's inequality (``_faddeev_width``), and by
-    Cauchy's estimate so are their coefficients, the M_k and a_k: each
-    T M_(k-1) is within 2H.
-    """
+    term first, by ``_spectrum`` on T's own rows; ValueError wherever
+    ``_check_rows`` rejects T."""
     _check_rows(t)
-    return _leverrier(packed.row_terms(t), packed.row_norm(t), len(t),
-                      _faddeev_width(t))[0]
+    return _spectrum(t, packed.row_terms(t), 0, True)[0]
 
 
-def _leverrier(terms, norm: int, mu: int, w_top: int,
-               k_pow: int = 0) -> tuple[list[int], list[int]]:
-    """The characteristic polynomial, constant term first, of the T with
-    row program ``terms`` and |T| = norm, and Tr(T^k), k = 1..k_pow, from
-    one ``_climb`` on a last rung of w_top bits: M_k = T M_(k-1) + a_k Id
-    from M_0 = Id with a_k = -Tr(T M_(k-1))/k, checked for exact division
-    and for M_mu = 0 (Cayley-Hamilton)."""
+def _spectrum(t: Rows, terms, k: int, poly: bool = False
+              ) -> tuple[list[int] | None, list[int]]:
+    """The characteristic polynomial of T, constant term first (None unless
+    ``poly``), and Tr(T^j), j = 1..k, by one ``_climb`` on the row program
+    ``terms`` of the checked rows t of T: T's own rows or, in the record,
+    N's factored program.  Every climb of the library runs here, and every
+    bound comes from t.
+
+    The last rung holds T^k, of entries at most |T|^k, and with ``poly``
+    Faddeev-LeVerrier, M_j = T M_(j-1) + a_j Id from M_0 = Id with a_j =
+    -Tr(T M_(j-1))/j, checked for exact division and for M_mu = 0
+    (Cayley-Hamilton).  The minors of lambda Id - T, the entries of
+    adj(lambda Id - T) and det(lambda Id - T), are at most H =
+    isqrt(prod_j c_j^2) + 1 on |lambda| = 1 by Hadamard's inequality
+    (``_faddeev_width``), and by Cauchy's estimate so are their
+    coefficients, the M_j and a_j: each T M_(j-1) is within 2H.
+    """
+    norm = packed.row_norm(t)
+    w_top = (norm ** max(k, 0)).bit_length() + 1
+    if not poly:
+        return None, _climb(terms, norm, w_top, 0, None, k)[1]
     coeffs_desc = [1]       # leading first while building
 
-    def leverrier(k: int, trace: int) -> int:
-        a_k, r = divmod(-trace, k)
+    def leverrier(j: int, trace: int) -> int:
+        a_j, r = divmod(-trace, j)
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division is not exact")
-        coeffs_desc.append(a_k)
-        return a_k
+        coeffs_desc.append(a_j)
+        return a_j
 
-    rows, _, powers = _climb(terms, norm, w_top, mu, leverrier, k_pow)
+    rows, powers = _climb(terms, norm, max(w_top, _faddeev_width(t)),
+                          len(t), leverrier, k)
     if any(rows):
         raise ArithmeticError("Cayley-Hamilton: T M_(mu-1) + a_mu Id != 0")
-    return list(reversed(coeffs_desc)), powers
+    return coeffs_desc[::-1], powers
 
 
 def _climb(terms, norm: int, w_top: int, k_max: int, coeff,
-           k_pow: int = 0) -> tuple[list[int], list[int], list[int]]:
-    """The packed rows of P_k_max, the traces Tr(T P_(k-1)), k = 1 to
-    k_max, of P_k = T P_(k-1) + c_k Id from P_0 = Id, and Tr(T^k), k = 1 to
-    k_pow, where T has the row program ``terms`` and |T| = norm, its
-    largest absolute row sum, and c_k = coeff(k, Tr(T P_(k-1))).  Each
-    product is one ``packed.left_mul`` and is kept.  While both climbs
-    run, each row holds two blocks (``packed.left_mul``): P_(k-1) in block
-    0 and T^(k-1) in block 1, so one product moves both, and c_k Id goes
-    into block 0 only.  A climb that ends drops its block: block 1 by
-    ``packed.low_block``, block 0 by that and a shift.  One climb alone
-    sits in block 0: max(k_max, k_pow) products in all.
+           k_pow: int) -> tuple[list[int], list[int]]:
+    """The packed rows of P_k_max, of P_k = T P_(k-1) + c_k Id from P_0 =
+    Id, and Tr(T^k), k = 1 to k_pow, where T has the row program ``terms``
+    and |T| = norm, its largest absolute row sum, and c_k = coeff(k,
+    Tr(T P_(k-1))).  Each product is one ``packed.left_mul`` and is kept.
+    While both climbs run, each row holds two blocks (``packed.left_mul``):
+    P_(k-1) in block 0 and T^(k-1) in block 1, so one product moves both,
+    and c_k Id goes into block 0 only.  When T^k ends first, block 1 is
+    dropped (``packed.low_block``).  When P_k_max ends first, it is read
+    off block 0 by ``packed.low_block``, and block 0 rides on beside T^k
+    instead of being shifted out: it holds T^j P_k_max, which is 0 once
+    the caller's test of P_k_max for zero passes, and a nonzero P_k_max
+    fails that test whatever block 1 read after it.  One climb alone sits
+    in block 0: max(k_max, k_pow) products in all.
 
     The products run on a ladder of slot widths: narrow rungs of w = b +
     s + 2 bits, s = norm.bit_length(), from b = FIRST_RUNG_BITS while
@@ -277,16 +270,13 @@ def _climb(terms, norm: int, w_top: int, k_max: int, coeff,
     plus a c_k within 2^b stays inside it.
     """
     mu, lift = len(terms), norm.bit_length() + 2
-    b, traces, powers = FIRST_RUNG_BITS, [], []
+    b, powers = FIRST_RUNG_BITS, []
     blocks = 1 + (min(k_max, k_pow) > 0)
     rows, w, masks = _rung(mu, blocks, [], 0, b, lift, w_top)
     end = rows                          # P_k_max, Id when k_max is 0
     for k in range(1, max(k_max, k_pow) + 1):    # rows: P_(k-1), T^(k-1)
         rows, reads, inside = packed.left_mul(terms, rows, w, masks, blocks)
-        c = 0
-        if k <= k_max:
-            traces.append(reads[0])
-            c = coeff(k, reads[0])
+        c = coeff(k, reads[0]) if k <= k_max else 0
         if k <= k_pow:
             powers.append(reads[-1])
         if blocks == 2 and k == k_pow < k_max:      # T^k ends: drop it
@@ -304,13 +294,9 @@ def _climb(terms, norm: int, w_top: int, k_max: int, coeff,
             rows, w, masks = _rung(mu, blocks, rows, w, b, lift, w_top)
         if c:
             rows = [x + (c << s) for x, s in zip(rows, range(0, w * mu, w))]
-        if k == k_max:
-            end = rows
-            if blocks == 2:         # T^k runs on alone: drop P_k_max
-                end, blocks = packed.low_block(rows, w), 1
-                rows = [(x - y) >> (w * mu) for x, y in zip(rows, end)]
-                masks = masks and packed.slot_masks(mu, w, b)
-    return end, traces, powers
+        if k == k_max:      # block 0 of two rides on
+            end = packed.low_block(rows, w) if blocks == 2 else rows
+    return end, powers
 
 
 def _rung(mu: int, blocks: int, rows: list[int], w: int, b: int, lift: int,
@@ -462,27 +448,24 @@ def sparse_signature(rows: Rows) -> int:
     return _signature([dict(row) for row in rows])
 
 
-def _check_rows(rows: Rows, upper: bool = False) -> int:
+def _check_rows(rows: Rows, upper: bool = False) -> None:
     """The one guard on every matrix that enters a public kernel: ValueError
     unless every row is a dict, every column an int in 0..mu-1 (in
     k+1..mu-1 for row k when ``upper``: N strictly upper triangular) and
     every entry an int (``type(x) is int``: no bool, float or Fraction).
-    Returns the number of stored entries; a stored int 0 is no entry to
-    any kernel behind it."""
-    mu, nnz = len(rows), 0
+    A stored int 0 is no entry to any kernel behind it."""
+    mu = len(rows)
     name, where = ("N", "not above the diagonal") if upper else (
         "M", f"outside columns 0..{mu - 1}")
     for k, row in enumerate(rows):
         if type(row) is not dict:
             raise ValueError(f"{name}[{k}] is not a dict")
-        nnz += len(row)
         lo = k + 1 if upper else 0
         for i, x in row.items():
             if type(i) is not int or not lo <= i < mu:
                 raise ValueError(f"{name}[{k}][{i!r}] = {x!r} is {where}")
             if type(x) is not int:
                 raise ValueError(f"{name}[{k}][{i}] = {x!r} is not an int")
-    return nnz
 
 
 def _signature(rows: Rows) -> int:
@@ -584,7 +567,7 @@ class TheoremReport:
     Lefschetz number by the formula and trace routes, ``lam`` and
     ``lam_trace``.  Built on first read and kept: ``char_poly``, ``traces``
     (Tr(T^k), k = 1..min(K_DEFAULT, mu + 2)), the two from one climb
-    (``_spectrum``), ``signature``, delta + sig(R) on the regions form R of
+    of ``_spectrum``, ``signature``, delta + sig(R) on the regions form R of
     the checked N (``_regions_form``), and the grades, ``checks``
     (pass/fail/n/a by name) and ``findings`` (where the multi-edge and
     cellularity tests disagree; never a failure).  No step after the
@@ -604,41 +587,28 @@ class TheoremReport:
 
     @lazy
     def char_poly(self) -> list[int]:
-        cp, self.traces = self._spectrum(self._kept, True)  # the traces too
+        cp, self.traces = _spectrum(self.t, self._terms, self._kept, True)
         return cp
 
     @lazy
     def traces(self) -> list[int]:
-        return self._spectrum(self._kept)[1]
+        return _spectrum(self.t, self._terms, self._kept)[1]
 
     @property
     def _kept(self) -> int:
         return min(K_DEFAULT, self.mu + 2)
 
-    def _spectrum(self, k: int, poly: bool = False
-                  ) -> tuple[list[int] | None, list[int]]:
-        """The characteristic polynomial (None unless ``poly``) and Tr(T^j),
-        j = 1..k, by one climb from the record's own N and T: N passed the
-        guards in the constructor and T was built from it, so nothing is
-        checked again.  The row program, |T| and the last rung, which holds
-        both climbs, are built once, and each product of the
-        Faddeev-LeVerrier climb carries T^k alongside (``_climb``):
-        max(mu, k) products for both, k for the traces alone."""
+    @property
+    def _terms(self) -> list:
+        """The row program of the record's checked T for ``_spectrum``."""
         t, n = self.t, self.n
         # N's factored program (packed.factored_terms) has mu + 2 nnz(N)
         # row terms against nnz(T): fewer on almost every chord divide from
         # mu of about 12 on, where T has 1.6 to 2.3 times as many, and not
         # on coil(k)
         if self.mu + 2 * sum(map(len, n)) < sum(map(len, t)):
-            terms = packed.factored_terms(n)
-        else:
-            terms = packed.row_terms(t)
-        norm = packed.row_norm(t)
-        w_top = _power_width(norm, k)
-        if not poly:
-            return None, _climb(terms, norm, w_top, 0, None, k)[2]
-        return _leverrier(terms, norm, self.mu,
-                          max(w_top, _faddeev_width(t)), k)
+            return packed.factored_terms(n)
+        return packed.row_terms(t)
 
     @lazy
     def signature(self) -> int:
@@ -648,12 +618,12 @@ class TheoremReport:
 
     def traces_to(self, k: int) -> list[int]:
         """Tr(T^k), k = 1..K for K = k clamped to 1..K_CAP: the kept
-        traces, or one climb of the record's step; ValueError unless k is
+        traces, or one more climb of ``_spectrum``; ValueError unless k is
         an int."""
         k = max(1, min(check_k(k), K_CAP))
         if k <= self._kept:
             return self.traces[:k]
-        return self._spectrum(k)[1]
+        return _spectrum(self.t, self._terms, k)[1]
 
     @lazy
     def checks(self) -> dict[str, str]:

@@ -38,8 +38,8 @@ number by both routes at mu of about 2 * 10^4, where no dense matrix can
 go; the signature alone must take under 2 s there.  The monodromy's
 forward substitution equals the series (Id - tN + (tN)^2)(Id + N) on the
 zoo, the families and chord sets, and A'Campo's product of three
-multi-twists on fewer of them.  The record's spectral step, which runs
-N's factored program where it has fewer terms than T's rows, must give
+multi-twists on fewer of them.  The record's climb, which runs N's
+factored program where it has fewer terms than T's rows, must give
 what ``char_poly`` and ``trace_powers`` give on T's rows, on the zoo, the
 families and chord sets, and must take that program exactly there.
 """
@@ -273,7 +273,7 @@ def _assert_twins(m, name):
     t = thm.t
     assert thm.char_poly == char_poly(t), name
     for k in [*range(1, 13), K_CAP]:
-        assert thm.traces_to(k) == thm._spectrum(k)[1] \
+        assert thm.traces_to(k) == seifert._spectrum(t, thm._terms, k)[1] \
             == trace_powers(t, k), (name, k)
     return len(t) + 2 * sum(map(len, thm.n)) < sum(map(len, t))
 

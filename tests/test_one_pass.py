@@ -3,14 +3,16 @@
 Calls are counted by rebinding every ``divides.*`` module attribute that
 holds a function, so calls through any ``from .x import f`` binding are
 seen.  ``_monodromy`` is the one builder of T, behind both
-``monodromy_matrix`` and the record's chain step.  The record's spectral
-step, ``TheoremReport._spectrum``, gives the characteristic polynomial and
-the kept traces from one climb, with no call of the public ``char_poly``
-or ``trace_powers``: max(mu, K) packed products, K = min(12, mu + 2).  A
-report or table that asks for k > K traces climbs once more on the same
-step, k products, and checks no matrix again.  The record's signature
-calls no public ``signature`` either: it eliminates the mu - delta rows of
-its regions form, built from the checked N, so a report checks N once.
+``monodromy_matrix`` and the record's chain step.  Every climb runs
+through ``seifert._spectrum``, once per corpus instance, per default
+report and per public kernel, so a fault put there reaches the grades.
+The record's call gives the characteristic polynomial and the kept traces
+from one climb, with no call of the public ``char_poly`` or
+``trace_powers``: max(mu, K) packed products, K = min(12, mu + 2).  A
+report or table that asks for k > K traces climbs once more, k products,
+and checks no matrix again.  The record's signature calls no public
+``signature`` either: it eliminates the mu - delta rows of its regions
+form, built from the checked N, so a report checks N once.
 """
 
 import io
@@ -19,10 +21,12 @@ import sys
 import pytest
 
 from divides import (
-    TheoremReport, build_report, fixture, from_chords, gen_chords,
-    lefschetz_number, packed, run_corpus, seifert, verify_theorem,
-    walk_table, zigzag,
+    TheoremReport, build_report, char_poly, chords_from_document, fixture,
+    from_chords, gen_chords, lefschetz_number, packed, run_corpus, seifert,
+    trace_powers, verify_theorem, walk_table, zigzag,
 )
+
+from test_record_spectrum import chord_report_documents
 
 CHAIN = ("compute_faces", "classify", "build_gamma", "counts", "matrix_N",
          "_monodromy")
@@ -63,21 +67,21 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """The (k, poly) arguments of every ``TheoremReport._spectrum`` call
-    and the number of ``packed.left_mul`` products, as {"spectrum": [...],
+    """The (k, poly) arguments of every ``seifert._spectrum`` call and the
+    number of ``packed.left_mul`` products, as {"spectrum": [...],
     "products": n}."""
     seen = {"spectrum": [], "products": 0}
-    spectrum, left_mul = TheoremReport._spectrum, packed.left_mul
+    spectrum, left_mul = seifert._spectrum, packed.left_mul
 
-    def counted_spectrum(self, k, poly=False):
+    def counted_spectrum(t, terms, k, poly=False):
         seen["spectrum"].append((k, poly))
-        return spectrum(self, k, poly)
+        return spectrum(t, terms, k, poly)
 
     def counted_left_mul(*args):
         seen["products"] += 1
         return left_mul(*args)
 
-    monkeypatch.setattr(TheoremReport, "_spectrum", counted_spectrum)
+    monkeypatch.setattr(seifert, "_spectrum", counted_spectrum)
     monkeypatch.setattr(packed, "left_mul", counted_left_mul)
     return seen
 
@@ -142,22 +146,22 @@ def test_run_corpus_runs_the_chain_once_per_instance(calls, steps):
 def test_walk_table_reads_the_record(calls, steps):
     # the table reads N, T and the traces off the record verify_theorem
     # built, and builds none of them again; its one trace_powers call is
-    # Tr(M^k) of the adjacency matrix
+    # Tr(M^k) of the adjacency matrix, a climb through the same seam
     thm = verify_theorem(from_chords(gen_chords(8, 101)))
     walk_table(thm, 12)
     for name in ("compute_faces", "build_gamma", "matrix_N", "_monodromy"):
         assert calls[name] == 1, name
     assert calls["char_poly"] == 0 and calls["trace_powers"] == 1
-    assert steps["spectrum"] == [(12, True)]
+    assert steps["spectrum"] == [(12, True), (12, False)]
 
 
 def test_walk_table_needs_no_char_poly_or_signature(calls, steps):
-    # the step climbs for the kept traces alone: K products, then K for
-    # Tr(M^k)
+    # the step climbs for the kept traces alone: K products, then the
+    # public trace_powers K for Tr(M^k)
     walk_table(TheoremReport(from_chords(gen_chords(8, 101))), 12)
     assert calls["char_poly"] == calls["signature"] == 0
     assert calls["matrix_N"] == calls["_monodromy"] == 1
-    assert steps == {"spectrum": [(12, False)], "products": 12 + 12}
+    assert steps == {"spectrum": [(12, False)] * 2, "products": 12 + 12}
 
 
 def test_long_walk_table_checks_rows_twice(monkeypatch, calls, steps):
@@ -168,12 +172,48 @@ def test_long_walk_table_checks_rows_twice(monkeypatch, calls, steps):
     walk_table(TheoremReport(m), 64)
     assert checks["_check_rows"] == 2
     assert calls["char_poly"] == 0 and calls["trace_powers"] == 1
-    assert steps == {"spectrum": [(64, False)], "products": 64 + 64}
+    assert steps == {"spectrum": [(64, False)] * 2, "products": 64 + 64}
+
+
+def test_every_climb_runs_through_one_seam(steps):
+    # one call of seifert._spectrum per corpus instance, per default
+    # report on the benchmark's chord_report documents and per public
+    # kernel: the one place to observe, or fault, the polynomial
+    def seams(run):
+        before = len(steps["spectrum"])
+        run()
+        return len(steps["spectrum"]) - before
+
+    assert [seams(lambda: run_corpus(1, 5, s)) for s in range(20)] == [1] * 20
+    maps = [from_chords(chords_from_document(d))
+            for d in chord_report_documents()]
+    assert [seams(lambda: build_report(m)) for m in maps] == [1] * 25
+    t = TheoremReport(zigzag(6)).t
+    assert seams(lambda: char_poly(t)) == seams(
+        lambda: trace_powers(t, 5)) == 1
+
+
+def test_fault_at_the_seam_fails_its_check(monkeypatch):
+    # constant term + 2 flips det(T) off 1 at every mu: every corpus
+    # instance and a report must grade det_monodromy_one a failure
+    real = seifert._spectrum
+
+    def corrupted(t, terms, k, poly=False):
+        cp, traces = real(t, terms, k, poly)
+        return cp and [cp[0] + 2, *cp[1:]], traces
+
+    monkeypatch.setattr(seifert, "_spectrum", corrupted)
+    summary = run_corpus(30, 5, 1)
+    assert {s for s, name in summary.discrepancies
+            if name == "det_monodromy_one"} == set(range(1, 31))
+    doc = chord_report_documents()[0]
+    rep = build_report(from_chords(chords_from_document(doc)))
+    assert "det_monodromy_one" in rep.thm.failed()
 
 
 @REPORTS
 def test_build_report_checks_rows_once(monkeypatch, make):
-    # N once, at the chain step; the spectral step and the signature read
+    # N once, at the chain step; the record's climb and the signature read
     # the record's own checked N and T
     m = make()
     checks = count_calls(monkeypatch, ("_check_rows",))

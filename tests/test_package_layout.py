@@ -6,7 +6,10 @@ installed package carries those files only if pyproject's package-data
 globs take them in.  The generators build their maps from branch walks
 with no document in between, so ``generators.py`` holds no format string,
 and ``divide_map.py`` holds it only where ``map_from_document`` checks a
-document's format and where ``DivideMap.to_document`` writes one.
+document's format and where ``DivideMap.to_document`` writes one.  Every
+climb of packed products runs through ``seifert._spectrum``, which sets
+its bounds and checks Faddeev-LeVerrier's division and Cayley-Hamilton:
+no other function of the package names ``_climb``.
 """
 
 import ast
@@ -56,3 +59,32 @@ def test_format_string_only_in_the_builder():
             if not (check.lineno <= n <= check.end_lineno
                     or writer.lineno <= n <= writer.end_lineno)] == []
     assert sum(check.lineno <= n <= check.end_lineno for n in lines) == 1
+
+
+def climb_references():
+    """(module, enclosing definitions, line) of every name, attribute or
+    import of ``_climb`` in the package's modules."""
+    found = []
+
+    def visit(node, name, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = (*where, node.name)
+        if (isinstance(node, ast.Name) and node.id == "_climb"
+                or isinstance(node, ast.Attribute) and node.attr == "_climb"
+                or isinstance(node, ast.alias) and node.name == "_climb"):
+            found.append((name, where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+              path.name, ())
+    return found
+
+
+def test_climb_only_inside_spectrum():
+    refs = climb_references()
+    assert refs
+    assert [(name, where) for name, where, _ in refs
+            if (name, where) != ("seifert.py", ("_spectrum",))] == []

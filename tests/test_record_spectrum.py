@@ -1,19 +1,22 @@
-"""The record's spectral step against the public kernels.
+"""The record's climb against the public kernels.
 
-``TheoremReport._spectrum`` gives the characteristic polynomial and the
-kept traces Tr(T^k), k = 1..K with K = min(12, mu + 2), from one climb:
-each product carries Faddeev-LeVerrier's M_(k-1) in block 0 and T^(k-1)
-in block 1 of the same packed rows, by N's factored program wherever it
-is the shorter.  The public ``char_poly`` and ``trace_powers`` run the
-same loop with one block each, on T's own rows, and are its slow twin:
-both pairs must be equal on the zoo, the zigzag and coil families,
-chord sets and the 25 documents of the benchmark's chord_report workload,
-at the default first rung and at first rungs of 1, 2 and 5 bits.  Known
-shapes are pinned on their own: K > mu, where block 0 ends first and T^k
-runs on alone, K = mu, mu = 0, and a chord set whose T^K leaves the rung
-at product K while Faddeev's product stays on it, where the rung must not
-widen.  A fault in block 1's read must fail the Newton grade while the
-polynomial stays right: the two blocks are two routes.
+``seifert._spectrum`` on the record's T and row program gives the
+characteristic polynomial and the kept traces Tr(T^k), k = 1..K with K =
+min(12, mu + 2), from one climb: each product carries Faddeev-LeVerrier's
+M_(k-1) in block 0 and T^(k-1) in block 1 of the same packed rows, by N's
+factored program wherever it is the shorter.  The public ``char_poly``
+and ``trace_powers`` run the same loop with one block each, on T's own
+rows, and are its slow twin: both pairs must be equal on the zoo, the
+zigzag and coil families, chord sets and the 25 documents of the
+benchmark's chord_report workload, at the default first rung and at
+first rungs of 1, 2 and 5 bits.  Known shapes are pinned on their own:
+K > mu, where P_mu is read off block 0 and block 0 rides on beside T^k,
+K = mu, mu = 0, and a chord set whose T^K leaves the rung at product K
+while Faddeev's product stays on it, where the rung must not widen.  A
+fault in block 1's read must fail the Newton grade while the polynomial
+stays right: the two blocks are two routes.  Where block 0 rides on, a
+fault in its read at product mu, which keeps every Faddeev division
+exact, must raise at the Cayley-Hamilton test, also under ``python -O``.
 
 The record's signature is delta + sig(R), R = 2 Q_BB - Q_BD Q_DB the
 regions form on the mu - delta region basepoints B of Q = 2 Id + N + tN,
@@ -83,8 +86,9 @@ def test_step_matches_public_kernels(monkeypatch, records, bits):
     shapes = set()
     for name, thm, want in records:
         k = len(want[1])
-        assert thm._spectrum(k, True) == want, name
-        assert thm._spectrum(k) == (None, want[1]), name
+        assert seifert._spectrum(thm.t, thm._terms, k, True) == want, name
+        assert seifert._spectrum(thm.t, thm._terms, k) == (None, want[1]), \
+            name
         if bits != seifert.FIRST_RUNG_BITS:
             assert (char_poly(thm.t), trace_powers(thm.t, k)) == want, name
         shapes.add("K > mu" if k > thm.mu else "K = mu" if k == thm.mu
@@ -96,15 +100,16 @@ def test_step_matches_public_kernels(monkeypatch, records, bits):
                                    (zigzag(7), 13)],
                          ids=["K>mu", "K=mu", "K<mu"])
 def test_step_products(monkeypatch, m, mu):
-    # two blocks while both climbs run, then the one that runs on alone:
-    # max(mu, K) products, min(mu, K) of them on two blocks
+    # two blocks while both climbs run: max(mu, K) products.  T^K ends
+    # first and Faddeev's climb runs on alone on one block; P_mu ends
+    # first and block 0 rides on, so every product has two blocks
     thm = TheoremReport(m)
     k = min(seifert.K_DEFAULT, mu + 2)
     assert thm.mu == mu
     rungs = algebra_oracle.Rungs(monkeypatch)
     cp, traces = thm.char_poly, thm.traces
     blocks = [blocks for _, blocks, _ in rungs.products]
-    assert blocks == [2] * min(mu, k) + [1] * abs(mu - k)
+    assert blocks == [2] * k + [1] * (mu - k)
     assert (cp, traces) == (char_poly(thm.t), trace_powers(thm.t, k))
 
 
@@ -186,6 +191,60 @@ def test_block_one_is_its_own_route(monkeypatch, m):
     assert rep.char_poly == clean.char_poly
     assert rep.traces[2] == clean.traces[2] + 1
     assert rep.failed() == ["newton_matches_traces"]
+
+
+def off_at(k, made):
+    """``packed.left_mul`` with block 0's read at product k off by k; the
+    blocks of every product go to ``made``."""
+    left_mul = packed.left_mul
+
+    def faulty(terms, rows, w, masks=None, blocks=1):
+        rows, reads, inside = left_mul(terms, rows, w, masks, blocks)
+        made.append(blocks)
+        if len(made) == k:
+            reads = (reads[0] + k, *reads[1:])
+        return rows, reads, inside
+    return faulty
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_block_zero_rides_on_to_cayley_hamilton(monkeypatch, k):
+    # coil(5): mu = 10 < K = 12, so P_10 is read off block 0 at product
+    # 10 and block 0 rides on to product 12.  Block 0's read at product
+    # 10 off by 10 keeps a_10 an exact quotient, one less, so M_10 = -Id:
+    # every division is exact, and only Cayley-Hamilton can catch it,
+    # after two more two-block products.  Off by k at a product k < 10,
+    # a later division on coil(5) is inexact and raises first
+    made = []
+    monkeypatch.setattr(packed, "left_mul", off_at(k, made))
+    thm = TheoremReport(coil(5))
+    rule = "Cayley-Hamilton" if k == 10 else "Faddeev-LeVerrier"
+    with pytest.raises(ArithmeticError, match=rule):
+        thm.char_poly
+    assert made == [2] * (12 if k == 10 else len(made))
+
+
+def test_block_zero_rides_on_to_cayley_hamilton_under_o():
+    # python -O strips assert statements; the check must still raise
+    code = ("from divides import TheoremReport, coil, packed\n"
+            "left_mul, made = packed.left_mul, []\n"
+            "def faulty(terms, rows, w, masks=None, blocks=1):\n"
+            "    rows, reads, inside = left_mul(terms, rows, w, masks,"
+            " blocks)\n"
+            "    made.append(blocks)\n"
+            "    if len(made) == 10:\n"
+            "        reads = (reads[0] + 10, *reads[1:])\n"
+            "    return rows, reads, inside\n"
+            "packed.left_mul = faulty\n"
+            "try:\n"
+            "    print(TheoremReport(coil(5)).char_poly)\n"
+            "except ArithmeticError as exc:\n"
+            "    print(len(made), exc)\n")
+    src = str(Path(divides.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.startswith("12 Cayley-Hamilton"), out.stdout
 
 
 def test_record_signature_matches_public_kernel(records):

@@ -651,14 +651,14 @@ class TestVerifyTheorem:
         # constant term + 2: no longer monic at mu 0, where Newton's
         # identities cannot take it; the record and the corpus must grade
         # the fault, not raise it.  The record's polynomial comes from its
-        # spectral step, not from the public char_poly
-        real = TheoremReport._spectrum
+        # climb in seifert._spectrum, not from the public char_poly
+        real = seifert._spectrum
 
-        def corrupted(self, k, poly=False):
-            cp, traces = real(self, k, poly)
+        def corrupted(t, terms, k, poly=False):
+            cp, traces = real(t, terms, k, poly)
             return [c + 2 * (i == 0) for i, c in enumerate(cp)], traces
 
-        monkeypatch.setattr(TheoremReport, "_spectrum", corrupted)
+        monkeypatch.setattr(seifert, "_spectrum", corrupted)
         thm = TheoremReport(from_chords(gen_chords(1, 1)))
         assert thm.mu == 0 and thm.char_poly == [3]
         assert thm.checks["newton_matches_traces"] == "fail"
