@@ -23,9 +23,8 @@ ladder of slot widths and the two-block rows on which one climb gives
 both the polynomial and the traces.  The public ``char_poly`` and
 ``trace_powers`` take T alone and multiply by its own rows.  The record
 forms each product T M as (Id + tN)^-1 (Id + N) M from the rows of its
-own N when that takes fewer row terms than T's rows, and makes max(mu, K)
-products for the polynomial and K traces, where the public kernels make
-mu + K.
+own N, and makes max(mu, K) products for the polynomial and K traces,
+where the public kernels make mu + K.
 The signature form 2 Id + N + tN has the diagram's sparsity and is
 eliminated on sparse rows of ints, the only input format, in a
 minimum-degree order: by Sylvester's law of inertia each pivot adds its
@@ -196,9 +195,9 @@ def _spectrum(t: Rows, terms, k: int, poly: bool = False
               ) -> tuple[list[int] | None, list[int]]:
     """The characteristic polynomial of T, constant term first (None unless
     ``poly``), and Tr(T^j), j = 1..k, by one ``_climb`` on the row program
-    ``terms`` of the checked rows t of T: T's own rows or, in the record,
-    N's factored program.  Every climb of the library runs here, and every
-    bound comes from t.
+    ``terms`` of the checked rows t of T: T's own rows in the public
+    kernels, N's factored program in the record.  Every climb of the
+    library runs here, and every bound comes from t.
 
     The last rung holds T^k, of entries at most |T|^k, and with ``poly``
     Faddeev-LeVerrier, M_j = T M_(j-1) + a_j Id from M_0 = Id with a_j =
@@ -567,8 +566,9 @@ class TheoremReport:
     Lefschetz number by the formula and trace routes, ``lam`` and
     ``lam_trace``.  Built on first read and kept: ``char_poly``, ``traces``
     (Tr(T^k), k = 1..min(K_DEFAULT, mu + 2)), the two from one climb
-    of ``_spectrum``, ``signature``, delta + sig(R) on the regions form R of
-    the checked N (``_regions_form``), and the grades, ``checks``
+    of ``_spectrum`` on N's factored program (``_terms``), ``signature``,
+    delta + sig(R) on the regions form R of the checked N
+    (``_regions_form``), and the grades, ``checks``
     (pass/fail/n/a by name) and ``findings`` (where the multi-edge and
     cellularity tests disagree; never a failure).  No step after the
     constructor checks N or T again.
@@ -600,15 +600,8 @@ class TheoremReport:
 
     @property
     def _terms(self) -> list:
-        """The row program of the record's checked T for ``_spectrum``."""
-        t, n = self.t, self.n
-        # N's factored program (packed.factored_terms) has mu + 2 nnz(N)
-        # row terms against nnz(T): fewer on almost every chord divide from
-        # mu of about 12 on, where T has 1.6 to 2.3 times as many, and not
-        # on coil(k)
-        if self.mu + 2 * sum(map(len, n)) < sum(map(len, t)):
-            return packed.factored_terms(n)
-        return packed.row_terms(t)
+        """The row program of the record's T for ``_spectrum``: N's."""
+        return packed.factored_terms(self.n)
 
     @lazy
     def signature(self) -> int:
@@ -635,8 +628,8 @@ class TheoremReport:
             # nilpotent_square raised in the constructor unless N^3 = 0
             "n_cube_zero": (True, True),
             "slalom_equiv_n2_f": (True, n2_zero == (f == 0)),
-            # traces[0] is Tr(T) from the program the products ran on,
-            # lam_trace Tr(T) read off T's rows
+            # traces[0] is Tr(T) from N's factored program, lam_trace
+            # Tr(T) read off T's rows
             "lefschetz_two_routes":
                 (True, lam == self.lam_trace == 1 - traces[0]),
             "det_seifert_one": (True,       # Id + N is triangular

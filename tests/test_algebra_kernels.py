@@ -39,9 +39,9 @@ go; the signature alone must take under 2 s there.  The monodromy's
 forward substitution equals the series (Id - tN + (tN)^2)(Id + N) on the
 zoo, the families and chord sets, and A'Campo's product of three
 multi-twists on fewer of them.  The record's climb, which runs N's
-factored program where it has fewer terms than T's rows, must give
-what ``char_poly`` and ``trace_powers`` give on T's rows, on the zoo, the
-families and chord sets, and must take that program exactly there.
+factored program, must give what ``char_poly`` and ``trace_powers`` give
+on T's rows, on the zoo, the families and chord sets, and every record
+must build that program once per climb and never T's own rows.
 """
 
 import time
@@ -53,7 +53,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from divides import (
     TheoremReport, adjacency, build_gamma, char_poly, classify, coil,
-    compute_faces, counts, fixture, from_chords, gen_chords,
+    compute_faces, counts, fixture, fixture_names, from_chords, gen_chords,
     lefschetz_number, matrix_N, monodromy_matrix, newton_power_sums, packed,
     seifert, signature, trace_powers, zigzag,
 )
@@ -267,15 +267,14 @@ def test_sparse_n_matches_dense_oracle():
 
 
 def _assert_twins(m, name):
-    # the record's step, on N's factored program wherever that is the
-    # shorter, equals the public kernels on T's own rows
+    # the record's step, on N's factored program, equals the public kernels
+    # on T's own rows
     thm = TheoremReport(m)
     t = thm.t
     assert thm.char_poly == char_poly(t), name
     for k in [*range(1, 13), K_CAP]:
         assert thm.traces_to(k) == seifert._spectrum(t, thm._terms, k)[1] \
             == trace_powers(t, k), (name, k)
-    return len(t) + 2 * sum(map(len, thm.n)) < sum(map(len, t))
 
 
 def test_factored_program_matches_rows(zoo):
@@ -283,25 +282,32 @@ def test_factored_program_matches_rows(zoo):
     maps += [(f"coil({k})", coil(k)) for k in range(1, 9)]
     maps += [(f"chords({n}, {s})", from_chords(gen_chords(n, s)))
              for n in range(2, 13) for s in range(15)]
-    factored = [name for name, m in maps if _assert_twins(m, name)]
-    assert len(factored) >= 20, factored
+    for name, m in maps:
+        _assert_twins(m, name)
 
 
-def test_program_choice_reads_the_input(monkeypatch):
-    # coil keeps T's rows; a chord divide with mu >= 12 takes the factored
-    # program, once per climb of the record's step
-    built = []
-    real = packed.factored_terms
-    monkeypatch.setattr(packed, "factored_terms",
-                        lambda n: built.append(len(n)) or real(n))
-    for k in range(1, 9):
-        thm = TheoremReport(coil(k))
+def test_record_climbs_on_n_program(monkeypatch):
+    # every record, coil's too, builds N's factored program once per climb
+    # of its step and never T's own rows, which only the public kernels take
+    calls = []
+    for name in ("factored_terms", "row_terms"):
+        real = getattr(packed, name)
+        monkeypatch.setattr(packed, name, lambda rows, name=name, real=real:
+                            calls.append((name, len(rows))) or real(rows))
+    real_spectrum = seifert._spectrum
+    monkeypatch.setattr(seifert, "_spectrum", lambda *a: calls.append(
+        ("climb", len(a[0]))) or real_spectrum(*a))
+    maps = [(f"{f.__name__}({k})", f(k)) for f in (coil, zigzag)
+            for k in range(1, 9)]
+    maps += [(name, fixture(name)) for name in fixture_names()]
+    maps += [("chords(10, 0)", from_chords(gen_chords(10, 0)))]
+    assert len(maps) == 23
+    for name, m in maps:
+        thm = TheoremReport(m)
+        calls.clear()
         thm.char_poly, thm.traces_to(K_CAP)
-    assert built == []
-    thm = TheoremReport(from_chords(gen_chords(10, 0)))
-    assert thm.mu >= 12
-    thm.char_poly, thm.traces_to(K_CAP)
-    assert built == [thm.mu, thm.mu]
+        assert calls == [("factored_terms", thm.mu),
+                         ("climb", thm.mu)] * 2, name
 
 
 def test_factored_terms_take_any_int_entry():

@@ -9,7 +9,10 @@ and ``divide_map.py`` holds it only where ``map_from_document`` checks a
 document's format and where ``DivideMap.to_document`` writes one.  Every
 climb of packed products runs through ``seifert._spectrum``, which sets
 its bounds and checks Faddeev-LeVerrier's division and Cayley-Hamilton:
-no other function of the package names ``_climb``.
+no other function of the package names ``_climb``.  T's own row program,
+``packed.row_terms``, is named in ``seifert`` only by the public
+``char_poly`` and ``trace_powers``, which take T alone: the record climbs
+on N's factored program and chooses no other.
 """
 
 import ast
@@ -61,18 +64,18 @@ def test_format_string_only_in_the_builder():
     assert sum(check.lineno <= n <= check.end_lineno for n in lines) == 1
 
 
-def climb_references():
+def references(ident):
     """(module, enclosing definitions, line) of every name, attribute or
-    import of ``_climb`` in the package's modules."""
+    import of ``ident`` in the package's modules."""
     found = []
 
     def visit(node, name, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             where = (*where, node.name)
-        if (isinstance(node, ast.Name) and node.id == "_climb"
-                or isinstance(node, ast.Attribute) and node.attr == "_climb"
-                or isinstance(node, ast.alias) and node.name == "_climb"):
+        if (isinstance(node, ast.Name) and node.id == ident
+                or isinstance(node, ast.Attribute) and node.attr == ident
+                or isinstance(node, ast.alias) and node.name == ident):
             found.append((name, where, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, name, where)
@@ -84,7 +87,13 @@ def climb_references():
 
 
 def test_climb_only_inside_spectrum():
-    refs = climb_references()
+    refs = references("_climb")
     assert refs
     assert [(name, where) for name, where, _ in refs
             if (name, where) != ("seifert.py", ("_spectrum",))] == []
+
+
+def test_t_rows_only_in_the_public_kernels():
+    assert sorted({where for name, where, _ in references("row_terms")
+                   if name == "seifert.py"}) \
+        == [("char_poly",), ("trace_powers",)]

@@ -4,9 +4,9 @@
 characteristic polynomial and the kept traces Tr(T^k), k = 1..K with K =
 min(12, mu + 2), from one climb: each product carries Faddeev-LeVerrier's
 M_(k-1) in block 0 and T^(k-1) in block 1 of the same packed rows, by N's
-factored program wherever it is the shorter.  The public ``char_poly``
-and ``trace_powers`` run the same loop with one block each, on T's own
-rows, and are its slow twin: both pairs must be equal on the zoo, the
+factored program.  The public ``char_poly`` and ``trace_powers`` run the
+same loop with one block each, on T's own rows, and are its slow twin:
+both pairs must be equal on the zoo, the
 zigzag and coil families, chord sets and the 25 documents of the
 benchmark's chord_report workload, at the default first rung and at
 first rungs of 1, 2 and 5 bits.  Known shapes are pinned on their own:
