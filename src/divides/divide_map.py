@@ -503,7 +503,7 @@ class DivideStats:
     connected: bool
     cellular: bool
     simple: bool
-    regions_vertex_simple: bool     # no region walk visits a vertex twice
+    regions_vertex_simple: bool     # no region has two sectors at a vertex
 
 
 def classify(m: DivideMap, faces: Faces) -> DivideStats:
@@ -517,8 +517,12 @@ def classify(m: DivideMap, faces: Faces) -> DivideStats:
     * connected: one component, i.e. ``mu = delta + regions`` equals
       ``2 delta - r + 1``;
     * cellular: connected and ``regions_vertex_simple``, i.e. no region
-      walk visits a vertex twice (a repeat pinches the region closure,
-      making it non-contractible);
+      holds two sectors at one double point (such a pair pinches the
+      region closure, making it non-contractible).  It is tested once per
+      double point: the two corners beside a segment are its two sides,
+      which differ, so only opposite corners (slots 0 and 2, or 1 and 3)
+      can share a face, and no region has a corner at an endpoint
+      (``compute_faces`` enforces both);
     * simple: connected with at least one double point, and no segment
       admits an embedded arc through its interior splitting the double
       points into two non-empty sets.  Such an arc must run to the
@@ -530,15 +534,16 @@ def classify(m: DivideMap, faces: Faces) -> DivideStats:
     """
     connected = faces.region_count() == m.delta - m.r + 1
 
-    dart_vertex = m.dart_vertex
-    walks = (m.face_walks[fi] for fi in faces.regions)
-    vertex_simple = all(len({dart_vertex[d] for d in w}) == len(w)
-                        for w in walks)
-    cellular = connected and vertex_simple
-
     n_end = len(m.endpoints)
     region = set(faces.regions)
-    dart_walk = m.dart_walk
+    dart_walk, dart_vertex = m.dart_walk, m.dart_vertex
+    # the corner after slot i at a crossing lies in face dart_walk[rot[i]]
+    vertex_simple = not any(
+        dart_walk[a] == dart_walk[c] and dart_walk[a] in region
+        or dart_walk[b] == dart_walk[d] and dart_walk[b] in region
+        for a, b, c, d in m.rotations[n_end:])
+    cellular = connected and vertex_simple
+
     # segment k joins the vertices of darts 2k and 2k + 1
     splits = (dart_walk[d] not in region and dart_walk[d + 1] not in region
               and dart_vertex[d] >= n_end and dart_vertex[d + 1] >= n_end

@@ -658,7 +658,7 @@ class TheoremReport:
 
     @lazy
     def findings(self) -> list[str]:
-        # the multi-edge criterion against the walk test, compared without
+        # the multi-edge criterion against the sector test, compared without
         # the connectivity conjunct on either side
         vertex_simple = self.stats.regions_vertex_simple
         multi = has_multi_edge(self.gamma)

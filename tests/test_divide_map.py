@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from divides import (
-    MINUS, DivideError, build_gamma, classify, coil,
+    MINUS, DivideError, build_gamma, check_flag_edges, classify, coil,
     compute_faces, counts, fixture, fixtures, from_chords, gen_chords,
-    map_from_document, parse_chords, parse_divide, trace_branches,
-    verify_theorem, zigzag,
+    has_multi_edge, map_from_document, parse_chords, parse_divide,
+    trace_branches, verify_theorem, zigzag,
 )
 from divides import divide_map
 from divides.generators import chords_to_map_document
@@ -568,7 +568,7 @@ class TestClassify:
         assert m.delta == 0
         assert not st.connected
         assert not st.simple
-        # the walk test holds on its own; cellularity also needs connectivity
+        # vertex-simple on its own; cellularity also needs connectivity
         assert st.regions_vertex_simple and not st.cellular
 
     def test_disconnected_with_double_points(self):
@@ -613,6 +613,63 @@ def test_classify_matches_union_find_oracle(classify_cases):
     assert seen == {(False, False, False), (True, False, False),
                     (True, False, True), (True, True, False),
                     (True, True, True)}
+
+
+def test_classify_reads_no_region_walks(zoo):
+    # cellularity is read off the corners at each double point, so the
+    # face walks can go without changing the classification
+    maps = [m for _, m in zoo] + [parse_divide(TWO_X1_DOC)]
+    maps += [family(k) for family in (zigzag, coil) for k in range(1, 9)]
+    maps += [from_chords(gen_chords(n, s))
+             for n, s in ((1, 0), (5, 3), (8, 2), (12, 7))]
+    pinched = 0
+    for m in maps:
+        faces = compute_faces(m)
+        st = classify(m, faces)
+        assert classify(replace(m, face_walks=()), faces) == st, m.crossings
+        pinched += not st.regions_vertex_simple
+    assert pinched > 0
+
+
+def test_sector_facts(classify_cases):
+    # Fact 1: signs alternate around a crossing, so a Minus and a Plus
+    # sector at one double point are adjacent corners, and the segment
+    # between them has those two regions as its sides: every flag closes.
+    # Fact 2: a region holding two sectors at one double point gives two
+    # equal sector edges, so a divide that is not vertex-simple has a
+    # multi-edge.
+    pinched = []
+
+    def check(m, name):
+        try:
+            faces = compute_faces(m)
+        except DivideError:
+            return
+        for signed in (faces, faces.flipped()):
+            gamma = build_gamma(m, signed)
+            assert check_flag_edges(gamma) == [], name
+            if not classify(m, signed).regions_vertex_simple:
+                assert has_multi_edge(gamma), name
+                pinched.append(name)
+
+    for name, m in classify_cases:
+        check(m, name)
+
+    # more draws than the parser's fuzz: few matchings are divides, and
+    # fewer still pinch a region
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(slot_matchings())
+    def fuzz(doc):
+        try:
+            m = map_from_document(doc)
+        except DivideError:
+            return
+        check(m, doc)
+
+    fuzz()
+    # both kinds of input reach a divide that is not vertex-simple
+    assert "FIG2A" in pinched and any(isinstance(p, dict) for p in pinched)
 
 
 def test_milnor_number_counts_components(zoo, classify_cases):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -667,6 +668,25 @@ class TestVerifyTheorem:
         assert (1, "newton_matches_traces") in summary.discrepancies
         rep = verify_theorem(from_chords(gen_chords(5, 7)))
         assert "det_monodromy_one" in rep.failed()
+
+    def test_dropped_segment_edge_fails_flags_closed(self, monkeypatch):
+        # every flag of a correct diagram closes, so cellular_flags_closed
+        # grades build_gamma's segment edges against its sector edges
+        real = seifert.build_gamma
+
+        def drop_first_segment_edge(m, faces):
+            g = real(m, faces)
+            ns = g.n_sector
+            return replace(g, lo=g.lo[:ns] + g.lo[ns + 1:],
+                           hi=g.hi[:ns] + g.hi[ns + 1:])
+
+        m = from_chords(gen_chords(8, 2))
+        assert verify_theorem(m).all_pass()
+        monkeypatch.setattr(seifert, "build_gamma", drop_first_segment_edge)
+        rep = verify_theorem(m)
+        assert rep.stats.cellular
+        assert rep.failed() == ["cellular_trace_n2n_eq_f",
+                                "cellular_flags_closed"]
 
     def test_factored_program_is_tied_to_t(self, monkeypatch):
         # a factored program that drops the back-substitution term N_ki of
