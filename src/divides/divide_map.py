@@ -4,14 +4,15 @@ A divide is a collection of immersed arcs in the unit disk: endpoints on
 the boundary circle, interior intersections are transversal double points.
 We encode one as a rotation system: endpoints expose a single attachment
 slot, double points expose four slots in counterclockwise order, and every
-slot is used by exactly one edge.  ``map_from_document`` builds it in one
-pass over the edges of a document, putting each dart in its slot as it
-reads it; ``map_from_walks`` builds it from integer branch walks, which is
-how the generators hand over their divides, and both end in ``_finish``.
-The *augmented* map adds the boundary arcs between cyclically consecutive
-endpoints; tracing its faces both certifies that the rotation system
-embeds in the disk (Euler count) and yields the complement components
-needed downstream.
+slot is used by exactly one edge.  The two builders only fill the slots:
+``map_from_document`` puts each dart of a document in its slot as it reads
+it, and ``map_from_walks`` does the same from integer branch walks, which
+is how the generators hand over their divides.  Both end in ``_finish``,
+which reads everything else off the filled rotations.  The *augmented*
+map adds the boundary arcs between cyclically consecutive endpoints;
+tracing its faces both certifies that the rotation system embeds in the
+disk (Euler count) and yields the complement components needed
+downstream.
 
 Dart conventions used throughout the package:
 
@@ -140,12 +141,11 @@ def map_from_document(doc) -> DivideMap:
     """Validate a divide-map/1 document and build its augmented map.
 
     One pass over the edges puts dart ``2k`` (the ``a`` end of edge ``k``)
-    and ``2k + 1`` (its ``b`` end) in their slots, position ``s`` of a
-    crossing's rotation or between an endpoint's two boundary arcs, and
-    records each dart's vertex and position as it goes.  Of several
-    faults the first raised is the first in this order: document shape and
-    labels; each edge in turn (shape, attachment, slot); unused slots by
-    vertex; closed branches; planarity.
+    and ``2k + 1`` (its ``b`` end) in their slots, slot ``s`` of a
+    crossing or an endpoint's one slot; ``_finish`` builds the rest.  Of
+    several faults the first raised is the first in this order: document
+    shape and labels; each edge in turn (shape, attachment, slot); unused
+    slots by vertex; closed branches; planarity.
     """
     if not isinstance(doc, dict):
         raise DivideError("malformed document: expected a JSON object")
@@ -170,8 +170,7 @@ def map_from_document(doc) -> DivideMap:
         raise DivideError("malformed document: duplicate label")
 
     n_end = len(endpoints)
-    rotations, dart_vertex, dart_pos = _empty_slots(
-        n_end, len(crossings), len(edges))
+    rotations = _empty_slots(n_end, len(crossings))
     d = 0              # the dart each attachment puts in its slot
     for e in edges:
         if not isinstance(e, dict) or "a" not in e or "b" not in e:
@@ -189,9 +188,8 @@ def map_from_document(doc) -> DivideMap:
                 if s != 0:
                     raise DivideError(
                         f"endpoint {lab!r} only exposes slot 0, got {s}")
-                if rot[1] is not None:
+                if rot[0] is not None:
                     raise DivideError(f"slot reuse at endpoint {lab!r}")
-                s = 1          # its position between the two arcs
             else:
                 if not 0 <= s <= 3:
                     raise DivideError(
@@ -200,10 +198,8 @@ def map_from_document(doc) -> DivideMap:
                     raise DivideError(
                         f"slot reuse at crossing {lab!r} slot {s}")
             rot[s] = d
-            dart_vertex[d] = v
-            dart_pos[d] = s
             d += 1
-    return _finish(endpoints, crossings, rotations, dart_vertex, dart_pos, d)
+    return _finish(endpoints, crossings, rotations, d)
 
 
 def map_from_walks(endpoints, crossings, branches) -> DivideMap:
@@ -216,23 +212,19 @@ def map_from_walks(endpoints, crossings, branches) -> DivideMap:
     document with one edge per step of each walk.  The darts go in their
     slots in that order, with the checks and messages of
     ``map_from_document``, and an index or slot out of range is a
-    DivideError too.
+    DivideError too; ``_finish`` builds the rest.
     """
     n_end = len(endpoints)
     n_cross = len(crossings)
-    rotations, dart_vertex, dart_pos = _empty_slots(
-        n_end, n_cross,
-        sum([len(visits) for _, visits, _ in branches]) + len(branches))
+    rotations = _empty_slots(n_end, n_cross)
 
     def at_endpoint(j, d):
         if not 0 <= j < n_end:
             raise DivideError(f"endpoint index {j!r} out of range")
         rot = rotations[j]
-        if rot[1] is not None:
+        if rot[0] is not None:
             raise DivideError(f"slot reuse at endpoint {endpoints[j]!r}")
-        rot[1] = d
-        dart_vertex[d] = j
-        dart_pos[d] = 1
+        rot[0] = d
 
     d = 0              # the dart each step puts in its slot
     for start, visits, end in branches:
@@ -240,8 +232,7 @@ def map_from_walks(endpoints, crossings, branches) -> DivideMap:
         for c, s_in, s_out in visits:
             if not 0 <= c < n_cross:
                 raise DivideError(f"crossing index {c!r} out of range")
-            v = n_end + c
-            rot = rotations[v]
+            rot = rotations[n_end + c]
             for s in (s_in, s_out):
                 d += 1
                 if not 0 <= s <= 3:
@@ -251,42 +242,28 @@ def map_from_walks(endpoints, crossings, branches) -> DivideMap:
                     raise DivideError(
                         f"slot reuse at crossing {crossings[c]!r} slot {s}")
                 rot[s] = d
-                dart_vertex[d] = v
-                dart_pos[d] = s
         d += 1
         at_endpoint(end, d)
         d += 1
-    return _finish(endpoints, crossings, rotations, dart_vertex, dart_pos, d)
+    return _finish(endpoints, crossings, rotations, d)
 
 
-def _empty_slots(n_end: int, n_cross: int, n_edge: int) -> tuple:
-    """The rotations of a map with n_edge divide edges, every divide slot
-    empty (None) and the boundary arcs in place, and its dart -> vertex and
-    dart -> position tables with the arcs' entries filled in."""
+def _empty_slots(n_end: int, n_cross: int) -> list[list]:
+    """The rotations of a map with every slot empty (None): one slot per
+    endpoint and four per crossing, as in the divide-map/1 format."""
     if n_end % 2 != 0 or n_end < 2:
         raise DivideError(
             f"odd endpoint count: {n_end} endpoints (need an even "
             "number, at least 2)")
-    # arc j: dart 2 * (n_edge + j) at endpoint j, its twin at j + 1.  Ccw
-    # from inside the disk an endpoint holds: arc out, divide dart, arc in.
-    rotations = [[2 * (n_edge + j), None, 2 * (n_edge + (j - 1) % n_end) + 1]
-                 for j in range(n_end)]
-    rotations += [[None] * 4 for _ in range(n_cross)]
-    n_darts = 2 * (n_edge + n_end)
-    dart_vertex = [0] * n_darts
-    dart_pos = [0] * n_darts
-    boundary = 2 * n_edge      # the first boundary-arc dart
-    dart_vertex[boundary::2] = range(n_end)
-    dart_vertex[boundary + 1::2] = [*range(1, n_end), 0]
-    dart_pos[boundary + 1::2] = [2] * n_end
-    return rotations, dart_vertex, dart_pos
+    return ([[None] for _ in range(n_end)]
+            + [[None] * 4 for _ in range(n_cross)])
 
 
-def _finish(endpoints, crossings, rotations, dart_vertex, dart_pos,
-            placed: int) -> DivideMap:
-    """The map once ``placed`` darts sit in distinct divide slots, with
-    its faces, after the checks that need the whole map: unused slots by
-    vertex, closed branches, then planarity."""
+def _finish(endpoints, crossings, rotations, placed: int) -> DivideMap:
+    """The map once ``placed`` darts sit in distinct slots of
+    ``rotations``, with its boundary arcs, dart tables and faces, after the
+    checks that need the whole map: unused slots by vertex, closed
+    branches, then planarity."""
     n_end = len(endpoints)
     # the darts sit in distinct slots: none is unused iff placed is the count
     if placed != n_end + 4 * len(crossings):
@@ -296,23 +273,43 @@ def _finish(endpoints, crossings, rotations, dart_vertex, dart_pos,
             f"unused slot at endpoint {labels[v]!r}" if v < n_end else
             f"unused slot at crossing {labels[v]!r} slot "
             f"{rotations[v].index(None)}")
-    # a face walk steps from d to the dart clockwise of d ^ 1 at its vertex
-    step = [0] * len(dart_vertex)
-    for rot in rotations:
-        prev = rot[-1]
-        for d in rot:
-            step[d ^ 1] = prev
-            prev = d
+    # One pass over the rotations.  Arc j is darts placed + 2j at endpoint
+    # j and its twin at j + 1; ccw from inside the disk an endpoint holds
+    # arc out, divide dart, arc in.  A face walk steps from d to the dart
+    # clockwise of d ^ 1 at its vertex.
+    n_darts = placed + 2 * n_end
+    step = [0] * n_darts
+    dart_vertex = [0] * n_darts
+    dart_pos = [0] * n_darts
+    arc_in = n_darts - 1           # at endpoint 0: the last arc's twin
+    for j in range(n_end):
+        x, = rotations[j]
+        arc_out = placed + 2 * j
+        rotations[j] = (arc_out, x, arc_in)
+        step[arc_out ^ 1] = arc_in
+        step[x ^ 1] = arc_out
+        step[arc_in ^ 1] = x
+        dart_vertex[arc_out] = dart_vertex[x] = dart_vertex[arc_in] = j
+        dart_pos[x] = 1
+        dart_pos[arc_in] = 2
+        arc_in = arc_out + 1
+    for v in range(n_end, len(rotations)):
+        a, b, c, d = rotations[v]
+        rotations[v] = (a, b, c, d)
+        step[a ^ 1] = d
+        step[b ^ 1] = a
+        step[c ^ 1] = b
+        step[d ^ 1] = c
+        dart_vertex[a] = dart_vertex[b] = dart_vertex[c] = dart_vertex[d] = v
+        dart_pos[b] = 1
+        dart_pos[c] = 2
+        dart_pos[d] = 3
 
     face_walks, dart_walk = _trace_all_faces(step)
-    # tuple(list), not tuple(iterator): resizing fills CPython's free lists.
-    # The builder's frame still holds the lists: clearing frees them now.
-    frozen = tuple([tuple(rot) for rot in rotations])
-    rotations.clear()
     m = DivideMap(
         endpoints=tuple(endpoints),
         crossings=tuple(crossings),
-        rotations=frozen,
+        rotations=tuple(rotations),
         dart_vertex=tuple(dart_vertex),
         dart_pos=tuple(dart_pos),
         face_walks=face_walks,

@@ -8,7 +8,7 @@ from math import gcd
 
 from .divide_map import DivideMap, need_int
 from .generators import ChordSet, crossing_count, from_chords, gen_chords
-from .seifert import K_DEFAULT, NA, TheoremReport, verify_theorem
+from .seifert import FAIL, K_DEFAULT, PASS, TheoremReport, verify_theorem
 
 LATTICE_GENUS_NOTE = (
     "(mu - r + 1)/2 computed from the lattice rank; no claim is made tying "
@@ -124,14 +124,14 @@ class CorpusSummary:
         return not self.discrepancies
 
 
-def _corpus_checks(cs: ChordSet, thm, m) -> dict[str, bool]:
-    """The corpus-level hard checks on one chord instance, by name."""
+def _corpus_checks(cs: ChordSet, thm, m) -> dict[str, str]:
+    """The corpus-level hard checks on one chord instance: name -> grade."""
     # M = N + tN: Tr(M) = 2 sum_i N_ii, and Tr(M^2), the sum of M's squared
     # entries, is 2 Tr(tN N) since N has no diagonal.  Chord diagrams never
     # carry multi-edges, so Tr(M^2) = 2e
     tr_m = 2 * sum(row.get(i, 0) for i, row in enumerate(thm.n))
     tr_m2 = 2 * thm.flag_traces[0]
-    return {
+    graded = {
         "delta_matches_interleaving_oracle": m.delta == crossing_count(cs),
         # chord regions are convex, so connected chord divides are cellular
         "chord_connected_implies_cellular":
@@ -139,6 +139,7 @@ def _corpus_checks(cs: ChordSet, thm, m) -> dict[str, bool]:
         "walk_trace_M_zero": tr_m == 0,
         "walk_handshake_2e": tr_m2 == 2 * thm.e,
     }
+    return {name: PASS if ok else FAIL for name, ok in graded.items()}
 
 
 def check_corpus_args(count: int, n: int, seed: int) -> None:
@@ -167,13 +168,11 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
         m = from_chords(cs)
         thm = verify_theorem(m)
 
-        corpus = _corpus_checks(cs, thm, m)
-        failed = thm.failed() + [k for k, ok in corpus.items() if not ok]
-
-        # theorem checks graded applicable, plus the corpus-level hard checks
-        n_applicable = (sum(1 for v in thm.checks.values() if v != NA)
-                        + len(corpus))
-        summary.checks_passed += n_applicable - len(failed)
+        # the theorem's grades, then the corpus-level hard checks
+        checks = thm.checks | _corpus_checks(cs, thm, m)
+        failed = [name for name, v in checks.items() if v == FAIL]
+        passed = sum(v == PASS for v in checks.values())
+        summary.checks_passed += passed
         summary.checks_failed += len(failed)
         for name in failed:
             summary.discrepancies.append((inst_seed, name))
@@ -191,7 +190,7 @@ def run_corpus(count: int, n: int, seed: int, csv_out=None) -> CorpusSummary:
                    int(st.connected), int(st.cellular), int(st.simple),
                    int(thm.n_square_zero), thm.mu, thm.e, thm.f,
                    thm.chi_body, thm.lam,
-                   n_applicable - len(failed), len(thm.findings)]
+                   passed, len(thm.findings)]
             csv_out.write(",".join(str(x) for x in row) + "\n")
 
     summary.wall_time = time.perf_counter() - t0

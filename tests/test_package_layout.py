@@ -12,7 +12,10 @@ its bounds and checks Faddeev-LeVerrier's division and Cayley-Hamilton:
 no other function of the package names ``_climb``.  T's own row program,
 ``packed.row_terms``, is named in ``seifert`` only by the public
 ``char_poly`` and ``trace_powers``, which take T alone: the record climbs
-on N's factored program and chooses no other.
+on N's factored program and chooses no other.  The map builders of
+``divide_map`` only fill slots: ``_finish`` alone writes the dart tables
+and the face-walk step, and ``_empty_slots`` is sized without an edge
+count.
 """
 
 import ast
@@ -97,3 +100,31 @@ def test_t_rows_only_in_the_public_kernels():
     assert sorted({where for name, where, _ in references("row_terms")
                    if name == "seifert.py"}) \
         == [("char_poly",), ("trace_powers",)]
+
+
+def test_only_finish_writes_the_dart_tables():
+    path = PACKAGE / "divide_map.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tables = {"dart_vertex", "dart_pos", "step"}
+    writers = set()
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, (ast.AugAssign,
+                                                      ast.AnnAssign)) else [])
+        for sub in (t for target in targets for t in ast.walk(target)):
+            if (isinstance(sub, ast.Subscript)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id in tables):
+                writers.add((where, sub.value.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    assert {where for where, _ in writers} == {"_finish"}
+    assert {table for _, table in writers} == tables
+    empty, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_empty_slots"]
+    assert [a.arg for a in empty.args.args] == ["n_end", "n_cross"]
